@@ -243,11 +243,19 @@ _HEADER_KEYS: dict[str, list[str]] = {
 _TABLE_COMMANDS = {"spectrum", "packet", "timemap"}
 
 
+def _option_string(command: str, dest: str) -> str:
+    """The flag that sets dest on the command's parser, as a user types it."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return next(a.option_strings[0] for a in sub.choices[command]._actions
+                if a.dest == dest and a.option_strings)
+
+
 def _require(cfg: RunConfig, command: str, *names: str) -> None:
     for name in names:
         if getattr(cfg, name) is None:
-            flag = "--" + name.replace("_", "-")
-            raise ValueError(f"{command} requires {flag}")
+            raise ValueError(f"{command} requires {_option_string(command, name)}")
 
 
 def _check_positive(cfg: RunConfig, *names: str) -> None:
@@ -476,6 +484,16 @@ def run_timemap(cfg: RunConfig) -> str:
 # ---------------------------------------------------------------------------
 # driver
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises on usage errors, so main reports them in the JSON envelope.
+
+    --help and --version still print and exit through argparse.
+    """
+
+    def error(self, message: str):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON file with flat option defaults")
@@ -489,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int,
                         help="recorded in the header for provenance")
 
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="qaction",
         description="internal-time dynamics of the relativistic Coulomb problem")
     parser.add_argument("--version", action="version",
@@ -557,10 +575,9 @@ def _error_json(code: int, exc: BaseException) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    command = args.command
     try:
+        args = build_parser().parse_args(argv)
+        command = args.command
         file_cfg: dict = {}
         if args.config is not None:
             with open(args.config) as fh:

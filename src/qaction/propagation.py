@@ -9,11 +9,14 @@ Cayley (Crank-Nicolson) form
     (1 - i ds H/(2 hbar)) phi_next = (1 + i ds H/(2 hbar)) phi,
 
 which is exactly unitary for the symmetric tridiagonal H, so norms are
-conserved to roundoff over any number of steps. Transition amplitudes
-K = <phi_out | U | phi_in> are accumulated with a continuously unwrapped
-phase (per-step increments kept below pi by an energy-based step cap), and
-split as K = exp(I / (i hbar) + Q): I is the real quantum-action phase and
-Q = log |K| <= 0 the dissipative part.
+conserved to roundoff over any number of steps. The left-hand Cayley matrix
+is constant on each constant-lambda segment, so it is LU-factored once per
+segment (LAPACK zgttrf) and every step only back-substitutes (zgttrs); the
+wall amplitude is checked for reflection after every step. Transition
+amplitudes K = <phi_out | U | phi_in> are accumulated with a continuously
+unwrapped phase (per-step increments kept below pi by an energy-based step
+cap), and split as K = exp(I / (i hbar) + Q): I is the real quantum-action
+phase and Q = log |K| <= 0 the dissipative part.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, solve_banded
+from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .paths import LambdaPath
 from .spectrum import RadialGrid, RadialState, UNIFORM, state_norm
@@ -136,30 +140,6 @@ def grid_eigenstate(n: int, l: int, lam: float, grid: RadialGrid, u: UnitSystem,
     return state, -e_std
 
 
-def _cayley_factors(grid: RadialGrid, l: int, lam: float, ds: float,
-                    u: UnitSystem) -> tuple[np.ndarray, complex, np.ndarray, complex]:
-    """Banded LHS matrix and RHS (diag, off) for one Crank-Nicolson step."""
-    diag, off = _hamiltonian_tridiag(grid, l, lam, u)
-    beta = 0.5 * ds / u.hbar
-    t = -float(off[0])  # hbar^2 / h^2, positive
-    n = grid.num_points
-    ab = np.zeros((3, n), dtype=complex)
-    ab[0, 1:] = 1j * beta * t
-    ab[1, :] = 1.0 - 1j * beta * diag
-    ab[2, :-1] = 1j * beta * t
-    rhs_diag = 1.0 + 1j * beta * diag
-    rhs_off = -1j * beta * t
-    return ab, rhs_off, rhs_diag, beta
-
-
-def _cn_step(phi: np.ndarray, ab: np.ndarray, rhs_diag: np.ndarray,
-             rhs_off: complex) -> np.ndarray:
-    rhs = rhs_diag * phi
-    rhs[:-1] += rhs_off * phi[1:]
-    rhs[1:] += rhs_off * phi[:-1]
-    return solve_banded((1, 1), ab, rhs)
-
-
 def _check_reflection(phi: np.ndarray, grid: RadialGrid) -> None:
     peak = float(np.max(np.abs(phi)))
     if peak > 0.0 and abs(phi[-1]) > REFLECTION_TOL * peak:
@@ -193,6 +173,59 @@ def _segment_steps(path: LambdaPath, state: RadialState, u: UnitSystem,
     return counts
 
 
+def _cn_sweep(state: RadialState, path: LambdaPath, counts: list[int],
+              u: UnitSystem, out_conj: np.ndarray | None = None
+              ) -> tuple[np.ndarray, complex | None, float]:
+    """The Crank-Nicolson loop: counts[j] Cayley steps on segment j of path.
+
+    Per segment, A = 1 - i beta H is LU-factored once (LAPACK zgttrf, the
+    pivoted elimination a gtsv solve would repeat every step) and each step
+    solves A phi_next = (1 + i beta H) phi with those factors (zgttrs). After
+    every step the wall sample is tested against a floor under the peak; only
+    when it trips does the exact O(N) reflection check run. With out_conj,
+    the overlap h sum(out_conj * phi) is recorded after every step and its
+    phase unwrapped. Returns (phi, last overlap, unwrapped phase); without
+    out_conj the overlap is None and the phase 0.
+    """
+    grid = state.grid
+    h = grid.step
+    phi = np.array(state.amplitudes, dtype=complex)
+    # ||phi|| / sqrt(h N) never exceeds max |phi| and the Cayley step keeps the
+    # norm to roundoff, so a wall sample under this floor is no reflection
+    wall_floor = REFLECTION_TOL * math.sqrt(
+        float(np.real(np.vdot(phi, phi))) / grid.num_points)
+    o_prev, theta = None, 0.0
+    if out_conj is not None:
+        o_prev = complex(h * np.sum(out_conj * phi))
+        theta = math.atan2(o_prev.imag, o_prev.real) if abs(o_prev) > 0.0 else 0.0
+    for lam, dur, n_steps in zip(path.values, path.durations, counts):
+        diag, off = _hamiltonian_tridiag(grid, state.l, lam, u)
+        ds = dur / n_steps
+        beta = 0.5 * ds / u.hbar
+        t = -float(off[0])  # hbar^2 / h^2, positive
+        side = np.full(grid.num_points - 1, 1j * beta * t)
+        dl, d, du, du2, ipiv, info = zgttrf(side, 1.0 - 1j * beta * diag, side)
+        if info != 0:
+            raise np.linalg.LinAlgError(
+                f"Cayley matrix is singular (zgttrf info = {info})")
+        rhs_diag = 1.0 + 1j * beta * diag
+        rhs_off = -1j * beta * t
+        for _ in range(n_steps):
+            rhs = rhs_diag * phi
+            rhs[:-1] += rhs_off * phi[1:]
+            rhs[1:] += rhs_off * phi[:-1]
+            phi, _ = zgttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=1)
+            if abs(phi[-1]) > wall_floor:
+                _check_reflection(phi, grid)
+            if out_conj is not None:
+                o_new = complex(h * np.sum(out_conj * phi))
+                if abs(o_new) > 1e-280 and abs(o_prev) > 1e-280:
+                    theta += math.atan2((o_new * o_prev.conjugate()).imag,
+                                        (o_new * o_prev.conjugate()).real)
+                o_prev = o_new
+    return phi, o_prev, theta
+
+
 def evolve(state: RadialState, path: LambdaPath, steps_per_segment: int,
            u: UnitSystem) -> RadialState:
     """Propagate through the path with the given number of steps per segment.
@@ -200,17 +233,11 @@ def evolve(state: RadialState, path: LambdaPath, steps_per_segment: int,
     Applies exactly steps_per_segment Cayley steps per constant-lambda
     segment (callers pick the resolution; transition_amplitude adds an
     automatic cap). Raises BoundaryReflectionError when amplitude reaches
-    the outer wall.
+    the outer wall at any step.
     """
     if steps_per_segment < 1:
         raise ValueError("need at least one step per segment")
-    phi = np.array(state.amplitudes, dtype=complex)
-    for lam, dur in zip(path.values, path.durations):
-        ds = dur / steps_per_segment
-        ab, rhs_off, rhs_diag, _ = _cayley_factors(state.grid, state.l, lam, ds, u)
-        for _ in range(steps_per_segment):
-            phi = _cn_step(phi, ab, rhs_diag, rhs_off)
-        _check_reflection(phi, state.grid)
+    phi, _, _ = _cn_sweep(state, path, [steps_per_segment] * path.num_segments, u)
     return RadialState(state.grid, state.l, phi)
 
 
@@ -260,37 +287,15 @@ def transition_amplitude(phi_in: RadialState, phi_out: RadialState,
         nrm = state_norm(st)
         if abs(nrm - 1.0) > 1e-6:
             raise ValueError(f"{name} is not normalized (norm = {nrm!r})")
-    grid = phi_in.grid
-    h = grid.step
     counts = _segment_steps(path, phi_in, u, steps_per_segment, max_phase_per_step)
-
-    phi = np.array(phi_in.amplitudes, dtype=complex)
-    out_conj = np.conj(np.asarray(phi_out.amplitudes))
     norm_in = state_norm(phi_in)
-
-    def overlap(vec: np.ndarray) -> complex:
-        return complex(h * np.sum(out_conj * vec))
-
-    o_prev = overlap(phi)
-    theta = math.atan2(o_prev.imag, o_prev.real) if abs(o_prev) > 0.0 else 0.0
-    for (lam, dur), n_steps in zip(zip(path.values, path.durations), counts):
-        ds = dur / n_steps
-        ab, rhs_off, rhs_diag, _ = _cayley_factors(grid, phi_in.l, lam, ds, u)
-        for _ in range(n_steps):
-            phi = _cn_step(phi, ab, rhs_diag, rhs_off)
-            o_new = overlap(phi)
-            if abs(o_new) > 1e-280 and abs(o_prev) > 1e-280:
-                theta += math.atan2((o_new * o_prev.conjugate()).imag,
-                                    (o_new * o_prev.conjugate()).real)
-            o_prev = o_new
-        _check_reflection(phi, grid)
-
-    K = o_prev
+    phi, K, theta = _cn_sweep(phi_in, path, counts, u,
+                              out_conj=np.conj(np.asarray(phi_out.amplitudes)))
     # re-anchor to the principal branch nearest the accumulated estimate, a
     # no-op unless tracking was suspended near |K| = 0
     if abs(K) > 0.0:
         theta += math.remainder(math.atan2(K.imag, K.real) - theta, 2.0 * math.pi)
-    norm_out = math.sqrt(float(np.real(np.vdot(phi, phi))) * h)
+    norm_out = math.sqrt(float(np.real(np.vdot(phi, phi))) * phi_in.grid.step)
     norm_drift = abs(norm_out - norm_in)
     mag = abs(K)
     if mag > 1.0 + 1e-12:

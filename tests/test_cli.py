@@ -205,6 +205,35 @@ def test_exit_code_missing_required(cli):
     assert "--n" in json.loads(err)["error"]["message"]
 
 
+def test_missing_required_names_the_real_flag(cli):
+    # the field is state_in, but the option a user types is --in
+    code, _, err = cli("optimize", "--x10", "40")
+    assert code == 2
+    msg = json.loads(err)["error"]["message"]
+    assert "--in" in msg and "--state-in" not in msg
+
+
+@pytest.mark.parametrize("args", [
+    ("spectrum", "--n-max", "abc"),
+    ("spectrum", "--no-such-flag"),
+    ("no-such-command",),
+    (),
+])
+def test_usage_errors_use_json_envelope(cli, args):
+    code, out, err = cli(*args)
+    assert code == 2 and out == ""
+    payload = json.loads(err)["error"]
+    assert payload["code"] == 2
+    assert payload["type"] == "ValueError"
+    assert payload["message"].startswith("qaction")
+
+
+def test_help_still_prints_usage(cli):
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--help"])
+    assert exc.value.code == 0
+
+
 def test_exit_code_bad_state_argument(cli, const_path_20):
     code, _, err = cli("propagate", "--path-file", const_path_20, "--in", "3")
     assert code == 2

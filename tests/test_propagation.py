@@ -112,6 +112,23 @@ def test_evolve_detects_wall_reflection(u10):
         evolve(state, LambdaPath.constant(-2.0 * u10.mc, 9.0), 2000, u10)
 
 
+@pytest.mark.parametrize("path", [
+    LambdaPath.constant(0.0, 2.5),
+    LambdaPath(np.array([1.25, 2.5]), np.array([0.0, 0.0])),
+], ids=["one-segment", "two-segments"])
+def test_reflection_detected_inside_segment(u10, path):
+    # a free packet moving outward hits the wall and is back near r = 20 by
+    # s = 2.5, so a check at segment ends alone would miss the echo
+    g = propagation_grid(40.0, 1600)
+    r = g.points()
+    packet = RadialState(g, 0, np.exp(-(r - 20.0) ** 2 / 18.0 - 8j * r))
+    packet = RadialState(g, 0, packet.amplitudes / state_norm(packet))
+    with pytest.raises(BoundaryReflectionError):
+        evolve(packet, path, 800, u10)
+    with pytest.raises(BoundaryReflectionError):
+        transition_amplitude(packet, packet, path, u10, steps_per_segment=800)
+
+
 def test_evolve_rejects_bad_input(u10):
     g = propagation_grid(25.0, 800)
     state, _ = _eigenpair(1, 0, 2.0, g, u10)
