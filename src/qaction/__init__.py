@@ -19,7 +19,7 @@ from .gaussian_phase import (
 )
 from .stationary import (
     ActionValue, LevelComparison, SommerfeldComparison, StationaryPoint,
-    action_value, free_particle_duration, level_comparison,
+    action_value, level_comparison,
     solve_stationary, stationary_closed_form,
 )
 from .propagation import (
@@ -45,8 +45,8 @@ __all__ = [
     "GaussianPhaseState", "PacketDiagnostics", "chi_closed_form",
     "chi_initial", "integrate_chi", "packet_diagnostics",
     "ActionValue", "LevelComparison", "SommerfeldComparison",
-    "StationaryPoint", "action_value", "free_particle_duration",
-    "level_comparison", "solve_stationary", "stationary_closed_form",
+    "StationaryPoint", "action_value", "level_comparison",
+    "solve_stationary", "stationary_closed_form",
     "BoundaryReflectionError", "PhaseUndefinedError", "TransitionAmplitude",
     "evolve", "evolve_spectral", "grid_eigenstate", "propagation_grid",
     "transition_amplitude", "transition_probability",

@@ -8,6 +8,14 @@ header, and emits either JSON ({"header": ..., "result": ...}) or CSV with
 reruns are byte-identical and values round-trip exactly; non-finite floats
 become null in JSON and nan/inf tokens in CSV.
 
+Two tables hold every fact about the interface. OPTIONS maps each config key
+to its flags, type, choices, value check, help text and whether the header
+echoes it. _COMMANDS maps each subcommand to its help line, its runner,
+whether it is a table command (CSV by default) and its own options in header
+order, each with a default or marked required. The parser, the config-file
+types, the defaults, the checks, the header and the dispatch are all read
+from them.
+
 Exit codes: 0 success, 2 configuration or value errors, 3 numerical failures
 (non-convergence, boundary reflection, undefined phase).
 """
@@ -15,11 +23,12 @@ Exit codes: 0 success, 2 configuration or value errors, 3 numerical failures
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
 import sys
+import types
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,128 +156,123 @@ def render_json(command: str, header_cfg: dict, result: dict) -> str:
 # ---------------------------------------------------------------------------
 # configuration
 
-_INT_FIELDS = {"seed", "n", "n_max", "steps", "grid_points", "segments",
-               "max_iters", "samples", "timemap_samples"}
-_FLOAT_FIELDS = {"alpha", "lam_mc", "x10", "tol", "sigma", "d", "rmax",
-                 "prep_lam_mc", "x0"}
-_STR_FIELDS = {"system", "format", "output", "path_file", "state_in",
-               "state_out", "timemap_output"}
+@dataclass(frozen=True)
+class Option:
+    """One config key.
+
+    check pairs a predicate that is true for a rejected value with the
+    message reported after the option's first flag. Output paths set echo to
+    False, so the emitted content is identical whether it goes to stdout or
+    a file.
+    """
+
+    flags: tuple[str, ...]
+    type: type
+    help: str
+    check: tuple[Callable[[float], bool], str] | None = None
+    choices: tuple[str, ...] | None = None
+    echo: bool = True
 
 
-@dataclass
-class RunConfig:
-    """Flat union of every subcommand option; unused fields stay None."""
+_POSITIVE = (lambda v: v <= 0, "must be positive")
+_AT_LEAST_1 = (lambda v: v < 1, "must be at least 1")
+_TWO_SAMPLES = (lambda v: v < 2, "needs at least 2 samples")
 
-    alpha: float | None = None
-    system: str | None = None
-    seed: int | None = None
-    format: str | None = None
-    output: str | None = None
-    n: int | None = None
-    n_max: int | None = None
-    lam_mc: float | None = None
-    x10: float | None = None
-    tol: float | None = None
-    max_iters: int | None = None
-    sigma: float | None = None
-    d: float | None = None
-    steps: int | None = None
-    path_file: str | None = None
-    state_in: str | None = None
-    state_out: str | None = None
-    grid_points: int | None = None
-    rmax: float | None = None
-    segments: int | None = None
-    prep_lam_mc: float | None = None
-    samples: int | None = None
-    x0: float | None = None
-    timemap_output: str | None = None
-    timemap_samples: int | None = None
+# every config key a command or a config file may set; values are checked in
+# this order
+OPTIONS: dict[str, Option] = {
+    "alpha": Option(("--alpha",), float,
+                    "fine-structure constant (default CODATA value)", _POSITIVE),
+    "system": Option(("--system",), str, "unit system (default hartree_atomic)",
+                     choices=(HARTREE_ATOMIC, SI_LIKE)),
+    "seed": Option(("--seed",), int, "recorded in the header for provenance"),
+    "format": Option(("--format",), str, "output format (tables default to csv)",
+                     choices=("json", "csv")),
+    "output": Option(("--output",), str, "output file, or - for stdout",
+                     echo=False),
+    "lam_mc": Option(("--lam-mc",), float,
+                     "lambda in units of m c for the epsilon column", _POSITIVE),
+    "x10": Option(("--x10",), float, "prescribed integral of lambda", _POSITIVE),
+    "tol": Option(("--tol",), float, "convergence tolerance", _POSITIVE),
+    "sigma": Option(("--sigma",), float, "initial packet width", _POSITIVE),
+    "rmax": Option(("--rmax",), float, "radius of the grid wall", _POSITIVE),
+    "prep_lam_mc": Option(("--prep-lam-mc",), float,
+                          "lambda / m c at which boundary states are prepared",
+                          _POSITIVE),
+    "n": Option(("--n",), int, "principal quantum number", _AT_LEAST_1),
+    "n_max": Option(("--n-max",), int, "largest principal quantum number",
+                    _AT_LEAST_1),
+    "steps": Option(("--steps",), int,
+                    "packet: RK4 steps spread over the path by duration; "
+                    "propagate: minimum Crank-Nicolson steps per segment",
+                    _AT_LEAST_1),
+    "grid_points": Option(("--grid-points",), int, "radial grid points",
+                          _AT_LEAST_1),
+    "segments": Option(("--segments",), int, "constant-lambda path segments",
+                       _AT_LEAST_1),
+    "max_iters": Option(("--max-iters",), int, "Newton iteration limit",
+                        _AT_LEAST_1),
+    "samples": Option(("--samples",), int, "evenly spaced x0 samples",
+                      _TWO_SAMPLES),
+    "timemap_samples": Option(("--timemap-samples",), int,
+                              "x0 samples in the time-map file", _TWO_SAMPLES),
+    "x0": Option(("--x0",), float, "single distance to invert",
+                 (lambda v: v < 0.0, "must be nonnegative")),
+    "d": Option(("--d",), float, "drift momentum (default: mean lambda / 2)"),
+    "path_file": Option(("--path-file", "--lambda-file"), str,
+                        "path CSV with rows s_end,lambda"),
+    "state_in": Option(("--in",), str, "input state as 'n,l'"),
+    "state_out": Option(("--out",), str, "output state as 'n,l'"),
+    "timemap_output": Option(("--timemap-output",), str,
+                             "also write the solution's time map to this CSV file",
+                             echo=False),
+}
+
+# options every command takes, the first group with its defaults; the header
+# echoes the first group before the command's own options and the second after
+_COMMON_FIRST = {"alpha": FINE_STRUCTURE_DEFAULT, "system": HARTREE_ATOMIC,
+                 "seed": None}
+_COMMON_LAST = ("format", "output")
+
+_REQUIRED = object()  # marks a command option that has no default
+
+_JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+               str: ((str,), "a string")}
+
+
+class RunConfig(types.SimpleNamespace):
+    """Flat union of every option; options not set stay None."""
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - known)
+        unknown = sorted(set(data) - set(OPTIONS))
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-        clean = {}
+        cfg = cls(**dict.fromkeys(OPTIONS))
         for key, val in data.items():
             if val is None:
                 continue
-            if key in _INT_FIELDS:
-                if isinstance(val, bool) or not isinstance(val, int):
-                    raise ValueError(f"config key {key!r} must be an integer")
-            elif key in _FLOAT_FIELDS:
-                if isinstance(val, bool) or not isinstance(val, (int, float)):
-                    raise ValueError(f"config key {key!r} must be a number")
-                val = float(val)
-            elif key in _STR_FIELDS:
-                if not isinstance(val, str):
-                    raise ValueError(f"config key {key!r} must be a string")
-            clean[key] = val
-        return cls(**clean)
+            kind = OPTIONS[key].type
+            accepted, name = _JSON_TYPES[kind]
+            if isinstance(val, bool) or not isinstance(val, accepted):
+                raise ValueError(f"config key {key!r} must be {name}")
+            setattr(cfg, key, kind(val))
+        return cfg
 
 
-_COMMON_DEFAULTS = {"alpha": FINE_STRUCTURE_DEFAULT, "system": HARTREE_ATOMIC}
-
-_DEFAULTS: dict[str, dict] = {
-    "spectrum": {**_COMMON_DEFAULTS, "format": "csv", "n_max": 3,
-                 "lam_mc": 2.0},
-    "stationary": {**_COMMON_DEFAULTS, "format": "json", "tol": 1e-12},
-    "packet": {**_COMMON_DEFAULTS, "format": "csv", "steps": 1000},
-    "propagate": {**_COMMON_DEFAULTS, "format": "json", "state_in": "1,0",
-                  "state_out": "1,0", "grid_points": 2000, "rmax": 40.0},
-    "optimize": {**_COMMON_DEFAULTS, "format": "json", "segments": 1,
-                 "tol": 1e-8, "max_iters": 40, "grid_points": 1500,
-                 "rmax": 35.0, "prep_lam_mc": 2.0, "timemap_samples": 101},
-    "timemap": {**_COMMON_DEFAULTS, "samples": 101},
-}
-
-# header echo order per command; output paths are left out so the emitted
-# content is identical whether it goes to stdout or a file
-_HEADER_KEYS: dict[str, list[str]] = {
-    "spectrum": ["alpha", "system", "seed", "n_max", "lam_mc", "format"],
-    "stationary": ["alpha", "system", "seed", "n", "x10", "tol", "format"],
-    "packet": ["alpha", "system", "seed", "path_file", "sigma", "d", "steps",
-               "format"],
-    "propagate": ["alpha", "system", "seed", "path_file", "state_in",
-                  "state_out", "grid_points", "rmax", "steps", "format"],
-    "optimize": ["alpha", "system", "seed", "state_in", "state_out", "x10",
-                 "segments", "tol", "max_iters", "grid_points", "rmax",
-                 "prep_lam_mc", "timemap_samples", "format"],
-    "timemap": ["alpha", "system", "seed", "path_file", "samples", "x0",
-                "format"],
-}
-
-_TABLE_COMMANDS = {"spectrum", "packet", "timemap"}
-
-
-def _option_string(command: str, dest: str) -> str:
-    """The flag that sets dest on the command's parser, as a user types it."""
-    parser = build_parser()
-    sub = next(a for a in parser._actions
-               if isinstance(a, argparse._SubParsersAction))
-    return next(a.option_strings[0] for a in sub.choices[command]._actions
-                if a.dest == dest and a.option_strings)
-
-
-def _require(cfg: RunConfig, command: str, *names: str) -> None:
-    for name in names:
-        if getattr(cfg, name) is None:
-            raise ValueError(f"{command} requires {_option_string(command, name)}")
-
-
-def _check_positive(cfg: RunConfig, *names: str) -> None:
-    for name in names:
-        val = getattr(cfg, name)
-        if val is not None and val <= 0:
-            raise ValueError(f"--{name.replace('_', '-')} must be positive")
+def _defaults(command: str) -> dict:
+    spec = _COMMANDS[command]
+    own = {k: v for k, v in spec.options.items() if v is not _REQUIRED}
+    # a table command's format is settled in validate_config, because
+    # timemap --x0 emits JSON
+    return {**_COMMON_FIRST, "format": None if spec.table else "json", **own}
 
 
 def validate_config(command: str, cfg: RunConfig) -> None:
-    if cfg.format not in (None, "json", "csv"):
+    spec = _COMMANDS[command]
+    if cfg.format not in (None, *OPTIONS["format"].choices):
         raise ValueError(f"unknown format {cfg.format!r}")
-    if command in _TABLE_COMMANDS:
+    if spec.table:
         if command == "timemap" and cfg.x0 is not None:
             if cfg.format not in (None, "json"):
                 raise ValueError("timemap with --x0 emits a single JSON value")
@@ -277,33 +281,18 @@ def validate_config(command: str, cfg: RunConfig) -> None:
             cfg.format = "csv"
     elif cfg.format != "json":
         raise ValueError(f"{command} supports only --format json")
-    _check_positive(cfg, "alpha", "lam_mc", "x10", "tol", "sigma", "rmax",
-                    "prep_lam_mc")
-    for name in ("n", "n_max", "steps", "grid_points", "segments",
-                 "max_iters"):
+    for name, opt in OPTIONS.items():
         val = getattr(cfg, name)
-        if val is not None and val < 1:
-            raise ValueError(f"--{name.replace('_', '-')} must be at least 1")
-    for name in ("samples", "timemap_samples"):
-        val = getattr(cfg, name)
-        if val is not None and val < 2:
-            raise ValueError(f"--{name.replace('_', '-')} needs at least 2 samples")
-    if cfg.x0 is not None and cfg.x0 < 0.0:
-        raise ValueError("--x0 must be nonnegative")
-    if command == "stationary":
-        _require(cfg, command, "n", "x10")
-    elif command == "packet":
-        _require(cfg, command, "path_file", "sigma")
-    elif command == "propagate":
-        _require(cfg, command, "path_file")
-    elif command == "optimize":
-        _require(cfg, command, "state_in", "state_out", "x10")
-    elif command == "timemap":
-        _require(cfg, command, "path_file")
+        if opt.check is not None and val is not None and opt.check[0](val):
+            raise ValueError(f"{opt.flags[0]} {opt.check[1]}")
+    for name, default in spec.options.items():
+        if default is _REQUIRED and getattr(cfg, name) is None:
+            raise ValueError(f"{command} requires {OPTIONS[name].flags[0]}")
 
 
 def _header_dict(command: str, cfg: RunConfig) -> dict:
-    return {k: getattr(cfg, k) for k in _HEADER_KEYS[command]}
+    names = (*_COMMON_FIRST, *_COMMANDS[command].options, *_COMMON_LAST)
+    return {k: getattr(cfg, k) for k in names if OPTIONS[k].echo}
 
 
 def _parse_state(text: str) -> tuple[int, int]:
@@ -338,8 +327,9 @@ def _write_text(text: str, out_path: str | None) -> None:
         fh.write(text)
 
 
-def _table_text(command: str, cfg: RunConfig, header: dict,
-                columns: list[str], rows: list[list]) -> str:
+def _table_text(command: str, cfg: RunConfig, columns: list[str],
+                rows: list[list]) -> str:
+    header = _header_dict(command, cfg)
     if cfg.format == "json":
         result = {"rows": [dict(zip(columns, row)) for row in rows]}
         return render_json(command, header, result)
@@ -368,8 +358,7 @@ def run_spectrum(cfg: RunConfig) -> str:
         for c in level.comparisons:
             rows.append(["sommerfeld", n, None, None, None, c.p, c.k,
                          c.nstar_sq, c.energy, level.energy, c.difference])
-    return _table_text("spectrum", cfg, _header_dict("spectrum", cfg),
-                       SPECTRUM_COLUMNS, rows)
+    return _table_text("spectrum", cfg, SPECTRUM_COLUMNS, rows)
 
 
 def run_stationary(cfg: RunConfig) -> str:
@@ -401,8 +390,7 @@ def run_packet(cfg: RunConfig) -> str:
     states = integrate_chi(chi_initial(cfg.sigma), path, d_val, u, cfg.steps)
     rows = [[st.s, st.chi0.real, st.chi0.imag, st.chi1.real, st.chi1.imag,
              st.center, st.width] for st in states]
-    return _table_text("packet", cfg, _header_dict("packet", cfg),
-                       PACKET_COLUMNS, rows)
+    return _table_text("packet", cfg, PACKET_COLUMNS, rows)
 
 
 def run_propagate(cfg: RunConfig) -> str:
@@ -434,7 +422,7 @@ def _timemap_rows(path: LambdaPath, samples: int) -> list[list]:
             for x0 in x0_values]
 
 
-def run_optimize(cfg: RunConfig) -> tuple[str, list[tuple[str, str]]]:
+def run_optimize(cfg: RunConfig) -> str:
     u = make_units(cfg.alpha, cfg.system)
     grid = propagation_grid(cfg.rmax, cfg.grid_points)
     lam_prep = cfg.prep_lam_mc * u.mc
@@ -456,33 +444,64 @@ def run_optimize(cfg: RunConfig) -> tuple[str, list[tuple[str, str]]]:
         "probability": transition_probability(sol.amplitude),
         "converged": sol.converged,
     }
-    text = render_json("optimize", _header_dict("optimize", cfg), result)
+    header = _header_dict("optimize", cfg)
     # the solution's time map goes to --timemap-output when given, otherwise
     # rides alongside a file --output; stdout runs emit the JSON only
     timemap_target = cfg.timemap_output
     if timemap_target is None and cfg.output not in (None, "-"):
         timemap_target = cfg.output + ".timemap.csv"
-    extras: list[tuple[str, str]] = []
     if timemap_target is not None:
         rows = _timemap_rows(sol.path, cfg.timemap_samples)
-        side = render_csv("timemap", _header_dict("optimize", cfg),
-                          ["s", "x0"], rows)
-        extras.append((timemap_target, side))
-    return text, extras
+        _write_text(render_csv("timemap", header, ["s", "x0"], rows),
+                    _resolve_output(timemap_target))
+    return render_json("optimize", header, result)
 
 
 def run_timemap(cfg: RunConfig) -> str:
     path = load_path_csv(cfg.path_file)
-    header = _header_dict("timemap", cfg)
     if cfg.x0 is not None:
         result = {"x0": cfg.x0, "s": internal_time_map(path, cfg.x0)}
-        return render_json("timemap", header, result)
+        return render_json("timemap", _header_dict("timemap", cfg), result)
     rows = _timemap_rows(path, cfg.samples)
-    return _table_text("timemap", cfg, header, ["s", "x0"], rows)
+    return _table_text("timemap", cfg, ["s", "x0"], rows)
 
 
 # ---------------------------------------------------------------------------
 # driver
+
+@dataclass(frozen=True)
+class Command:
+    help: str
+    run: Callable[[RunConfig], str]
+    table: bool  # CSV by default, JSON on request
+    options: dict  # option name -> default or _REQUIRED, in header order
+
+
+_COMMANDS: dict[str, Command] = {
+    "spectrum": Command(
+        "Bohr levels, internal-energy levels and Sommerfeld comparison table",
+        run_spectrum, True, {"n_max": 3, "lam_mc": 2.0}),
+    "stationary": Command(
+        "solve the stationary conditions for one level", run_stationary, False,
+        {"n": _REQUIRED, "x10": _REQUIRED, "tol": 1e-12}),
+    "packet": Command(
+        "integrate the Gaussian phase parameters along a path", run_packet, True,
+        {"path_file": _REQUIRED, "sigma": _REQUIRED, "d": None, "steps": 1000}),
+    "propagate": Command(
+        "transition amplitude between bound states along a path", run_propagate,
+        False, {"path_file": _REQUIRED, "state_in": "1,0", "state_out": "1,0",
+                "grid_points": 2000, "rmax": 40.0, "steps": None}),
+    "optimize": Command(
+        "find the stationary control path at fixed x10", run_optimize, False,
+        {"state_in": _REQUIRED, "state_out": _REQUIRED, "x10": _REQUIRED,
+         "segments": 1, "tol": 1e-8, "max_iters": 40, "grid_points": 1500,
+         "rmax": 35.0, "prep_lam_mc": 2.0, "timemap_output": None,
+         "timemap_samples": 101}),
+    "timemap": Command(
+        "invert the running integral of lambda", run_timemap, True,
+        {"path_file": _REQUIRED, "samples": 101, "x0": None}),
+}
+
 
 class _ArgumentParser(argparse.ArgumentParser):
     """Raises on usage errors, so main reports them in the JSON envelope.
@@ -494,18 +513,17 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
+def _add_option(parser: argparse.ArgumentParser, name: str) -> None:
+    opt = OPTIONS[name]
+    parser.add_argument(*opt.flags, dest=name, type=opt.type,
+                        choices=opt.choices, help=opt.help)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON file with flat option defaults")
-    common.add_argument("--alpha", type=float,
-                        help="fine-structure constant (default CODATA value)")
-    common.add_argument("--system", choices=[HARTREE_ATOMIC, SI_LIKE],
-                        help="unit system (default hartree_atomic)")
-    common.add_argument("--format", choices=["json", "csv"],
-                        help="output format (tables default to csv)")
-    common.add_argument("--output", help="output file, or - for stdout")
-    common.add_argument("--seed", type=int,
-                        help="recorded in the header for provenance")
+    for name in (*_COMMON_FIRST, *_COMMON_LAST):
+        _add_option(common, name)
 
     parser = _ArgumentParser(
         prog="qaction",
@@ -513,58 +531,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"qaction {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("spectrum", parents=[common],
-                       help="Bohr levels, internal-energy levels and "
-                            "Sommerfeld comparison table")
-    p.add_argument("--n-max", type=int, dest="n_max")
-    p.add_argument("--lam-mc", type=float, dest="lam_mc",
-                   help="lambda in units of m c for the epsilon column")
-
-    p = sub.add_parser("stationary", parents=[common],
-                       help="solve the stationary conditions for one level")
-    p.add_argument("--n", type=int)
-    p.add_argument("--x10", type=float, help="prescribed integral of lambda")
-    p.add_argument("--tol", type=float)
-
-    p = sub.add_parser("packet", parents=[common],
-                       help="integrate the Gaussian phase parameters along a path")
-    p.add_argument("--path-file", "--lambda-file", dest="path_file")
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--d", type=float, help="drift momentum (default: mean lambda / 2)")
-    p.add_argument("--steps", type=int)
-
-    p = sub.add_parser("propagate", parents=[common],
-                       help="transition amplitude between bound states along a path")
-    p.add_argument("--path-file", "--lambda-file", dest="path_file")
-    p.add_argument("--in", dest="state_in", help="input state as 'n,l'")
-    p.add_argument("--out", dest="state_out", help="output state as 'n,l'")
-    p.add_argument("--grid-points", type=int, dest="grid_points")
-    p.add_argument("--rmax", type=float)
-    p.add_argument("--steps", type=int, help="minimum steps per path segment")
-
-    p = sub.add_parser("optimize", parents=[common],
-                       help="find the stationary control path at fixed x10")
-    p.add_argument("--in", dest="state_in", help="input state as 'n,l'")
-    p.add_argument("--out", dest="state_out", help="output state as 'n,l'")
-    p.add_argument("--x10", type=float)
-    p.add_argument("--segments", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--max-iters", type=int, dest="max_iters")
-    p.add_argument("--grid-points", type=int, dest="grid_points")
-    p.add_argument("--rmax", type=float)
-    p.add_argument("--prep-lam-mc", type=float, dest="prep_lam_mc",
-                   help="lambda / m c at which boundary states are prepared")
-    p.add_argument("--timemap-output", dest="timemap_output",
-                   help="also write the solution's time map to this CSV file")
-    p.add_argument("--timemap-samples", type=int, dest="timemap_samples")
-
-    p = sub.add_parser("timemap", parents=[common],
-                       help="invert the running integral of lambda")
-    p.add_argument("--path-file", "--lambda-file", dest="path_file")
-    p.add_argument("--samples", type=int)
-    p.add_argument("--x0", type=float, help="single distance to invert")
-
+    for command, spec in _COMMANDS.items():
+        p = sub.add_parser(command, parents=[common], help=spec.help)
+        for name in spec.options:
+            _add_option(p, name)
     return parser
 
 
@@ -586,33 +556,14 @@ def main(argv: list[str] | None = None) -> int:
                 raise ValueError("config file must hold a JSON object")
             RunConfig.from_dict(loaded)  # reject unknown keys early
             file_cfg = loaded
-        field_names = {f.name for f in dataclasses.fields(RunConfig)}
         cli_given = {k: v for k, v in vars(args).items()
-                     if k in field_names and v is not None}
-        merged = {**_DEFAULTS[command], **file_cfg, **cli_given}
-        cfg = RunConfig.from_dict(merged)
+                     if k in OPTIONS and v is not None}
+        cfg = RunConfig.from_dict({**_defaults(command), **file_cfg, **cli_given})
         validate_config(command, cfg)
-
-        if command == "spectrum":
-            text = run_spectrum(cfg)
-        elif command == "stationary":
-            text = run_stationary(cfg)
-        elif command == "packet":
-            text = run_packet(cfg)
-        elif command == "propagate":
-            text = run_propagate(cfg)
-        elif command == "optimize":
-            text, extras = run_optimize(cfg)
-            for rel_path, side_text in extras:
-                _write_text(side_text, _resolve_output(rel_path))
-        else:
-            text = run_timemap(cfg)
+        text = _COMMANDS[command].run(cfg)
         _write_text(text, _resolve_output(cfg.output))
         return 0
-    except np.linalg.LinAlgError as exc:
-        sys.stderr.write(_error_json(3, exc))
-        return 3
-    except (RuntimeError, ArithmeticError) as exc:
+    except (np.linalg.LinAlgError, RuntimeError, ArithmeticError) as exc:
         sys.stderr.write(_error_json(3, exc))
         return 3
     except (ValueError, OSError) as exc:

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from .paths import LambdaPath
 from .units import UnitSystem
@@ -164,6 +163,10 @@ def integrate_chi(state: GaussianPhaseState, path: LambdaPath, d: float | None,
     return out
 
 
+def _trapezoid(y: np.ndarray, x: np.ndarray) -> float:
+    return float(np.sum(np.diff(x) * (y[1:] + y[:-1]) / 2.0))
+
+
 def packet_diagnostics(state: GaussianPhaseState, x0_grid: np.ndarray) -> PacketDiagnostics:
     """Center, width and L2 norm of |psi0|^2 = exp(2 Re chi) on a grid.
 
@@ -177,9 +180,9 @@ def packet_diagnostics(state: GaussianPhaseState, x0_grid: np.ndarray) -> Packet
         raise ValueError("state is not normalizable (Re chi2 >= 0)")
     re_chi = (state.chi0.real + state.chi1.real * x + 0.5 * state.chi2.real * x * x)
     dens = np.exp(2.0 * re_chi)
-    mass = float(trapezoid(dens, x))
+    mass = _trapezoid(dens, x)
     if mass <= 0.0:
         raise ValueError("packet density vanishes on the supplied grid")
-    center = float(trapezoid(x * dens, x)) / mass
-    var = float(trapezoid((x - center) ** 2 * dens, x)) / mass
+    center = _trapezoid(x * dens, x) / mass
+    var = _trapezoid((x - center) ** 2 * dens, x) / mass
     return PacketDiagnostics(center=center, width=math.sqrt(var), norm=math.sqrt(mass))

@@ -79,9 +79,6 @@ class LambdaPath:
         j = int(np.searchsorted(self.breakpoints, s, side="left"))
         return min(j, self.num_segments - 1)
 
-    def value_at(self, s: float) -> float:
-        return float(self.values[self._segment_index(s)])
-
     def integral(self, upto: float | None = None) -> float:
         """Running integral of lambda from 0 to `upto` (default: full S), exact."""
         if upto is None:

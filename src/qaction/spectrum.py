@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_genlaguerre
 
 from .units import UnitSystem
 
@@ -194,6 +193,8 @@ def epsilon_n(lam: float, n: QuantumNumbers | int, u: UnitSystem) -> float:
 
 def _hydrogen_reduced_radial(n: int, l: int, r: np.ndarray, a: float) -> np.ndarray:
     """u_nl(r) = r R_nl(r) for Bohr radius a, unit L2 norm in exact arithmetic."""
+    from scipy.special import eval_genlaguerre  # only this oracle needs it
+
     rho = 2.0 * r / (n * a)
     norm = math.sqrt((2.0 / (n * a)) ** 3
                      * math.factorial(n - l - 1) / (2.0 * n * math.factorial(n + l)))

@@ -31,7 +31,7 @@ from .units import UnitSystem
 __all__ = [
     "ActionValue", "StationaryPoint", "LevelComparison", "SommerfeldComparison",
     "action_value", "solve_stationary", "stationary_closed_form",
-    "level_comparison", "free_particle_duration",
+    "level_comparison",
 ]
 
 
@@ -230,19 +230,3 @@ def level_comparison(n: QuantumNumbers | int, u: UnitSystem) -> LevelComparison:
             ))
     return LevelComparison(n=n.n, energy=energy, comparisons=tuple(rows))
 
-
-def free_particle_duration(x0, x1, u: UnitSystem) -> float:
-    """Free internal-time duration sqrt((x1 - x0)^2) / (2 m c).
-
-    Four-vectors in length units with x^0 = c t first and metric (+, -, -, -).
-    The displacement must be timelike.
-    """
-    a = np.asarray(x0, dtype=float)
-    b = np.asarray(x1, dtype=float)
-    if a.shape != (4,) or b.shape != (4,):
-        raise ValueError("endpoints must be 4-vectors")
-    delta = b - a
-    interval_sq = delta[0] ** 2 - float(np.dot(delta[1:], delta[1:]))
-    if interval_sq <= 0.0:
-        raise ValueError("displacement must be timelike (positive interval)")
-    return math.sqrt(interval_sq) / (2.0 * u.mc)

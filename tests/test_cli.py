@@ -273,16 +273,37 @@ def test_output_dir_env_and_file_equality(cli, tmp_path, monkeypatch):
     assert written == out  # same bytes whether to stdout or a file
 
 
-def test_header_config_round_trips(cli, const_path_20):
-    code, out, _ = cli("propagate", "--alpha", FROZEN_ALPHA,
-                       "--path-file", const_path_20,
-                       "--grid-points", "900", "--rmax", "25",
-                       "--steps", "200")
-    assert code == 0
-    header_cfg = json.loads(out)["header"]["config"]
+ROUND_TRIP_ARGS = {
+    "spectrum": ["--alpha", FROZEN_ALPHA, "--n-max", "2"],
+    "stationary": ["--alpha", FROZEN_ALPHA, "--n", "2", "--x10", "12.5"],
+    "packet": ["--alpha", "0.5", "--path-file", "{two}", "--sigma", "0.8",
+               "--steps", "10"],
+    "propagate": ["--alpha", FROZEN_ALPHA, "--path-file", "{const}",
+                  "--grid-points", "900", "--rmax", "25", "--steps", "200"],
+    "optimize": ["--alpha", FROZEN_ALPHA, "--in", "1,0", "--out", "1,0",
+                 "--x10", "40.0", "--grid-points", "600", "--rmax", "24"],
+    "timemap": ["--path-file", "{two}", "--samples", "5"],
+}
+
+
+@pytest.mark.parametrize("command", list(ROUND_TRIP_ARGS))
+def test_header_config_round_trips(cli, tmp_path, two_segment_path,
+                                   const_path_20, command):
+    args = [a.format(two=two_segment_path, const=const_path_20)
+            for a in ROUND_TRIP_ARGS[command]]
+    code, out, err = cli(command, *args)
+    assert code == 0, err
+    if out.startswith("#"):  # CSV: the config is the third comment line
+        header_cfg = json.loads(out.splitlines()[2][len("# config: "):])
+    else:
+        header_cfg = json.loads(out)["header"]["config"]
     rebuilt = RunConfig.from_dict(header_cfg)
-    assert rebuilt.state_in == "1,0"
-    assert rebuilt.rmax == 25.0
+    assert {k: getattr(rebuilt, k) for k in header_cfg} == header_cfg
+    cfg_file = tmp_path / "header.json"
+    cfg_file.write_text(json.dumps(header_cfg))
+    code, again, err = cli(command, "--config", str(cfg_file))
+    assert code == 0, err
+    assert again == out
 
 
 def test_optimize_json_and_sidecar(cli, tmp_path, monkeypatch):
@@ -317,6 +338,15 @@ def test_version_subprocess():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "qaction 0.1.0"
+
+
+def test_cli_import_skips_unused_scipy_modules():
+    probe = ("import sys, qaction.cli; print(sorted(m for m in "
+             "('scipy.integrate', 'scipy.special') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_stdout_determinism_subprocess(two_segment_path):

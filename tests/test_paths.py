@@ -8,8 +8,6 @@ def test_constant_path():
     p = LambdaPath.constant(2.5, 4.0)
     assert p.S == 4.0
     assert p.num_segments == 1
-    assert p.value_at(0.0) == 2.5
-    assert p.value_at(4.0) == 2.5
     assert p.integral() == 10.0
 
 
@@ -20,15 +18,6 @@ def test_equal_segments():
     np.testing.assert_allclose(p.durations, [1.0, 1.0, 1.0])
     np.testing.assert_allclose(p.starts, [0.0, 1.0, 2.0])
     assert p.integral() == 6.0
-
-
-def test_value_at_breakpoint_ownership():
-    # segments are left-open: a breakpoint belongs to the segment it ends
-    p = LambdaPath(breakpoints=np.array([1.0, 3.0]), values=np.array([5.0, 7.0]))
-    assert p.value_at(0.5) == 5.0
-    assert p.value_at(1.0) == 5.0
-    assert p.value_at(1.0000001) == 7.0
-    assert p.value_at(3.0) == 7.0
 
 
 def test_partial_integral_exact():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qaction import (
-    action_value, free_particle_duration, level_comparison, make_units,
+    action_value, level_comparison, make_units,
     solve_stationary, stationary_closed_form,
 )
 
@@ -127,23 +127,6 @@ def test_level_comparison_degeneracy_pattern(u10):
     for n in (1, 2, 3):
         for c in level_comparison(n, u10).comparisons:
             assert abs(c.difference) <= u10.alpha ** 4 * rest
-
-
-def test_free_particle_duration(u10):
-    origin = np.zeros(4)
-    assert math.isclose(free_particle_duration(origin, [7.3, 0, 0, 0], u10),
-                        7.3 / (2.0 * u10.mc), rel_tol=1e-15)
-    assert math.isclose(free_particle_duration(origin, [5.0, 3.0, 0, 0], u10),
-                        2.0 / u10.mc, rel_tol=1e-15)
-    shift = np.array([1.0, 2.0, 3.0, 4.0])
-    assert free_particle_duration(shift, shift + [5.0, 3.0, 0, 0], u10) == \
-        free_particle_duration(origin, [5.0, 3.0, 0, 0], u10)
-    with pytest.raises(ValueError):
-        free_particle_duration(origin, [1.0, 1.0, 0, 0], u10)  # lightlike
-    with pytest.raises(ValueError):
-        free_particle_duration(origin, [1.0, 2.0, 0, 0], u10)  # spacelike
-    with pytest.raises(ValueError):
-        free_particle_duration([0.0, 0.0], [1.0, 0.0], u10)
 
 
 def test_domain_errors(u10):
