@@ -178,8 +178,8 @@ _POSITIVE = (lambda v: v <= 0, "must be positive")
 _AT_LEAST_1 = (lambda v: v < 1, "must be at least 1")
 _TWO_SAMPLES = (lambda v: v < 2, "needs at least 2 samples")
 
-# every config key a command or a config file may set; values are checked in
-# this order
+# every config key a command or a config file may set; the options a command
+# takes are checked in this order, and a float value must also be finite
 OPTIONS: dict[str, Option] = {
     "alpha": Option(("--alpha",), float,
                     "fine-structure constant (default CODATA value)", _POSITIVE),
@@ -281,9 +281,14 @@ def validate_config(command: str, cfg: RunConfig) -> None:
             cfg.format = "csv"
     elif cfg.format != "json":
         raise ValueError(f"{command} supports only --format json")
+    taken = {*_COMMON_FIRST, *_COMMON_LAST, *spec.options}
     for name, opt in OPTIONS.items():
         val = getattr(cfg, name)
-        if opt.check is not None and val is not None and opt.check[0](val):
+        if name not in taken or val is None:
+            continue
+        if opt.type is float and not math.isfinite(val):
+            raise ValueError(f"{opt.flags[0]} must be finite")
+        if opt.check is not None and opt.check[0](val):
             raise ValueError(f"{opt.flags[0]} {opt.check[1]}")
     for name, default in spec.options.items():
         if default is _REQUIRED and getattr(cfg, name) is None:

@@ -21,6 +21,7 @@ gradient, run in scaled variables so one tolerance covers all components.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,21 +123,6 @@ def stationary_closed_form(n: QuantumNumbers | int, x10: float,
     )
 
 
-def _scaled_residual(params: np.ndarray, e_n: float, x10: float,
-                     u: UnitSystem) -> np.ndarray:
-    d, lam, S, kappa = params
-    m2c2 = u.mass * u.mass * u.c * u.c
-    ratio = e_n / u.rest_energy
-    S0 = x10 / (2.0 * u.mc)
-    bracket = d * d - lam * d - m2c2 - 0.5 * lam * lam * ratio
-    return np.array([
-        (2.0 * d - lam) * S / (u.mc * S0),
-        (-d - lam * ratio + kappa) * S / (u.mc * S0),
-        (bracket + kappa * lam) / m2c2,
-        (lam * S - x10) / x10,
-    ])
-
-
 def _jacobian(params: np.ndarray, e_n: float, u: UnitSystem) -> np.ndarray:
     d, lam, S, kappa = params
     m2c2 = u.mass * u.mass * u.c * u.c
@@ -150,13 +136,52 @@ def _jacobian(params: np.ndarray, e_n: float, u: UnitSystem) -> np.ndarray:
     ])
 
 
+def _damped_newton(residual: Callable[[np.ndarray], np.ndarray],
+                   jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                   z0: np.ndarray, feasible: Callable[[np.ndarray], bool],
+                   tol: float, max_iters: int
+                   ) -> tuple[np.ndarray, np.ndarray, int, bool]:
+    """Damped Newton iteration on a residual in scaled unknowns.
+
+    jacobian(z, r) receives the residual r already evaluated at z. Each step
+    halves t from 1 down to 1/1024 until z + t dz is feasible and passes the
+    sufficient-decrease test max|r| <= (1 - 1e-4 t) max|r_prev| (Dennis &
+    Schnabel, section 6.3). Stops once max|r| <= tol, after max_iters steps,
+    or when no step is accepted. Returns (z, r, steps taken, converged).
+    """
+    z = z0
+    r = residual(z)
+    err = float(np.max(np.abs(r)))
+    steps = 0
+    while err > tol and steps < max_iters:
+        jac = jacobian(z, r)
+        try:
+            dz = np.linalg.solve(jac, -r)
+        except np.linalg.LinAlgError:
+            dz = np.linalg.lstsq(jac, -r, rcond=None)[0]
+        t = 1.0
+        while t >= 1.0 / 1024.0:
+            trial = z + t * dz
+            if feasible(trial):
+                r_trial = residual(trial)
+                err_trial = float(np.max(np.abs(r_trial)))
+                if err_trial <= (1.0 - 1e-4 * t) * err:
+                    break
+            t *= 0.5
+        else:
+            break  # no acceptable step
+        z, r, err = trial, r_trial, err_trial
+        steps += 1
+    return z, r, steps, err <= tol
+
+
 def solve_stationary(n: QuantumNumbers | int, x10: float, u: UnitSystem,
                      tol: float = 1e-12, max_iters: int = 60) -> StationaryPoint:
     """Damped Newton solve of the four stationarity conditions.
 
     Starts from the non-relativistic guess (d, lambda, S, kappa) =
     (m c, 2 m c, x10 / 2 m c, m c), stays on the lambda > 0 branch, and
-    declares convergence when every residual component is below tol in its
+    declares convergence when every residual component is at most tol in its
     natural scale (momenta against m c S and m^2 c^2, the constraint against
     x10). Quadratic convergence makes 1e-12 a cheap default.
     """
@@ -169,42 +194,28 @@ def solve_stationary(n: QuantumNumbers | int, x10: float, u: UnitSystem,
     scale = np.array([u.mc, u.mc, S0, u.mc])
     resid_scale = np.array([u.mc * S0, u.mc * S0,
                             u.mass * u.mass * u.c * u.c, x10])
-    params = np.array([u.mc, 2.0 * u.mc, S0, u.mc])
 
-    res = _scaled_residual(params, e_n, x10, u)
-    best = float(np.max(np.abs(res)))
-    for _ in range(max_iters):
-        if best <= tol:
-            lam = float(params[1])
-            kappa = float(params[3])
-            return StationaryPoint(d=float(params[0]), lam=lam, S=float(params[2]),
-                                   kappa=kappa, kappa_c=kappa * u.c, x10=x10)
-        jac = _jacobian(params, e_n, u)
-        # scale rows/columns so the linear solve sees O(1) numbers
-        jac_scaled = jac * scale[None, :] / resid_scale[:, None]
-        try:
-            step = np.linalg.solve(jac_scaled, -res)
-        except np.linalg.LinAlgError:
-            step, *_ = np.linalg.lstsq(jac_scaled, -res, rcond=None)
-        t = 1.0
-        while t >= 1.0 / 1024.0:
-            trial = params + t * step * scale
-            if trial[1] > 0.0 and trial[2] > 0.0:  # lambda > 0 branch, S > 0
-                trial_res = _scaled_residual(trial, e_n, x10, u)
-                trial_norm = float(np.max(np.abs(trial_res)))
-                if trial_norm < best:
-                    params, res, best = trial, trial_res, trial_norm
-                    break
-            t *= 0.5
-        else:
-            break  # no descent step found
-    if best <= tol:
-        lam = float(params[1])
-        kappa = float(params[3])
-        return StationaryPoint(d=float(params[0]), lam=lam, S=float(params[2]),
-                               kappa=kappa, kappa_c=kappa * u.c, x10=x10)
-    raise RuntimeError(
-        f"stationarity iteration stalled at scaled residual {best:.3e} (tol {tol:.3e})")
+    def residual(z: np.ndarray) -> np.ndarray:
+        av = action_value(*(z * scale), n, x10, u)
+        return np.array([av.grad_d, av.grad_lam, av.grad_S,
+                         av.grad_kappa]) / resid_scale
+
+    def jacobian(z: np.ndarray, r: np.ndarray) -> np.ndarray:
+        # rows and columns scaled so the linear solve sees O(1) numbers
+        return _jacobian(z * scale, e_n, u) * scale[None, :] / resid_scale[:, None]
+
+    def feasible(z: np.ndarray) -> bool:
+        return bool(z[1] > 0.0 and z[2] > 0.0)  # lambda > 0 branch, S > 0
+
+    z, r, _, converged = _damped_newton(residual, jacobian,
+                                        np.array([1.0, 2.0, 1.0, 1.0]),
+                                        feasible, tol, max_iters)
+    if not converged:
+        raise RuntimeError("stationarity iteration stalled at scaled residual "
+                           f"{float(np.max(np.abs(r))):.3e} (tol {tol:.3e})")
+    d, lam, S, kappa = (float(v) for v in z * scale)
+    return StationaryPoint(d=d, lam=lam, S=S, kappa=kappa, kappa_c=kappa * u.c,
+                           x10=x10)
 
 
 def level_comparison(n: QuantumNumbers | int, u: UnitSystem) -> LevelComparison:

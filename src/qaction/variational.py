@@ -17,7 +17,6 @@ stationary for the straight-line free motion between the fixed events.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,10 @@ import numpy as np
 from .paths import LambdaPath
 from .propagation import PhaseUndefinedError, TransitionAmplitude, transition_amplitude
 from .spectrum import RadialState
+from .stationary import _damped_newton
 from .units import UnitSystem
+
+FD_REL_STEP = 1e-5  # relative step of the central differences of I
 
 __all__ = [
     "VariationalProblem", "StationaryPath", "classical_action_part",
@@ -51,7 +53,6 @@ class VariationalProblem:
     S_bounds: tuple[float, float] | None = None
     steps_per_segment: int | None = None
     max_phase_per_step: float = 0.005
-    initial_path: LambdaPath | None = None
 
     def __post_init__(self):
         if self.x10 <= 0.0:
@@ -63,9 +64,6 @@ class VariationalProblem:
         lo, hi = self.s_bounds()
         if not (0.0 < lo < hi):
             raise ValueError(f"invalid S bounds ({lo}, {hi})")
-        if self.initial_path is not None and \
-                self.initial_path.num_segments != self.segments:
-            raise ValueError("initial path segment count does not match problem")
 
     def s_bounds(self) -> tuple[float, float]:
         if self.S_bounds is not None:
@@ -79,7 +77,8 @@ class StationaryPath:
     """Solution report of optimize_path.
 
     residual is the max-norm of the scaled KKT residual at the returned
-    point; converged indicates it fell below the requested tolerance.
+    point; converged indicates it is at most the requested tolerance, and
+    iterations counts the Newton steps taken.
     """
 
     path: LambdaPath
@@ -123,28 +122,28 @@ def full_action(path: LambdaPath, kappa: float,
         + _quantum_action(path, problem)
 
 
-def _action_gradients(path: LambdaPath, problem: VariationalProblem,
-                      fd_rel_step: float) -> tuple[np.ndarray, float]:
+def _action_gradients(path: LambdaPath, problem: VariationalProblem
+                      ) -> tuple[np.ndarray, float]:
     """Central-difference dI/dlambda_j and dI/dS at fixed segment fractions."""
     grad = np.empty(path.num_segments)
     for j in range(path.num_segments):
-        h = fd_rel_step * abs(path.values[j])
+        h = FD_REL_STEP * abs(path.values[j])
         up = _quantum_action(path.with_value(j, path.values[j] + h), problem)
         dn = _quantum_action(path.with_value(j, path.values[j] - h), problem)
         grad[j] = (up - dn) / (2.0 * h)
-    h_s = fd_rel_step * path.S
+    h_s = FD_REL_STEP * path.S
     up = _quantum_action(path.scaled_to(path.S + h_s), problem)
     dn = _quantum_action(path.scaled_to(path.S - h_s), problem)
     return grad, (up - dn) / (2.0 * h_s)
 
 
 def _kkt_residual(lam: np.ndarray, S: float, kappa: float,
-                  problem: VariationalProblem, fd_rel_step: float) -> np.ndarray:
+                  problem: VariationalProblem) -> np.ndarray:
     """Scaled stationarity residual, length segments + 2."""
     u = problem.u
     mc = u.mc
     path = LambdaPath.equal_segments(lam, S)
-    di_dlam, di_ds = _action_gradients(path, problem, fd_rel_step)
+    di_dlam, di_ds = _action_gradients(path, problem)
     ds = S / problem.segments
     r = np.empty(problem.segments + 2)
     r[:problem.segments] = ((kappa - 0.5 * lam) * ds + di_dlam) / (mc * ds)
@@ -155,29 +154,23 @@ def _kkt_residual(lam: np.ndarray, S: float, kappa: float,
 
 
 def optimize_path(problem: VariationalProblem, tol: float = 1e-8,
-                  max_iters: int = 40, fd_rel_step: float = 1e-5
-                  ) -> StationaryPath:
+                  max_iters: int = 40) -> StationaryPath:
     """Damped Newton solve of the stationarity system.
 
     Works in the scaled unknowns (lambda_j / mc, S / S0, kappa / mc) with
-    S0 = x10 / (2 m c); the Jacobian is forward-differenced from the
-    residual. Non-convergence is reported through the converged flag rather
-    than raised, so callers still get the best point found.
+    S0 = x10 / (2 m c), starting from (2, ..., 2, 1, 1); the Jacobian is
+    forward-differenced from the residual. Non-convergence is reported
+    through the converged flag rather than raised, so callers still get the
+    best point found.
     """
-    if tol <= 0.0 or max_iters < 1 or fd_rel_step <= 0.0:
-        raise ValueError("tol, max_iters and fd_rel_step must be positive")
+    if tol <= 0.0 or max_iters < 1:
+        raise ValueError("tol and max_iters must be positive")
     u = problem.u
     mc = u.mc
     n_seg = problem.segments
     s0 = problem.x10 / (2.0 * mc)
     lo, hi = problem.s_bounds()
-
-    if problem.initial_path is not None:
-        init = problem.initial_path
-        z = np.concatenate([np.asarray(init.values) / mc,
-                            [init.S / s0, 1.0]])
-    else:
-        z = np.concatenate([np.full(n_seg, 2.0), [1.0, 1.0]])
+    z0 = np.concatenate([np.full(n_seg, 2.0), [1.0, 1.0]])
 
     def feasible(zv: np.ndarray) -> bool:
         return bool(np.all(zv[:n_seg] > 0.0) and lo <= zv[n_seg] * s0 <= hi
@@ -185,44 +178,21 @@ def optimize_path(problem: VariationalProblem, tol: float = 1e-8,
 
     def residual_at(zv: np.ndarray) -> np.ndarray:
         return _kkt_residual(zv[:n_seg] * mc, zv[n_seg] * s0,
-                             zv[n_seg + 1] * mc, problem, fd_rel_step)
+                             zv[n_seg + 1] * mc, problem)
 
-    if not feasible(z):
-        raise ValueError("initial configuration violates positivity or S bounds")
-
-    converged = False
-    iterations = 0
-    resid = residual_at(z)
-    for iterations in range(1, max_iters + 1):
-        err = float(np.max(np.abs(resid)))
-        if err < tol:
-            converged = True
-            break
+    def jacobian(zv: np.ndarray, resid: np.ndarray) -> np.ndarray:
         jac = np.empty((n_seg + 2, n_seg + 2))
         for k in range(n_seg + 2):
-            dz = 1e-6 * max(abs(z[k]), 1.0)
-            zp = z.copy()
+            dz = 1e-6 * max(abs(zv[k]), 1.0)
+            zp = zv.copy()
             zp[k] += dz
             jac[:, k] = (residual_at(zp) - resid) / dz
-        try:
-            step = np.linalg.solve(jac, -resid)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(jac, -resid, rcond=None)[0]
-        t = 1.0
-        improved = False
-        while t >= 1.0 / 1024.0:
-            z_new = z + t * step
-            if feasible(z_new):
-                r_new = residual_at(z_new)
-                if float(np.max(np.abs(r_new))) <= (1.0 - 1e-4 * t) * err:
-                    z, resid = z_new, r_new
-                    improved = True
-                    break
-            t *= 0.5
-        if not improved:
-            break
-    else:
-        iterations = max_iters
+        return jac
+
+    if not feasible(z0):
+        raise ValueError("initial configuration violates positivity or S bounds")
+    z, resid, iterations, converged = _damped_newton(
+        residual_at, jacobian, z0, feasible, tol, max_iters)
 
     lam = z[:n_seg] * mc
     S = z[n_seg] * s0

@@ -262,6 +262,34 @@ def test_config_file_rejects_unknown_keys(cli, tmp_path):
     assert "typo_key" in json.loads(err)["error"]["message"]
 
 
+def test_config_file_ignores_options_the_command_does_not_take(cli, tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"sigma": -1.0}))
+    code, out, err = cli("stationary", "--config", str(cfg), "--n", "1",
+                         "--x10", "1")
+    assert code == 0 and err == ""
+    assert "sigma" not in json.loads(out)["header"]["config"]
+
+
+@pytest.mark.parametrize("args, config, flag", [
+    (("spectrum", "--alpha", "0.1", "--lam-mc", "nan", "--n-max", "1"), None,
+     "--lam-mc"),
+    (("stationary", "--alpha", "0.1", "--n", "1", "--x10", "inf"), None, "--x10"),
+    (("stationary", "--n", "1", "--x10", "1", "--tol", "nan"), None, "--tol"),
+    (("stationary", "--n", "1"), '{"x10": NaN}', "--x10"),
+], ids=["lam-mc-nan", "x10-inf", "tol-nan", "config-x10-nan"])
+def test_non_finite_values_rejected(cli, tmp_path, args, config, flag):
+    if config is not None:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(config)
+        args = (*args, "--config", str(cfg))
+    code, out, err = cli(*args)
+    assert code == 2 and out == ""
+    payload = json.loads(err)["error"]
+    assert payload["type"] == "ValueError"
+    assert payload["message"] == f"{flag} must be finite"
+
+
 def test_output_dir_env_and_file_equality(cli, tmp_path, monkeypatch):
     monkeypatch.setenv("QACTION_OUTPUT_DIR", str(tmp_path))
     code, out, _ = cli("spectrum", "--alpha", FROZEN_ALPHA)

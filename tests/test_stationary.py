@@ -140,3 +140,9 @@ def test_domain_errors(u10):
         solve_stationary(1, -2.0, u10)
     with pytest.raises(ValueError):
         solve_stationary(1, 1.0, u10, tol=0.0)
+
+
+def test_solver_reports_stall(u10):
+    # one Newton step from the non-relativistic guess does not reach 1e-12
+    with pytest.raises(RuntimeError, match="stalled"):
+        solve_stationary(1, 40.0, u10, max_iters=1)

@@ -103,17 +103,20 @@ def test_full_action_flags_vanishing_amplitude(u10, coarse_setup):
 
 
 @pytest.fixture(scope="module")
-def optimized_pair(u10):
+def pair_problem(u10):
     g = propagation_grid(30.0, 1200)
     state, _ = grid_eigenstate(1, 0, 2.0 * u10.mc, g, u10)
 
-    def run(x10):
-        problem = VariationalProblem(phi_in=state, phi_out=state, x10=x10,
-                                     segments=1, u=u10,
-                                     max_phase_per_step=0.01)
-        return optimize_path(problem)
+    def problem(x10):
+        return VariationalProblem(phi_in=state, phi_out=state, x10=x10,
+                                  segments=1, u=u10, max_phase_per_step=0.01)
 
-    return run(40.0), run(80.0)
+    return problem
+
+
+@pytest.fixture(scope="module")
+def optimized_pair(pair_problem):
+    return optimize_path(pair_problem(40.0)), optimize_path(pair_problem(80.0))
 
 
 def test_optimize_single_segment(u10, optimized_pair):
@@ -140,6 +143,15 @@ def test_optimize_x10_doubling(optimized_pair):
     assert math.isclose(second.path.S, 2.0 * first.path.S, rel_tol=1e-4)
     assert math.isclose(float(second.path.values[0]),
                         float(first.path.values[0]), rel_tol=1e-4)
+
+
+def test_converged_means_residual_within_tol(pair_problem, optimized_pair):
+    # the stopping rule is checked after every step, the last allowed one too
+    runs = [optimize_path(pair_problem(40.0), max_iters=m) for m in (1, 2)]
+    for res in (*runs, optimized_pair[0]):
+        assert res.converged == (res.residual <= 1e-8), res.iterations
+    assert runs[0].iterations == 1 and not runs[0].converged
+    assert runs[1].iterations == 2
 
 
 def test_optimize_argument_validation(u10, coarse_setup):
@@ -170,10 +182,6 @@ def test_problem_validation(u10, coarse_setup):
     with pytest.raises(ValueError):
         VariationalProblem(phi_in=state, phi_out=state, x10=1.0, segments=1,
                            u=u10, max_phase_per_step=0.0)
-    two_seg = LambdaPath.equal_segments([20.0, 20.0], 0.1)
-    with pytest.raises(ValueError):
-        VariationalProblem(phi_in=state, phi_out=state, x10=1.0, segments=1,
-                           u=u10, initial_path=two_seg)
 
 
 def test_internal_time_map_exact():
