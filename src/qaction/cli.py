@@ -256,7 +256,10 @@ class RunConfig(types.SimpleNamespace):
             accepted, name = _JSON_TYPES[kind]
             if isinstance(val, bool) or not isinstance(val, accepted):
                 raise ValueError(f"config key {key!r} must be {name}")
-            setattr(cfg, key, kind(val))
+            try:
+                setattr(cfg, key, kind(val))
+            except OverflowError:  # an integer too long for a float
+                raise ValueError(f"config key {key!r} is too large for a float") from None
         return cfg
 
 

@@ -25,8 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .paths import LambdaPath
 from .spectrum import RadialGrid, RadialState, UNIFORM, state_norm
@@ -40,7 +38,7 @@ __all__ = [
 
 REFLECTION_TOL = 1e-4      # boundary amplitude over max before we call it a reflection
 FLAG_THRESHOLD = 1e-14     # |K| below this has no usable phase
-MAX_PHASE_DEFAULT = 0.02   # radians of overlap phase per step, default cap
+MAX_PHASE_PER_STEP = 0.02  # radians of overlap phase per step, ceiling on the step size
 
 
 class BoundaryReflectionError(RuntimeError):
@@ -109,6 +107,9 @@ def grid_eigenstate(n: int, l: int, lam: float, grid: RadialGrid, u: UnitSystem,
         raise ValueError(f"need n >= 1 and 0 <= l < n, got n={n}, l={l}")
     if lam <= 0.0:
         raise ValueError("lambda must be positive for bound states")
+    # scipy.linalg is imported where it is used, so importing qaction (and the
+    # CLI commands that never touch a radial grid) does not pay for it
+    from scipy.linalg import eigh_tridiagonal
     diag, off = _hamiltonian_tridiag(grid, l, lam, u)
     index = n - l - 1
     w, v = eigh_tridiagonal(diag, off, select="i", select_range=(index, index))
@@ -161,9 +162,8 @@ def _energy_scale(phi: np.ndarray, diag: np.ndarray, off: np.ndarray) -> float:
 
 
 def _segment_steps(path: LambdaPath, state: RadialState, u: UnitSystem,
-                   steps_per_segment: int | None, max_phase: float) -> list[int]:
+                   steps_per_segment: int | None, cap: float) -> list[int]:
     """Per-segment step counts: the explicit request is a floor, the phase cap a ceiling."""
-    cap = min(max_phase, math.pi / 4.0)
     counts = []
     for lam, dur in zip(path.values, path.durations):
         diag, off = _hamiltonian_tridiag(state.grid, state.l, lam, u)
@@ -187,6 +187,7 @@ def _cn_sweep(state: RadialState, path: LambdaPath, counts: list[int],
     phase unwrapped. Returns (phi, last overlap, unwrapped phase); without
     out_conj the overlap is None and the phase 0.
     """
+    from scipy.linalg.lapack import zgttrf, zgttrs
     grid = state.grid
     h = grid.step
     phi = np.array(state.amplitudes, dtype=complex)
@@ -251,6 +252,7 @@ def evolve_spectral(state: RadialState, path: LambdaPath, u: UnitSystem,
     """
     if num_states < 1:
         raise ValueError("need at least one basis state")
+    from scipy.linalg import eigh_tridiagonal
     phi = np.array(state.amplitudes, dtype=complex)
     basis_cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
     for lam, dur in zip(path.values, path.durations):
@@ -267,17 +269,17 @@ def evolve_spectral(state: RadialState, path: LambdaPath, u: UnitSystem,
 
 def transition_amplitude(phi_in: RadialState, phi_out: RadialState,
                          path: LambdaPath, u: UnitSystem,
-                         steps_per_segment: int | None = None,
-                         max_phase_per_step: float = MAX_PHASE_DEFAULT
+                         steps_per_segment: int | None = None
                          ) -> TransitionAmplitude:
     """K = <phi_out | U_S | phi_in> with its phase/magnitude decomposition.
 
     The overlap with phi_out is recorded after every step and its phase
-    unwrapped by nearest-branch continuation; the per-segment step count is
-    raised until the expected phase motion per step stays under the cap, so
-    the unwrapping cannot alias. I = -hbar * theta_unwrapped and Q = log |K|
-    (clamped at zero for |K| within roundoff above one). When |K| < 1e-14
-    the result is flagged instead: phase_valid False, I NaN, Q -inf.
+    unwrapped by nearest-branch continuation; each segment's step count,
+    floored at steps_per_segment, is raised until the expected phase motion
+    per step stays under MAX_PHASE_PER_STEP, so the unwrapping cannot alias
+    (a floor above that need fixes the counts). I = -hbar * theta_unwrapped
+    and Q = log |K| (clamped at zero for |K| within roundoff above one). When
+    |K| < 1e-14 the result is flagged instead: phase_valid False, I NaN, Q -inf.
     """
     if phi_in.grid != phi_out.grid:
         raise ValueError("states live on different grids")
@@ -287,7 +289,7 @@ def transition_amplitude(phi_in: RadialState, phi_out: RadialState,
         nrm = state_norm(st)
         if abs(nrm - 1.0) > 1e-6:
             raise ValueError(f"{name} is not normalized (norm = {nrm!r})")
-    counts = _segment_steps(path, phi_in, u, steps_per_segment, max_phase_per_step)
+    counts = _segment_steps(path, phi_in, u, steps_per_segment, MAX_PHASE_PER_STEP)
     norm_in = state_norm(phi_in)
     phi, K, theta = _cn_sweep(phi_in, path, counts, u,
                               out_conj=np.conj(np.asarray(phi_out.amplitudes)))

@@ -10,24 +10,27 @@ where I is the quantum action phase extracted from the propagated transition
 amplitude. Stationarity in every lambda_j, in the total duration S (at fixed
 segment fractions) and in kappa gives a KKT system; it is solved by a damped
 Newton iteration on the scaled residual, with the quantum gradients obtained
-by central finite differences of I. The classical part uses the reduced
+by central finite differences of I at step counts fixed per problem, so that
+I is smooth in the unknowns. The classical part uses the reduced
 d = lambda/2 branch throughout, which is where the endpoint phases are
 stationary for the straight-line free motion between the fixed events.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .paths import LambdaPath
-from .propagation import PhaseUndefinedError, TransitionAmplitude, transition_amplitude
+from .propagation import (PhaseUndefinedError, TransitionAmplitude, _segment_steps,
+                          transition_amplitude)
 from .spectrum import RadialState
 from .stationary import _damped_newton
 from .units import UnitSystem
 
 FD_REL_STEP = 1e-5  # relative step of the central differences of I
+PHASE_CAP = 0.005   # radians of overlap phase per step at the solver's starting point
 
 __all__ = [
     "VariationalProblem", "StationaryPath", "classical_action_part",
@@ -43,6 +46,9 @@ class VariationalProblem:
     x10 the prescribed integral of lambda over the path (the elapsed
     coordinate distance), and segments the number of equal-fraction path
     pieces being optimized. S_bounds defaults to (0.2, 5) times x10 / (2 m c).
+    steps_per_segment is worked out, not passed: the step count that holds the
+    overlap phase under PHASE_CAP rad per step at optimize_path's start point;
+    every propagation of the problem takes it as its step floor.
     """
 
     phi_in: RadialState
@@ -51,19 +57,20 @@ class VariationalProblem:
     segments: int
     u: UnitSystem
     S_bounds: tuple[float, float] | None = None
-    steps_per_segment: int | None = None
-    max_phase_per_step: float = 0.005
+    steps_per_segment: int = field(init=False)
 
     def __post_init__(self):
         if self.x10 <= 0.0:
             raise ValueError("x10 must be positive")
         if self.segments < 1:
             raise ValueError("need at least one path segment")
-        if self.max_phase_per_step <= 0.0:
-            raise ValueError("max_phase_per_step must be positive")
         lo, hi = self.s_bounds()
         if not (0.0 < lo < hi):
             raise ValueError(f"invalid S bounds ({lo}, {hi})")
+        start = LambdaPath.equal_segments([2.0 * self.u.mc] * self.segments,
+                                          self.x10 / (2.0 * self.u.mc))
+        object.__setattr__(self, "steps_per_segment", max(
+            _segment_steps(start, self.phi_in, self.u, None, PHASE_CAP)))
 
     def s_bounds(self) -> tuple[float, float]:
         if self.S_bounds is not None:
@@ -103,8 +110,7 @@ def classical_action_part(path: LambdaPath, kappa: float, x10: float,
 
 def _quantum_action(path: LambdaPath, problem: VariationalProblem) -> float:
     amp = transition_amplitude(problem.phi_in, problem.phi_out, path, problem.u,
-                               steps_per_segment=problem.steps_per_segment,
-                               max_phase_per_step=problem.max_phase_per_step)
+                               steps_per_segment=problem.steps_per_segment)
     if not amp.phase_valid:
         raise PhaseUndefinedError(
             "transition amplitude vanished along the path; the action phase "
@@ -159,9 +165,10 @@ def optimize_path(problem: VariationalProblem, tol: float = 1e-8,
 
     Works in the scaled unknowns (lambda_j / mc, S / S0, kappa / mc) with
     S0 = x10 / (2 m c), starting from (2, ..., 2, 1, 1); the Jacobian is
-    forward-differenced from the residual. Non-convergence is reported
-    through the converged flag rather than raised, so callers still get the
-    best point found.
+    forward-differenced from the residual. Every propagation, the last one
+    too, takes problem.steps_per_segment as its floor. Non-convergence is
+    reported through the converged flag rather than raised, so callers still
+    get the best point found.
     """
     if tol <= 0.0 or max_iters < 1:
         raise ValueError("tol and max_iters must be positive")
@@ -199,8 +206,7 @@ def optimize_path(problem: VariationalProblem, tol: float = 1e-8,
     kappa = z[n_seg + 1] * mc
     path = LambdaPath.equal_segments(lam, S)
     amp = transition_amplitude(problem.phi_in, problem.phi_out, path, u,
-                               steps_per_segment=problem.steps_per_segment,
-                               max_phase_per_step=problem.max_phase_per_step)
+                               steps_per_segment=problem.steps_per_segment)
     action = classical_action_part(path, kappa, problem.x10, u) \
         + (amp.I if amp.phase_valid else float("nan"))
     if not amp.phase_valid:

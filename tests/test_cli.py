@@ -262,6 +262,14 @@ def test_config_file_rejects_unknown_keys(cli, tmp_path):
     assert "typo_key" in json.loads(err)["error"]["message"]
 
 
+def test_config_file_rejects_integer_too_large_for_a_float(cli, tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"x10": 10 ** 400}))
+    code, out, err = cli("stationary", "--config", str(cfg), "--n", "1")
+    assert code == 2 and out == ""
+    assert "'x10'" in json.loads(err)["error"]["message"]
+
+
 def test_config_file_ignores_options_the_command_does_not_take(cli, tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"sigma": -1.0}))
@@ -370,7 +378,8 @@ def test_version_subprocess():
 
 def test_cli_import_skips_unused_scipy_modules():
     probe = ("import sys, qaction.cli; print(sorted(m for m in "
-             "('scipy.integrate', 'scipy.special') if m in sys.modules))")
+             "('scipy.integrate', 'scipy.linalg', 'scipy.special') "
+             "if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True)
     assert proc.returncode == 0, proc.stderr

@@ -213,6 +213,8 @@ def test_transition_amplitude_input_checks(u10):
     unnorm = RadialState(g, 0, 1.1 * s1.amplitudes)
     with pytest.raises(ValueError):
         transition_amplitude(unnorm, s1, path, u10)
+    with pytest.raises(TypeError):  # the phase cap is fixed, not per call
+        transition_amplitude(s1, s1, path, u10, max_phase_per_step=0.01)
 
 
 def test_time_reversal_symmetry(u10):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import qaction.propagation as propagation
 from qaction import (
     LambdaPath, PhaseUndefinedError, RadialState, VariationalProblem,
     action_value, classical_action_part, full_action, grid_eigenstate,
@@ -63,7 +64,7 @@ def test_full_action_matches_parameter_form(u10):
     x10 = 0.9 * lam * S
     kappa = 0.97 * u10.mc
     problem = VariationalProblem(phi_in=state, phi_out=state, x10=x10,
-                                 segments=1, u=u10, steps_per_segment=2000)
+                                 segments=1, u=u10)
     path = LambdaPath.constant(lam, S)
     got = full_action(path, kappa, problem)
     ref = action_value(0.5 * lam, lam, S, kappa, 1, x10, u10).value
@@ -73,7 +74,7 @@ def test_full_action_matches_parameter_form(u10):
 def test_full_action_finite_for_zero_control(u10, coarse_setup):
     g, state, _ = coarse_setup
     problem = VariationalProblem(phi_in=state, phi_out=state, x10=1.0,
-                                 segments=1, u=u10, steps_per_segment=200)
+                                 segments=1, u=u10)
     val = full_action(LambdaPath.constant(0.0, 0.05), 1.0, problem)
     assert math.isfinite(val)
 
@@ -96,8 +97,7 @@ def test_full_action_flags_vanishing_amplitude(u10, coarse_setup):
     out = RadialState(g, 0, ortho)
     out = RadialState(g, 0, out.amplitudes / state_norm(out))
     problem = VariationalProblem(phi_in=s1, phi_out=out, x10=1.0, segments=1,
-                                 u=u10, S_bounds=(1e-32, 1.0),
-                                 steps_per_segment=2)
+                                 u=u10, S_bounds=(1e-32, 1.0))
     with pytest.raises(PhaseUndefinedError):
         full_action(LambdaPath.constant(2.0 * u10.mc, 1e-30), 1.0, problem)
 
@@ -109,7 +109,7 @@ def pair_problem(u10):
 
     def problem(x10):
         return VariationalProblem(phi_in=state, phi_out=state, x10=x10,
-                                  segments=1, u=u10, max_phase_per_step=0.01)
+                                  segments=1, u=u10)
 
     return problem
 
@@ -154,6 +154,24 @@ def test_converged_means_residual_within_tol(pair_problem, optimized_pair):
     assert runs[1].iterations == 2
 
 
+def test_one_step_schedule_per_solve(u10, coarse_setup, monkeypatch):
+    # the step counts are fixed per problem, so the finite differences of I
+    # taken by the solver never straddle a change of discretisation
+    g, state, _ = coarse_setup
+    problem = VariationalProblem(phi_in=state, phi_out=state, x10=40.0,
+                                 segments=2, u=u10)
+    sweep = propagation._cn_sweep
+    seen = set()
+
+    def recording(state, path, counts, u, out_conj=None):
+        seen.add(tuple(counts))
+        return sweep(state, path, counts, u, out_conj)
+
+    monkeypatch.setattr(propagation, "_cn_sweep", recording)
+    assert optimize_path(problem).converged
+    assert seen == {(problem.steps_per_segment,) * 2}
+
+
 def test_optimize_argument_validation(u10, coarse_setup):
     g, state, _ = coarse_setup
     problem = VariationalProblem(phi_in=state, phi_out=state, x10=40.0,
@@ -179,9 +197,11 @@ def test_problem_validation(u10, coarse_setup):
     with pytest.raises(ValueError):
         VariationalProblem(phi_in=state, phi_out=state, x10=1.0, segments=1,
                            u=u10, S_bounds=(0.5, 0.1))
-    with pytest.raises(ValueError):
-        VariationalProblem(phi_in=state, phi_out=state, x10=1.0, segments=1,
-                           u=u10, max_phase_per_step=0.0)
+    # the step schedule is worked out from the problem, not chosen per call
+    for knob in ({"steps_per_segment": 100}, {"max_phase_per_step": 0.01}):
+        with pytest.raises(TypeError):
+            VariationalProblem(phi_in=state, phi_out=state, x10=1.0, segments=1,
+                               u=u10, **knob)
 
 
 def test_internal_time_map_exact():
