@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import QuantumNumbers, SommerfeldNumbers, bohr_energy, sommerfeld_energy
+from .spectrum import (QuantumNumbers, SommerfeldNumbers, bohr_energy,
+                       sommerfeld_energy, sommerfeld_nstar_sq)
 from .units import UnitSystem
 
 __all__ = [
@@ -235,7 +236,7 @@ def level_comparison(n: QuantumNumbers | int, u: UnitSystem) -> LevelComparison:
             e_somm = sommerfeld_energy(pk, u)
             rows.append(SommerfeldComparison(
                 p=p, k=k,
-                nstar_sq=float(p * p + 2.0 * p * math.sqrt(k * k - u.alpha ** 2) + k * k),
+                nstar_sq=sommerfeld_nstar_sq(p, k, u.alpha),
                 energy=e_somm,
                 difference=energy - e_somm,
             ))

@@ -8,12 +8,15 @@ multiplier kappa is
 
 where I is the quantum action phase extracted from the propagated transition
 amplitude. Stationarity in every lambda_j, in the total duration S (at fixed
-segment fractions) and in kappa gives a KKT system; it is solved by a damped
-Newton iteration on the scaled residual, with the quantum gradients obtained
-by central finite differences of I at step counts fixed per problem, so that
-I is smooth in the unknowns. The classical part uses the reduced
-d = lambda/2 branch throughout, which is where the endpoint phases are
-stationary for the straight-line free motion between the fixed events.
+segment fractions) and in kappa gives a KKT system. Two of its rows are
+solved in closed form: the constraint, linear in S, gives S = x10 /
+mean(lambda), and the S row, linear in kappa, gives the multiplier. The
+remaining lambda rows are solved by a damped Newton iteration over the scaled
+lambda_j alone, with the quantum gradients obtained by central finite
+differences of I at step counts fixed per problem, so that I is smooth in the
+unknowns. The classical part uses the reduced d = lambda/2 branch
+throughout, which is where the endpoint phases are stationary for the
+straight-line free motion between the fixed events.
 """
 
 from __future__ import annotations
@@ -45,10 +48,11 @@ class VariationalProblem:
     phi_in and phi_out are the boundary states on a shared propagation grid,
     x10 the prescribed integral of lambda over the path (the elapsed
     coordinate distance), and segments the number of equal-fraction path
-    pieces being optimized. S_bounds defaults to (0.2, 5) times x10 / (2 m c).
-    steps_per_segment is worked out, not passed: the step count that holds the
-    overlap phase under PHASE_CAP rad per step at optimize_path's start point;
-    every propagation of the problem takes it as its step floor.
+    pieces being optimized. The path duration S is held in the box (0.2, 5)
+    times x10 / (2 m c). steps_per_segment is worked out, not passed: the
+    step count that holds the overlap phase under PHASE_CAP rad per step at
+    optimize_path's start point; every propagation of the problem takes it as
+    its step floor.
     """
 
     phi_in: RadialState
@@ -56,7 +60,6 @@ class VariationalProblem:
     x10: float
     segments: int
     u: UnitSystem
-    S_bounds: tuple[float, float] | None = None
     steps_per_segment: int = field(init=False)
 
     def __post_init__(self):
@@ -64,17 +67,12 @@ class VariationalProblem:
             raise ValueError("x10 must be positive")
         if self.segments < 1:
             raise ValueError("need at least one path segment")
-        lo, hi = self.s_bounds()
-        if not (0.0 < lo < hi):
-            raise ValueError(f"invalid S bounds ({lo}, {hi})")
         start = LambdaPath.equal_segments([2.0 * self.u.mc] * self.segments,
                                           self.x10 / (2.0 * self.u.mc))
         object.__setattr__(self, "steps_per_segment", max(
             _segment_steps(start, self.phi_in, self.u, None, PHASE_CAP)))
 
     def s_bounds(self) -> tuple[float, float]:
-        if self.S_bounds is not None:
-            return (float(self.S_bounds[0]), float(self.S_bounds[1]))
         s0 = self.x10 / (2.0 * self.u.mc)
         return (0.2 * s0, 5.0 * s0)
 
@@ -84,8 +82,9 @@ class StationaryPath:
     """Solution report of optimize_path.
 
     residual is the max-norm of the scaled KKT residual at the returned
-    point; converged indicates it is at most the requested tolerance, and
-    iterations counts the Newton steps taken.
+    point (its constraint and S rows vanish by construction); converged
+    indicates it is at most the requested tolerance, and iterations counts
+    the Newton steps taken.
     """
 
     path: LambdaPath
@@ -143,29 +142,30 @@ def _action_gradients(path: LambdaPath, problem: VariationalProblem
     return grad, (up - dn) / (2.0 * h_s)
 
 
-def _kkt_residual(lam: np.ndarray, S: float, kappa: float,
-                  problem: VariationalProblem) -> np.ndarray:
-    """Scaled stationarity residual, length segments + 2."""
-    u = problem.u
-    mc = u.mc
-    path = LambdaPath.equal_segments(lam, S)
+def _kkt_residual(lam: np.ndarray, problem: VariationalProblem
+                  ) -> tuple[np.ndarray, float]:
+    """Scaled lambda rows of the KKT residual, and the multiplier kappa.
+
+    S = x10 / mean(lambda) meets the constraint exactly and kappa zeroes the
+    S row, so those two rows vanish and only the N lambda rows remain.
+    """
+    mc = problem.u.mc
+    mean_lam = float(np.mean(lam))
+    path = LambdaPath.equal_segments(lam, problem.x10 / mean_lam)
     di_dlam, di_ds = _action_gradients(path, problem)
-    ds = S / problem.segments
-    r = np.empty(problem.segments + 2)
-    r[:problem.segments] = ((kappa - 0.5 * lam) * ds + di_dlam) / (mc * ds)
-    r[problem.segments] = (float(np.mean(-0.25 * lam * lam - mc * mc
-                                         + kappa * lam)) + di_ds) / (mc * mc)
-    r[problem.segments + 1] = (path.integral() - problem.x10) / problem.x10
-    return r
+    kappa = (float(np.mean(0.25 * lam * lam + mc * mc)) - di_ds) / mean_lam
+    ds = path.S / problem.segments
+    return ((kappa - 0.5 * lam) * ds + di_dlam) / (mc * ds), kappa
 
 
 def optimize_path(problem: VariationalProblem, tol: float = 1e-8,
                   max_iters: int = 40) -> StationaryPath:
-    """Damped Newton solve of the stationarity system.
+    """Damped Newton solve of the stationarity system on the constraint manifold.
 
-    Works in the scaled unknowns (lambda_j / mc, S / S0, kappa / mc) with
-    S0 = x10 / (2 m c), starting from (2, ..., 2, 1, 1); the Jacobian is
-    forward-differenced from the residual. Every propagation, the last one
+    Newton runs over the scaled lambda_j / mc alone, starting from
+    (2, ..., 2); every trial point takes S = x10 / mean(lambda) and the kappa
+    that zeroes the S row (see _kkt_residual), so the Jacobian is an N x N
+    forward difference of the lambda rows. Every propagation, the last one
     too, takes problem.steps_per_segment as its floor. Non-convergence is
     reported through the converged flag rather than raised, so callers still
     get the best point found.
@@ -174,37 +174,33 @@ def optimize_path(problem: VariationalProblem, tol: float = 1e-8,
         raise ValueError("tol and max_iters must be positive")
     u = problem.u
     mc = u.mc
-    n_seg = problem.segments
-    s0 = problem.x10 / (2.0 * mc)
     lo, hi = problem.s_bounds()
-    z0 = np.concatenate([np.full(n_seg, 2.0), [1.0, 1.0]])
+    kappas = {}  # multiplier of every evaluated point, keyed by its bytes
 
     def feasible(zv: np.ndarray) -> bool:
-        return bool(np.all(zv[:n_seg] > 0.0) and lo <= zv[n_seg] * s0 <= hi
-                    and zv[n_seg + 1] > 0.0)
+        return bool(np.all(zv > 0.0)
+                    and lo <= problem.x10 / float(np.mean(zv * mc)) <= hi)
 
     def residual_at(zv: np.ndarray) -> np.ndarray:
-        return _kkt_residual(zv[:n_seg] * mc, zv[n_seg] * s0,
-                             zv[n_seg + 1] * mc, problem)
+        r, kappas[zv.tobytes()] = _kkt_residual(zv * mc, problem)
+        return r
 
     def jacobian(zv: np.ndarray, resid: np.ndarray) -> np.ndarray:
-        jac = np.empty((n_seg + 2, n_seg + 2))
-        for k in range(n_seg + 2):
+        jac = np.empty((zv.size, zv.size))
+        for k in range(zv.size):
             dz = 1e-6 * max(abs(zv[k]), 1.0)
             zp = zv.copy()
             zp[k] += dz
             jac[:, k] = (residual_at(zp) - resid) / dz
         return jac
 
-    if not feasible(z0):
-        raise ValueError("initial configuration violates positivity or S bounds")
     z, resid, iterations, converged = _damped_newton(
-        residual_at, jacobian, z0, feasible, tol, max_iters)
+        residual_at, jacobian, np.full(problem.segments, 2.0), feasible, tol,
+        max_iters)
 
-    lam = z[:n_seg] * mc
-    S = z[n_seg] * s0
-    kappa = z[n_seg + 1] * mc
-    path = LambdaPath.equal_segments(lam, S)
+    lam = z * mc
+    kappa = kappas[z.tobytes()]
+    path = LambdaPath.equal_segments(lam, problem.x10 / float(np.mean(lam)))
     amp = transition_amplitude(problem.phi_in, problem.phi_out, path, u,
                                steps_per_segment=problem.steps_per_segment)
     action = classical_action_part(path, kappa, problem.x10, u) \

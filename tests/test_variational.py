@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import qaction.propagation as propagation
+import qaction.variational as variational
 from qaction import (
     LambdaPath, PhaseUndefinedError, RadialState, VariationalProblem,
     action_value, classical_action_part, full_action, grid_eigenstate,
@@ -97,9 +98,9 @@ def test_full_action_flags_vanishing_amplitude(u10, coarse_setup):
     out = RadialState(g, 0, ortho)
     out = RadialState(g, 0, out.amplitudes / state_norm(out))
     problem = VariationalProblem(phi_in=s1, phi_out=out, x10=1.0, segments=1,
-                                 u=u10, S_bounds=(1e-32, 1.0))
+                                 u=u10)
     with pytest.raises(PhaseUndefinedError):
-        full_action(LambdaPath.constant(2.0 * u10.mc, 1e-30), 1.0, problem)
+        full_action(LambdaPath.constant(2.0 * u10.mc, 0.05), 1.0, problem)
 
 
 @pytest.fixture(scope="module")
@@ -172,6 +173,45 @@ def test_one_step_schedule_per_solve(u10, coarse_setup, monkeypatch):
     assert seen == {(problem.steps_per_segment,) * 2}
 
 
+@pytest.fixture(scope="module")
+def counted_solves(u10, coarse_setup):
+    """One- and two-segment solves with their transition_amplitude calls."""
+    g, state, _ = coarse_setup
+    amplitude = variational.transition_amplitude
+    runs = []
+    for nseg in (1, 2):
+        problem = VariationalProblem(phi_in=state, phi_out=state, x10=40.0,
+                                     segments=nseg, u=u10)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return amplitude(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(variational, "transition_amplitude", counting)
+            res = optimize_path(problem)
+        runs.append((nseg, res, len(calls)))
+    return runs
+
+
+def test_optimize_meets_constraint_exactly(counted_solves):
+    # S = x10 / mean(lambda) for every trial, so the constraint holds to
+    # rounding, not to the Newton tolerance
+    for nseg, res, _ in counted_solves:
+        assert res.converged
+        assert abs(res.path.integral() - 40.0) <= 1e-14 * 40.0, nseg
+
+
+def test_optimize_propagations_per_newton_step(counted_solves):
+    # 2(N+1) propagations per residual, N residuals per Jacobian plus one
+    # line-search trial per step, and one final amplitude; S and kappa add none
+    for nseg, res, calls in counted_solves:
+        per_residual = 2 * (nseg + 1)
+        assert res.iterations >= 1
+        assert calls == per_residual * (1 + (nseg + 1) * res.iterations) + 1, nseg
+
+
 def test_optimize_argument_validation(u10, coarse_setup):
     g, state, _ = coarse_setup
     problem = VariationalProblem(phi_in=state, phi_out=state, x10=40.0,
@@ -180,12 +220,6 @@ def test_optimize_argument_validation(u10, coarse_setup):
         optimize_path(problem, tol=0.0)
     with pytest.raises(ValueError):
         optimize_path(problem, max_iters=0)
-    s0 = 40.0 / (2.0 * u10.mc)
-    squeezed = VariationalProblem(phi_in=state, phi_out=state, x10=40.0,
-                                  segments=1, u=u10,
-                                  S_bounds=(2.0 * s0, 3.0 * s0))
-    with pytest.raises(ValueError):
-        optimize_path(squeezed)  # default start S = s0 is infeasible
 
 
 def test_problem_validation(u10, coarse_setup):
@@ -194,11 +228,10 @@ def test_problem_validation(u10, coarse_setup):
         VariationalProblem(phi_in=state, phi_out=state, x10=0.0, segments=1, u=u10)
     with pytest.raises(ValueError):
         VariationalProblem(phi_in=state, phi_out=state, x10=1.0, segments=0, u=u10)
-    with pytest.raises(ValueError):
-        VariationalProblem(phi_in=state, phi_out=state, x10=1.0, segments=1,
-                           u=u10, S_bounds=(0.5, 0.1))
-    # the step schedule is worked out from the problem, not chosen per call
-    for knob in ({"steps_per_segment": 100}, {"max_phase_per_step": 0.01}):
+    # the step schedule and the S box are worked out from the problem, not
+    # chosen per call
+    for knob in ({"steps_per_segment": 100}, {"max_phase_per_step": 0.01},
+                 {"S_bounds": (0.5, 5.0)}):
         with pytest.raises(TypeError):
             VariationalProblem(phi_in=state, phi_out=state, x10=1.0, segments=1,
                                u=u10, **knob)
