@@ -210,7 +210,7 @@ OPTIONS: dict[str, Option] = {
                           _AT_LEAST_1),
     "segments": Option(("--segments",), int, "constant-lambda path segments",
                        _AT_LEAST_1),
-    "max_iters": Option(("--max-iters",), int, "Newton iteration limit",
+    "max_iters": Option(("--max-iters",), int, "path-search step limit",
                         _AT_LEAST_1),
     "samples": Option(("--samples",), int, "evenly spaced x0 samples",
                       _TWO_SAMPLES),

@@ -110,16 +110,20 @@ class LambdaPath:
 def load_path_csv(filename) -> LambdaPath:
     """Read a lambda path from CSV with columns s_end,lambda (header optional).
 
-    Rows must be sorted by s_end. Errors name the offending line.
+    Blank lines and lines starting with # are skipped; the header, if any, is
+    the first other row. Rows must be sorted by s_end. Errors name the
+    offending line.
     """
     ends, vals = [], []
+    header_seen = False
     with open(filename, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             parts = [p.strip() for p in line.split(",")]
-            if lineno == 1 and parts[:2] == ["s_end", "lambda"]:
+            if not ends and not header_seen and parts[:2] == ["s_end", "lambda"]:
+                header_seen = True
                 continue
             if len(parts) != 2:
                 raise ValueError(f"{filename}, line {lineno}: expected two columns, got {len(parts)}")

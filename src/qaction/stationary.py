@@ -85,9 +85,9 @@ def action_value(d: float, lam: float, S: float, kappa: float,
     S must be positive; the remaining parameters are unconstrained (the
     lambda > 0 branch is selected by the solver, not by this evaluation).
     """
-    if S <= 0.0:
+    if not S > 0.0:
         raise ValueError("S must be positive")
-    if x10 <= 0.0:
+    if not x10 > 0.0:
         raise ValueError("x10 must be positive")
     e_n = bohr_energy(n, u)
     m2c2 = u.mass * u.mass * u.c * u.c
@@ -106,11 +106,11 @@ def action_value(d: float, lam: float, S: float, kappa: float,
 def stationary_closed_form(n: QuantumNumbers | int, x10: float,
                            u: UnitSystem) -> StationaryPoint:
     """Closed-form stationary point; the oracle the solver is tested against."""
-    if x10 <= 0.0:
+    if not x10 > 0.0:
         raise ValueError("x10 must be positive")
     e_n = bohr_energy(n, u)
     shrink = 1.0 + 2.0 * e_n / u.rest_energy  # equals 1 - (alpha/n)^2
-    if shrink <= 0.0:
+    if not shrink > 0.0:
         raise ValueError("level too deep: 1 + 2 E_n / m c^2 must stay positive")
     lam = 2.0 * u.mc / math.sqrt(shrink)
     kappa_c = math.sqrt(u.rest_energy * u.rest_energy + 2.0 * u.rest_energy * e_n)
@@ -186,9 +186,9 @@ def solve_stationary(n: QuantumNumbers | int, x10: float, u: UnitSystem,
     natural scale (momenta against m c S and m^2 c^2, the constraint against
     x10). Quadratic convergence makes 1e-12 a cheap default.
     """
-    if x10 <= 0.0:
+    if not x10 > 0.0:
         raise ValueError("x10 must be positive")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
     e_n = bohr_energy(n, u)
     S0 = x10 / (2.0 * u.mc)

@@ -26,42 +26,40 @@ class UnitSystem:
     """Primary constants plus the derived quantities the solvers use.
 
     hbar, mass, c and e2k (Coulomb coupling e^2 k, energy times length) are
-    primary. Derived once at construction: alpha = e2k / (hbar c), the rest
-    energy m c^2, the Rydberg energy m e2k^2 / (2 hbar^2), and the
-    momentum-dimension Coulomb coupling e2k / c that multiplies the control
-    momentum in the radial generator. Instances are immutable and safe to
-    share across threads.
+    primary and positive. Derived on access, so never out of step: alpha =
+    e2k / (hbar c) in (0, 1), the rest energy m c^2, the Rydberg energy
+    m e2k^2 / (2 hbar^2), and the momentum-dimension Coulomb coupling e2k / c
+    that multiplies the control momentum in the radial generator. Instances
+    are immutable and safe to share across threads.
     """
 
     hbar: float
     mass: float
     c: float
     e2k: float
-    alpha: float
-    rest_energy: float
-    rydberg_energy: float
-    coulomb_momentum: float
     system: str = "custom"
 
-    @classmethod
-    def create(cls, hbar: float, mass: float, c: float, e2k: float,
-               system: str = "custom") -> "UnitSystem":
-        if min(hbar, mass, c, e2k) <= 0.0:
+    def __post_init__(self):
+        if not all(v > 0.0 for v in (self.hbar, self.mass, self.c, self.e2k)):
             raise ValueError("hbar, mass, c and e2k must all be positive")
-        alpha = e2k / (hbar * c)
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"derived alpha = {alpha} lies outside (0, 1)")
-        return cls(
-            hbar=hbar,
-            mass=mass,
-            c=c,
-            e2k=e2k,
-            alpha=alpha,
-            rest_energy=mass * c * c,
-            rydberg_energy=mass * e2k * e2k / (2.0 * hbar * hbar),
-            coulomb_momentum=e2k / c,
-            system=system,
-        )
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError(f"derived alpha = {self.alpha} lies outside (0, 1)")
+
+    @property
+    def alpha(self) -> float:
+        return self.e2k / (self.hbar * self.c)
+
+    @property
+    def rest_energy(self) -> float:
+        return self.mass * self.c * self.c
+
+    @property
+    def rydberg_energy(self) -> float:
+        return self.mass * self.e2k * self.e2k / (2.0 * self.hbar * self.hbar)
+
+    @property
+    def coulomb_momentum(self) -> float:
+        return self.e2k / self.c
 
     @property
     def mc(self) -> float:
@@ -83,8 +81,8 @@ def make_units(alpha: float, system: str = HARTREE_ATOMIC) -> UnitSystem:
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if system == HARTREE_ATOMIC:
-        return UnitSystem.create(1.0, 1.0, 1.0 / alpha, 1.0, system=system)
+        return UnitSystem(1.0, 1.0, 1.0 / alpha, 1.0, system=system)
     if system == SI_LIKE:
-        return UnitSystem.create(_SI_HBAR, _SI_MASS, _SI_C,
-                                 alpha * _SI_HBAR * _SI_C, system=system)
+        return UnitSystem(_SI_HBAR, _SI_MASS, _SI_C, alpha * _SI_HBAR * _SI_C,
+                          system=system)
     raise ValueError(f"unknown unit system: {system!r}")

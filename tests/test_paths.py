@@ -90,3 +90,16 @@ def test_csv_malformed_names_line(tmp_path):
     msg = str(err.value)
     assert "line 3" in msg
     assert "bad.csv" in msg
+
+
+def test_csv_header_after_comment(tmp_path):
+    # the header is the first row that is neither blank nor a comment
+    f = tmp_path / "commented.csv"
+    f.write_text("# exported path\n\ns_end,lambda\n1.0,2.0\n2.0,1.0\n")
+    p = load_path_csv(str(f))
+    assert list(p.breakpoints) == [1.0, 2.0]
+    assert list(p.values) == [2.0, 1.0]
+    late = tmp_path / "late.csv"
+    late.write_text("1.0,2.0\ns_end,lambda\n2.0,1.0\n")
+    with pytest.raises(ValueError, match="line 2"):
+        load_path_csv(str(late))

@@ -63,8 +63,18 @@ def test_unknown_system_rejected():
 
 def test_create_rejects_nonpositive():
     with pytest.raises(ValueError):
-        UnitSystem.create(hbar=0.0, mass=1.0, c=10.0, e2k=1.0,
-                          system=HARTREE_ATOMIC)
+        UnitSystem(hbar=0.0, mass=1.0, c=10.0, e2k=1.0, system=HARTREE_ATOMIC)
     with pytest.raises(ValueError):
-        UnitSystem.create(hbar=1.0, mass=-1.0, c=10.0, e2k=1.0,
-                          system=HARTREE_ATOMIC)
+        UnitSystem(hbar=1.0, mass=-1.0, c=10.0, e2k=1.0, system=HARTREE_ATOMIC)
+    with pytest.raises(ValueError):
+        UnitSystem(hbar=1.0, mass=math.nan, c=10.0, e2k=1.0)
+    with pytest.raises(ValueError):
+        UnitSystem(hbar=1.0, mass=1.0, c=0.5, e2k=1.0)  # alpha = 2
+
+
+@pytest.mark.parametrize("derived", ["alpha", "rest_energy", "rydberg_energy",
+                                     "coulomb_momentum"])
+def test_derived_constants_not_settable(derived):
+    # derived from the primaries on access, so they cannot disagree with them
+    with pytest.raises(TypeError):
+        UnitSystem(hbar=1.0, mass=1.0, c=10.0, e2k=1.0, **{derived: 0.5})

@@ -9,7 +9,7 @@ from qaction import (
     LambdaPath, PhaseUndefinedError, RadialState, VariationalProblem,
     action_value, classical_action_part, full_action, grid_eigenstate,
     internal_time_map, lambda_from_trajectory, make_units, optimize_path,
-    propagation_grid, state_norm, stationary_closed_form,
+    propagation_grid, solve_stationary, state_norm, stationary_closed_form,
 )
 
 
@@ -204,12 +204,32 @@ def test_optimize_meets_constraint_exactly(counted_solves):
 
 
 def test_optimize_propagations_per_newton_step(counted_solves):
-    # 2(N+1) propagations per residual, N residuals per Jacobian plus one
-    # line-search trial per step, and one final amplitude; S and kappa add none
+    # 2(N+1) propagations per residual, one residual at the start and one
+    # line-search trial per step, and one final amplitude; the Jacobian is
+    # held fixed and S and kappa are closed forms, so they add none
     for nseg, res, calls in counted_solves:
         per_residual = 2 * (nseg + 1)
         assert res.iterations >= 1
-        assert calls == per_residual * (1 + (nseg + 1) * res.iterations) + 1, nseg
+        assert calls == per_residual * (1 + res.iterations) + 1, nseg
+
+
+@pytest.mark.parametrize("nseg", [1, 2])
+def test_kkt_jacobian_near_classical_hessian(u10, coarse_setup, nseg):
+    # the premise of the chord iteration: at the start point the Jacobian of
+    # the scaled lambda rows is -I/2 up to O(alpha^2) from kappa and I
+    g, state, _ = coarse_setup
+    problem = VariationalProblem(phi_in=state, phi_out=state, x10=40.0,
+                                 segments=nseg, u=u10)
+    mc = u10.mc
+    z = np.full(nseg, 2.0)
+    r0, _ = variational._kkt_residual(z * mc, problem)
+    jac = np.empty((nseg, nseg))
+    dz = 1e-6 * z
+    for k in range(nseg):
+        zp = z.copy()
+        zp[k] += dz[k]
+        jac[:, k] = (variational._kkt_residual(zp * mc, problem)[0] - r0) / dz[k]
+    assert np.max(np.abs(jac + 0.5 * np.eye(nseg))) <= 0.01
 
 
 def test_optimize_argument_validation(u10, coarse_setup):
@@ -220,6 +240,30 @@ def test_optimize_argument_validation(u10, coarse_setup):
         optimize_path(problem, tol=0.0)
     with pytest.raises(ValueError):
         optimize_path(problem, max_iters=0)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call", [
+    lambda u, p: stationary_closed_form(1, NAN, u),
+    lambda u, p: action_value(1.0, 2.0, NAN, 1.0, 1, 1.0, u),
+    lambda u, p: action_value(1.0, 2.0, 1.0, 1.0, 1, NAN, u),
+    lambda u, p: solve_stationary(1, NAN, u),
+    lambda u, p: solve_stationary(1, 1.0, u, tol=NAN),
+    lambda u, p: classical_action_part(LambdaPath.constant(1.0, 1.0), 1.0, NAN, u),
+    lambda u, p: VariationalProblem(phi_in=p.phi_in, phi_out=p.phi_out, x10=NAN,
+                                    segments=1, u=u),
+    lambda u, p: optimize_path(p, tol=NAN),
+], ids=["closed_form_x10", "action_S", "action_x10", "solve_x10", "solve_tol",
+        "classical_x10", "problem_x10", "optimize_tol"])
+def test_nan_rejected_by_positivity_checks(u10, coarse_setup, call):
+    # a check written v <= 0 lets NaN through to the numerics
+    g, state, _ = coarse_setup
+    problem = VariationalProblem(phi_in=state, phi_out=state, x10=40.0,
+                                 segments=1, u=u10)
+    with pytest.raises(ValueError):
+        call(u10, problem)
 
 
 def test_problem_validation(u10, coarse_setup):
