@@ -91,26 +91,18 @@ def emit_json(value, indent: int | None = 0) -> str:
     if isinstance(v, str):
         return json.dumps(v, ensure_ascii=True)
     if isinstance(v, dict):
-        if not v:
-            return "{}"
-        if indent is None:
-            inner = ", ".join(f"{json.dumps(str(k))}: {emit_json(val, None)}"
-                              for k, val in v.items())
-            return "{" + inner + "}"
-        pad = "  " * (indent + 1)
-        inner = ",\n".join(
-            f"{pad}{json.dumps(str(k))}: {emit_json(val, indent + 1)}"
-            for k, val in v.items())
-        return "{\n" + inner + "\n" + "  " * indent + "}"
-    if isinstance(v, (list, tuple)):
-        if not v:
-            return "[]"
-        if indent is None:
-            return "[" + ", ".join(emit_json(x, None) for x in v) + "]"
-        pad = "  " * (indent + 1)
-        inner = ",\n".join(pad + emit_json(x, indent + 1) for x in v)
-        return "[\n" + inner + "\n" + "  " * indent + "]"
-    raise TypeError(f"cannot emit {type(v).__name__}")
+        (lb, rb), keyed = "{}", [(f"{json.dumps(str(k))}: ", x) for k, x in v.items()]
+    elif isinstance(v, (list, tuple)):
+        (lb, rb), keyed = "[]", [("", x) for x in v]
+    else:
+        raise TypeError(f"cannot emit {type(v).__name__}")
+    if not keyed:
+        return lb + rb
+    if indent is None:
+        return lb + ", ".join(key + emit_json(x, None) for key, x in keyed) + rb
+    pad = "\n" + "  " * (indent + 1)
+    items = ",".join(pad + key + emit_json(x, indent + 1) for key, x in keyed)
+    return lb + items + "\n" + "  " * indent + rb
 
 
 def _csv_cell(v) -> str:

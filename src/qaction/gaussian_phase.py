@@ -47,7 +47,7 @@ class GaussianPhaseState:
     s: float
 
     def __post_init__(self):
-        if self.sigma <= 0.0:
+        if not self.sigma > 0.0:
             raise ValueError("sigma must be positive")
         for name in ("chi0", "chi1", "chi2"):
             z = complex(getattr(self, name))
@@ -78,7 +78,7 @@ class PacketDiagnostics:
     norm: float
 
     def __post_init__(self):
-        if self.width <= 0.0 or self.norm <= 0.0:
+        if not (self.width > 0.0 and self.norm > 0.0):
             raise ValueError("width and norm must be positive")
 
 
@@ -88,7 +88,7 @@ def chi_initial(sigma: float) -> GaussianPhaseState:
     chi2 = -1/(2 sigma^2), chi1 = 0, and chi0 = ln A with the L2 normalization
     A = (2 pi sigma^2)^(-1/4).
     """
-    if sigma <= 0.0:
+    if not sigma > 0.0:
         raise ValueError("sigma must be positive")
     return GaussianPhaseState(
         chi0=complex(-0.25 * math.log(2.0 * math.pi * sigma * sigma)),
@@ -174,14 +174,14 @@ def packet_diagnostics(state: GaussianPhaseState, x0_grid: np.ndarray) -> Packet
     tail converges far below the tolerances used in tests.
     """
     x = np.asarray(x0_grid, dtype=float)
-    if x.ndim != 1 or x.size < 8 or np.any(np.diff(x) <= 0.0):
+    if x.ndim != 1 or x.size < 8 or not np.all(np.diff(x) > 0.0):
         raise ValueError("x0 grid must be 1d, increasing, with at least 8 points")
     if state.chi2.real >= 0.0:
         raise ValueError("state is not normalizable (Re chi2 >= 0)")
     re_chi = (state.chi0.real + state.chi1.real * x + 0.5 * state.chi2.real * x * x)
     dens = np.exp(2.0 * re_chi)
     mass = _trapezoid(dens, x)
-    if mass <= 0.0:
+    if not mass > 0.0:
         raise ValueError("packet density vanishes on the supplied grid")
     center = _trapezoid(x * dens, x) / mass
     var = _trapezoid((x - center) ** 2 * dens, x) / mass

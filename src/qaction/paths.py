@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["LambdaPath", "load_path_csv", "save_path_csv"]
+__all__ = ["LambdaPath", "load_path_csv"]
 
 
 @dataclass(frozen=True)
@@ -111,8 +111,8 @@ def load_path_csv(filename) -> LambdaPath:
     """Read a lambda path from CSV with columns s_end,lambda (header optional).
 
     Blank lines and lines starting with # are skipped; the header, if any, is
-    the first other row. Rows must be sorted by s_end. Errors name the
-    offending line.
+    the first other row and reads exactly s_end,lambda. Rows must be sorted
+    by s_end. Errors name the offending line.
     """
     ends, vals = [], []
     header_seen = False
@@ -122,7 +122,7 @@ def load_path_csv(filename) -> LambdaPath:
             if not line or line.startswith("#"):
                 continue
             parts = [p.strip() for p in line.split(",")]
-            if not ends and not header_seen and parts[:2] == ["s_end", "lambda"]:
+            if not ends and not header_seen and parts == ["s_end", "lambda"]:
                 header_seen = True
                 continue
             if len(parts) != 2:
@@ -139,9 +139,3 @@ def load_path_csv(filename) -> LambdaPath:
     except ValueError as exc:
         raise ValueError(f"{filename}: {exc}") from None
 
-
-def save_path_csv(path: LambdaPath, filename) -> None:
-    with open(filename, "w", encoding="utf-8") as fh:
-        fh.write("s_end,lambda\n")
-        for s_end, lam in zip(path.breakpoints, path.values):
-            fh.write(f"{s_end:.17g},{lam:.17g}\n")

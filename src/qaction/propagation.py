@@ -72,7 +72,7 @@ def propagation_grid(r_max: float, num_points: int) -> RadialGrid:
     Chooses r_min equal to the mesh step, so reduced radial functions, which
     vanish linearly at the origin, see a consistent boundary.
     """
-    if r_max <= 0.0:
+    if not r_max > 0.0:
         raise ValueError("r_max must be positive")
     if num_points < 16:
         raise ValueError("need at least 16 grid points")
@@ -105,7 +105,7 @@ def grid_eigenstate(n: int, l: int, lam: float, grid: RadialGrid, u: UnitSystem,
     """
     if n < 1 or l < 0 or l >= n:
         raise ValueError(f"need n >= 1 and 0 <= l < n, got n={n}, l={l}")
-    if lam <= 0.0:
+    if not lam > 0.0:
         raise ValueError("lambda must be positive for bound states")
     # scipy.linalg is imported where it is used, so importing qaction (and the
     # CLI commands that never touch a radial grid) does not pay for it
@@ -285,12 +285,11 @@ def transition_amplitude(phi_in: RadialState, phi_out: RadialState,
         raise ValueError("states live on different grids")
     if phi_in.l != phi_out.l:
         raise ValueError("cross-l overlap is zero by orthogonality; refusing mixed-l input")
-    for name, st in (("phi_in", phi_in), ("phi_out", phi_out)):
-        nrm = state_norm(st)
+    norm_in = state_norm(phi_in)
+    for name, nrm in (("phi_in", norm_in), ("phi_out", state_norm(phi_out))):
         if abs(nrm - 1.0) > 1e-6:
             raise ValueError(f"{name} is not normalized (norm = {nrm!r})")
     counts = _segment_steps(path, phi_in, u, steps_per_segment, MAX_PHASE_PER_STEP)
-    norm_in = state_norm(phi_in)
     phi, K, theta = _cn_sweep(phi_in, path, counts, u,
                               out_conj=np.conj(np.asarray(phi_out.amplitudes)))
     # re-anchor to the principal branch nearest the accumulated estimate, a
@@ -302,13 +301,11 @@ def transition_amplitude(phi_in: RadialState, phi_out: RadialState,
     mag = abs(K)
     if mag > 1.0 + 1e-12:
         raise RuntimeError(f"|K| = {mag!r} exceeds unitarity tolerance")
-    if mag < FLAG_THRESHOLD:
-        return TransitionAmplitude(K=K, I=float("nan"), Q=float("-inf"),
-                                   S=path.S, path=path, phase_valid=False,
-                                   norm_drift=norm_drift)
-    return TransitionAmplitude(K=K, I=-u.hbar * theta, Q=math.log(min(mag, 1.0)),
-                               S=path.S, path=path, phase_valid=True,
-                               norm_drift=norm_drift)
+    valid = not mag < FLAG_THRESHOLD
+    return TransitionAmplitude(
+        K=K, I=-u.hbar * theta if valid else float("nan"),
+        Q=math.log(min(mag, 1.0)) if valid else float("-inf"),
+        S=path.S, path=path, phase_valid=valid, norm_drift=norm_drift)
 
 
 def transition_probability(amp: TransitionAmplitude) -> float:

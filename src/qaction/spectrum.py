@@ -26,6 +26,7 @@ __all__ = [
     "bohr_energy", "epsilon_n", "scaled_eigenfunction", "numerov_eigenvalue",
     "sommerfeld_nstar_sq", "sommerfeld_energy",
     "state_norm", "inner_product", "expectation_r", "count_radial_nodes",
+    "UNIFORM", "LOG",
 ]
 
 UNIFORM = "uniform"
@@ -76,8 +77,8 @@ class RadialGrid:
     spacing: str = LOG
 
     def __post_init__(self):
-        if self.r_min <= 0.0 or self.r_min >= self.r_max:
-            raise ValueError("need 0 < r_min < r_max")
+        if not 0.0 < self.r_min < self.r_max < math.inf:
+            raise ValueError("need 0 < r_min < r_max < inf")
         if self.num_points < 16:
             raise ValueError("need at least 16 grid points")
         if self.spacing not in (UNIFORM, LOG):
@@ -211,7 +212,7 @@ def scaled_eigenfunction(n: QuantumNumbers, lam: float, grid: RadialGrid,
     on the grid; a norm deficit above 1e-6 (grid too short or too coarse to
     hold the state) is an error rather than a silent renormalization.
     """
-    if lam <= 0.0:
+    if not lam > 0.0:
         raise ValueError("lambda must be positive for a bound scaled state")
     r = grid.points()
     a_eff = u.bohr_radius * lam / (2.0 * u.mc)
@@ -262,11 +263,11 @@ def numerov_eigenvalue(n: QuantumNumbers, coupling: float, grid: RadialGrid,
     steps from n - l - 1 to n - l, i.e. the Dirichlet eigenvalue of the
     truncated mesh, with no closed-form input anywhere.
     """
-    if coupling <= 0.0:
+    if not coupling > 0.0:
         raise ValueError("coupling must be positive; no bound states otherwise")
     if grid.spacing != LOG:
         raise ValueError("the shooting oracle wants a log-spaced grid")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
     r = grid.points()
     hx = math.log(grid.r_max / grid.r_min) / (grid.num_points - 1)
@@ -300,7 +301,7 @@ def sommerfeld_nstar_sq(p: int, k: int, alpha: float) -> float:
         raise ValueError(f"need integer p >= 0, got {p}")
     if k == 0 or int(k) != k:
         raise ValueError("k must be a nonzero integer")
-    if abs(k) <= alpha:
+    if not abs(k) > alpha:
         raise ValueError(f"|k| = {abs(k)} must exceed alpha = {alpha}")
     root = math.sqrt(k * k - alpha * alpha)
     return p * p + 2.0 * p * root + k * k

@@ -138,24 +138,24 @@ def _jacobian(params: np.ndarray, e_n: float, u: UnitSystem) -> np.ndarray:
 
 
 def _damped_newton(residual: Callable[[np.ndarray], np.ndarray],
-                   jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                   jacobian: Callable[[np.ndarray], np.ndarray],
                    z0: np.ndarray, feasible: Callable[[np.ndarray], bool],
                    tol: float, max_iters: int
                    ) -> tuple[np.ndarray, np.ndarray, int, bool]:
     """Damped Newton iteration on a residual in scaled unknowns.
 
-    jacobian(z, r) receives the residual r already evaluated at z. Each step
-    halves t from 1 down to 1/1024 until z + t dz is feasible and passes the
-    sufficient-decrease test max|r| <= (1 - 1e-4 t) max|r_prev| (Dennis &
-    Schnabel, section 6.3). Stops once max|r| <= tol, after max_iters steps,
-    or when no step is accepted. Returns (z, r, steps taken, converged).
+    Each step halves t from 1 down to 1/1024 until z + t dz is feasible and
+    passes the sufficient-decrease test max|r| <= (1 - 1e-4 t) max|r_prev|
+    (Dennis & Schnabel, section 6.3). Stops once max|r| <= tol, after
+    max_iters steps, or when no step is accepted. Returns (z, r, steps taken,
+    converged).
     """
     z = z0
     r = residual(z)
     err = float(np.max(np.abs(r)))
     steps = 0
     while err > tol and steps < max_iters:
-        jac = jacobian(z, r)
+        jac = jacobian(z)
         try:
             dz = np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError:
@@ -201,7 +201,7 @@ def solve_stationary(n: QuantumNumbers | int, x10: float, u: UnitSystem,
         return np.array([av.grad_d, av.grad_lam, av.grad_S,
                          av.grad_kappa]) / resid_scale
 
-    def jacobian(z: np.ndarray, r: np.ndarray) -> np.ndarray:
+    def jacobian(z: np.ndarray) -> np.ndarray:
         # rows and columns scaled so the linear solve sees O(1) numbers
         return _jacobian(z * scale, e_n, u) * scale[None, :] / resid_scale[:, None]
 

@@ -187,7 +187,7 @@ def optimize_path(problem: VariationalProblem, tol: float = 1e-8,
         r, kappas[zv.tobytes()] = _kkt_residual(zv * mc, problem)
         return r
 
-    def jacobian(zv: np.ndarray, resid: np.ndarray) -> np.ndarray:
+    def jacobian(zv: np.ndarray) -> np.ndarray:
         # -lam_j/2 ds over the row scale mc ds is -z_j/2; kappa and I add O(alpha^2)
         return -0.5 * np.eye(zv.size)
 

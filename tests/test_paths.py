@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from qaction import LambdaPath, load_path_csv, save_path_csv
+from qaction import LambdaPath, load_path_csv
 
 
 def test_constant_path():
@@ -65,13 +67,15 @@ def test_invalid_paths_rejected(bps, vals):
 
 
 def test_csv_round_trip(tmp_path):
-    p = LambdaPath(breakpoints=np.array([0.125, 2.0, 2.75]),
-                   values=np.array([1.5, -0.25, 3.0]))
+    # 17 significant digits identify every double, so the values come back exactly
+    ends = [0.125, 2.0, 2.0 + math.pi]
+    vals = [1.5, -0.25, math.e / 3.0]
     f = tmp_path / "path.csv"
-    save_path_csv(p, str(f))
+    f.write_text("s_end,lambda\n"
+                 + "".join(f"{s:.17g},{v:.17g}\n" for s, v in zip(ends, vals)))
     q = load_path_csv(str(f))
-    np.testing.assert_array_equal(q.breakpoints, p.breakpoints)
-    np.testing.assert_array_equal(q.values, p.values)
+    assert list(q.breakpoints) == ends
+    assert list(q.values) == vals
 
 
 def test_csv_header_optional(tmp_path):
@@ -103,3 +107,12 @@ def test_csv_header_after_comment(tmp_path):
     late.write_text("1.0,2.0\ns_end,lambda\n2.0,1.0\n")
     with pytest.raises(ValueError, match="line 2"):
         load_path_csv(str(late))
+
+
+def test_csv_header_with_extra_cells_rejected(tmp_path):
+    # only the exact two-cell header is skipped; a wider one is malformed like
+    # any other three-column row
+    f = tmp_path / "wide.csv"
+    f.write_text("s_end,lambda,extra\n1.0,2.0\n")
+    with pytest.raises(ValueError, match="line 1: expected two columns, got 3"):
+        load_path_csv(str(f))
