@@ -149,11 +149,18 @@ def _check_reflection(phi: np.ndarray, grid: RadialGrid) -> None:
             f"{grid.r_max}; enlarge r_max")
 
 
+def _tridiag_apply(diag: np.ndarray, off: complex | np.ndarray,
+                   x: np.ndarray) -> np.ndarray:
+    """The symmetric tridiagonal matrix (diag, off) times x along x's last axis."""
+    y = diag * x
+    y[..., :-1] += off * x[..., 1:]
+    y[..., 1:] += off * x[..., :-1]
+    return y
+
+
 def _energy_scale(phi: np.ndarray, diag: np.ndarray, off: np.ndarray) -> float:
     """|<H>| plus twice the spread, the rate at which overlap phases can turn."""
-    hphi = diag * phi
-    hphi[:-1] += off * phi[1:]
-    hphi[1:] += off * phi[:-1]
+    hphi = _tridiag_apply(diag, off, phi)
     nrm = float(np.real(np.vdot(phi, phi)))
     m1 = float(np.real(np.vdot(phi, hphi))) / nrm
     m2 = float(np.real(np.vdot(hphi, hphi))) / nrm
@@ -173,21 +180,41 @@ def _segment_steps(path: LambdaPath, state: RadialState, u: UnitSystem,
     return counts
 
 
+def _cayley(grid: RadialGrid, l: int, lam: float, beta: float, u: UnitSystem
+            ) -> tuple[tuple, np.ndarray, complex]:
+    """One segment's Cayley pair A = 1 - i beta H, B = 1 + i beta H.
+
+    A is LU-factored (LAPACK zgttrf, the pivoted elimination a gtsv solve
+    would repeat every step); B is returned as its diagonal and its constant
+    off-diagonal. The step is U = A^-1 B. H is real symmetric, so A is the
+    entrywise conjugate of B and A^H = B: the adjoint step U^H = B^-1 A
+    solves with the same factors (zgttrs with trans 'C').
+    """
+    from scipy.linalg.lapack import zgttrf
+    diag, off = _hamiltonian_tridiag(grid, l, lam, u)
+    t = -float(off[0])  # hbar^2 / h^2, positive
+    side = np.full(grid.num_points - 1, 1j * beta * t)
+    dl, d, du, du2, ipiv, info = zgttrf(side, 1.0 - 1j * beta * diag, side)
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"Cayley matrix is singular (zgttrf info = {info})")
+    return (dl, d, du, du2, ipiv), 1.0 + 1j * beta * diag, -1j * beta * t
+
+
 def _cn_sweep(state: RadialState, path: LambdaPath, counts: list[int],
               u: UnitSystem, out_conj: np.ndarray | None = None
               ) -> tuple[np.ndarray, complex | None, float]:
     """The Crank-Nicolson loop: counts[j] Cayley steps on segment j of path.
 
-    Per segment, A = 1 - i beta H is LU-factored once (LAPACK zgttrf, the
-    pivoted elimination a gtsv solve would repeat every step) and each step
-    solves A phi_next = (1 + i beta H) phi with those factors (zgttrs). After
-    every step the wall sample is tested against a floor under the peak; only
+    Per segment the Cayley pair is built and A factored once (_cayley); each
+    step solves A phi_next = B phi with those factors (zgttrs). After every
+    step the wall sample is tested against a floor under the peak; only
     when it trips does the exact O(N) reflection check run. With out_conj,
     the overlap h sum(out_conj * phi) is recorded after every step and its
     phase unwrapped. Returns (phi, last overlap, unwrapped phase); without
     out_conj the overlap is None and the phase 0.
     """
-    from scipy.linalg.lapack import zgttrf, zgttrs
+    from scipy.linalg.lapack import zgttrs
     grid = state.grid
     h = grid.step
     phi = np.array(state.amplitudes, dtype=complex)
@@ -200,22 +227,10 @@ def _cn_sweep(state: RadialState, path: LambdaPath, counts: list[int],
         o_prev = complex(h * np.sum(out_conj * phi))
         theta = math.atan2(o_prev.imag, o_prev.real) if abs(o_prev) > 0.0 else 0.0
     for lam, dur, n_steps in zip(path.values, path.durations, counts):
-        diag, off = _hamiltonian_tridiag(grid, state.l, lam, u)
         ds = dur / n_steps
-        beta = 0.5 * ds / u.hbar
-        t = -float(off[0])  # hbar^2 / h^2, positive
-        side = np.full(grid.num_points - 1, 1j * beta * t)
-        dl, d, du, du2, ipiv, info = zgttrf(side, 1.0 - 1j * beta * diag, side)
-        if info != 0:
-            raise np.linalg.LinAlgError(
-                f"Cayley matrix is singular (zgttrf info = {info})")
-        rhs_diag = 1.0 + 1j * beta * diag
-        rhs_off = -1j * beta * t
+        lu, b_diag, b_off = _cayley(grid, state.l, lam, 0.5 * ds / u.hbar, u)
         for _ in range(n_steps):
-            rhs = rhs_diag * phi
-            rhs[:-1] += rhs_off * phi[1:]
-            rhs[1:] += rhs_off * phi[:-1]
-            phi, _ = zgttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=1)
+            phi, _ = zgttrs(*lu, _tridiag_apply(b_diag, b_off, phi), overwrite_b=1)
             if abs(phi[-1]) > wall_floor:
                 _check_reflection(phi, grid)
             if out_conj is not None:
@@ -225,6 +240,48 @@ def _cn_sweep(state: RadialState, path: LambdaPath, counts: list[int],
                                         (o_new * o_prev.conjugate()).real)
                 o_prev = o_new
     return phi, o_prev, theta
+
+
+def _adjoint_sweep(phi: np.ndarray, phi_out: RadialState, path: LambdaPath,
+                   counts: list[int], u: UnitSystem) -> tuple[np.ndarray, complex]:
+    """Exact dK/dlambda_j and dK/dS of K = h <phi_out | U_M ... U_1 | phi_in>.
+
+    phi is the state the forward sweep (_cn_sweep with these counts) ended
+    in; dS is taken at fixed segment fractions and step counts. The steps
+    are walked backward on the two rows [phi_k, chi_k], one two-column zgttrs
+    call per step: U^H = U^-1 recovers the forward state phi_{k-1} to
+    roundoff, so none is stored, and chi_{k-1} = U_k^H chi_k with
+    chi_M = phi_out is the adjoint state, K = h <chi_k | phi_k> for every k.
+    Since dU = i beta A^-1 H' (U + 1) and U^H + 1 = 2 B^-1, step k adds
+
+        (i beta h / 2) <chi_{k-1} + chi_k | H' | phi_{k-1} + phi_k>
+
+    with H' = dH/dlambda = -kappa_C / r on its own segment, and H / S for S
+    (beta is proportional to S), where the step's own equation gives
+    i beta H (phi_{k-1} + phi_k) = phi_k - phi_{k-1}.
+    """
+    from scipy.linalg.lapack import zgttrs
+    grid = phi_out.grid
+    h = grid.step
+    dh_dlam = -u.coulomb_momentum / grid.points()
+    x = np.array([phi, phi_out.amplitudes])  # rows phi_k, chi_k
+    dk_dlam = np.empty(path.num_segments, dtype=complex)
+    sum_s = 0j
+    for j in reversed(range(path.num_segments)):
+        beta = 0.5 * (path.durations[j] / counts[j]) / u.hbar
+        lu, b_diag, b_off = _cayley(grid, phi_out.l, path.values[j], beta, u)
+        a_diag, a_off = np.conj(b_diag), b_off.conjugate()
+        sum_lam = 0j
+        for _ in range(counts[j]):
+            prev, _ = zgttrs(*lu, _tridiag_apply(a_diag, a_off, x).T,
+                             trans="C", overwrite_b=1)
+            prev = prev.T
+            chi_mid = prev[1] + x[1]
+            sum_lam += np.vdot(chi_mid, dh_dlam * (prev[0] + x[0]))
+            sum_s += np.vdot(chi_mid, x[0] - prev[0])
+            x = prev
+        dk_dlam[j] = 0.5j * beta * h * sum_lam
+    return dk_dlam, complex(0.5 * h * sum_s / path.S)
 
 
 def evolve(state: RadialState, path: LambdaPath, steps_per_segment: int,
@@ -267,20 +324,11 @@ def evolve_spectral(state: RadialState, path: LambdaPath, u: UnitSystem,
     return RadialState(state.grid, state.l, phi)
 
 
-def transition_amplitude(phi_in: RadialState, phi_out: RadialState,
-                         path: LambdaPath, u: UnitSystem,
-                         steps_per_segment: int | None = None
-                         ) -> TransitionAmplitude:
-    """K = <phi_out | U_S | phi_in> with its phase/magnitude decomposition.
-
-    The overlap with phi_out is recorded after every step and its phase
-    unwrapped by nearest-branch continuation; each segment's step count,
-    floored at steps_per_segment, is raised until the expected phase motion
-    per step stays under MAX_PHASE_PER_STEP, so the unwrapping cannot alias
-    (a floor above that need fixes the counts). I = -hbar * theta_unwrapped
-    and Q = log |K| (clamped at zero for |K| within roundoff above one). When
-    |K| < 1e-14 the result is flagged instead: phase_valid False, I NaN, Q -inf.
-    """
+def _transition(phi_in: RadialState, phi_out: RadialState, path: LambdaPath,
+                u: UnitSystem, steps_per_segment: int | None
+                ) -> tuple[TransitionAmplitude, np.ndarray, list[int]]:
+    """transition_amplitude, with the swept state at s = S and the step
+    counts taken, which _adjoint_sweep starts from."""
     if phi_in.grid != phi_out.grid:
         raise ValueError("states live on different grids")
     if phi_in.l != phi_out.l:
@@ -302,10 +350,28 @@ def transition_amplitude(phi_in: RadialState, phi_out: RadialState,
     if mag > 1.0 + 1e-12:
         raise RuntimeError(f"|K| = {mag!r} exceeds unitarity tolerance")
     valid = not mag < FLAG_THRESHOLD
-    return TransitionAmplitude(
+    amp = TransitionAmplitude(
         K=K, I=-u.hbar * theta if valid else float("nan"),
         Q=math.log(min(mag, 1.0)) if valid else float("-inf"),
         S=path.S, path=path, phase_valid=valid, norm_drift=norm_drift)
+    return amp, phi, counts
+
+
+def transition_amplitude(phi_in: RadialState, phi_out: RadialState,
+                         path: LambdaPath, u: UnitSystem,
+                         steps_per_segment: int | None = None
+                         ) -> TransitionAmplitude:
+    """K = <phi_out | U_S | phi_in> with its phase/magnitude decomposition.
+
+    The overlap with phi_out is recorded after every step and its phase
+    unwrapped by nearest-branch continuation; each segment's step count,
+    floored at steps_per_segment, is raised until the expected phase motion
+    per step stays under MAX_PHASE_PER_STEP, so the unwrapping cannot alias
+    (a floor above that need fixes the counts). I = -hbar * theta_unwrapped
+    and Q = log |K| (clamped at zero for |K| within roundoff above one). When
+    |K| < 1e-14 the result is flagged instead: phase_valid False, I NaN, Q -inf.
+    """
+    return _transition(phi_in, phi_out, path, u, steps_per_segment)[0]
 
 
 def transition_probability(amp: TransitionAmplitude) -> float:

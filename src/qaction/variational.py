@@ -12,9 +12,10 @@ segment fractions) and in kappa gives a KKT system. Two of its rows are
 solved in closed form: the constraint, linear in S, gives S = x10 /
 mean(lambda), and the S row, linear in kappa, gives the multiplier. The
 remaining lambda rows are solved by a damped chord iteration (Newton with the
-Jacobian held at the classical Hessian) over the scaled lambda_j alone, with
-the quantum gradients obtained by central finite differences of I at step
-counts fixed per problem, so that I is smooth in the unknowns. The classical
+Jacobian held at the classical Hessian) over the scaled lambda_j alone. Step
+counts are fixed per problem, so that I is smooth in the unknowns, and the
+quantum gradients dI/dlambda_j and dI/dS are the exact derivatives of that
+discrete I, from one forward and one backward (adjoint) sweep. The classical
 part uses the reduced d = lambda/2 branch throughout, which is where the
 endpoint phases are stationary for the straight-line free motion between the
 fixed events.
@@ -27,13 +28,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .paths import LambdaPath
-from .propagation import (PhaseUndefinedError, TransitionAmplitude, _segment_steps,
-                          transition_amplitude)
+from .propagation import (PhaseUndefinedError, TransitionAmplitude, _adjoint_sweep,
+                          _segment_steps, _transition)
 from .spectrum import RadialState
 from .stationary import _damped_newton
 from .units import UnitSystem
 
-FD_REL_STEP = 1e-5  # relative step of the central differences of I
 PHASE_CAP = 0.005   # radians of overlap phase per step at the solver's starting point
 
 __all__ = [
@@ -108,14 +108,16 @@ def classical_action_part(path: LambdaPath, kappa: float, x10: float,
     return kinetic + kappa * (path.integral() - x10)
 
 
-def _quantum_action(path: LambdaPath, problem: VariationalProblem) -> float:
-    amp = transition_amplitude(problem.phi_in, problem.phi_out, path, problem.u,
-                               steps_per_segment=problem.steps_per_segment)
+def _forward(path: LambdaPath, problem: VariationalProblem
+             ) -> tuple[TransitionAmplitude, np.ndarray, list[int]]:
+    """The problem's amplitude along path, its end state and step counts."""
+    amp, phi, counts = _transition(problem.phi_in, problem.phi_out, path,
+                                   problem.u, problem.steps_per_segment)
     if not amp.phase_valid:
         raise PhaseUndefinedError(
             "transition amplitude vanished along the path; the action phase "
             "is undefined for this configuration")
-    return amp.I
+    return amp, phi, counts
 
 
 def full_action(path: LambdaPath, kappa: float,
@@ -125,38 +127,29 @@ def full_action(path: LambdaPath, kappa: float,
     if not (lo <= path.S <= hi):
         raise ValueError(f"path duration {path.S!r} outside S bounds ({lo}, {hi})")
     return classical_action_part(path, kappa, problem.x10, problem.u) \
-        + _quantum_action(path, problem)
-
-
-def _action_gradients(path: LambdaPath, problem: VariationalProblem
-                      ) -> tuple[np.ndarray, float]:
-    """Central-difference dI/dlambda_j and dI/dS at fixed segment fractions."""
-    grad = np.empty(path.num_segments)
-    for j in range(path.num_segments):
-        h = FD_REL_STEP * abs(path.values[j])
-        up = _quantum_action(path.with_value(j, path.values[j] + h), problem)
-        dn = _quantum_action(path.with_value(j, path.values[j] - h), problem)
-        grad[j] = (up - dn) / (2.0 * h)
-    h_s = FD_REL_STEP * path.S
-    up = _quantum_action(path.scaled_to(path.S + h_s), problem)
-    dn = _quantum_action(path.scaled_to(path.S - h_s), problem)
-    return grad, (up - dn) / (2.0 * h_s)
+        + _forward(path, problem)[0].I
 
 
 def _kkt_residual(lam: np.ndarray, problem: VariationalProblem
-                  ) -> tuple[np.ndarray, float]:
-    """Scaled lambda rows of the KKT residual, and the multiplier kappa.
+                  ) -> tuple[np.ndarray, float, TransitionAmplitude]:
+    """Scaled lambda rows of the KKT residual, the multiplier kappa, and K.
 
     S = x10 / mean(lambda) meets the constraint exactly and kappa zeroes the
-    S row, so those two rows vanish and only the N lambda rows remain.
+    S row, so those two rows vanish and only the N lambda rows remain. Their
+    dI/dlambda_j and dI/dS = -hbar Im(dK/K) are exact at the problem's step
+    counts: one forward sweep gives K, one adjoint sweep every dK.
     """
-    mc = problem.u.mc
+    u = problem.u
+    mc = u.mc
     mean_lam = float(np.mean(lam))
     path = LambdaPath.equal_segments(lam, problem.x10 / mean_lam)
-    di_dlam, di_ds = _action_gradients(path, problem)
+    amp, phi, counts = _forward(path, problem)
+    dk_dlam, dk_ds = _adjoint_sweep(phi, problem.phi_out, path, counts, u)
+    di_dlam = -u.hbar * np.imag(dk_dlam / amp.K)
+    di_ds = -u.hbar * (dk_ds / amp.K).imag
     kappa = (float(np.mean(0.25 * lam * lam + mc * mc)) - di_ds) / mean_lam
     ds = path.S / problem.segments
-    return ((kappa - 0.5 * lam) * ds + di_dlam) / (mc * ds), kappa
+    return ((kappa - 0.5 * lam) * ds + di_dlam) / (mc * ds), kappa, amp
 
 
 def optimize_path(problem: VariationalProblem, tol: float = 1e-8,
@@ -167,24 +160,27 @@ def optimize_path(problem: VariationalProblem, tol: float = 1e-8,
     takes S = x10 / mean(lambda) and the kappa that zeroes the S row (see
     _kkt_residual). Newton's Jacobian is held at the classical Hessian -I/2
     (the chord method, Kelley 1995, section 5.4): linear convergence by a
-    factor of order alpha^2, one residual of 2(N+1) propagations per step.
-    Every propagation, the last one too, takes problem.steps_per_segment as
-    its floor. Non-convergence is reported through the converged flag rather
-    than raised, so callers still get the best point found.
+    factor of order alpha^2, one residual per step. A residual is one forward
+    and one adjoint sweep of problem.steps_per_segment steps per segment,
+    whatever the number of segments; the returned amplitude is the forward
+    sweep of the last residual. Non-convergence is reported through the
+    converged flag rather than raised, so callers still get the best point
+    found.
     """
     if not tol > 0.0 or max_iters < 1:
         raise ValueError("tol and max_iters must be positive")
     u = problem.u
     mc = u.mc
     lo, hi = problem.s_bounds()
-    kappas = {}  # multiplier of every evaluated point, keyed by its bytes
+    evaluated = {}  # kappa and amplitude of every evaluated point, keyed by its bytes
 
     def feasible(zv: np.ndarray) -> bool:
         return bool(np.all(zv > 0.0)
                     and lo <= problem.x10 / float(np.mean(zv * mc)) <= hi)
 
     def residual_at(zv: np.ndarray) -> np.ndarray:
-        r, kappas[zv.tobytes()] = _kkt_residual(zv * mc, problem)
+        r, kappa, amp = _kkt_residual(zv * mc, problem)
+        evaluated[zv.tobytes()] = kappa, amp
         return r
 
     def jacobian(zv: np.ndarray) -> np.ndarray:
@@ -195,16 +191,9 @@ def optimize_path(problem: VariationalProblem, tol: float = 1e-8,
         residual_at, jacobian, np.full(problem.segments, 2.0), feasible, tol,
         max_iters)
 
-    lam = z * mc
-    kappa = kappas[z.tobytes()]
-    path = LambdaPath.equal_segments(lam, problem.x10 / float(np.mean(lam)))
-    amp = transition_amplitude(problem.phi_in, problem.phi_out, path, u,
-                               steps_per_segment=problem.steps_per_segment)
-    action = classical_action_part(path, kappa, problem.x10, u) \
-        + (amp.I if amp.phase_valid else float("nan"))
-    if not amp.phase_valid:
-        converged = False
-    return StationaryPath(path=path, kappa=kappa, action=action,
+    kappa, amp = evaluated[z.tobytes()]
+    action = classical_action_part(amp.path, kappa, problem.x10, u) + amp.I
+    return StationaryPath(path=amp.path, kappa=kappa, action=action,
                           residual=float(np.max(np.abs(resid))),
                           amplitude=amp, converged=converged,
                           iterations=iterations)

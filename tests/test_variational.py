@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack as lapack
 
 import qaction.propagation as propagation
 import qaction.variational as variational
@@ -11,7 +12,7 @@ from qaction import (
     classical_action_part, full_action, grid_eigenstate, internal_time_map,
     lambda_from_trajectory, make_units, numerov_eigenvalue, optimize_path,
     packet_diagnostics, propagation_grid, solve_stationary,
-    sommerfeld_nstar_sq, state_norm, stationary_closed_form,
+    sommerfeld_nstar_sq, state_norm, stationary_closed_form, transition_amplitude,
 )
 
 
@@ -103,6 +104,42 @@ def test_full_action_flags_vanishing_amplitude(u10, coarse_setup):
                                  u=u10)
     with pytest.raises(PhaseUndefinedError):
         full_action(LambdaPath.constant(2.0 * u10.mc, 0.05), 1.0, problem)
+    # the same path, S = x10 / lambda = 0.05, as the path search's start residual
+    with pytest.raises(PhaseUndefinedError):
+        variational._kkt_residual(np.array([2.0 * u10.mc]), problem)
+
+
+@pytest.mark.parametrize("n_out", [1, 2])
+def test_adjoint_gradients_match_central_differences(u10, coarse_setup, n_out):
+    # dI/dlambda_j and dI/dS of the residual are exact derivatives of the
+    # discrete I at the problem's step schedule, so central differences of I
+    # at that schedule must reproduce them (the difference step's own error
+    # is about 1e-7 relative on the 1s -> 2s pair, whose |K| is 2e-3)
+    g, s1, _ = coarse_setup
+    out = s1 if n_out == 1 else grid_eigenstate(2, 0, 2.0 * u10.mc, g, u10,
+                                                check_boundaries=False)[0]
+    problem = VariationalProblem(phi_in=s1, phi_out=out, x10=10.0, segments=3,
+                                 u=u10)
+    lam = np.array([1.9, 2.05, 2.1]) * u10.mc
+    path = LambdaPath.equal_segments(lam, problem.x10 / float(np.mean(lam)))
+    amp, phi, counts = variational._forward(path, problem)
+    assert counts == [problem.steps_per_segment] * 3
+    dk_dlam, dk_ds = variational._adjoint_sweep(phi, out, path, counts, u10)
+
+    def action(p):
+        return transition_amplitude(s1, out, p, u10,
+                                    steps_per_segment=problem.steps_per_segment).I
+
+    for j in range(3):
+        h = 1e-5 * lam[j]
+        fd = (action(path.with_value(j, lam[j] + h))
+              - action(path.with_value(j, lam[j] - h))) / (2.0 * h)
+        assert math.isclose(-u10.hbar * (dk_dlam[j] / amp.K).imag, fd,
+                            rel_tol=1e-6), j
+    h = 1e-5 * path.S
+    fd = (action(path.scaled_to(path.S + h))
+          - action(path.scaled_to(path.S - h))) / (2.0 * h)
+    assert math.isclose(-u10.hbar * (dk_ds / amp.K).imag, fd, rel_tol=1e-6)
 
 
 @pytest.fixture(scope="module")
@@ -159,49 +196,62 @@ def test_converged_means_residual_within_tol(pair_problem, optimized_pair):
 
 
 def test_one_step_schedule_per_solve(u10, coarse_setup, monkeypatch):
-    # the step counts are fixed per problem, so the finite differences of I
-    # taken by the solver never straddle a change of discretisation
+    # the step counts are fixed per problem, so the I whose exact gradient
+    # the solver takes is one smooth function of the unknowns
     g, state, _ = coarse_setup
     problem = VariationalProblem(phi_in=state, phi_out=state, x10=40.0,
                                  segments=2, u=u10)
-    sweep = propagation._cn_sweep
-    seen = set()
+    sweep, adjoint = propagation._cn_sweep, variational._adjoint_sweep
+    seen = {"forward": set(), "adjoint": set()}
 
-    def recording(state, path, counts, u, out_conj=None):
-        seen.add(tuple(counts))
+    def forward(state, path, counts, u, out_conj=None):
+        seen["forward"].add(tuple(counts))
         return sweep(state, path, counts, u, out_conj)
 
-    monkeypatch.setattr(propagation, "_cn_sweep", recording)
+    def backward(phi, phi_out, path, counts, u):
+        seen["adjoint"].add(tuple(counts))
+        return adjoint(phi, phi_out, path, counts, u)
+
+    monkeypatch.setattr(propagation, "_cn_sweep", forward)
+    monkeypatch.setattr(variational, "_adjoint_sweep", backward)
     assert optimize_path(problem).converged
-    assert seen == {(problem.steps_per_segment,) * 2}
+    assert seen == {"forward": {(problem.steps_per_segment,) * 2},
+                    "adjoint": {(problem.steps_per_segment,) * 2}}
 
 
 @pytest.fixture(scope="module")
 def counted_solves(u10, coarse_setup):
-    """One- and two-segment solves with their transition_amplitude calls."""
+    """One- and two-segment solves with the LAPACK tridiagonal work they did."""
     g, state, _ = coarse_setup
-    amplitude = variational.transition_amplitude
     runs = []
     for nseg in (1, 2):
         problem = VariationalProblem(phi_in=state, phi_out=state, x10=40.0,
                                      segments=nseg, u=u10)
-        calls = []
+        work = {"zgttrf": 0, "zgttrs": 0, "columns": 0}
 
-        def counting(*args, **kwargs):
-            calls.append(None)
-            return amplitude(*args, **kwargs)
+        def counting(name):
+            fn = getattr(lapack, name)
+
+            def wrapped(*args, **kwargs):
+                work[name] += 1
+                if name == "zgttrs":
+                    b = np.asarray(args[5])
+                    work["columns"] += 1 if b.ndim == 1 else b.shape[1]
+                return fn(*args, **kwargs)
+            return wrapped
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(variational, "transition_amplitude", counting)
+            for name in ("zgttrf", "zgttrs"):
+                mp.setattr(lapack, name, counting(name))
             res = optimize_path(problem)
-        runs.append((nseg, res, len(calls)))
+        runs.append((nseg, problem, res, work))
     return runs
 
 
 def test_optimize_meets_constraint_exactly(counted_solves):
     # S = x10 / mean(lambda) for every trial, so the constraint holds to
     # rounding, not to the Newton tolerance
-    for nseg, res, _ in counted_solves:
+    for nseg, _, res, _ in counted_solves:
         assert res.converged
         assert abs(res.path.integral() - 40.0) <= 1e-14 * 40.0, nseg
 
@@ -209,18 +259,33 @@ def test_optimize_meets_constraint_exactly(counted_solves):
 def test_optimize_kappa_matches_closed_form(u10, counted_solves):
     # measured 3.19e-6 from the closed form at N = 1 and 2 on this 500-point grid
     ref = stationary_closed_form(1, 40.0, u10)
-    for nseg, res, _ in counted_solves:
+    for nseg, _, res, _ in counted_solves:
         assert math.isclose(res.kappa, ref.kappa, rel_tol=2e-5), nseg
 
 
-def test_optimize_propagations_per_newton_step(counted_solves):
-    # 2(N+1) propagations per residual, one residual at the start and one
-    # line-search trial per step, and one final amplitude; the Jacobian is
-    # held fixed and S and kappa are closed forms, so they add none
-    for nseg, res, calls in counted_solves:
-        per_residual = 2 * (nseg + 1)
+def test_optimize_solves_per_step(counted_solves):
+    # one residual at the start and one line-search trial per step; each is a
+    # forward sweep (one column) and an adjoint sweep (two columns) of
+    # N * steps_per_segment solves, with one factorisation per segment and
+    # sweep, so the work per residual does not grow with N beyond the
+    # schedule. The Jacobian is held fixed, S and kappa are closed forms and
+    # the returned amplitude is the last forward sweep's: they add none.
+    for nseg, problem, res, work in counted_solves:
+        steps = nseg * problem.steps_per_segment
+        residuals = 1 + res.iterations
         assert res.iterations >= 1
-        assert calls == per_residual * (1 + res.iterations) + 1, nseg
+        assert work == {"zgttrs": 2 * steps * residuals,
+                        "columns": 3 * steps * residuals,
+                        "zgttrf": 2 * nseg * residuals}, nseg
+
+
+def test_optimize_amplitude_is_last_forward_sweep(u10, counted_solves):
+    for nseg, problem, res, _ in counted_solves:
+        amp = transition_amplitude(problem.phi_in, problem.phi_out, res.path, u10,
+                                   steps_per_segment=problem.steps_per_segment)
+        for name in ("K", "I", "Q", "norm_drift", "S"):
+            assert repr(getattr(res.amplitude, name)) == repr(getattr(amp, name)), name
+        assert res.action == classical_action_part(res.path, res.kappa, 40.0, u10) + amp.I
 
 
 @pytest.mark.parametrize("nseg", [1, 2])
@@ -232,7 +297,7 @@ def test_kkt_jacobian_near_classical_hessian(u10, coarse_setup, nseg):
                                  segments=nseg, u=u10)
     mc = u10.mc
     z = np.full(nseg, 2.0)
-    r0, _ = variational._kkt_residual(z * mc, problem)
+    r0 = variational._kkt_residual(z * mc, problem)[0]
     jac = np.empty((nseg, nseg))
     dz = 1e-6 * z
     for k in range(nseg):
