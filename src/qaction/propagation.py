@@ -3,16 +3,21 @@
 The generator at control momentum lambda is, in standard sign convention,
 H_std = -hbar^2 d^2/dr^2 + hbar^2 l (l+1)/r^2 - lambda kappa_C / r on a
 uniform mesh with Dirichlet walls one step outside both ends; the
-internal-time equation i hbar dphi/ds = -H_std phi is stepped with the
-Cayley (Crank-Nicolson) form
+internal-time equation i hbar dphi/ds = -H_std phi, phi(s + ds) =
+exp(z) phi(s) with z = i ds H / hbar, is stepped with products of Cayley
+factors
 
-    (1 - i ds H/(2 hbar)) phi_next = (1 + i ds H/(2 hbar)) phi,
+    F_zeta = (1 - z/zeta) (1 + z/zeta)^-1 = 2 (1 + z/zeta)^-1 - 1
 
-which is exactly unitary for the symmetric tridiagonal H, so norms are
-conserved to roundoff over any number of steps. The left-hand Cayley matrix
-is constant on each constant-lambda segment, so it is LU-factored once per
-segment (LAPACK zgttrf) and every step only back-substitutes (zgttrs); the
-wall amplitude is checked for reflection after every step. Transition
+over a set of roots zeta: the single root -2 is Crank-Nicolson, second
+order, which every call with a requested step count uses; the pair
+-3 +- i sqrt(3) is the (2,2) diagonal Pade approximant of exp(z), fourth
+order, which the path search uses (qaction.variational). Either step is
+exactly unitary for the symmetric tridiagonal H, so norms are conserved to
+roundoff over any number of steps. Each factor's matrix 1 + z/zeta is
+constant on a constant-lambda segment, so it is LU-factored once per segment
+(LAPACK zgttrf) and every factor then costs one back-substitution (zgttrs);
+the wall amplitude is checked for reflection after every step. Transition
 amplitudes K = <phi_out | U | phi_in> are accumulated with a continuously
 unwrapped phase (per-step increments kept below pi by an energy-based step
 cap), and split as K = exp(I / (i hbar) + Q): I is the real quantum-action
@@ -36,9 +41,14 @@ __all__ = [
     "transition_amplitude", "transition_probability",
 ]
 
-REFLECTION_TOL = 1e-4      # boundary amplitude over max before we call it a reflection
-FLAG_THRESHOLD = 1e-14     # |K| below this has no usable phase
-MAX_PHASE_PER_STEP = 0.02  # radians of overlap phase per step, ceiling on the step size
+REFLECTION_TOL = 1e-4   # boundary amplitude over max before we call it a reflection
+ROUNDOFF_SAFETY = 10.0  # |K| within this many roundoff bounds of zero has no usable phase
+CN_ROOTS = (-2.0,)      # Crank-Nicolson: (1 + z/2) / (1 - z/2)
+PADE22_ROOTS = (complex(-3.0, math.sqrt(3.0)), complex(-3.0, -math.sqrt(3.0)))
+# radians of overlap phase per step, ceiling on the step size: Crank-Nicolson's
+# accuracy bound; for (2,2), whose step count comes from an accuracy target
+# (see variational.VariationalProblem), only the guard of the phase unwrapping
+MAX_PHASE_PER_STEP = {CN_ROOTS: 0.02, PADE22_ROOTS: 0.5}
 
 
 class BoundaryReflectionError(RuntimeError):
@@ -53,8 +63,9 @@ class PhaseUndefinedError(RuntimeError):
 class TransitionAmplitude:
     """K with its decomposition K = exp(I/(i hbar) + Q) and run diagnostics.
 
-    phase_valid is False when |K| < 1e-14; then I is NaN and Q is -inf but K
-    itself is still the honest propagated overlap.
+    phase_valid is False when |K| is within roundoff of zero (see
+    transition_amplitude); then I is NaN and Q is -inf but K itself is still
+    the honest propagated overlap.
     """
 
     K: complex
@@ -180,107 +191,122 @@ def _segment_steps(path: LambdaPath, state: RadialState, u: UnitSystem,
     return counts
 
 
-def _cayley(grid: RadialGrid, l: int, lam: float, beta: float, u: UnitSystem
-            ) -> tuple[tuple, np.ndarray, complex]:
-    """One segment's Cayley pair A = 1 - i beta H, B = 1 + i beta H.
+def _cayley(grid: RadialGrid, l: int, lam: float, ds: float, zeta: complex,
+            u: UnitSystem) -> tuple:
+    """LU factors (LAPACK zgttrf) of 1 + z/zeta, z = i ds H / hbar, on one segment.
 
-    A is LU-factored (LAPACK zgttrf, the pivoted elimination a gtsv solve
-    would repeat every step); B is returned as its diagonal and its constant
-    off-diagonal. The step is U = A^-1 B. H is real symmetric, so A is the
-    entrywise conjugate of B and A^H = B: the adjoint step U^H = B^-1 A
-    solves with the same factors (zgttrs with trans 'C').
+    They are all a Cayley factor F = (1 - z/zeta)(1 + z/zeta)^-1 needs: since
+    F = 2 (1 + z/zeta)^-1 - 1, applying it is one back-substitution of 2 phi
+    (zgttrs) and one subtraction, with no matrix-vector product. H is real
+    symmetric, so z^H = -z, (1 + z/zeta)^H = 1 - z/conj(zeta) and
+    F_zeta^H = F_conj(zeta)^-1: a trans 'C' solve with these factors applies
+    F_zeta^H, and with conj(zeta)'s factors it undoes F_zeta.
     """
     from scipy.linalg.lapack import zgttrf
     diag, off = _hamiltonian_tridiag(grid, l, lam, u)
-    t = -float(off[0])  # hbar^2 / h^2, positive
-    side = np.full(grid.num_points - 1, 1j * beta * t)
-    dl, d, du, du2, ipiv, info = zgttrf(side, 1.0 - 1j * beta * diag, side)
+    c = 1j * ds / (u.hbar * zeta)
+    side = np.full(grid.num_points - 1, c * off[0])
+    dl, d, du, du2, ipiv, info = zgttrf(side, 1.0 + c * diag, side)
     if info != 0:
         raise np.linalg.LinAlgError(
             f"Cayley matrix is singular (zgttrf info = {info})")
-    return (dl, d, du, du2, ipiv), 1.0 + 1j * beta * diag, -1j * beta * t
+    return dl, d, du, du2, ipiv
 
 
 def _cn_sweep(state: RadialState, path: LambdaPath, counts: list[int],
-              u: UnitSystem, out_conj: np.ndarray | None = None
+              u: UnitSystem, roots: tuple, out_conj: np.ndarray | None = None
               ) -> tuple[np.ndarray, complex | None, float]:
-    """The Crank-Nicolson loop: counts[j] Cayley steps on segment j of path.
+    """The Cayley loop: counts[j] steps on segment j of path.
 
-    Per segment the Cayley pair is built and A factored once (_cayley); each
-    step solves A phi_next = B phi with those factors (zgttrs). After every
-    step the wall sample is tested against a floor under the peak; only
-    when it trips does the exact O(N) reflection check run. With out_conj,
-    the overlap h sum(out_conj * phi) is recorded after every step and its
-    phase unwrapped. Returns (phi, last overlap, unwrapped phase); without
+    A step is the product of the Cayley factors (1 - z/zeta)(1 + z/zeta)^-1
+    over roots, z = i ds H / hbar: one factor at zeta = -2 is Crank-Nicolson,
+    the pair -3 +- i sqrt(3) the (2,2) diagonal Pade approximant of exp(z).
+    Per segment each factor's matrix is LU-factored once (_cayley), and each
+    factor then costs one zgttrs solve. After every whole step (the state
+    between two factors of a step is not unit-norm) the wall sample is
+    tested against a floor under the peak; only when it trips does the
+    exact O(N) reflection check run. With out_conj, the overlap
+    h sum(out_conj * phi) is recorded after every whole step and its phase
+    unwrapped. Returns (phi, last overlap, unwrapped phase); without
     out_conj the overlap is None and the phase 0.
     """
     from scipy.linalg.lapack import zgttrs
     grid = state.grid
     h = grid.step
     phi = np.array(state.amplitudes, dtype=complex)
-    # ||phi|| / sqrt(h N) never exceeds max |phi| and the Cayley step keeps the
+    # ||phi|| / sqrt(h N) never exceeds max |phi| and every step keeps the
     # norm to roundoff, so a wall sample under this floor is no reflection
     wall_floor = REFLECTION_TOL * math.sqrt(
         float(np.real(np.vdot(phi, phi))) / grid.num_points)
     o_prev, theta = None, 0.0
     if out_conj is not None:
-        o_prev = complex(h * np.sum(out_conj * phi))
+        o_prev = complex(h * np.dot(out_conj, phi))
         theta = math.atan2(o_prev.imag, o_prev.real) if abs(o_prev) > 0.0 else 0.0
     for lam, dur, n_steps in zip(path.values, path.durations, counts):
-        ds = dur / n_steps
-        lu, b_diag, b_off = _cayley(grid, state.l, lam, 0.5 * ds / u.hbar, u)
+        lus = [_cayley(grid, state.l, lam, dur / n_steps, zeta, u) for zeta in roots]
         for _ in range(n_steps):
-            phi, _ = zgttrs(*lu, _tridiag_apply(b_diag, b_off, phi), overwrite_b=1)
+            for lu in lus:
+                x, _ = zgttrs(*lu, 2.0 * phi, overwrite_b=1)
+                x -= phi
+                phi = x
             if abs(phi[-1]) > wall_floor:
                 _check_reflection(phi, grid)
             if out_conj is not None:
-                o_new = complex(h * np.sum(out_conj * phi))
+                o_new = complex(h * np.dot(out_conj, phi))
                 if abs(o_new) > 1e-280 and abs(o_prev) > 1e-280:
-                    theta += math.atan2((o_new * o_prev.conjugate()).imag,
-                                        (o_new * o_prev.conjugate()).real)
+                    turn = o_new * o_prev.conjugate()
+                    theta += math.atan2(turn.imag, turn.real)
                 o_prev = o_new
     return phi, o_prev, theta
 
 
 def _adjoint_sweep(phi: np.ndarray, phi_out: RadialState, path: LambdaPath,
-                   counts: list[int], u: UnitSystem) -> tuple[np.ndarray, complex]:
-    """Exact dK/dlambda_j and dK/dS of K = h <phi_out | U_M ... U_1 | phi_in>.
+                   counts: list[int], u: UnitSystem, roots: tuple
+                   ) -> tuple[np.ndarray, complex]:
+    """Exact dK/dlambda_j and dK/dS of K = h <phi_out | F_T ... F_1 | phi_in>.
 
-    phi is the state the forward sweep (_cn_sweep with these counts) ended
-    in; dS is taken at fixed segment fractions and step counts. The steps
-    are walked backward on the two rows [phi_k, chi_k], one two-column zgttrs
-    call per step: U^H = U^-1 recovers the forward state phi_{k-1} to
-    roundoff, so none is stored, and chi_{k-1} = U_k^H chi_k with
-    chi_M = phi_out is the adjoint state, K = h <chi_k | phi_k> for every k.
-    Since dU = i beta A^-1 H' (U + 1) and U^H + 1 = 2 B^-1, step k adds
+    phi is the state the forward sweep (_cn_sweep with these counts and
+    roots, a set closed under conjugation) ended in; dS is taken at fixed
+    segment fractions and step counts. The factors F = F_zeta are walked
+    backward on phi_t and the adjoint state chi_t, chi_T = phi_out, with
+    K = h <chi_t | phi_t> for every t: chi_{t-1} = F^H chi_t is a trans 'C'
+    solve on zeta's LU, and F^-1 = F_conj(zeta)^H recovers the forward
+    state phi_{t-1} from phi_t to roundoff with a trans 'C' solve on
+    conj(zeta)'s LU, so none is stored and no new factorisation is needed.
+    With w = z/zeta, dF = -(1/2) (F + 1) dw (F + 1), so factor t adds
 
-        (i beta h / 2) <chi_{k-1} + chi_k | H' | phi_{k-1} + phi_k>
+        -(h/2) <chi_{t-1} + chi_t | dw | phi_{t-1} + phi_t>
 
-    with H' = dH/dlambda = -kappa_C / r on its own segment, and H / S for S
-    (beta is proportional to S), where the step's own equation gives
-    i beta H (phi_{k-1} + phi_k) = phi_k - phi_{k-1}.
+    with dw/dlambda = i ds H' / (hbar zeta), H' = -kappa_C / r on its own
+    segment, and dw/dS = w / S (ds is proportional to S), where the factor's
+    own equation gives w (phi_{t-1} + phi_t) = phi_{t-1} - phi_t. At the
+    Crank-Nicolson root zeta = -2 this is the (i beta h / 2) <...|H'|...>
+    term of a Cayley step with beta = ds / (2 hbar).
     """
     from scipy.linalg.lapack import zgttrs
     grid = phi_out.grid
     h = grid.step
     dh_dlam = -u.coulomb_momentum / grid.points()
-    x = np.array([phi, phi_out.amplitudes])  # rows phi_k, chi_k
+    chi = np.array(phi_out.amplitudes, dtype=complex)
     dk_dlam = np.empty(path.num_segments, dtype=complex)
     sum_s = 0j
     for j in reversed(range(path.num_segments)):
-        beta = 0.5 * (path.durations[j] / counts[j]) / u.hbar
-        lu, b_diag, b_off = _cayley(grid, phi_out.l, path.values[j], beta, u)
-        a_diag, a_off = np.conj(b_diag), b_off.conjugate()
-        sum_lam = 0j
+        ds = path.durations[j] / counts[j]
+        lus = {zeta: _cayley(grid, phi_out.l, path.values[j], ds, zeta, u)
+               for zeta in roots}
+        sums = dict.fromkeys(roots, 0j)
         for _ in range(counts[j]):
-            prev, _ = zgttrs(*lu, _tridiag_apply(a_diag, a_off, x).T,
-                             trans="C", overwrite_b=1)
-            prev = prev.T
-            chi_mid = prev[1] + x[1]
-            sum_lam += np.vdot(chi_mid, dh_dlam * (prev[0] + x[0]))
-            sum_s += np.vdot(chi_mid, x[0] - prev[0])
-            x = prev
-        dk_dlam[j] = 0.5j * beta * h * sum_lam
+            for zeta in reversed(roots):
+                phi_prev, _ = zgttrs(*lus[zeta.conjugate()], 2.0 * phi,
+                                     trans="C", overwrite_b=1)
+                phi_prev -= phi
+                chi_prev, _ = zgttrs(*lus[zeta], 2.0 * chi, trans="C", overwrite_b=1)
+                chi_prev -= chi
+                chi_mid = chi_prev + chi
+                sums[zeta] += np.vdot(chi_mid, dh_dlam * (phi_prev + phi))
+                sum_s += np.vdot(chi_mid, phi - phi_prev)
+                phi, chi = phi_prev, chi_prev
+        dk_dlam[j] = -0.5j * h * ds / u.hbar * sum(s / z for z, s in sums.items())
     return dk_dlam, complex(0.5 * h * sum_s / path.S)
 
 
@@ -288,14 +314,15 @@ def evolve(state: RadialState, path: LambdaPath, steps_per_segment: int,
            u: UnitSystem) -> RadialState:
     """Propagate through the path with the given number of steps per segment.
 
-    Applies exactly steps_per_segment Cayley steps per constant-lambda
-    segment (callers pick the resolution; transition_amplitude adds an
-    automatic cap). Raises BoundaryReflectionError when amplitude reaches
+    Applies exactly steps_per_segment Crank-Nicolson steps, one solve each,
+    per constant-lambda segment (callers pick the resolution;
+    transition_amplitude adds an automatic cap). Raises BoundaryReflectionError when amplitude reaches
     the outer wall at any step.
     """
     if steps_per_segment < 1:
         raise ValueError("need at least one step per segment")
-    phi, _, _ = _cn_sweep(state, path, [steps_per_segment] * path.num_segments, u)
+    phi, _, _ = _cn_sweep(state, path, [steps_per_segment] * path.num_segments, u,
+                          CN_ROOTS)
     return RadialState(state.grid, state.l, phi)
 
 
@@ -325,10 +352,10 @@ def evolve_spectral(state: RadialState, path: LambdaPath, u: UnitSystem,
 
 
 def _transition(phi_in: RadialState, phi_out: RadialState, path: LambdaPath,
-                u: UnitSystem, steps_per_segment: int | None
+                u: UnitSystem, steps_per_segment: int | None, roots: tuple
                 ) -> tuple[TransitionAmplitude, np.ndarray, list[int]]:
-    """transition_amplitude, with the swept state at s = S and the step
-    counts taken, which _adjoint_sweep starts from."""
+    """transition_amplitude on the Cayley roots given, with the swept state
+    at s = S and the step counts taken, which _adjoint_sweep starts from."""
     if phi_in.grid != phi_out.grid:
         raise ValueError("states live on different grids")
     if phi_in.l != phi_out.l:
@@ -337,19 +364,26 @@ def _transition(phi_in: RadialState, phi_out: RadialState, path: LambdaPath,
     for name, nrm in (("phi_in", norm_in), ("phi_out", state_norm(phi_out))):
         if abs(nrm - 1.0) > 1e-6:
             raise ValueError(f"{name} is not normalized (norm = {nrm!r})")
-    counts = _segment_steps(path, phi_in, u, steps_per_segment, MAX_PHASE_PER_STEP)
-    phi, K, theta = _cn_sweep(phi_in, path, counts, u,
-                              out_conj=np.conj(np.asarray(phi_out.amplitudes)))
+    counts = _segment_steps(path, phi_in, u, steps_per_segment,
+                            MAX_PHASE_PER_STEP[roots])
+    out = np.asarray(phi_out.amplitudes)
+    phi, K, theta = _cn_sweep(phi_in, path, counts, u, roots, np.conj(out))
     # re-anchor to the principal branch nearest the accumulated estimate, a
     # no-op unless tracking was suspended near |K| = 0
     if abs(K) > 0.0:
         theta += math.remainder(math.atan2(K.imag, K.real) - theta, 2.0 * math.pi)
-    norm_out = math.sqrt(float(np.real(np.vdot(phi, phi))) * phi_in.grid.step)
+    h = phi_in.grid.step
+    norm_out = math.sqrt(float(np.real(np.vdot(phi, phi))) * h)
     norm_drift = abs(norm_out - norm_in)
     mag = abs(K)
     if mag > 1.0 + 1e-12:
         raise RuntimeError(f"|K| = {mag!r} exceeds unitarity tolerance")
-    valid = not mag < FLAG_THRESHOLD
+    # roundoff bound of K: an N-term overlap errs by up to N eps_mach
+    # h sum |phi_out| |phi| (as does that of two eigenvectors LAPACK returns
+    # orthogonal to O(N eps_mach)), and every solve adds about eps_mach more
+    terms = phi.size + len(roots) * sum(counts)
+    roundoff = np.finfo(float).eps * terms * h * float(np.dot(np.abs(out), np.abs(phi)))
+    valid = not mag <= ROUNDOFF_SAFETY * roundoff
     amp = TransitionAmplitude(
         K=K, I=-u.hbar * theta if valid else float("nan"),
         Q=math.log(min(mag, 1.0)) if valid else float("-inf"),
@@ -363,15 +397,17 @@ def transition_amplitude(phi_in: RadialState, phi_out: RadialState,
                          ) -> TransitionAmplitude:
     """K = <phi_out | U_S | phi_in> with its phase/magnitude decomposition.
 
-    The overlap with phi_out is recorded after every step and its phase
-    unwrapped by nearest-branch continuation; each segment's step count,
-    floored at steps_per_segment, is raised until the expected phase motion
-    per step stays under MAX_PHASE_PER_STEP, so the unwrapping cannot alias
-    (a floor above that need fixes the counts). I = -hbar * theta_unwrapped
-    and Q = log |K| (clamped at zero for |K| within roundoff above one). When
-    |K| < 1e-14 the result is flagged instead: phase_valid False, I NaN, Q -inf.
+    Steps with Crank-Nicolson, one solve per step. The overlap with phi_out
+    is recorded after every step and its phase unwrapped by nearest-branch
+    continuation; each segment's step count, floored at steps_per_segment,
+    is raised until the expected phase motion per step stays under
+    MAX_PHASE_PER_STEP[CN_ROOTS] (0.02 rad), so the unwrapping cannot alias
+    (a floor above that need fixes the counts). I = -hbar * theta_unwrapped and Q = log |K|
+    (clamped at zero for |K| within roundoff above one). When |K| is within
+    ROUNDOFF_SAFETY times the sweep's roundoff bound of zero the result is
+    flagged instead: phase_valid False, I NaN, Q -inf.
     """
-    return _transition(phi_in, phi_out, path, u, steps_per_segment)[0]
+    return _transition(phi_in, phi_out, path, u, steps_per_segment, CN_ROOTS)[0]
 
 
 def transition_probability(amp: TransitionAmplitude) -> float:

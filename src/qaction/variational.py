@@ -12,13 +12,15 @@ segment fractions) and in kappa gives a KKT system. Two of its rows are
 solved in closed form: the constraint, linear in S, gives S = x10 /
 mean(lambda), and the S row, linear in kappa, gives the multiplier. The
 remaining lambda rows are solved by a damped chord iteration (Newton with the
-Jacobian held at the classical Hessian) over the scaled lambda_j alone. Step
-counts are fixed per problem, so that I is smooth in the unknowns, and the
-quantum gradients dI/dlambda_j and dI/dS are the exact derivatives of that
-discrete I, from one forward and one backward (adjoint) sweep. The classical
-part uses the reduced d = lambda/2 branch throughout, which is where the
-endpoint phases are stationary for the straight-line free motion between the
-fixed events.
+Jacobian held at the classical Hessian) over the scaled lambda_j alone. I is
+propagated with the fourth-order (2,2) diagonal Pade stepper in factored
+form (van Dijk and Toyama, Phys. Rev. E 75, 036707, 2007), two Cayley solves
+per step. Its step count is fixed per problem from an accuracy target, so
+that I is smooth in the unknowns, and the quantum gradients dI/dlambda_j and
+dI/dS are the exact derivatives of that discrete I, from one forward and one
+backward (adjoint) sweep. The classical part uses the reduced d = lambda/2
+branch throughout, which is where the endpoint phases are stationary for the
+straight-line free motion between the fixed events.
 """
 
 from __future__ import annotations
@@ -28,13 +30,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .paths import LambdaPath
-from .propagation import (PhaseUndefinedError, TransitionAmplitude, _adjoint_sweep,
-                          _segment_steps, _transition)
+from .propagation import (PADE22_ROOTS, PhaseUndefinedError, TransitionAmplitude,
+                          _adjoint_sweep, _segment_steps, _transition)
 from .spectrum import RadialState
 from .stationary import _damped_newton
 from .units import UnitSystem
 
-PHASE_CAP = 0.005   # radians of overlap phase per step at the solver's starting point
+# accuracy target, relative error of an eigenphase: a tenth of the x^2 / 12 of
+# Crank-Nicolson at x = 0.005 rad per step, the path search's former schedule
+PHASE_ERROR = 0.1 * 0.005 ** 2 / 12.0
+# (2,2) Pade turns an eigenphase x per step with relative error x^4 / 720
+STEP_PHASE = (720.0 * PHASE_ERROR) ** 0.25   # 0.11 rad
+# work budget: a forward step is two solves, an adjoint step four
+MAX_SOLVES_PER_RESIDUAL = 20_000
 
 __all__ = [
     "VariationalProblem", "StationaryPath", "classical_action_part",
@@ -51,9 +59,11 @@ class VariationalProblem:
     coordinate distance), and segments the number of equal-fraction path
     pieces being optimized. The path duration S is held in the box (0.2, 5)
     times x10 / (2 m c). steps_per_segment is worked out, not passed: the
-    step count that holds the overlap phase under PHASE_CAP rad per step at
-    optimize_path's start point; every propagation of the problem takes it as
-    its step floor.
+    (2,2) step count that holds the overlap phase under STEP_PHASE rad per
+    step at optimize_path's start point, and so its eigenphase error under
+    PHASE_ERROR per radian; every propagation of the problem takes it as its
+    step floor. A schedule of more than MAX_SOLVES_PER_RESIDUAL solves per
+    residual is refused with a ValueError before any propagation runs.
     """
 
     phi_in: RadialState
@@ -70,8 +80,14 @@ class VariationalProblem:
             raise ValueError("need at least one path segment")
         start = LambdaPath.equal_segments([2.0 * self.u.mc] * self.segments,
                                           self.x10 / (2.0 * self.u.mc))
-        object.__setattr__(self, "steps_per_segment", max(
-            _segment_steps(start, self.phi_in, self.u, None, PHASE_CAP)))
+        steps = max(_segment_steps(start, self.phi_in, self.u, None, STEP_PHASE))
+        solves = 6 * self.segments * steps
+        if solves > MAX_SOLVES_PER_RESIDUAL:
+            raise ValueError(
+                f"x10 = {self.x10!r} needs {solves} tridiagonal solves per "
+                f"residual, over the budget of {MAX_SOLVES_PER_RESIDUAL}; "
+                "lower x10")
+        object.__setattr__(self, "steps_per_segment", steps)
 
     def s_bounds(self) -> tuple[float, float]:
         s0 = self.x10 / (2.0 * self.u.mc)
@@ -110,9 +126,10 @@ def classical_action_part(path: LambdaPath, kappa: float, x10: float,
 
 def _forward(path: LambdaPath, problem: VariationalProblem
              ) -> tuple[TransitionAmplitude, np.ndarray, list[int]]:
-    """The problem's amplitude along path, its end state and step counts."""
+    """The problem's (2,2) amplitude along path, its end state and step counts."""
     amp, phi, counts = _transition(problem.phi_in, problem.phi_out, path,
-                                   problem.u, problem.steps_per_segment)
+                                   problem.u, problem.steps_per_segment,
+                                   PADE22_ROOTS)
     if not amp.phase_valid:
         raise PhaseUndefinedError(
             "transition amplitude vanished along the path; the action phase "
@@ -144,7 +161,8 @@ def _kkt_residual(lam: np.ndarray, problem: VariationalProblem
     mean_lam = float(np.mean(lam))
     path = LambdaPath.equal_segments(lam, problem.x10 / mean_lam)
     amp, phi, counts = _forward(path, problem)
-    dk_dlam, dk_ds = _adjoint_sweep(phi, problem.phi_out, path, counts, u)
+    dk_dlam, dk_ds = _adjoint_sweep(phi, problem.phi_out, path, counts, u,
+                                    PADE22_ROOTS)
     di_dlam = -u.hbar * np.imag(dk_dlam / amp.K)
     di_ds = -u.hbar * (dk_ds / amp.K).imag
     kappa = (float(np.mean(0.25 * lam * lam + mc * mc)) - di_ds) / mean_lam
@@ -161,11 +179,12 @@ def optimize_path(problem: VariationalProblem, tol: float = 1e-8,
     _kkt_residual). Newton's Jacobian is held at the classical Hessian -I/2
     (the chord method, Kelley 1995, section 5.4): linear convergence by a
     factor of order alpha^2, one residual per step. A residual is one forward
-    and one adjoint sweep of problem.steps_per_segment steps per segment,
-    whatever the number of segments; the returned amplitude is the forward
-    sweep of the last residual. Non-convergence is reported through the
-    converged flag rather than raised, so callers still get the best point
-    found.
+    and one adjoint sweep of problem.steps_per_segment (2,2) Pade steps per
+    segment, two solves per step forward and four backward; the returned
+    amplitude is the forward sweep of the last residual. Non-convergence is
+    reported through the converged flag rather than raised, so callers still
+    get the best point found; an amplitude within roundoff of zero raises
+    PhaseUndefinedError.
     """
     if not tol > 0.0 or max_iters < 1:
         raise ValueError("tol and max_iters must be positive")

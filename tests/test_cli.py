@@ -199,6 +199,23 @@ def test_exit_code_numerical_failure(cli, tmp_path):
     assert json.loads(err)["error"]["type"] == "RuntimeError"
 
 
+def test_optimize_roundoff_amplitude_exits_3(cli):
+    # 1s and 2s prepared at lambda = 2 mc are eigenvectors of the start
+    # path's generator, so K there is roundoff and the phase is undefined
+    code, out, err = cli("optimize", "--alpha", "0.1", "--in", "1,0",
+                         "--out", "2,0", "--x10", "40", "--grid-points", "1200",
+                         "--rmax", "50")
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"]["type"] == "PhaseUndefinedError"
+
+
+def test_optimize_runaway_schedule_exits_2(cli):
+    code, out, err = cli("optimize", "--in", "1,0", "--out", "1,0",
+                         "--x10", "1e6", "--grid-points", "600", "--rmax", "24")
+    assert code == 2 and out == ""
+    assert "x10" in json.loads(err)["error"]["message"]
+
+
 def test_exit_code_missing_required(cli):
     code, _, err = cli("stationary", "--x10", "1.0")
     assert code == 2

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack as lapack
 from scipy.linalg import eigh_tridiagonal
 
 from qaction import (
@@ -10,7 +11,8 @@ from qaction import (
     TransitionAmplitude, evolve, evolve_spectral, grid_eigenstate,
     propagation_grid, state_norm, transition_amplitude, transition_probability,
 )
-from qaction.propagation import _hamiltonian_tridiag
+from qaction.propagation import (CN_ROOTS, PADE22_ROOTS, _hamiltonian_tridiag,
+                                 _transition)
 from qaction.spectrum import LOG
 
 
@@ -295,3 +297,54 @@ def test_probability_clamps_roundoff(u10):
                               path=LambdaPath.constant(2.0 * u10.mc, 1.0),
                               phase_valid=True, norm_drift=0.0)
     assert transition_probability(amp) == 1.0
+
+
+def _exact_amplitude(phi_in, phi_out, path, u):
+    """K with every segment propagated in the full eigenbasis of its H."""
+    g = phi_in.grid
+    psi = np.array(phi_in.amplitudes, dtype=complex)
+    for lam, dur in zip(path.values, path.durations):
+        w, v = eigh_tridiagonal(*_hamiltonian_tridiag(g, phi_in.l, lam, u))
+        psi = v @ (np.exp(1j * w * dur / u.hbar) * (v.T @ psi))
+    return g.step * np.vdot(phi_out.amplitudes, psi)
+
+
+def test_pade22_is_fourth_order(u10):
+    g = propagation_grid(30.0, 400)
+    s1, _ = _eigenpair(1, 0, 2.0, g, u10)
+    s2, _ = _eigenpair(2, 0, 2.0, g, u10, check_boundaries=False)
+    mix = RadialState(g, 0, s1.amplitudes + 0.5 * s2.amplitudes)
+    mix = RadialState(g, 0, mix.amplitudes / state_norm(mix))
+    path = LambdaPath.equal_segments([2.1 * u10.mc, 1.9 * u10.mc], 1.0)
+    ref = _exact_amplitude(mix, s1, path, u10)
+    errors = []
+    for steps in (8, 16, 32):
+        amp, _, counts = _transition(mix, s1, path, u10, steps, PADE22_ROOTS)
+        assert counts == [steps, steps]
+        assert amp.norm_drift <= 1e-12
+        errors.append(abs(amp.K - ref))
+    # halving ds cuts the error 16-fold at fourth order, 4-fold at second
+    assert errors[0] / errors[1] >= 12.0 and errors[1] / errors[2] >= 12.0, errors
+    # and beats Crank-Nicolson at four times the solves
+    cn = _transition(mix, s1, path, u10, 64, CN_ROOTS)[0]
+    assert errors[1] < abs(cn.K - ref) / 10.0
+
+
+def test_explicit_steps_take_one_solve_per_step(u10, monkeypatch):
+    # calls that fix the step count stay Crank-Nicolson: one zgttrs per step
+    g = propagation_grid(25.0, 600)
+    state, _ = _eigenpair(1, 0, 2.0, g, u10)
+    path = LambdaPath.equal_segments([2.0 * u10.mc, 1.9 * u10.mc], 0.2)
+    calls = []
+    solve = lapack.zgttrs
+
+    def counting(*args, **kwargs):
+        calls.append(np.asarray(args[5]).ndim)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(lapack, "zgttrs", counting)
+    transition_amplitude(state, state, path, u10, steps_per_segment=300)
+    assert calls == [1] * 600
+    calls.clear()
+    evolve(state, path, 70, u10)
+    assert calls == [1] * 140

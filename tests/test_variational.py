@@ -112,9 +112,9 @@ def test_full_action_flags_vanishing_amplitude(u10, coarse_setup):
 @pytest.mark.parametrize("n_out", [1, 2])
 def test_adjoint_gradients_match_central_differences(u10, coarse_setup, n_out):
     # dI/dlambda_j and dI/dS of the residual are exact derivatives of the
-    # discrete I at the problem's step schedule, so central differences of I
-    # at that schedule must reproduce them (the difference step's own error
-    # is about 1e-7 relative on the 1s -> 2s pair, whose |K| is 2e-3)
+    # discrete (2,2) I at the problem's step schedule, so central differences
+    # of that I must reproduce them (the difference step's own error is about
+    # 1e-7 relative on the 1s -> 2s pair, whose |K| is 2e-3)
     g, s1, _ = coarse_setup
     out = s1 if n_out == 1 else grid_eigenstate(2, 0, 2.0 * u10.mc, g, u10,
                                                 check_boundaries=False)[0]
@@ -124,11 +124,11 @@ def test_adjoint_gradients_match_central_differences(u10, coarse_setup, n_out):
     path = LambdaPath.equal_segments(lam, problem.x10 / float(np.mean(lam)))
     amp, phi, counts = variational._forward(path, problem)
     assert counts == [problem.steps_per_segment] * 3
-    dk_dlam, dk_ds = variational._adjoint_sweep(phi, out, path, counts, u10)
+    dk_dlam, dk_ds = variational._adjoint_sweep(phi, out, path, counts, u10,
+                                                propagation.PADE22_ROOTS)
 
     def action(p):
-        return transition_amplitude(s1, out, p, u10,
-                                    steps_per_segment=problem.steps_per_segment).I
+        return variational._forward(p, problem)[0].I
 
     for j in range(3):
         h = 1e-5 * lam[j]
@@ -140,6 +140,41 @@ def test_adjoint_gradients_match_central_differences(u10, coarse_setup, n_out):
     fd = (action(path.scaled_to(path.S + h))
           - action(path.scaled_to(path.S - h))) / (2.0 * h)
     assert math.isclose(-u10.hbar * (dk_ds / amp.K).imag, fd, rel_tol=1e-6)
+
+
+def test_roundoff_amplitude_at_start_is_flagged(u10):
+    # 1s and 2s prepared at lambda = 2 mc are eigenvectors of the start
+    # path's generator: K there is roundoff (2.7e-14 on this grid), and the
+    # search must refuse it rather than divide an exact gradient by it
+    g = propagation_grid(50.0, 1200)
+    s1, _ = grid_eigenstate(1, 0, 2.0 * u10.mc, g, u10)
+    s2, _ = grid_eigenstate(2, 0, 2.0 * u10.mc, g, u10)
+    problem = VariationalProblem(phi_in=s1, phi_out=s2, x10=40.0, segments=1,
+                                 u=u10)
+    with pytest.raises(PhaseUndefinedError):
+        optimize_path(problem)
+
+
+def test_runaway_schedule_rejected_before_any_sweep(u_codata, monkeypatch):
+    # steps per residual grow linearly with x10; at x10 = 1e6 the schedule
+    # would take hours, so the problem is refused where it is built
+    g = propagation_grid(24.0, 600)
+    state, _ = grid_eigenstate(1, 0, 2.0 * u_codata.mc, g, u_codata)
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep ran")
+
+    for name in ("zgttrf", "zgttrs"):
+        monkeypatch.setattr(lapack, name, no_sweep)
+    with pytest.raises(ValueError) as err:
+        VariationalProblem(phi_in=state, phi_out=state, x10=1e6, segments=1,
+                           u=u_codata)
+    message = str(err.value)
+    assert "x10" in message
+    assert str(variational.MAX_SOLVES_PER_RESIDUAL) in message
+    ok = VariationalProblem(phi_in=state, phi_out=state, x10=40.0, segments=1,
+                            u=u_codata)
+    assert 6 * ok.steps_per_segment <= variational.MAX_SOLVES_PER_RESIDUAL
 
 
 @pytest.fixture(scope="module")
@@ -204,19 +239,21 @@ def test_one_step_schedule_per_solve(u10, coarse_setup, monkeypatch):
     sweep, adjoint = propagation._cn_sweep, variational._adjoint_sweep
     seen = {"forward": set(), "adjoint": set()}
 
-    def forward(state, path, counts, u, out_conj=None):
-        seen["forward"].add(tuple(counts))
-        return sweep(state, path, counts, u, out_conj)
+    def forward(state, path, counts, u, roots, out_conj=None):
+        seen["forward"].add((tuple(counts), roots))
+        return sweep(state, path, counts, u, roots, out_conj)
 
-    def backward(phi, phi_out, path, counts, u):
-        seen["adjoint"].add(tuple(counts))
-        return adjoint(phi, phi_out, path, counts, u)
+    def backward(phi, phi_out, path, counts, u, roots):
+        seen["adjoint"].add((tuple(counts), roots))
+        return adjoint(phi, phi_out, path, counts, u, roots)
 
     monkeypatch.setattr(propagation, "_cn_sweep", forward)
     monkeypatch.setattr(variational, "_adjoint_sweep", backward)
     assert optimize_path(problem).converged
-    assert seen == {"forward": {(problem.steps_per_segment,) * 2},
-                    "adjoint": {(problem.steps_per_segment,) * 2}}
+    assert seen == {"forward": {((problem.steps_per_segment,) * 2,
+                                 propagation.PADE22_ROOTS)},
+                    "adjoint": {((problem.steps_per_segment,) * 2,
+                                 propagation.PADE22_ROOTS)}}
 
 
 @pytest.fixture(scope="module")
@@ -265,24 +302,25 @@ def test_optimize_kappa_matches_closed_form(u10, counted_solves):
 
 def test_optimize_solves_per_step(counted_solves):
     # one residual at the start and one line-search trial per step; each is a
-    # forward sweep (one column) and an adjoint sweep (two columns) of
-    # N * steps_per_segment solves, with one factorisation per segment and
-    # sweep, so the work per residual does not grow with N beyond the
-    # schedule. The Jacobian is held fixed, S and kappa are closed forms and
-    # the returned amplitude is the last forward sweep's: they add none.
+    # forward sweep of N * steps_per_segment (2,2) steps, one single-column
+    # solve per Cayley factor, and an adjoint sweep, two per factor (the
+    # state and the adjoint state), with one factorisation per factor,
+    # segment and sweep, so the work per residual does not grow with N
+    # beyond the schedule. The Jacobian is held fixed, S and kappa are
+    # closed forms and the returned amplitude is the last forward sweep's:
+    # they add none.
     for nseg, problem, res, work in counted_solves:
         steps = nseg * problem.steps_per_segment
         residuals = 1 + res.iterations
         assert res.iterations >= 1
-        assert work == {"zgttrs": 2 * steps * residuals,
-                        "columns": 3 * steps * residuals,
-                        "zgttrf": 2 * nseg * residuals}, nseg
+        assert work == {"zgttrs": 6 * steps * residuals,
+                        "columns": 6 * steps * residuals,
+                        "zgttrf": 4 * nseg * residuals}, nseg
 
 
 def test_optimize_amplitude_is_last_forward_sweep(u10, counted_solves):
     for nseg, problem, res, _ in counted_solves:
-        amp = transition_amplitude(problem.phi_in, problem.phi_out, res.path, u10,
-                                   steps_per_segment=problem.steps_per_segment)
+        amp = variational._forward(res.path, problem)[0]
         for name in ("K", "I", "Q", "norm_drift", "S"):
             assert repr(getattr(res.amplitude, name)) == repr(getattr(amp, name)), name
         assert res.action == classical_action_part(res.path, res.kappa, 40.0, u10) + amp.I
