@@ -378,6 +378,13 @@ def _transition(phi_in: RadialState, phi_out: RadialState, path: LambdaPath,
     mag = abs(K)
     if mag > 1.0 + 1e-12:
         raise RuntimeError(f"|K| = {mag!r} exceeds unitarity tolerance")
+    if mag > 1.0:
+        # roundoff above one: back onto the unit circle, phase unchanged (the
+        # division may itself land an ulp outside, so step inside once more)
+        K /= mag
+        if abs(K) > 1.0:
+            K /= 1.0 + 2.0 * np.finfo(float).eps
+        mag = abs(K)
     # roundoff bound of K: an N-term overlap errs by up to N eps_mach
     # h sum |phi_out| |phi| (as does that of two eigenvectors LAPACK returns
     # orthogonal to O(N eps_mach)), and every solve adds about eps_mach more
@@ -386,7 +393,7 @@ def _transition(phi_in: RadialState, phi_out: RadialState, path: LambdaPath,
     valid = not mag <= ROUNDOFF_SAFETY * roundoff
     amp = TransitionAmplitude(
         K=K, I=-u.hbar * theta if valid else float("nan"),
-        Q=math.log(min(mag, 1.0)) if valid else float("-inf"),
+        Q=math.log(mag) if valid else float("-inf"),
         S=path.S, path=path, phase_valid=valid, norm_drift=norm_drift)
     return amp, phi, counts
 
@@ -402,8 +409,9 @@ def transition_amplitude(phi_in: RadialState, phi_out: RadialState,
     continuation; each segment's step count, floored at steps_per_segment,
     is raised until the expected phase motion per step stays under
     MAX_PHASE_PER_STEP[CN_ROOTS] (0.02 rad), so the unwrapping cannot alias
-    (a floor above that need fixes the counts). I = -hbar * theta_unwrapped and Q = log |K|
-    (clamped at zero for |K| within roundoff above one). When |K| is within
+    (a floor above that need fixes the counts). I = -hbar * theta_unwrapped and Q = log |K|.
+    A |K| within roundoff above one is scaled back to one, phase kept, so
+    |K| <= 1 and Q <= 0 hold for every amplitude returned. When |K| is within
     ROUNDOFF_SAFETY times the sweep's roundoff bound of zero the result is
     flagged instead: phase_valid False, I NaN, Q -inf.
     """

@@ -41,7 +41,7 @@ from .units import UnitSystem
 PHASE_ERROR = 0.1 * 0.005 ** 2 / 12.0
 # (2,2) Pade turns an eigenphase x per step with relative error x^4 / 720
 STEP_PHASE = (720.0 * PHASE_ERROR) ** 0.25   # 0.11 rad
-# work budget: a forward step is two solves, an adjoint step four
+# work budget: a step is one solve per Cayley root forward, two in the adjoint
 MAX_SOLVES_PER_RESIDUAL = 20_000
 
 __all__ = [
@@ -81,7 +81,7 @@ class VariationalProblem:
         start = LambdaPath.equal_segments([2.0 * self.u.mc] * self.segments,
                                           self.x10 / (2.0 * self.u.mc))
         steps = max(_segment_steps(start, self.phi_in, self.u, None, STEP_PHASE))
-        solves = 6 * self.segments * steps
+        solves = 3 * len(PADE22_ROOTS) * self.segments * steps
         if solves > MAX_SOLVES_PER_RESIDUAL:
             raise ValueError(
                 f"x10 = {self.x10!r} needs {solves} tridiagonal solves per "

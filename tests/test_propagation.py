@@ -299,6 +299,20 @@ def test_probability_clamps_roundoff(u10):
     assert transition_probability(amp) == 1.0
 
 
+@pytest.mark.parametrize("roots", [CN_ROOTS, PADE22_ROOTS])
+def test_eigenstate_amplitude_never_exceeds_one(u10, roots):
+    # an eigenstate's |K| is one up to the sweep's roundoff, which lands on
+    # either side of it (1 + 1.5e-14 on the 2000-point grid for both
+    # steppers); the amplitude returned is scaled back, phase kept
+    path = LambdaPath.constant(2.0 * u10.mc, 0.7)
+    for points, r_max in ((900, 25.0), (1200, 30.0), (2000, 25.0), (1500, 40.0)):
+        state, eps = _eigenpair(1, 0, 2.0, propagation_grid(r_max, points), u10)
+        amp = _transition(state, state, path, u10, None, roots)[0]
+        assert abs(amp.K) <= 1.0 and amp.Q <= 0.0, points
+        assert abs(amp.K) > 1.0 - 1e-13, points
+        assert abs(amp.I - eps * path.S) < 5e-5, points
+
+
 def _exact_amplitude(phi_in, phi_out, path, u):
     """K with every segment propagated in the full eigenbasis of its H."""
     g = phi_in.grid

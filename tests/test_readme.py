@@ -17,6 +17,4 @@ def test_readme_library_example_runs(capsys):
     # the printed comment promises phase eps*S, damping and |K|
     eps, S = namespace["eps"], namespace["point"].S
     assert math.isclose(phase, eps * S, rel_tol=1e-4)
-    # |K| of an eigenstate is one up to the sweep's roundoff, which may land
-    # either side of it; transition_amplitude accepts 1 + 1e-12 (Q clamps)
-    assert damping <= 0.0 and 0.0 < magnitude <= 1.0 + 1e-12
+    assert damping <= 0.0 and 0.0 < magnitude <= 1.0

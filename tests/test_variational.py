@@ -174,7 +174,8 @@ def test_runaway_schedule_rejected_before_any_sweep(u_codata, monkeypatch):
     assert str(variational.MAX_SOLVES_PER_RESIDUAL) in message
     ok = VariationalProblem(phi_in=state, phi_out=state, x10=40.0, segments=1,
                             u=u_codata)
-    assert 6 * ok.steps_per_segment <= variational.MAX_SOLVES_PER_RESIDUAL
+    assert (3 * len(propagation.PADE22_ROOTS) * ok.steps_per_segment
+            <= variational.MAX_SOLVES_PER_RESIDUAL)
 
 
 @pytest.fixture(scope="module")
@@ -309,13 +310,14 @@ def test_optimize_solves_per_step(counted_solves):
     # beyond the schedule. The Jacobian is held fixed, S and kappa are
     # closed forms and the returned amplitude is the last forward sweep's:
     # they add none.
+    roots = len(propagation.PADE22_ROOTS)
     for nseg, problem, res, work in counted_solves:
         steps = nseg * problem.steps_per_segment
         residuals = 1 + res.iterations
         assert res.iterations >= 1
-        assert work == {"zgttrs": 6 * steps * residuals,
-                        "columns": 6 * steps * residuals,
-                        "zgttrf": 4 * nseg * residuals}, nseg
+        assert work == {"zgttrs": 3 * roots * steps * residuals,
+                        "columns": 3 * roots * steps * residuals,
+                        "zgttrf": 2 * roots * nseg * residuals}, nseg
 
 
 def test_optimize_amplitude_is_last_forward_sweep(u10, counted_solves):
