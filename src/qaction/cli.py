@@ -433,6 +433,9 @@ def run_optimize(cfg: RunConfig) -> str:
     problem = VariationalProblem(phi_in=phi_in, phi_out=phi_out, x10=cfg.x10,
                                  segments=cfg.segments, u=u)
     sol = optimize_path(problem, tol=cfg.tol, max_iters=cfg.max_iters)
+    if not sol.converged:
+        raise RuntimeError(f"path search stalled at scaled residual {sol.residual:.3e} "
+                           f"(tol {cfg.tol:.3e}) after {sol.iterations} steps")
     result = {
         "lambda_path": list(sol.path.values),
         "segment_ends": list(sol.path.breakpoints),

@@ -19,9 +19,9 @@ constant on a constant-lambda segment, so it is LU-factored once per segment
 (LAPACK zgttrf) and every factor then costs one back-substitution (zgttrs);
 the wall amplitude is checked for reflection after every step. Transition
 amplitudes K = <phi_out | U | phi_in> are accumulated with a continuously
-unwrapped phase (per-step increments kept below pi by an energy-based step
-cap), and split as K = exp(I / (i hbar) + Q): I is the real quantum-action
-phase and Q = log |K| <= 0 the dissipative part.
+unwrapped phase (per-step increments kept below pi by an energy-based bound
+on the step), and split as K = exp(I / (i hbar) + Q): I is the real
+quantum-action phase and Q = log |K| <= 0 the dissipative part.
 """
 
 from __future__ import annotations
@@ -45,10 +45,7 @@ REFLECTION_TOL = 1e-4   # boundary amplitude over max before we call it a reflec
 ROUNDOFF_SAFETY = 10.0  # |K| within this many roundoff bounds of zero has no usable phase
 CN_ROOTS = (-2.0,)      # Crank-Nicolson: (1 + z/2) / (1 - z/2)
 PADE22_ROOTS = (complex(-3.0, math.sqrt(3.0)), complex(-3.0, -math.sqrt(3.0)))
-# radians of overlap phase per step, ceiling on the step size: Crank-Nicolson's
-# accuracy bound; for (2,2), whose step count comes from an accuracy target
-# (see variational.VariationalProblem), only the guard of the phase unwrapping
-MAX_PHASE_PER_STEP = {CN_ROOTS: 0.02, PADE22_ROOTS: 0.5}
+MAX_PHASE_PER_STEP = 0.02  # radians of overlap phase per Crank-Nicolson step, at most
 
 
 class BoundaryReflectionError(RuntimeError):
@@ -152,26 +149,11 @@ def grid_eigenstate(n: int, l: int, lam: float, grid: RadialGrid, u: UnitSystem,
     return state, -e_std
 
 
-def _check_reflection(phi: np.ndarray, grid: RadialGrid) -> None:
-    peak = float(np.max(np.abs(phi)))
-    if peak > 0.0 and abs(phi[-1]) > REFLECTION_TOL * peak:
-        raise BoundaryReflectionError(
-            f"boundary amplitude {abs(phi[-1]) / peak:.2e} of peak at r_max = "
-            f"{grid.r_max}; enlarge r_max")
-
-
-def _tridiag_apply(diag: np.ndarray, off: complex | np.ndarray,
-                   x: np.ndarray) -> np.ndarray:
-    """The symmetric tridiagonal matrix (diag, off) times x along x's last axis."""
-    y = diag * x
-    y[..., :-1] += off * x[..., 1:]
-    y[..., 1:] += off * x[..., :-1]
-    return y
-
-
 def _energy_scale(phi: np.ndarray, diag: np.ndarray, off: np.ndarray) -> float:
     """|<H>| plus twice the spread, the rate at which overlap phases can turn."""
-    hphi = _tridiag_apply(diag, off, phi)
+    hphi = diag * phi
+    hphi[:-1] += off * phi[1:]
+    hphi[1:] += off * phi[:-1]
     nrm = float(np.real(np.vdot(phi, phi)))
     m1 = float(np.real(np.vdot(phi, hphi))) / nrm
     m2 = float(np.real(np.vdot(hphi, hphi))) / nrm
@@ -180,14 +162,13 @@ def _energy_scale(phi: np.ndarray, diag: np.ndarray, off: np.ndarray) -> float:
 
 
 def _segment_steps(path: LambdaPath, state: RadialState, u: UnitSystem,
-                   steps_per_segment: int | None, cap: float) -> list[int]:
-    """Per-segment step counts: the explicit request is a floor, the phase cap a ceiling."""
+                   cap: float) -> list[int]:
+    """Per-segment step counts that turn state's overlap phases at most cap rad a step."""
     counts = []
     for lam, dur in zip(path.values, path.durations):
         diag, off = _hamiltonian_tridiag(state.grid, state.l, lam, u)
         eps = _energy_scale(np.asarray(state.amplitudes), diag, off)
-        need = max(1, math.ceil(dur * eps / (u.hbar * cap)))
-        counts.append(max(need, steps_per_segment or 1))
+        counts.append(max(1, math.ceil(dur * eps / (u.hbar * cap))))
     return counts
 
 
@@ -213,9 +194,9 @@ def _cayley(grid: RadialGrid, l: int, lam: float, ds: float, zeta: complex,
     return dl, d, du, du2, ipiv
 
 
-def _cn_sweep(state: RadialState, path: LambdaPath, counts: list[int],
-              u: UnitSystem, roots: tuple, out_conj: np.ndarray | None = None
-              ) -> tuple[np.ndarray, complex | None, float]:
+def _sweep(state: RadialState, path: LambdaPath, counts: list[int],
+           u: UnitSystem, roots: tuple, out_conj: np.ndarray | None = None
+           ) -> tuple[np.ndarray, complex | None, float]:
     """The Cayley loop: counts[j] steps on segment j of path.
 
     A step is the product of the Cayley factors (1 - z/zeta)(1 + z/zeta)^-1
@@ -250,7 +231,11 @@ def _cn_sweep(state: RadialState, path: LambdaPath, counts: list[int],
                 x -= phi
                 phi = x
             if abs(phi[-1]) > wall_floor:
-                _check_reflection(phi, grid)
+                peak = float(np.max(np.abs(phi)))
+                if abs(phi[-1]) > REFLECTION_TOL * peak:
+                    raise BoundaryReflectionError(
+                        f"boundary amplitude {abs(phi[-1]) / peak:.2e} of peak "
+                        f"at r_max = {grid.r_max}; enlarge r_max")
             if out_conj is not None:
                 o_new = complex(h * np.dot(out_conj, phi))
                 if abs(o_new) > 1e-280 and abs(o_prev) > 1e-280:
@@ -265,7 +250,7 @@ def _adjoint_sweep(phi: np.ndarray, phi_out: RadialState, path: LambdaPath,
                    ) -> tuple[np.ndarray, complex]:
     """Exact dK/dlambda_j and dK/dS of K = h <phi_out | F_T ... F_1 | phi_in>.
 
-    phi is the state the forward sweep (_cn_sweep with these counts and
+    phi is the state the forward sweep (_sweep with these counts and
     roots, a set closed under conjugation) ended in; dS is taken at fixed
     segment fractions and step counts. The factors F = F_zeta are walked
     backward on phi_t and the adjoint state chi_t, chi_T = phi_out, with
@@ -315,14 +300,14 @@ def evolve(state: RadialState, path: LambdaPath, steps_per_segment: int,
     """Propagate through the path with the given number of steps per segment.
 
     Applies exactly steps_per_segment Crank-Nicolson steps, one solve each,
-    per constant-lambda segment (callers pick the resolution;
-    transition_amplitude adds an automatic cap). Raises BoundaryReflectionError when amplitude reaches
-    the outer wall at any step.
+    per constant-lambda segment: the caller picks the resolution, with no
+    phase cap (transition_amplitude adds one). Raises
+    BoundaryReflectionError when amplitude reaches the outer wall at any step.
     """
     if steps_per_segment < 1:
         raise ValueError("need at least one step per segment")
-    phi, _, _ = _cn_sweep(state, path, [steps_per_segment] * path.num_segments, u,
-                          CN_ROOTS)
+    phi, _, _ = _sweep(state, path, [steps_per_segment] * path.num_segments, u,
+                       CN_ROOTS)
     return RadialState(state.grid, state.l, phi)
 
 
@@ -352,10 +337,10 @@ def evolve_spectral(state: RadialState, path: LambdaPath, u: UnitSystem,
 
 
 def _transition(phi_in: RadialState, phi_out: RadialState, path: LambdaPath,
-                u: UnitSystem, steps_per_segment: int | None, roots: tuple
-                ) -> tuple[TransitionAmplitude, np.ndarray, list[int]]:
-    """transition_amplitude on the Cayley roots given, with the swept state
-    at s = S and the step counts taken, which _adjoint_sweep starts from."""
+                u: UnitSystem, counts: list[int], roots: tuple
+                ) -> tuple[TransitionAmplitude, np.ndarray]:
+    """The amplitude of counts[j] steps on the Cayley roots given on segment
+    j, with the swept state at s = S, which _adjoint_sweep starts from."""
     if phi_in.grid != phi_out.grid:
         raise ValueError("states live on different grids")
     if phi_in.l != phi_out.l:
@@ -364,10 +349,8 @@ def _transition(phi_in: RadialState, phi_out: RadialState, path: LambdaPath,
     for name, nrm in (("phi_in", norm_in), ("phi_out", state_norm(phi_out))):
         if abs(nrm - 1.0) > 1e-6:
             raise ValueError(f"{name} is not normalized (norm = {nrm!r})")
-    counts = _segment_steps(path, phi_in, u, steps_per_segment,
-                            MAX_PHASE_PER_STEP[roots])
     out = np.asarray(phi_out.amplitudes)
-    phi, K, theta = _cn_sweep(phi_in, path, counts, u, roots, np.conj(out))
+    phi, K, theta = _sweep(phi_in, path, counts, u, roots, np.conj(out))
     # re-anchor to the principal branch nearest the accumulated estimate, a
     # no-op unless tracking was suspended near |K| = 0
     if abs(K) > 0.0:
@@ -395,7 +378,7 @@ def _transition(phi_in: RadialState, phi_out: RadialState, path: LambdaPath,
         K=K, I=-u.hbar * theta if valid else float("nan"),
         Q=math.log(mag) if valid else float("-inf"),
         S=path.S, path=path, phase_valid=valid, norm_drift=norm_drift)
-    return amp, phi, counts
+    return amp, phi
 
 
 def transition_amplitude(phi_in: RadialState, phi_out: RadialState,
@@ -408,14 +391,16 @@ def transition_amplitude(phi_in: RadialState, phi_out: RadialState,
     is recorded after every step and its phase unwrapped by nearest-branch
     continuation; each segment's step count, floored at steps_per_segment,
     is raised until the expected phase motion per step stays under
-    MAX_PHASE_PER_STEP[CN_ROOTS] (0.02 rad), so the unwrapping cannot alias
-    (a floor above that need fixes the counts). I = -hbar * theta_unwrapped and Q = log |K|.
+    MAX_PHASE_PER_STEP (0.02 rad), so the unwrapping cannot alias (a floor
+    above that need fixes the counts). I = -hbar theta_unwrapped, Q = log |K|.
     A |K| within roundoff above one is scaled back to one, phase kept, so
     |K| <= 1 and Q <= 0 hold for every amplitude returned. When |K| is within
     ROUNDOFF_SAFETY times the sweep's roundoff bound of zero the result is
     flagged instead: phase_valid False, I NaN, Q -inf.
     """
-    return _transition(phi_in, phi_out, path, u, steps_per_segment, CN_ROOTS)[0]
+    counts = [max(n, steps_per_segment or 1)
+              for n in _segment_steps(path, phi_in, u, MAX_PHASE_PER_STEP)]
+    return _transition(phi_in, phi_out, path, u, counts, CN_ROOTS)[0]
 
 
 def transition_probability(amp: TransitionAmplitude) -> float:

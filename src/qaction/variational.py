@@ -41,6 +41,9 @@ from .units import UnitSystem
 PHASE_ERROR = 0.1 * 0.005 ** 2 / 12.0
 # (2,2) Pade turns an eigenphase x per step with relative error x^4 / 720
 STEP_PHASE = (720.0 * PHASE_ERROR) ** 0.25   # 0.11 rad
+# guard of the phase unwrapping: a path that turns the overlap phase more than
+# this per step at the problem's fixed step count is refused, never re-stepped
+UNWRAP_PHASE = 0.5
 # work budget: a step is one solve per Cayley root forward, two in the adjoint
 MAX_SOLVES_PER_RESIDUAL = 20_000
 
@@ -61,9 +64,9 @@ class VariationalProblem:
     times x10 / (2 m c). steps_per_segment is worked out, not passed: the
     (2,2) step count that holds the overlap phase under STEP_PHASE rad per
     step at optimize_path's start point, and so its eigenphase error under
-    PHASE_ERROR per radian; every propagation of the problem takes it as its
-    step floor. A schedule of more than MAX_SOLVES_PER_RESIDUAL solves per
-    residual is refused with a ValueError before any propagation runs.
+    PHASE_ERROR per radian; every sweep of the problem takes exactly that
+    many per segment. A schedule of more than MAX_SOLVES_PER_RESIDUAL solves
+    per residual is refused with a ValueError before any propagation runs.
     """
 
     phi_in: RadialState
@@ -80,7 +83,7 @@ class VariationalProblem:
             raise ValueError("need at least one path segment")
         start = LambdaPath.equal_segments([2.0 * self.u.mc] * self.segments,
                                           self.x10 / (2.0 * self.u.mc))
-        steps = max(_segment_steps(start, self.phi_in, self.u, None, STEP_PHASE))
+        steps = max(_segment_steps(start, self.phi_in, self.u, STEP_PHASE))
         solves = 3 * len(PADE22_ROOTS) * self.segments * steps
         if solves > MAX_SOLVES_PER_RESIDUAL:
             raise ValueError(
@@ -126,10 +129,17 @@ def classical_action_part(path: LambdaPath, kappa: float, x10: float,
 
 def _forward(path: LambdaPath, problem: VariationalProblem
              ) -> tuple[TransitionAmplitude, np.ndarray, list[int]]:
-    """The problem's (2,2) amplitude along path, its end state and step counts."""
-    amp, phi, counts = _transition(problem.phi_in, problem.phi_out, path,
-                                   problem.u, problem.steps_per_segment,
-                                   PADE22_ROOTS)
+    """The problem's (2,2) amplitude along path, its end state and step counts,
+    problem.steps_per_segment on every segment (see UNWRAP_PHASE)."""
+    steps = problem.steps_per_segment
+    need = max(_segment_steps(path, problem.phi_in, problem.u, UNWRAP_PHASE))
+    if need > steps:
+        raise RuntimeError(
+            f"path turns the overlap phase more than {UNWRAP_PHASE} rad per step "
+            f"at the fixed {steps} steps per segment (it needs {need})")
+    counts = [steps] * path.num_segments
+    amp, phi = _transition(problem.phi_in, problem.phi_out, path, problem.u,
+                           counts, PADE22_ROOTS)
     if not amp.phase_valid:
         raise PhaseUndefinedError(
             "transition amplitude vanished along the path; the action phase "

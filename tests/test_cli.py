@@ -216,6 +216,19 @@ def test_optimize_runaway_schedule_exits_2(cli):
     assert "x10" in json.loads(err)["error"]["message"]
 
 
+def test_optimize_unconverged_exits_3(cli, tmp_path, monkeypatch):
+    # one chord step leaves the residual at 2.5e-5; like a stalled
+    # stationary, the run fails before it writes anything, sidecar included
+    monkeypatch.setenv("QACTION_OUTPUT_DIR", str(tmp_path))
+    code, out, err = cli("optimize", "--alpha", FROZEN_ALPHA, "--in", "1,0",
+                         "--out", "1,0", "--x10", "40.0", "--grid-points", "600",
+                         "--rmax", "24", "--max-iters", "1", "--output", "opt.json")
+    assert code == 3 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "RuntimeError" and "stalled" in error["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_exit_code_missing_required(cli):
     code, _, err = cli("stationary", "--x10", "1.0")
     assert code == 2

@@ -303,11 +303,13 @@ def test_probability_clamps_roundoff(u10):
 def test_eigenstate_amplitude_never_exceeds_one(u10, roots):
     # an eigenstate's |K| is one up to the sweep's roundoff, which lands on
     # either side of it (1 + 1.5e-14 on the 2000-point grid for both
-    # steppers); the amplitude returned is scaled back, phase kept
+    # steppers); the amplitude returned is scaled back, phase kept. The step
+    # counts are those of a 0.02 and a 0.5 rad per-step phase cap.
+    steps = {CN_ROOTS: 35, PADE22_ROOTS: 2}[roots]
     path = LambdaPath.constant(2.0 * u10.mc, 0.7)
     for points, r_max in ((900, 25.0), (1200, 30.0), (2000, 25.0), (1500, 40.0)):
         state, eps = _eigenpair(1, 0, 2.0, propagation_grid(r_max, points), u10)
-        amp = _transition(state, state, path, u10, None, roots)[0]
+        amp = _transition(state, state, path, u10, [steps], roots)[0]
         assert abs(amp.K) <= 1.0 and amp.Q <= 0.0, points
         assert abs(amp.K) > 1.0 - 1e-13, points
         assert abs(amp.I - eps * path.S) < 5e-5, points
@@ -333,14 +335,13 @@ def test_pade22_is_fourth_order(u10):
     ref = _exact_amplitude(mix, s1, path, u10)
     errors = []
     for steps in (8, 16, 32):
-        amp, _, counts = _transition(mix, s1, path, u10, steps, PADE22_ROOTS)
-        assert counts == [steps, steps]
+        amp, _ = _transition(mix, s1, path, u10, [steps, steps], PADE22_ROOTS)
         assert amp.norm_drift <= 1e-12
         errors.append(abs(amp.K - ref))
     # halving ds cuts the error 16-fold at fourth order, 4-fold at second
     assert errors[0] / errors[1] >= 12.0 and errors[1] / errors[2] >= 12.0, errors
     # and beats Crank-Nicolson at four times the solves
-    cn = _transition(mix, s1, path, u10, 64, CN_ROOTS)[0]
+    cn = _transition(mix, s1, path, u10, [64, 64], CN_ROOTS)[0]
     assert errors[1] < abs(cn.K - ref) / 10.0
 
 

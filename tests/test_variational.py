@@ -237,7 +237,7 @@ def test_one_step_schedule_per_solve(u10, coarse_setup, monkeypatch):
     g, state, _ = coarse_setup
     problem = VariationalProblem(phi_in=state, phi_out=state, x10=40.0,
                                  segments=2, u=u10)
-    sweep, adjoint = propagation._cn_sweep, variational._adjoint_sweep
+    sweep, adjoint = propagation._sweep, variational._adjoint_sweep
     seen = {"forward": set(), "adjoint": set()}
 
     def forward(state, path, counts, u, roots, out_conj=None):
@@ -248,13 +248,32 @@ def test_one_step_schedule_per_solve(u10, coarse_setup, monkeypatch):
         seen["adjoint"].add((tuple(counts), roots))
         return adjoint(phi, phi_out, path, counts, u, roots)
 
-    monkeypatch.setattr(propagation, "_cn_sweep", forward)
+    monkeypatch.setattr(propagation, "_sweep", forward)
     monkeypatch.setattr(variational, "_adjoint_sweep", backward)
     assert optimize_path(problem).converged
     assert seen == {"forward": {((problem.steps_per_segment,) * 2,
                                  propagation.PADE22_ROOTS)},
                     "adjoint": {((problem.steps_per_segment,) * 2,
                                  propagation.PADE22_ROOTS)}}
+
+
+def test_path_too_fast_for_the_schedule_is_refused(u10):
+    # the schedule is 10 steps per segment, sized at the start point; this
+    # path, inside the S box, would turn the overlap phase more than 0.5 rad
+    # per step on its first segment at that count (it needs 15), so it is
+    # refused rather than re-stepped, which would make I jump between trials
+    state, _ = grid_eigenstate(1, 0, 2.0 * u10.mc, propagation_grid(30.0, 2000), u10)
+    problem = VariationalProblem(phi_in=state, phi_out=state, x10=40.0,
+                                 segments=2, u=u10)
+    assert problem.steps_per_segment == 10
+    path = LambdaPath.equal_segments([5.0 * u10.mc, 0.6 * u10.mc],
+                                     40.0 / (2.8 * u10.mc))
+    lo, hi = problem.s_bounds()
+    assert lo <= path.S <= hi
+    for call in (lambda: variational._forward(path, problem),
+                 lambda: full_action(path, 1.0, problem)):
+        with pytest.raises(RuntimeError, match=r"0\.5 rad .* 10 steps"):
+            call()
 
 
 @pytest.fixture(scope="module")
