@@ -26,10 +26,11 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
-import types
 from collections.abc import Callable
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -161,7 +162,7 @@ class Option:
     flags: tuple[str, ...]
     type: type
     help: str
-    check: tuple[Callable[[float], bool], str] | None = None
+    check: tuple[Callable, str] | None = None
     choices: tuple[str, ...] | None = None
     echo: bool = True
 
@@ -169,6 +170,8 @@ class Option:
 _POSITIVE = (lambda v: v <= 0, "must be positive")
 _AT_LEAST_1 = (lambda v: v < 1, "must be at least 1")
 _TWO_SAMPLES = (lambda v: v < 2, "needs at least 2 samples")
+_STATE = (lambda v: re.fullmatch(r"\s*[+-]?\d+\s*,\s*[+-]?\d+\s*", v) is None,
+          "must be two integers as 'n,l'")
 
 # every config key a command or a config file may set; the options a command
 # takes are checked in this order, and a float value must also be finite
@@ -213,8 +216,8 @@ OPTIONS: dict[str, Option] = {
     "d": Option(("--d",), float, "drift momentum (default: mean lambda / 2)"),
     "path_file": Option(("--path-file", "--lambda-file"), str,
                         "path CSV with rows s_end,lambda"),
-    "state_in": Option(("--in",), str, "input state as 'n,l'"),
-    "state_out": Option(("--out",), str, "output state as 'n,l'"),
+    "state_in": Option(("--in",), str, "input state as 'n,l'", _STATE),
+    "state_out": Option(("--out",), str, "output state as 'n,l'", _STATE),
     "timemap_output": Option(("--timemap-output",), str,
                              "also write the solution's time map to this CSV file",
                              echo=False),
@@ -232,78 +235,58 @@ _JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
                str: ((str,), "a string")}
 
 
-class RunConfig(types.SimpleNamespace):
-    """Flat union of every option; options not set stay None."""
+def resolve_config(command: str, flags: dict, file_cfg: dict) -> SimpleNamespace:
+    """The run's configuration, resolved in one pass over OPTIONS.
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        unknown = sorted(set(data) - set(OPTIONS))
-        if unknown:
-            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-        cfg = cls(**dict.fromkeys(OPTIONS))
-        for key, val in data.items():
-            if val is None:
-                continue
-            kind = OPTIONS[key].type
-            accepted, name = _JSON_TYPES[kind]
+    Each option the command takes gets its flag, else its file value, else
+    the command's default, so a file null means not set. Every file value
+    must have its option's JSON type; every value the command takes must be
+    finite if a float and pass its option's choices and check. Options the
+    command does not take stay None.
+    """
+    unknown = sorted(set(file_cfg) - set(OPTIONS))
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+    spec = _COMMANDS[command]
+    defaults = {**_COMMON_FIRST, **dict.fromkeys(_COMMON_LAST), **spec.options}
+    cfg = SimpleNamespace(**dict.fromkeys(OPTIONS))
+    for key, opt in OPTIONS.items():
+        flag, val = opt.flags[0], file_cfg.get(key)
+        if val is not None:
+            accepted, name = _JSON_TYPES[opt.type]
             if isinstance(val, bool) or not isinstance(val, accepted):
-                raise ValueError(f"config key {key!r} must be {name}")
+                raise ValueError(f"config key {key!r} ({flag}) must be {name}")
             try:
-                setattr(cfg, key, kind(val))
+                val = opt.type(val)
             except OverflowError:  # an integer too long for a float
                 raise ValueError(f"config key {key!r} is too large for a float") from None
-        return cfg
-
-
-def _defaults(command: str) -> dict:
-    spec = _COMMANDS[command]
-    own = {k: v for k, v in spec.options.items() if v is not _REQUIRED}
-    # a table command's format is settled in validate_config, because
-    # timemap --x0 emits JSON
-    return {**_COMMON_FIRST, "format": None if spec.table else "json", **own}
-
-
-def validate_config(command: str, cfg: RunConfig) -> None:
-    spec = _COMMANDS[command]
-    if cfg.format not in (None, *OPTIONS["format"].choices):
-        raise ValueError(f"unknown format {cfg.format!r}")
-    if spec.table:
-        if command == "timemap" and cfg.x0 is not None:
-            if cfg.format not in (None, "json"):
-                raise ValueError("timemap with --x0 emits a single JSON value")
-            cfg.format = "json"
-        elif cfg.format is None:
-            cfg.format = "csv"
-    elif cfg.format != "json":
-        raise ValueError(f"{command} supports only --format json")
-    taken = {*_COMMON_FIRST, *_COMMON_LAST, *spec.options}
-    for name, opt in OPTIONS.items():
-        val = getattr(cfg, name)
-        if name not in taken or val is None:
+        if key not in defaults:
             continue
-        if opt.type is float and not math.isfinite(val):
-            raise ValueError(f"{opt.flags[0]} must be finite")
-        if opt.check is not None and opt.check[0](val):
-            raise ValueError(f"{opt.flags[0]} {opt.check[1]}")
-    for name, default in spec.options.items():
-        if default is _REQUIRED and getattr(cfg, name) is None:
-            raise ValueError(f"{command} requires {OPTIONS[name].flags[0]}")
+        if flags.get(key) is not None:
+            val = flags[key]
+        elif val is None:
+            val = defaults[key]
+        if val is _REQUIRED:
+            raise ValueError(f"{command} requires {flag}")
+        if val is not None:
+            if opt.type is float and not math.isfinite(val):
+                raise ValueError(f"{flag} must be finite")
+            if opt.choices is not None and val not in opt.choices:
+                raise ValueError(f"{flag} must be one of {', '.join(opt.choices)}")
+            if opt.check is not None and opt.check[0](val):
+                raise ValueError(f"{flag} {opt.check[1]}")
+        setattr(cfg, key, val)
+    json_only = not spec.table or cfg.x0 is not None  # timemap --x0 emits one value
+    if cfg.format is None:
+        cfg.format = "json" if json_only else "csv"
+    elif json_only and cfg.format != "json":
+        raise ValueError(f"this {command} run emits JSON, so --format must be json")
+    return cfg
 
 
-def _header_dict(command: str, cfg: RunConfig) -> dict:
+def _header_dict(command: str, cfg: SimpleNamespace) -> dict:
     names = (*_COMMON_FIRST, *_COMMANDS[command].options, *_COMMON_LAST)
     return {k: getattr(cfg, k) for k in names if OPTIONS[k].echo}
-
-
-def _parse_state(text: str) -> tuple[int, int]:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 2:
-        raise ValueError(f"state must be given as 'n,l', got {text!r}")
-    try:
-        n, l = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ValueError(f"state must be two integers 'n,l', got {text!r}") from None
-    return n, l
 
 
 def _resolve_output(path: str | None) -> str | None:
@@ -327,7 +310,7 @@ def _write_text(text: str, out_path: str | None) -> None:
         fh.write(text)
 
 
-def _table_text(command: str, cfg: RunConfig, columns: list[str],
+def _table_text(command: str, cfg: SimpleNamespace, columns: list[str],
                 rows: list[list]) -> str:
     header = _header_dict(command, cfg)
     if cfg.format == "json":
@@ -347,7 +330,7 @@ PACKET_COLUMNS = ["s", "chi0_re", "chi0_im", "chi1_re", "chi1_im",
                   "center", "width"]
 
 
-def run_spectrum(cfg: RunConfig) -> str:
+def run_spectrum(cfg: SimpleNamespace) -> str:
     u = make_units(cfg.alpha, cfg.system)
     lam = cfg.lam_mc * u.mc
     rows: list[list] = []
@@ -361,7 +344,7 @@ def run_spectrum(cfg: RunConfig) -> str:
     return _table_text("spectrum", cfg, SPECTRUM_COLUMNS, rows)
 
 
-def run_stationary(cfg: RunConfig) -> str:
+def run_stationary(cfg: SimpleNamespace) -> str:
     u = make_units(cfg.alpha, cfg.system)
     point = solve_stationary(cfg.n, cfg.x10, u, tol=cfg.tol)
     level = level_comparison(cfg.n, u)
@@ -382,7 +365,7 @@ def run_stationary(cfg: RunConfig) -> str:
     return render_json("stationary", _header_dict("stationary", cfg), result)
 
 
-def run_packet(cfg: RunConfig) -> str:
+def run_packet(cfg: SimpleNamespace) -> str:
     u = make_units(cfg.alpha, cfg.system)
     path = load_path_csv(cfg.path_file)
     d_val = cfg.d if cfg.d is not None else _default_d(path)
@@ -393,12 +376,12 @@ def run_packet(cfg: RunConfig) -> str:
     return _table_text("packet", cfg, PACKET_COLUMNS, rows)
 
 
-def run_propagate(cfg: RunConfig) -> str:
+def run_propagate(cfg: SimpleNamespace) -> str:
     u = make_units(cfg.alpha, cfg.system)
     path = load_path_csv(cfg.path_file)
     grid = propagation_grid(cfg.rmax, cfg.grid_points)
-    n_in, l_in = _parse_state(cfg.state_in)
-    n_out, l_out = _parse_state(cfg.state_out)
+    n_in, l_in = map(int, cfg.state_in.split(","))
+    n_out, l_out = map(int, cfg.state_out.split(","))
     phi_in, _ = grid_eigenstate(n_in, l_in, float(path.values[0]), grid, u)
     phi_out, _ = grid_eigenstate(n_out, l_out, float(path.values[-1]), grid, u)
     amp = transition_amplitude(phi_in, phi_out, path, u,
@@ -422,12 +405,12 @@ def _timemap_rows(path: LambdaPath, samples: int) -> list[list]:
             for x0 in x0_values]
 
 
-def run_optimize(cfg: RunConfig) -> str:
+def run_optimize(cfg: SimpleNamespace) -> str:
     u = make_units(cfg.alpha, cfg.system)
     grid = propagation_grid(cfg.rmax, cfg.grid_points)
     lam_prep = cfg.prep_lam_mc * u.mc
-    n_in, l_in = _parse_state(cfg.state_in)
-    n_out, l_out = _parse_state(cfg.state_out)
+    n_in, l_in = map(int, cfg.state_in.split(","))
+    n_out, l_out = map(int, cfg.state_out.split(","))
     phi_in, _ = grid_eigenstate(n_in, l_in, lam_prep, grid, u)
     phi_out, _ = grid_eigenstate(n_out, l_out, lam_prep, grid, u)
     problem = VariationalProblem(phi_in=phi_in, phi_out=phi_out, x10=cfg.x10,
@@ -460,7 +443,7 @@ def run_optimize(cfg: RunConfig) -> str:
     return render_json("optimize", header, result)
 
 
-def run_timemap(cfg: RunConfig) -> str:
+def run_timemap(cfg: SimpleNamespace) -> str:
     path = load_path_csv(cfg.path_file)
     if cfg.x0 is not None:
         result = {"x0": cfg.x0, "s": internal_time_map(path, cfg.x0)}
@@ -475,7 +458,7 @@ def run_timemap(cfg: RunConfig) -> str:
 @dataclass(frozen=True)
 class Command:
     help: str
-    run: Callable[[RunConfig], str]
+    run: Callable[[SimpleNamespace], str]
     table: bool  # CSV by default, JSON on request
     options: dict  # option name -> default or _REQUIRED, in header order
 
@@ -550,20 +533,14 @@ def _error_json(code: int, exc: BaseException) -> str:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        command = args.command
         file_cfg: dict = {}
         if args.config is not None:
             with open(args.config) as fh:
-                loaded = json.load(fh)
-            if not isinstance(loaded, dict):
-                raise ValueError("config file must hold a JSON object")
-            RunConfig.from_dict(loaded)  # reject unknown keys early
-            file_cfg = loaded
-        cli_given = {k: v for k, v in vars(args).items()
-                     if k in OPTIONS and v is not None}
-        cfg = RunConfig.from_dict({**_defaults(command), **file_cfg, **cli_given})
-        validate_config(command, cfg)
-        text = _COMMANDS[command].run(cfg)
+                file_cfg = json.load(fh)
+            if not isinstance(file_cfg, dict):
+                raise ValueError("--config file must hold a JSON object")
+        cfg = resolve_config(args.command, vars(args), file_cfg)
+        text = _COMMANDS[args.command].run(cfg)
         _write_text(text, _resolve_output(cfg.output))
         return 0
     except (np.linalg.LinAlgError, RuntimeError, ArithmeticError) as exc:

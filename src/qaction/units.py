@@ -26,7 +26,8 @@ class UnitSystem:
     """Primary constants plus the derived quantities the solvers use.
 
     hbar, mass, c and e2k (Coulomb coupling e^2 k, energy times length) are
-    primary and positive. Derived on access, so never out of step: alpha =
+    primary and positive, and are the whole state: the name of the system
+    that make_units built them from is not kept. Derived on access, so never out of step: alpha =
     e2k / (hbar c) in (0, 1), the rest energy m c^2, the Rydberg energy
     m e2k^2 / (2 hbar^2), and the momentum-dimension Coulomb coupling e2k / c
     that multiplies the control momentum in the radial generator. Instances
@@ -37,7 +38,6 @@ class UnitSystem:
     mass: float
     c: float
     e2k: float
-    system: str = "custom"
 
     def __post_init__(self):
         if not all(v > 0.0 for v in (self.hbar, self.mass, self.c, self.e2k)):
@@ -81,8 +81,7 @@ def make_units(alpha: float, system: str = HARTREE_ATOMIC) -> UnitSystem:
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if system == HARTREE_ATOMIC:
-        return UnitSystem(1.0, 1.0, 1.0 / alpha, 1.0, system=system)
+        return UnitSystem(1.0, 1.0, 1.0 / alpha, 1.0)
     if system == SI_LIKE:
-        return UnitSystem(_SI_HBAR, _SI_MASS, _SI_C, alpha * _SI_HBAR * _SI_C,
-                          system=system)
+        return UnitSystem(_SI_HBAR, _SI_MASS, _SI_C, alpha * _SI_HBAR * _SI_C)
     raise ValueError(f"unknown unit system: {system!r}")

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from qaction import make_units, stationary_closed_form
-from qaction.cli import RunConfig, SPECTRUM_COLUMNS, main
+from qaction.cli import SPECTRUM_COLUMNS, main, resolve_config
 
 FROZEN_ALPHA = "0.1"
 
@@ -309,6 +309,49 @@ def test_config_file_ignores_options_the_command_does_not_take(cli, tmp_path):
     assert "sigma" not in json.loads(out)["header"]["config"]
 
 
+@pytest.mark.parametrize("args, key, default", [
+    (("stationary", "--n", "1", "--x10", "1"), "tol", 1e-12),
+    (("stationary", "--n", "1", "--x10", "1"), "format", "json"),
+    (("spectrum", "--format", "json", "--n-max", "1"), "lam_mc", 2.0),
+    (("spectrum", "--format", "json"), "n_max", 3),
+])
+def test_config_file_null_means_the_default(cli, tmp_path, args, key, default):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({key: None}))
+    code, out, err = cli(*args, "--config", str(cfg))
+    assert code == 0 and err == ""
+    assert json.loads(out)["header"]["config"][key] == default
+
+
+@pytest.mark.parametrize("args, config, flag", [
+    (("stationary", "--n", "0", "--x10", "1"), None, "--n"),
+    (("packet", "--path-file", "{two}", "--sigma", "-1"), None, "--sigma"),
+    (("timemap", "--path-file", "{two}", "--samples", "1"), None, "--samples"),
+    (("timemap", "--path-file", "{two}", "--x0", "-1"), None, "--x0"),
+    (("propagate", "--path-file", "{two}", "--in", "a,b"), None, "--in"),
+    (("stationary", "--n", "1", "--x10", "1"), "[1, 2]", "--config"),
+    (("stationary", "--x10", "1"), '{"n": "1"}', "--n"),
+    (("stationary", "--x10", "1"), '{"n": true}', "--n"),
+    (("stationary", "--n", "1", "--x10", "1", "--format", "csv"), None, "--format"),
+    (("timemap", "--path-file", "{two}"), '{"system": "not_a_system"}', "--system"),
+    (("spectrum",), '{"format": "xml"}', "--format"),
+], ids=["n-zero", "sigma-negative", "one-sample", "x0-negative", "state-not-int",
+        "config-list", "config-n-string", "config-n-bool", "stationary-csv",
+        "config-system-choice", "config-format-choice"])
+def test_error_paths_name_the_flag(cli, tmp_path, two_segment_path, args, config,
+                                   flag):
+    args = [a.format(two=two_segment_path) for a in args]
+    if config is not None:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(config)
+        args = [*args, "--config", str(cfg)]
+    code, out, err = cli(*args)
+    assert code == 2 and out == ""
+    payload = json.loads(err)["error"]
+    assert payload["code"] == 2 and payload["type"] == "ValueError"
+    assert flag in payload["message"]
+
+
 @pytest.mark.parametrize("args, config, flag", [
     (("spectrum", "--alpha", "0.1", "--lam-mc", "nan", "--n-max", "1"), None,
      "--lam-mc"),
@@ -363,7 +406,7 @@ def test_header_config_round_trips(cli, tmp_path, two_segment_path,
         header_cfg = json.loads(out.splitlines()[2][len("# config: "):])
     else:
         header_cfg = json.loads(out)["header"]["config"]
-    rebuilt = RunConfig.from_dict(header_cfg)
+    rebuilt = resolve_config(command, {}, header_cfg)
     assert {k: getattr(rebuilt, k) for k in header_cfg} == header_cfg
     cfg_file = tmp_path / "header.json"
     cfg_file.write_text(json.dumps(header_cfg))

@@ -7,6 +7,7 @@ from qaction import (
     action_value, level_comparison, make_units,
     solve_stationary, stationary_closed_form,
 )
+from qaction.stationary import _damped_newton
 
 
 def _gradient_scales(sp, u):
@@ -146,3 +147,58 @@ def test_solver_reports_stall(u10):
     # one Newton step from the non-relativistic guess does not reach 1e-12
     with pytest.raises(RuntimeError, match="stalled"):
         solve_stationary(1, 40.0, u10, max_iters=1)
+
+
+# The real solvers take full Newton steps; toy residuals reach the damping.
+# From z = 3 the undamped Newton step on arctan lands near -9.5, where
+# |arctan| is larger than at the start.
+ARCTAN_FULL_STEP = 3.0 - 10.0 * math.atan(3.0)
+
+
+def _arctan(seen):
+    def residual(z):
+        seen.append(float(z[0]))
+        return np.arctan(z)
+    return residual, lambda z: np.array([[1.0 / (1.0 + z[0] ** 2)]])
+
+
+def test_damped_newton_halves_a_diverging_step():
+    seen = []
+    z, r, steps, converged = _damped_newton(*_arctan(seen), np.array([3.0]),
+                                            lambda z: True, 1e-12, 20)
+    assert converged and abs(z[0]) <= 1e-12 and abs(r[0]) <= 1e-12
+    # full and half steps rejected by the decrease test, the quarter accepted
+    assert seen[1:4] == pytest.approx([3.0 + t * (ARCTAN_FULL_STEP - 3.0)
+                                       for t in (1.0, 0.5, 0.25)])
+
+
+def test_damped_newton_skips_infeasible_trials():
+    seen = []
+    z, _, _, converged = _damped_newton(*_arctan(seen), np.array([3.0]),
+                                        lambda z: bool(z[0] > -1.0), 1e-12, 20)
+    assert converged and abs(z[0]) <= 1e-12
+    # the full and half steps fall below -1, so their residuals are never taken
+    assert seen[1] == pytest.approx(3.0 + 0.25 * (ARCTAN_FULL_STEP - 3.0))
+    assert min(seen) > -1.0
+
+
+def test_damped_newton_gives_up_without_an_acceptable_step():
+    # a Jacobian of the wrong sign points every trial uphill
+    seen = []
+    residual = lambda z: (seen.append(float(z[0])), z)[1]
+    z, r, steps, converged = _damped_newton(residual, lambda z: -np.eye(1),
+                                            np.array([1.0]), lambda z: True,
+                                            1e-12, 20)
+    assert (converged, steps, z[0], r[0]) == (False, 0, 1.0, 1.0)
+    assert len(seen) == 1 + 11  # the start, then t = 1, 1/2, ..., 1/1024
+
+
+def test_damped_newton_singular_jacobian_falls_back_to_lstsq():
+    jac = np.array([[1.0, 0.0], [1.0, 0.0]])  # the second unknown is free
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(jac, np.ones(2))
+    z, r, steps, converged = _damped_newton(lambda z: np.array([z[0], z[0]]),
+                                            lambda z: jac, np.array([2.0, 5.0]),
+                                            lambda z: True, 1e-12, 20)
+    assert converged and steps == 1
+    assert z == pytest.approx([0.0, 5.0], abs=1e-12)

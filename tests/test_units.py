@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from qaction import HARTREE_ATOMIC, SI_LIKE, UnitSystem, make_units
+from qaction import SI_LIKE, UnitSystem, make_units
 from conftest import CODATA_ALPHA
 
 
@@ -63,9 +63,9 @@ def test_unknown_system_rejected():
 
 def test_create_rejects_nonpositive():
     with pytest.raises(ValueError):
-        UnitSystem(hbar=0.0, mass=1.0, c=10.0, e2k=1.0, system=HARTREE_ATOMIC)
+        UnitSystem(hbar=0.0, mass=1.0, c=10.0, e2k=1.0)
     with pytest.raises(ValueError):
-        UnitSystem(hbar=1.0, mass=-1.0, c=10.0, e2k=1.0, system=HARTREE_ATOMIC)
+        UnitSystem(hbar=1.0, mass=-1.0, c=10.0, e2k=1.0)
     with pytest.raises(ValueError):
         UnitSystem(hbar=1.0, mass=math.nan, c=10.0, e2k=1.0)
     with pytest.raises(ValueError):
