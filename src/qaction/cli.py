@@ -14,7 +14,8 @@ echoes it. _COMMANDS maps each subcommand to its help line, its runner,
 whether it is a table command (CSV by default) and its own options in header
 order, each with a default or marked required. The parser, the config-file
 types, the defaults, the checks, the header and the dispatch are all read
-from them.
+from them. A runner takes the configuration and the units and returns data,
+a JSON result dict or table (columns, rows); main renders it in one place.
 
 Exit codes: 0 success, 2 configuration or value errors, 3 numerical failures
 (non-convergence, boundary reflection, undefined phase).
@@ -41,7 +42,7 @@ from .propagation import (grid_eigenstate, propagation_grid,
                           transition_amplitude, transition_probability)
 from .spectrum import bohr_energy, epsilon_n
 from .stationary import level_comparison, solve_stationary
-from .units import HARTREE_ATOMIC, SI_LIKE, make_units
+from .units import HARTREE_ATOMIC, SI_LIKE, UnitSystem, make_units
 from .variational import VariationalProblem, internal_time_map, optimize_path
 
 FINE_STRUCTURE_DEFAULT = 0.0072973525693
@@ -60,26 +61,13 @@ def _float_token(x: float) -> str | None:
     return s
 
 
-def _norm_value(v):
-    if isinstance(v, np.bool_):
-        return bool(v)
-    if isinstance(v, np.integer):
-        return int(v)
-    if isinstance(v, np.floating):
-        return float(v)
-    if isinstance(v, np.ndarray):
-        return v.tolist()
-    if isinstance(v, complex):
-        raise TypeError("emit complex values as explicit _re/_im pairs")
-    return v
-
-
-def emit_json(value, indent: int | None = 0) -> str:
+def emit_json(v, indent: int | None = 0) -> str:
     """Deterministic JSON: insertion order, fixed float rendering.
 
+    Values are None, bool, int, float (np.float64 included), str, dict, list
+    or tuple; anything else (complex, numpy integers, arrays) is a TypeError.
     indent=None produces the compact single-line form used in CSV headers.
     """
-    v = _norm_value(value)
     if v is None:
         return "null"
     if isinstance(v, bool):
@@ -107,7 +95,6 @@ def emit_json(value, indent: int | None = 0) -> str:
 
 
 def _csv_cell(v) -> str:
-    v = _norm_value(v)
     if v is None:
         return ""
     if isinstance(v, bool):
@@ -169,6 +156,9 @@ class Option:
 
 _POSITIVE = (lambda v: v <= 0, "must be positive")
 _AT_LEAST_1 = (lambda v: v < 1, "must be at least 1")
+# at CODATA alpha the stationary and Sommerfeld energies of level 100 differ
+# by at most 7 ulps of m c^2, and of level 1000 by 0: higher n shows roundoff
+_LEVEL = (lambda v: not 1 <= v <= 100, "must be between 1 and 100")
 _TWO_SAMPLES = (lambda v: v < 2, "needs at least 2 samples")
 _STATE = (lambda v: re.fullmatch(r"\s*[+-]?\d+\s*,\s*[+-]?\d+\s*", v) is None,
           "must be two integers as 'n,l'")
@@ -177,7 +167,8 @@ _STATE = (lambda v: re.fullmatch(r"\s*[+-]?\d+\s*,\s*[+-]?\d+\s*", v) is None,
 # takes are checked in this order, and a float value must also be finite
 OPTIONS: dict[str, Option] = {
     "alpha": Option(("--alpha",), float,
-                    "fine-structure constant (default CODATA value)", _POSITIVE),
+                    "fine-structure constant (default CODATA value)",
+                    (lambda v: not 0 < v < 1, "must lie in (0, 1)")),
     "system": Option(("--system",), str, "unit system (default hartree_atomic)",
                      choices=(HARTREE_ATOMIC, SI_LIKE)),
     "seed": Option(("--seed",), int, "recorded in the header for provenance"),
@@ -194,9 +185,8 @@ OPTIONS: dict[str, Option] = {
     "prep_lam_mc": Option(("--prep-lam-mc",), float,
                           "lambda / m c at which boundary states are prepared",
                           _POSITIVE),
-    "n": Option(("--n",), int, "principal quantum number", _AT_LEAST_1),
-    "n_max": Option(("--n-max",), int, "largest principal quantum number",
-                    _AT_LEAST_1),
+    "n": Option(("--n",), int, "principal quantum number", _LEVEL),
+    "n_max": Option(("--n-max",), int, "largest principal quantum number", _LEVEL),
     "steps": Option(("--steps",), int,
                     "packet: RK4 steps spread over the path by duration; "
                     "propagate: minimum Crank-Nicolson steps per segment",
@@ -289,34 +279,18 @@ def _header_dict(command: str, cfg: SimpleNamespace) -> dict:
     return {k: getattr(cfg, k) for k in names if OPTIONS[k].echo}
 
 
-def _resolve_output(path: str | None) -> str | None:
+def _write_text(text: str, path: str | None) -> None:
+    """Write text to stdout for None or -, else to path, a relative path
+    under $QACTION_OUTPUT_DIR when that is set."""
     if path is None or path == "-":
-        return None
-    if not os.path.isabs(path):
-        base = os.environ.get("QACTION_OUTPUT_DIR")
-        if base:
-            path = os.path.join(base, path)
-    return path
-
-
-def _write_text(text: str, out_path: str | None) -> None:
-    if out_path is None:
         sys.stdout.write(text)
         return
-    parent = os.path.dirname(out_path)
+    path = os.path.join(os.environ.get("QACTION_OUTPUT_DIR") or "", path)
+    parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
-    with open(out_path, "w") as fh:
+    with open(path, "w") as fh:
         fh.write(text)
-
-
-def _table_text(command: str, cfg: SimpleNamespace, columns: list[str],
-                rows: list[list]) -> str:
-    header = _header_dict(command, cfg)
-    if cfg.format == "json":
-        result = {"rows": [dict(zip(columns, row)) for row in rows]}
-        return render_json(command, header, result)
-    return render_csv(command, header, columns, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +304,7 @@ PACKET_COLUMNS = ["s", "chi0_re", "chi0_im", "chi1_re", "chi1_im",
                   "center", "width"]
 
 
-def run_spectrum(cfg: SimpleNamespace) -> str:
-    u = make_units(cfg.alpha, cfg.system)
+def run_spectrum(cfg: SimpleNamespace, u: UnitSystem) -> tuple[list, list]:
     lam = cfg.lam_mc * u.mc
     rows: list[list] = []
     for n in range(1, cfg.n_max + 1):
@@ -341,14 +314,13 @@ def run_spectrum(cfg: SimpleNamespace) -> str:
         for c in level.comparisons:
             rows.append(["sommerfeld", n, None, None, None, c.p, c.k,
                          c.nstar_sq, c.energy, level.energy, c.difference])
-    return _table_text("spectrum", cfg, SPECTRUM_COLUMNS, rows)
+    return SPECTRUM_COLUMNS, rows
 
 
-def run_stationary(cfg: SimpleNamespace) -> str:
-    u = make_units(cfg.alpha, cfg.system)
+def run_stationary(cfg: SimpleNamespace, u: UnitSystem) -> dict:
     point = solve_stationary(cfg.n, cfg.x10, u, tol=cfg.tol)
     level = level_comparison(cfg.n, u)
-    result = {
+    return {
         "n": cfg.n,
         "d": point.d,
         "lambda": point.lam,
@@ -362,31 +334,33 @@ def run_stationary(cfg: SimpleNamespace) -> str:
             for c in level.comparisons
         ],
     }
-    return render_json("stationary", _header_dict("stationary", cfg), result)
 
 
-def run_packet(cfg: SimpleNamespace) -> str:
-    u = make_units(cfg.alpha, cfg.system)
+def run_packet(cfg: SimpleNamespace, u: UnitSystem) -> tuple[list, list]:
     path = load_path_csv(cfg.path_file)
-    d_val = cfg.d if cfg.d is not None else _default_d(path)
-    cfg.d = d_val  # echo the value actually used
-    states = integrate_chi(chi_initial(cfg.sigma), path, d_val, u, cfg.steps)
+    if cfg.d is None:
+        cfg.d = _default_d(path)  # the header echoes the value actually used
+    states = integrate_chi(chi_initial(cfg.sigma), path, cfg.d, u, cfg.steps)
     rows = [[st.s, st.chi0.real, st.chi0.imag, st.chi1.real, st.chi1.imag,
              st.center, st.width] for st in states]
-    return _table_text("packet", cfg, PACKET_COLUMNS, rows)
+    return PACKET_COLUMNS, rows
 
 
-def run_propagate(cfg: SimpleNamespace) -> str:
-    u = make_units(cfg.alpha, cfg.system)
-    path = load_path_csv(cfg.path_file)
+def _boundary_states(cfg: SimpleNamespace, u: UnitSystem, lam_in: float,
+                     lam_out: float) -> tuple:
+    """Grid eigenstates of --in at lam_in and --out at lam_out."""
     grid = propagation_grid(cfg.rmax, cfg.grid_points)
-    n_in, l_in = map(int, cfg.state_in.split(","))
-    n_out, l_out = map(int, cfg.state_out.split(","))
-    phi_in, _ = grid_eigenstate(n_in, l_in, float(path.values[0]), grid, u)
-    phi_out, _ = grid_eigenstate(n_out, l_out, float(path.values[-1]), grid, u)
+    return tuple(grid_eigenstate(*map(int, state.split(",")), lam, grid, u)[0]
+                 for state, lam in ((cfg.state_in, lam_in), (cfg.state_out, lam_out)))
+
+
+def run_propagate(cfg: SimpleNamespace, u: UnitSystem) -> dict:
+    path = load_path_csv(cfg.path_file)
+    phi_in, phi_out = _boundary_states(cfg, u, float(path.values[0]),
+                                       float(path.values[-1]))
     amp = transition_amplitude(phi_in, phi_out, path, u,
                                steps_per_segment=cfg.steps)
-    result = {
+    return {
         "k_re": amp.K.real,
         "k_im": amp.K.imag,
         "action_phase": amp.I,
@@ -396,7 +370,6 @@ def run_propagate(cfg: SimpleNamespace) -> str:
         "norm_drift": amp.norm_drift,
         "phase_valid": amp.phase_valid,
     }
-    return render_json("propagate", _header_dict("propagate", cfg), result)
 
 
 def _timemap_rows(path: LambdaPath, samples: int) -> list[list]:
@@ -405,21 +378,25 @@ def _timemap_rows(path: LambdaPath, samples: int) -> list[list]:
             for x0 in x0_values]
 
 
-def run_optimize(cfg: SimpleNamespace) -> str:
-    u = make_units(cfg.alpha, cfg.system)
-    grid = propagation_grid(cfg.rmax, cfg.grid_points)
+def run_optimize(cfg: SimpleNamespace, u: UnitSystem) -> dict:
     lam_prep = cfg.prep_lam_mc * u.mc
-    n_in, l_in = map(int, cfg.state_in.split(","))
-    n_out, l_out = map(int, cfg.state_out.split(","))
-    phi_in, _ = grid_eigenstate(n_in, l_in, lam_prep, grid, u)
-    phi_out, _ = grid_eigenstate(n_out, l_out, lam_prep, grid, u)
+    phi_in, phi_out = _boundary_states(cfg, u, lam_prep, lam_prep)
     problem = VariationalProblem(phi_in=phi_in, phi_out=phi_out, x10=cfg.x10,
                                  segments=cfg.segments, u=u)
     sol = optimize_path(problem, tol=cfg.tol, max_iters=cfg.max_iters)
     if not sol.converged:
         raise RuntimeError(f"path search stalled at scaled residual {sol.residual:.3e} "
                            f"(tol {cfg.tol:.3e}) after {sol.iterations} steps")
-    result = {
+    # the solution's time map goes to --timemap-output when given, otherwise
+    # rides alongside a file --output; stdout runs emit the JSON only
+    timemap_target = cfg.timemap_output
+    if timemap_target is None and cfg.output not in (None, "-"):
+        timemap_target = cfg.output + ".timemap.csv"
+    if timemap_target is not None:
+        rows = _timemap_rows(sol.path, cfg.timemap_samples)
+        _write_text(render_csv("timemap", _header_dict("optimize", cfg),
+                               ["s", "x0"], rows), timemap_target)
+    return {
         "lambda_path": list(sol.path.values),
         "segment_ends": list(sol.path.breakpoints),
         "s_total": sol.path.S,
@@ -430,26 +407,13 @@ def run_optimize(cfg: SimpleNamespace) -> str:
         "probability": transition_probability(sol.amplitude),
         "converged": sol.converged,
     }
-    header = _header_dict("optimize", cfg)
-    # the solution's time map goes to --timemap-output when given, otherwise
-    # rides alongside a file --output; stdout runs emit the JSON only
-    timemap_target = cfg.timemap_output
-    if timemap_target is None and cfg.output not in (None, "-"):
-        timemap_target = cfg.output + ".timemap.csv"
-    if timemap_target is not None:
-        rows = _timemap_rows(sol.path, cfg.timemap_samples)
-        _write_text(render_csv("timemap", header, ["s", "x0"], rows),
-                    _resolve_output(timemap_target))
-    return render_json("optimize", header, result)
 
 
-def run_timemap(cfg: SimpleNamespace) -> str:
+def run_timemap(cfg: SimpleNamespace, u: UnitSystem) -> dict | tuple[list, list]:
     path = load_path_csv(cfg.path_file)
     if cfg.x0 is not None:
-        result = {"x0": cfg.x0, "s": internal_time_map(path, cfg.x0)}
-        return render_json("timemap", _header_dict("timemap", cfg), result)
-    rows = _timemap_rows(path, cfg.samples)
-    return _table_text("timemap", cfg, ["s", "x0"], rows)
+        return {"x0": cfg.x0, "s": internal_time_map(path, cfg.x0)}
+    return ["s", "x0"], _timemap_rows(path, cfg.samples)
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +422,7 @@ def run_timemap(cfg: SimpleNamespace) -> str:
 @dataclass(frozen=True)
 class Command:
     help: str
-    run: Callable[[SimpleNamespace], str]
+    run: Callable  # (cfg, units) -> JSON result dict, or (columns, rows)
     table: bool  # CSV by default, JSON on request
     options: dict  # option name -> default or _REQUIRED, in header order
 
@@ -540,8 +504,17 @@ def main(argv: list[str] | None = None) -> int:
             if not isinstance(file_cfg, dict):
                 raise ValueError("--config file must hold a JSON object")
         cfg = resolve_config(args.command, vars(args), file_cfg)
-        text = _COMMANDS[args.command].run(cfg)
-        _write_text(text, _resolve_output(cfg.output))
+        data = _COMMANDS[args.command].run(cfg, make_units(cfg.alpha, cfg.system))
+        header = _header_dict(args.command, cfg)  # after the run: packet sets d
+        if isinstance(data, dict):
+            text = render_json(args.command, header, data)
+        elif cfg.format == "json":
+            columns, rows = data
+            text = render_json(args.command, header,
+                               {"rows": [dict(zip(columns, row)) for row in rows]})
+        else:
+            text = render_csv(args.command, header, *data)
+        _write_text(text, cfg.output)
         return 0
     except (np.linalg.LinAlgError, RuntimeError, ArithmeticError) as exc:
         sys.stderr.write(_error_json(3, exc))

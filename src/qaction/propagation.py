@@ -172,9 +172,9 @@ def _segment_steps(path: LambdaPath, state: RadialState, u: UnitSystem,
     return counts
 
 
-def _cayley(grid: RadialGrid, l: int, lam: float, ds: float, zeta: complex,
+def _cayley(diag: np.ndarray, off: np.ndarray, ds: float, zeta: complex,
             u: UnitSystem) -> tuple:
-    """LU factors (LAPACK zgttrf) of 1 + z/zeta, z = i ds H / hbar, on one segment.
+    """LU factors (LAPACK zgttrf) of 1 + z/zeta, z = i ds H / hbar, H = (diag, off).
 
     They are all a Cayley factor F = (1 - z/zeta)(1 + z/zeta)^-1 needs: since
     F = 2 (1 + z/zeta)^-1 - 1, applying it is one back-substitution of 2 phi
@@ -184,9 +184,8 @@ def _cayley(grid: RadialGrid, l: int, lam: float, ds: float, zeta: complex,
     F_zeta^H, and with conj(zeta)'s factors it undoes F_zeta.
     """
     from scipy.linalg.lapack import zgttrf
-    diag, off = _hamiltonian_tridiag(grid, l, lam, u)
     c = 1j * ds / (u.hbar * zeta)
-    side = np.full(grid.num_points - 1, c * off[0])
+    side = c * off
     dl, d, du, du2, ipiv, info = zgttrf(side, 1.0 + c * diag, side)
     if info != 0:
         raise np.linalg.LinAlgError(
@@ -202,11 +201,11 @@ def _sweep(state: RadialState, path: LambdaPath, counts: list[int],
     A step is the product of the Cayley factors (1 - z/zeta)(1 + z/zeta)^-1
     over roots, z = i ds H / hbar: one factor at zeta = -2 is Crank-Nicolson,
     the pair -3 +- i sqrt(3) the (2,2) diagonal Pade approximant of exp(z).
-    Per segment each factor's matrix is LU-factored once (_cayley), and each
-    factor then costs one zgttrs solve. After every whole step (the state
-    between two factors of a step is not unit-norm) the wall sample is
-    tested against a floor under the peak; only when it trips does the
-    exact O(N) reflection check run. With out_conj, the overlap
+    Per segment H is built once, each factor's matrix is LU-factored once
+    (_cayley), and each factor then costs one zgttrs solve. After every
+    whole step (the state between two factors of a step is not unit-norm)
+    the wall sample is tested against a floor under the peak; only when it
+    trips does the exact O(N) reflection check run. With out_conj, the overlap
     h sum(out_conj * phi) is recorded after every whole step and its phase
     unwrapped. Returns (phi, last overlap, unwrapped phase); without
     out_conj the overlap is None and the phase 0.
@@ -224,7 +223,8 @@ def _sweep(state: RadialState, path: LambdaPath, counts: list[int],
         o_prev = complex(h * np.dot(out_conj, phi))
         theta = math.atan2(o_prev.imag, o_prev.real) if abs(o_prev) > 0.0 else 0.0
     for lam, dur, n_steps in zip(path.values, path.durations, counts):
-        lus = [_cayley(grid, state.l, lam, dur / n_steps, zeta, u) for zeta in roots]
+        ham = _hamiltonian_tridiag(grid, state.l, lam, u)
+        lus = [_cayley(*ham, dur / n_steps, zeta, u) for zeta in roots]
         for _ in range(n_steps):
             for lu in lus:
                 x, _ = zgttrs(*lu, 2.0 * phi, overwrite_b=1)
@@ -277,8 +277,8 @@ def _adjoint_sweep(phi: np.ndarray, phi_out: RadialState, path: LambdaPath,
     sum_s = 0j
     for j in reversed(range(path.num_segments)):
         ds = path.durations[j] / counts[j]
-        lus = {zeta: _cayley(grid, phi_out.l, path.values[j], ds, zeta, u)
-               for zeta in roots}
+        ham = _hamiltonian_tridiag(grid, phi_out.l, path.values[j], u)
+        lus = {zeta: _cayley(*ham, ds, zeta, u) for zeta in roots}
         sums = dict.fromkeys(roots, 0j)
         for _ in range(counts[j]):
             for zeta in reversed(roots):

@@ -5,10 +5,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from qaction import make_units, stationary_closed_form
-from qaction.cli import SPECTRUM_COLUMNS, main, resolve_config
+from qaction.cli import SPECTRUM_COLUMNS, emit_json, main, render_csv, resolve_config
 
 FROZEN_ALPHA = "0.1"
 
@@ -335,9 +336,14 @@ def test_config_file_null_means_the_default(cli, tmp_path, args, key, default):
     (("stationary", "--n", "1", "--x10", "1", "--format", "csv"), None, "--format"),
     (("timemap", "--path-file", "{two}"), '{"system": "not_a_system"}', "--system"),
     (("spectrum",), '{"format": "xml"}', "--format"),
+    (("timemap", "--path-file", "{two}", "--alpha", "2"), None, "--alpha"),
+    (("spectrum",), '{"alpha": 1.0}', "--alpha"),
+    (("stationary", "--n", "101", "--x10", "1"), None, "--n"),
+    (("spectrum",), '{"n_max": 101}', "--n-max"),
 ], ids=["n-zero", "sigma-negative", "one-sample", "x0-negative", "state-not-int",
         "config-list", "config-n-string", "config-n-bool", "stationary-csv",
-        "config-system-choice", "config-format-choice"])
+        "config-system-choice", "config-format-choice", "alpha-two",
+        "config-alpha-one", "n-over-100", "config-n-max-101"])
 def test_error_paths_name_the_flag(cli, tmp_path, two_segment_path, args, config,
                                    flag):
     args = [a.format(two=two_segment_path) for a in args]
@@ -440,6 +446,41 @@ def test_optimize_json_and_sidecar(cli, tmp_path, monkeypatch):
     last = side[-1].split(",")
     # final x0 equals the achieved integral of lambda, within the solver tol
     assert math.isclose(float(last[1]), 40.0, rel_tol=1e-8)
+
+
+def test_json_emitter_edge_values():
+    # non-finite floats become null; empty containers keep their brackets
+    doc = {"nan": math.nan, "inf": math.inf, "ninf": -math.inf, "list": [],
+           "dict": {}}
+    assert emit_json(doc, indent=None) == (
+        '{"nan": null, "inf": null, "ninf": null, "list": [], "dict": {}}')
+    assert emit_json([]) == "[]" and emit_json({}) == "{}"
+
+
+def test_csv_emitter_tokens_and_refusals():
+    text = render_csv("t", {}, ["a", "b", "c", "d"],
+                      [[math.nan, math.inf, -math.inf, True]])
+    assert text.splitlines()[-1] == "nan,inf,-inf,true"
+    with pytest.raises(ValueError, match="corrupt"):
+        render_csv("t", {}, ["a"], [["x,y"]])
+    with pytest.raises(ValueError, match="row length"):
+        render_csv("t", {}, ["a", "b"], [[1.0]])
+
+
+@pytest.mark.parametrize("value", [1 + 2j, np.int64(3), np.array([1.0, 2.0])],
+                         ids=["complex", "numpy-int", "ndarray"])
+def test_emitters_refuse_values_outside_the_contract(value):
+    # runners hand over plain Python values; nothing is converted silently
+    with pytest.raises(TypeError):
+        emit_json({"v": value})
+    with pytest.raises(TypeError):
+        render_csv("t", {}, ["v"], [[value]])
+
+
+def test_numpy_float_renders_like_float():
+    x = np.float64(0.1) * 3
+    assert emit_json([x]) == emit_json([float(x)])
+    assert render_csv("t", {}, ["v"], [[x]]) == render_csv("t", {}, ["v"], [[float(x)]])
 
 
 def test_version_subprocess():

@@ -257,6 +257,26 @@ def test_one_step_schedule_per_solve(u10, coarse_setup, monkeypatch):
                                  propagation.PADE22_ROOTS)}}
 
 
+@pytest.mark.parametrize("segments", [1, 4])
+def test_one_hamiltonian_build_per_segment_per_sweep(u10, coarse_setup,
+                                                     monkeypatch, segments):
+    # one residual builds H per segment three times: the unwrap guard's step
+    # count, the forward sweep and the adjoint sweep, each shared by both
+    # (2,2) roots
+    _, state, _ = coarse_setup
+    problem = VariationalProblem(phi_in=state, phi_out=state, x10=40.0,
+                                 segments=segments, u=u10)
+    build, calls = propagation._hamiltonian_tridiag, []
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(propagation, "_hamiltonian_tridiag", counting)
+    variational._kkt_residual(np.full(segments, 2.0 * u10.mc), problem)
+    assert len(calls) == 3 * segments
+
+
 def test_path_too_fast_for_the_schedule_is_refused(u10):
     # the schedule is 10 steps per segment, sized at the start point; this
     # path, inside the S box, would turn the overlap phase more than 0.5 rad
