@@ -366,7 +366,7 @@ def run_propagate(cfg: SimpleNamespace, u: UnitSystem) -> dict:
         "action_phase": amp.I,
         "log_magnitude": amp.Q,
         "probability": transition_probability(amp),
-        "s_total": amp.S,
+        "s_total": amp.path.S,
         "norm_drift": amp.norm_drift,
         "phase_valid": amp.phase_valid,
     }

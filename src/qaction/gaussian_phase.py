@@ -38,17 +38,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GaussianPhaseState:
-    """Phase coefficients (chi0, chi1, chi2) at internal time s, width sigma."""
+    """Phase coefficients (chi0, chi1, chi2) at internal time s."""
 
     chi0: complex
     chi1: complex
     chi2: complex
-    sigma: float
     s: float
 
     def __post_init__(self):
-        if not self.sigma > 0.0:
-            raise ValueError("sigma must be positive")
         for name in ("chi0", "chi1", "chi2"):
             z = complex(getattr(self, name))
             if not (math.isfinite(z.real) and math.isfinite(z.imag)):
@@ -94,7 +91,6 @@ def chi_initial(sigma: float) -> GaussianPhaseState:
         chi0=complex(-0.25 * math.log(2.0 * math.pi * sigma * sigma)),
         chi1=0.0 + 0.0j,
         chi2=complex(-0.5 / (sigma * sigma)),
-        sigma=sigma,
         s=0.0,
     )
 
@@ -119,8 +115,7 @@ def chi_closed_form(path: LambdaPath, sigma: float, d: float | None,
     phase = ((d * d - m2c2) * s - d * L) / u.hbar
     chi0 = init.chi0 - 1j * phase - init.chi1 * L + init.chi2 * L * L / 2.0
     chi1 = init.chi1 - init.chi2 * L
-    return GaussianPhaseState(chi0=chi0, chi1=chi1, chi2=init.chi2,
-                              sigma=sigma, s=float(s))
+    return GaussianPhaseState(chi0=chi0, chi1=chi1, chi2=init.chi2, s=float(s))
 
 
 def integrate_chi(state: GaussianPhaseState, path: LambdaPath, d: float | None,
@@ -158,8 +153,7 @@ def integrate_chi(state: GaussianPhaseState, path: LambdaPath, d: float | None,
             chi0 += (h / 6.0) * (k1_0 + 2.0 * k2_0 + 2.0 * k3_0 + k4_0)
             chi1 += (h / 6.0) * (k1_1 + 2.0 * k2_1 + 2.0 * k3_1 + k4_1)
             s_now += h
-            out.append(GaussianPhaseState(chi0=chi0, chi1=chi1, chi2=chi2,
-                                          sigma=state.sigma, s=s_now))
+            out.append(GaussianPhaseState(chi0=chi0, chi1=chi1, chi2=chi2, s=s_now))
     return out
 
 

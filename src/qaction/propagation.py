@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .paths import LambdaPath
-from .spectrum import RadialGrid, RadialState, UNIFORM, state_norm
+from .spectrum import QuantumNumbers, RadialGrid, RadialState, UNIFORM, _check_pair, state_norm
 from .units import UnitSystem
 
 __all__ = [
@@ -68,7 +68,6 @@ class TransitionAmplitude:
     K: complex
     I: float
     Q: float
-    S: float
     path: LambdaPath
     phase_valid: bool
     norm_drift: float
@@ -80,8 +79,6 @@ def propagation_grid(r_max: float, num_points: int) -> RadialGrid:
     Chooses r_min equal to the mesh step, so reduced radial functions, which
     vanish linearly at the origin, see a consistent boundary.
     """
-    if not r_max > 0.0:
-        raise ValueError("r_max must be positive")
     if num_points < 16:
         raise ValueError("need at least 16 grid points")
     return RadialGrid(r_min=r_max / num_points, r_max=r_max,
@@ -90,9 +87,10 @@ def propagation_grid(r_max: float, num_points: int) -> RadialGrid:
 
 def _hamiltonian_tridiag(grid: RadialGrid, l: int, lam: float,
                          u: UnitSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and off-diagonal of H_std on the uniform mesh."""
-    if grid.spacing != UNIFORM:
-        raise ValueError("propagation needs a uniform grid (see propagation_grid)")
+    """H_std's diagonal and off-diagonal; the one check that grid is a propagation_grid."""
+    if grid.spacing != UNIFORM or abs(grid.r_min - grid.step) > 1e-12 * grid.step:
+        raise ValueError("propagation needs a uniform grid walled at r = 0, "
+                         "r_min equal to the step (see propagation_grid)")
     r = grid.points()
     h = grid.step
     t = u.hbar * u.hbar / (h * h)
@@ -111,8 +109,7 @@ def grid_eigenstate(n: int, l: int, lam: float, grid: RadialGrid, u: UnitSystem,
     error. Normalized to one in the mesh quadrature; the overall sign makes
     the largest-amplitude sample positive.
     """
-    if n < 1 or l < 0 or l >= n:
-        raise ValueError(f"need n >= 1 and 0 <= l < n, got n={n}, l={l}")
+    QuantumNumbers(n, l)  # refuses anything that is not a bound level
     if not lam > 0.0:
         raise ValueError("lambda must be positive for bound states")
     # scipy.linalg is imported where it is used, so importing qaction (and the
@@ -212,7 +209,6 @@ def _sweep(state: RadialState, path: LambdaPath, counts: list[int],
     """
     from scipy.linalg.lapack import zgttrs
     grid = state.grid
-    h = grid.step
     phi = np.array(state.amplitudes, dtype=complex)
     # ||phi|| / sqrt(h N) never exceeds max |phi| and every step keeps the
     # norm to roundoff, so a wall sample under this floor is no reflection
@@ -220,6 +216,7 @@ def _sweep(state: RadialState, path: LambdaPath, counts: list[int],
         float(np.real(np.vdot(phi, phi))) / grid.num_points)
     o_prev, theta = None, 0.0
     if out_conj is not None:
+        h = grid.step  # only overlaps need it; _hamiltonian_tridiag checks the grid
         o_prev = complex(h * np.dot(out_conj, phi))
         theta = math.atan2(o_prev.imag, o_prev.real) if abs(o_prev) > 0.0 else 0.0
     for lam, dur, n_steps in zip(path.values, path.durations, counts):
@@ -295,6 +292,13 @@ def _adjoint_sweep(phi: np.ndarray, phi_out: RadialState, path: LambdaPath,
     return dk_dlam, complex(0.5 * h * sum_s / path.S)
 
 
+def _fixed_counts(path: LambdaPath, steps_per_segment: int) -> list[int]:
+    """steps_per_segment on every segment of path, which must be at least one."""
+    if steps_per_segment < 1:
+        raise ValueError("need at least one step per segment")
+    return [steps_per_segment] * path.num_segments
+
+
 def evolve(state: RadialState, path: LambdaPath, steps_per_segment: int,
            u: UnitSystem) -> RadialState:
     """Propagate through the path with the given number of steps per segment.
@@ -304,9 +308,7 @@ def evolve(state: RadialState, path: LambdaPath, steps_per_segment: int,
     phase cap (transition_amplitude adds one). Raises
     BoundaryReflectionError when amplitude reaches the outer wall at any step.
     """
-    if steps_per_segment < 1:
-        raise ValueError("need at least one step per segment")
-    phi, _, _ = _sweep(state, path, [steps_per_segment] * path.num_segments, u,
+    phi, _, _ = _sweep(state, path, _fixed_counts(path, steps_per_segment), u,
                        CN_ROOTS)
     return RadialState(state.grid, state.l, phi)
 
@@ -341,10 +343,7 @@ def _transition(phi_in: RadialState, phi_out: RadialState, path: LambdaPath,
                 ) -> tuple[TransitionAmplitude, np.ndarray]:
     """The amplitude of counts[j] steps on the Cayley roots given on segment
     j, with the swept state at s = S, which _adjoint_sweep starts from."""
-    if phi_in.grid != phi_out.grid:
-        raise ValueError("states live on different grids")
-    if phi_in.l != phi_out.l:
-        raise ValueError("cross-l overlap is zero by orthogonality; refusing mixed-l input")
+    _check_pair(phi_in, phi_out)
     norm_in = state_norm(phi_in)
     for name, nrm in (("phi_in", norm_in), ("phi_out", state_norm(phi_out))):
         if abs(nrm - 1.0) > 1e-6:
@@ -377,7 +376,7 @@ def _transition(phi_in: RadialState, phi_out: RadialState, path: LambdaPath,
     amp = TransitionAmplitude(
         K=K, I=-u.hbar * theta if valid else float("nan"),
         Q=math.log(mag) if valid else float("-inf"),
-        S=path.S, path=path, phase_valid=valid, norm_drift=norm_drift)
+        path=path, phase_valid=valid, norm_drift=norm_drift)
     return amp, phi
 
 
@@ -389,17 +388,17 @@ def transition_amplitude(phi_in: RadialState, phi_out: RadialState,
 
     Steps with Crank-Nicolson, one solve per step. The overlap with phi_out
     is recorded after every step and its phase unwrapped by nearest-branch
-    continuation; each segment's step count, floored at steps_per_segment,
-    is raised until the expected phase motion per step stays under
-    MAX_PHASE_PER_STEP (0.02 rad), so the unwrapping cannot alias (a floor
-    above that need fixes the counts). I = -hbar theta_unwrapped, Q = log |K|.
+    continuation; each segment's step count, floored at steps_per_segment
+    (at least one, as in evolve), is raised until the phase motion per step
+    stays under MAX_PHASE_PER_STEP (0.02 rad), so the unwrapping cannot
+    alias (a floor above that need fixes the counts). I = -hbar theta_unwrapped, Q = log |K|.
     A |K| within roundoff above one is scaled back to one, phase kept, so
     |K| <= 1 and Q <= 0 hold for every amplitude returned. When |K| is within
     ROUNDOFF_SAFETY times the sweep's roundoff bound of zero the result is
     flagged instead: phase_valid False, I NaN, Q -inf.
     """
-    counts = [max(n, steps_per_segment or 1)
-              for n in _segment_steps(path, phi_in, u, MAX_PHASE_PER_STEP)]
+    floors = _fixed_counts(path, 1 if steps_per_segment is None else steps_per_segment)
+    counts = list(map(max, _segment_steps(path, phi_in, u, MAX_PHASE_PER_STEP), floors))
     return _transition(phi_in, phi_out, path, u, counts, CN_ROOTS)[0]
 
 

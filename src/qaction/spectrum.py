@@ -15,6 +15,7 @@ independent of those closed forms.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,13 +36,13 @@ LOG = "log"
 
 @dataclass(frozen=True)
 class QuantumNumbers:
-    """Principal and orbital quantum numbers of a bound level."""
+    """Principal and orbital quantum numbers of a bound level, of any integer type."""
 
     n: int
     l: int = 0
 
     def __post_init__(self):
-        if not (isinstance(self.n, int) and isinstance(self.l, int)):
+        if not (isinstance(self.n, numbers.Integral) and isinstance(self.l, numbers.Integral)):
             raise ValueError("quantum numbers must be integers")
         if self.n < 1 or self.l < 0 or self.l >= self.n:
             raise ValueError(f"need n >= 1 and 0 <= l < n, got n={self.n}, l={self.l}")
@@ -59,7 +60,7 @@ class SommerfeldNumbers:
     k: int
 
     def __post_init__(self):
-        if not (isinstance(self.p, int) and isinstance(self.k, int)):
+        if not (isinstance(self.p, numbers.Integral) and isinstance(self.k, numbers.Integral)):
             raise ValueError("p and k must be integers")
         if self.p < 0:
             raise ValueError(f"need p >= 0, got {self.p}")
@@ -153,11 +154,16 @@ def state_norm(state: RadialState) -> float:
     return math.sqrt(float(np.sum(w * np.abs(state.amplitudes) ** 2)))
 
 
-def inner_product(bra: RadialState, ket: RadialState) -> complex:
+def _check_pair(bra: RadialState, ket: RadialState) -> None:
+    """Refuse two states whose overlap is not a grid sum: other grid or other l."""
     if bra.grid != ket.grid:
         raise ValueError("states live on different grids")
     if bra.l != ket.l:
         raise ValueError("cross-l overlap is zero by orthogonality; refusing mixed-l input")
+
+
+def inner_product(bra: RadialState, ket: RadialState) -> complex:
+    _check_pair(bra, ket)
     w = bra.grid.quad_weights()
     return complex(np.sum(w * np.conj(bra.amplitudes) * ket.amplitudes))
 
@@ -178,7 +184,7 @@ def count_radial_nodes(state: RadialState) -> int:
 
 def bohr_energy(n: QuantumNumbers | int, u: UnitSystem) -> float:
     """Non-relativistic level E_n = -Ry / n^2 (l-independent)."""
-    n = n if isinstance(n, QuantumNumbers) else QuantumNumbers(int(n))
+    n = n if isinstance(n, QuantumNumbers) else QuantumNumbers(n)
     return -u.rydberg_energy / (n.n * n.n)
 
 
@@ -297,10 +303,7 @@ def numerov_eigenvalue(n: QuantumNumbers, coupling: float, grid: RadialGrid,
 
 def sommerfeld_nstar_sq(p: int, k: int, alpha: float) -> float:
     """Effective squared principal number p^2 + 2 p sqrt(k^2 - alpha^2) + k^2."""
-    if p < 0 or int(p) != p:
-        raise ValueError(f"need integer p >= 0, got {p}")
-    if k == 0 or int(k) != k:
-        raise ValueError("k must be a nonzero integer")
+    SommerfeldNumbers(p, k)  # refuses anything that is not a (p, k) pair
     if not abs(k) > alpha:
         raise ValueError(f"|k| = {abs(k)} must exceed alpha = {alpha}")
     root = math.sqrt(k * k - alpha * alpha)

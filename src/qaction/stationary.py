@@ -225,7 +225,7 @@ def level_comparison(n: QuantumNumbers | int, u: UnitSystem) -> LevelComparison:
     The difference column is stationary minus Sommerfeld; it vanishes
     identically at p = 0 and grows like alpha^4 m c^2 / 32 at (p, |k|) = (1, 1).
     """
-    n = n if isinstance(n, QuantumNumbers) else QuantumNumbers(int(n))
+    n = n if isinstance(n, QuantumNumbers) else QuantumNumbers(n)
     e_n = bohr_energy(n, u)
     energy = math.sqrt(u.rest_energy * u.rest_energy + 2.0 * u.rest_energy * e_n)
     rows = []

@@ -141,9 +141,11 @@ def _forward(path: LambdaPath, problem: VariationalProblem
     amp, phi = _transition(problem.phi_in, problem.phi_out, path, problem.u,
                            counts, PADE22_ROOTS)
     if not amp.phase_valid:
+        lams = ", ".join(f"{v / problem.u.mc:.6g}" for v in path.values)
         raise PhaseUndefinedError(
-            "transition amplitude vanished along the path; the action phase "
-            "is undefined for this configuration")
+            f"transition amplitude vanished along the path (lambda/mc = [{lams}], "
+            f"S = {path.S:.6g}): boundary states orthogonal under the path are "
+            "refused, e.g. two levels prepared at lambda = 2 m c")
     return amp, phi, counts
 
 

@@ -207,7 +207,10 @@ def test_optimize_roundoff_amplitude_exits_3(cli):
                          "--out", "2,0", "--x10", "40", "--grid-points", "1200",
                          "--rmax", "50")
     assert code == 3 and out == ""
-    assert json.loads(err)["error"]["type"] == "PhaseUndefinedError"
+    error = json.loads(err)["error"]
+    assert error["type"] == "PhaseUndefinedError"
+    assert "(lambda/mc = [2], S = 2)" in error["message"]
+    assert "boundary states orthogonal under the path are refused" in error["message"]
 
 
 def test_optimize_runaway_schedule_exits_2(cli):

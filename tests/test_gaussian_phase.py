@@ -35,8 +35,7 @@ def test_chi_initial_domain():
     with pytest.raises(ValueError):
         chi_initial(-1.0)
     with pytest.raises(ValueError):
-        GaussianPhaseState(chi0=complex(np.nan), chi1=0j, chi2=-0.5 + 0j,
-                           sigma=1.0, s=0.0)
+        GaussianPhaseState(chi0=complex(np.nan), chi1=0j, chi2=-0.5 + 0j, s=0.0)
 
 
 def test_closed_form_constant_path(u_half):
@@ -142,7 +141,7 @@ def test_integrate_domain_errors(u_half):
     path = LambdaPath.constant(1.0, 1.0)
     with pytest.raises(ValueError):
         integrate_chi(chi_initial(1.0), path, None, u_half, 0)
-    moved = GaussianPhaseState(chi0=0j, chi1=0j, chi2=-0.5 + 0j, sigma=1.0, s=0.5)
+    moved = GaussianPhaseState(chi0=0j, chi1=0j, chi2=-0.5 + 0j, s=0.5)
     with pytest.raises(ValueError):
         integrate_chi(moved, path, None, u_half, 100)
 
@@ -153,7 +152,10 @@ def test_diagnostics_domain_errors():
         packet_diagnostics(st, np.zeros(12))
     with pytest.raises(ValueError):
         packet_diagnostics(st, np.linspace(1.0, 0.0, 50))
-    bad = GaussianPhaseState(chi0=0j, chi1=0j, chi2=0.25 + 0j, sigma=1.0, s=0.0)
+    # exp(2 Re chi) underflows to zero fifty widths out
+    with pytest.raises(ValueError, match="density vanishes"):
+        packet_diagnostics(st, np.linspace(50.0, 60.0, 50))
+    bad = GaussianPhaseState(chi0=0j, chi1=0j, chi2=0.25 + 0j, s=0.0)
     with pytest.raises(ValueError):
         packet_diagnostics(bad, np.linspace(-5.0, 5.0, 101))
     with pytest.raises(ValueError):

@@ -20,6 +20,8 @@ def test_equal_segments():
     np.testing.assert_allclose(p.durations, [1.0, 1.0, 1.0])
     np.testing.assert_allclose(p.starts, [0.0, 1.0, 2.0])
     assert p.integral() == 6.0
+    with pytest.raises(ValueError, match="at least one segment value"):
+        LambdaPath.equal_segments([], 1.0)
 
 
 def test_partial_integral_exact():
@@ -30,6 +32,9 @@ def test_partial_integral_exact():
     assert p.integral(upto=2.0) == 3.0
     assert p.integral(upto=2.5) == 3.5
     np.testing.assert_allclose(p.cumulative_integral(), [2.0, 3.5])
+    for upto in (-0.5, 3.0):
+        with pytest.raises(ValueError, match="outside path domain"):
+            p.integral(upto=upto)
 
 
 def test_with_value_and_scaled_to():
@@ -42,6 +47,8 @@ def test_with_value_and_scaled_to():
     assert r.S == 4.0
     np.testing.assert_allclose(r.durations, [2.0, 2.0])
     np.testing.assert_allclose(r.values, p.values)
+    with pytest.raises(ValueError, match="duration must be positive"):
+        p.scaled_to(0.0)
 
 
 def test_reversed():
@@ -115,4 +122,19 @@ def test_csv_header_with_extra_cells_rejected(tmp_path):
     f = tmp_path / "wide.csv"
     f.write_text("s_end,lambda,extra\n1.0,2.0\n")
     with pytest.raises(ValueError, match="line 1: expected two columns, got 3"):
+        load_path_csv(str(f))
+
+
+def test_csv_without_data_rows(tmp_path):
+    f = tmp_path / "empty.csv"
+    f.write_text("# only a comment\n\n# and another\n")
+    with pytest.raises(ValueError, match="empty.csv: no data rows"):
+        load_path_csv(str(f))
+
+
+def test_csv_decreasing_ends_name_the_file(tmp_path):
+    f = tmp_path / "backwards.csv"
+    f.write_text("s_end,lambda\n2.0,1.0\n1.0,2.0\n")
+    with pytest.raises(ValueError, match="backwards.csv: breakpoints must be positive "
+                                         "and strictly increasing"):
         load_path_csv(str(f))

@@ -13,7 +13,7 @@ from qaction import (
 )
 from qaction.propagation import (CN_ROOTS, PADE22_ROOTS, _hamiltonian_tridiag,
                                  _transition)
-from qaction.spectrum import LOG
+from qaction.spectrum import LOG, UNIFORM
 
 
 def _eigenpair(n, l, lam_mc, grid, u, **kw):
@@ -144,6 +144,35 @@ def test_evolve_rejects_bad_input(u10):
         evolve(rough, LambdaPath.constant(2.0 * u10.mc, 1.0), 10, u10)
 
 
+@pytest.mark.parametrize("grid", [
+    # uniform, but r_min = 0.5 is ten steps from the wall the operator assumes:
+    # the spacing-only check let grid_eigenstate return epsilon_1 = 0.509 on
+    # it, where propagation_grid(30, 600) gives 0.9994
+    RadialGrid(r_min=0.5, r_max=30.0, num_points=600, spacing=UNIFORM),
+    RadialGrid(r_min=1e-4, r_max=30.0, num_points=600, spacing=LOG),
+], ids=["uniform_r_min_0.5", "log"])
+@pytest.mark.parametrize("call", [
+    lambda s, path, u: grid_eigenstate(1, 0, 2.0 * u.mc, s.grid, u),
+    lambda s, path, u: evolve(s, path, 10, u),
+    lambda s, path, u: transition_amplitude(s, s, path, u),
+], ids=["grid_eigenstate", "evolve", "transition_amplitude"])
+def test_grid_not_walled_at_origin_is_refused(u10, grid, call):
+    state = RadialState(grid, 0, grid.points() * np.exp(-grid.points()))
+    state = RadialState(grid, 0, state.amplitudes / state_norm(state))
+    path = LambdaPath.constant(2.0 * u10.mc, 0.1)
+    with pytest.raises(ValueError, match="walled at r = 0"):
+        call(state, path, u10)
+
+
+@pytest.mark.parametrize("floor", [0, -5])
+def test_transition_amplitude_refuses_floor_below_one(u10, floor):
+    g = propagation_grid(25.0, 900)
+    state, _ = _eigenpair(1, 0, 2.0, g, u10)
+    with pytest.raises(ValueError, match="need at least one step per segment"):
+        transition_amplitude(state, state, LambdaPath.constant(2.0 * u10.mc, 0.1),
+                             u10, steps_per_segment=floor)
+
+
 def test_transition_amplitude_same_state_short(u10):
     g = propagation_grid(25.0, 900)
     state, _ = _eigenpair(1, 0, 2.0, g, u10)
@@ -154,7 +183,7 @@ def test_transition_amplitude_same_state_short(u10):
     assert abs(amp.Q) < 1e-14
     assert amp.phase_valid
     assert amp.norm_drift < 1e-13
-    assert amp.S == path.S
+    assert amp.path is path
 
 
 def test_transition_amplitude_eigenstate_phase(u10):
@@ -293,7 +322,7 @@ def test_coarse_and_fine_stepping_agree(u10):
 
 def test_probability_clamps_roundoff(u10):
     g = propagation_grid(25.0, 900)
-    amp = TransitionAmplitude(K=complex(1.0 + 1e-13), I=0.0, Q=0.0, S=1.0,
+    amp = TransitionAmplitude(K=complex(1.0 + 1e-13), I=0.0, Q=0.0,
                               path=LambdaPath.constant(2.0 * u10.mc, 1.0),
                               phase_valid=True, norm_drift=0.0)
     assert transition_probability(amp) == 1.0

@@ -5,9 +5,10 @@ import pytest
 
 from qaction import (
     LOG, UNIFORM, QuantumNumbers, RadialGrid, SommerfeldNumbers, bohr_energy,
-    count_radial_nodes, epsilon_n, expectation_r, inner_product, make_units,
-    numerov_eigenvalue, scaled_eigenfunction, sommerfeld_energy,
-    sommerfeld_nstar_sq, state_norm,
+    count_radial_nodes, epsilon_n, expectation_r, grid_eigenstate, inner_product,
+    level_comparison, make_units, numerov_eigenvalue, propagation_grid,
+    scaled_eigenfunction, sommerfeld_energy, sommerfeld_nstar_sq, state_norm,
+    stationary_closed_form,
 )
 from qaction.spectrum import RadialState
 
@@ -26,6 +27,50 @@ def test_quantum_numbers_validation():
         QuantumNumbers(2, 2)
     with pytest.raises(ValueError):
         QuantumNumbers(2, -1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda u: bohr_energy(1.5, u),
+    lambda u: epsilon_n(20.0, 2.7, u),
+    lambda u: level_comparison(2.9, u),
+    lambda u: stationary_closed_form(1.9, 40.0, u),
+    lambda u: grid_eigenstate(1.0, 0, 2.0 * u.mc, propagation_grid(30.0, 600), u),
+    lambda u: grid_eigenstate(1, 0.0, 2.0 * u.mc, propagation_grid(30.0, 600), u),
+    lambda u: sommerfeld_nstar_sq(1.0, 2, 0.1),
+], ids=["bohr_energy", "epsilon_n", "level_comparison", "stationary_closed_form",
+        "grid_eigenstate_n", "grid_eigenstate_l", "sommerfeld_nstar_sq"])
+def test_float_level_is_refused_not_truncated(u10, call):
+    # int(n) once made bohr_energy(1.5) level 1 and level_comparison(2.9) level 2
+    with pytest.raises(ValueError, match="must be integers"):
+        call(u10)
+
+
+def test_numpy_integer_levels_accepted(u10):
+    n, l = np.int64(2), np.int64(1)
+    assert QuantumNumbers(n, l) == QuantumNumbers(2, 1)
+    assert SommerfeldNumbers(np.int64(1), np.int64(-2)) == SommerfeldNumbers(1, -2)
+    assert sommerfeld_nstar_sq(np.int64(1), np.int64(-2), 0.1) \
+        == sommerfeld_nstar_sq(1, -2, 0.1)
+    assert bohr_energy(n, u10) == bohr_energy(2, u10)
+    assert epsilon_n(20.0, n, u10) == epsilon_n(20.0, 2, u10)
+    assert level_comparison(n, u10) == level_comparison(2, u10)
+    assert stationary_closed_form(n, 40.0, u10) == stationary_closed_form(2, 40.0, u10)
+    g = propagation_grid(60.0, 2400)
+    state, eps = grid_eigenstate(n, l, 2.0 * u10.mc, g, u10)
+    ref, ref_eps = grid_eigenstate(2, 1, 2.0 * u10.mc, g, u10)
+    assert eps == ref_eps
+    np.testing.assert_array_equal(state.amplitudes, ref.amplitudes)
+
+
+@pytest.mark.parametrize("p, k, message", [
+    (1.0, 2, "p and k must be integers"),
+    (1, 2.0, "p and k must be integers"),
+    (-1, 1, "need p >= 0"),
+    (0, 0, "k must be a nonzero integer"),
+])
+def test_sommerfeld_numbers_validation(p, k, message):
+    with pytest.raises(ValueError, match=message):
+        SommerfeldNumbers(p, k)
 
 
 def test_epsilon_n_basics(u10, u_codata):
@@ -185,6 +230,19 @@ def test_numerov_rejects_free_particle(u10):
         numerov_eigenvalue(QuantumNumbers(1), 0.0, g, u10)
 
 
+@pytest.mark.parametrize("lam", [0.0, -1.0])
+def test_scaled_eigenfunction_needs_positive_lambda(u10, lam):
+    g = RadialGrid(r_min=1e-6, r_max=200.0, num_points=2001, spacing=LOG)
+    with pytest.raises(ValueError, match="lambda must be positive"):
+        scaled_eigenfunction(QuantumNumbers(1), lam, g, u10)
+
+
+def test_numerov_rejects_uniform_grid(u10):
+    g = RadialGrid(r_min=1e-3, r_max=200.0, num_points=4000, spacing=UNIFORM)
+    with pytest.raises(ValueError, match="log-spaced grid"):
+        numerov_eigenvalue(QuantumNumbers(1), 2.0, g, u10)
+
+
 def test_numerov_grid_too_small(u10):
     g = RadialGrid(r_min=1e-4, r_max=1.5, num_points=512, spacing=LOG)
     with pytest.raises(RuntimeError):
@@ -212,3 +270,5 @@ def test_radial_state_validation(u10):
         RadialState(g, 0, np.ones(63, dtype=complex))
     with pytest.raises(ValueError):
         RadialState(g, 0, np.full(64, np.nan, dtype=complex))
+    with pytest.raises(ValueError, match="l must be non-negative"):
+        RadialState(g, -1, np.ones(64, dtype=complex))
