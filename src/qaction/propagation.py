@@ -176,9 +176,8 @@ def _cayley(diag: np.ndarray, off: np.ndarray, ds: float, zeta: complex,
     They are all a Cayley factor F = (1 - z/zeta)(1 + z/zeta)^-1 needs: since
     F = 2 (1 + z/zeta)^-1 - 1, applying it is one back-substitution of 2 phi
     (zgttrs) and one subtraction, with no matrix-vector product. H is real
-    symmetric, so z^H = -z, (1 + z/zeta)^H = 1 - z/conj(zeta) and
-    F_zeta^H = F_conj(zeta)^-1: a trans 'C' solve with these factors applies
-    F_zeta^H, and with conj(zeta)'s factors it undoes F_zeta.
+    symmetric, so F_zeta^H = 2 (1 + z/zeta)^-H - 1: a trans 'C' solve with
+    these factors applies F_zeta^H, the adjoint sweep's step.
     """
     from scipy.linalg.lapack import zgttrf
     c = 1j * ds / (u.hbar * zeta)
@@ -191,7 +190,8 @@ def _cayley(diag: np.ndarray, off: np.ndarray, ds: float, zeta: complex,
 
 
 def _sweep(state: RadialState, path: LambdaPath, counts: list[int],
-           u: UnitSystem, roots: tuple, out_conj: np.ndarray | None = None
+           u: UnitSystem, roots: tuple, out_conj: np.ndarray | None = None,
+           record: list | None = None
            ) -> tuple[np.ndarray, complex | None, float]:
     """The Cayley loop: counts[j] steps on segment j of path.
 
@@ -204,8 +204,11 @@ def _sweep(state: RadialState, path: LambdaPath, counts: list[int],
     the wall sample is tested against a floor under the peak; only when it
     trips does the exact O(N) reflection check run. With out_conj, the overlap
     h sum(out_conj * phi) is recorded after every whole step and its phase
-    unwrapped. Returns (phi, last overlap, unwrapped phase); without
-    out_conj the overlap is None and the phase 0.
+    unwrapped. With record, a list, every segment appends (LU factors, states):
+    the factors in roots order and the state entering the segment followed by
+    the state after every Cayley factor, which is all _adjoint_sweep reads.
+    Returns (phi, last overlap, unwrapped phase); without out_conj the overlap
+    is None and the phase 0.
     """
     from scipy.linalg.lapack import zgttrs
     grid = state.grid
@@ -222,11 +225,16 @@ def _sweep(state: RadialState, path: LambdaPath, counts: list[int],
     for lam, dur, n_steps in zip(path.values, path.durations, counts):
         ham = _hamiltonian_tridiag(grid, state.l, lam, u)
         lus = [_cayley(*ham, dur / n_steps, zeta, u) for zeta in roots]
+        if record is not None:
+            states = [phi]
+            record.append((lus, states))
         for _ in range(n_steps):
             for lu in lus:
                 x, _ = zgttrs(*lu, 2.0 * phi, overwrite_b=1)
                 x -= phi
-                phi = x
+                phi = x  # a fresh array, so the record keeps it without a copy
+                if record is not None:
+                    states.append(phi)
             if abs(phi[-1]) > wall_floor:
                 peak = float(np.max(np.abs(phi)))
                 if abs(phi[-1]) > REFLECTION_TOL * peak:
@@ -242,20 +250,20 @@ def _sweep(state: RadialState, path: LambdaPath, counts: list[int],
     return phi, o_prev, theta
 
 
-def _adjoint_sweep(phi: np.ndarray, phi_out: RadialState, path: LambdaPath,
+def _adjoint_sweep(record: list, phi_out: RadialState, path: LambdaPath,
                    counts: list[int], u: UnitSystem, roots: tuple
                    ) -> tuple[np.ndarray, complex]:
     """Exact dK/dlambda_j and dK/dS of K = h <phi_out | F_T ... F_1 | phi_in>.
 
-    phi is the state the forward sweep (_sweep with these counts and
-    roots, a set closed under conjugation) ended in; dS is taken at fixed
-    segment fractions and step counts. The factors F = F_zeta are walked
-    backward on phi_t and the adjoint state chi_t, chi_T = phi_out, with
-    K = h <chi_t | phi_t> for every t: chi_{t-1} = F^H chi_t is a trans 'C'
-    solve on zeta's LU, and F^-1 = F_conj(zeta)^H recovers the forward
-    state phi_{t-1} from phi_t to roundoff with a trans 'C' solve on
-    conj(zeta)'s LU, so none is stored and no new factorisation is needed.
-    With w = z/zeta, dF = -(1/2) (F + 1) dw (F + 1), so factor t adds
+    record is what the forward sweep (_sweep with these counts and roots)
+    recorded: every segment's LU factors and the state phi_t after every
+    Cayley factor F_t, phi_0 = phi_in. dS is taken at fixed segment fractions
+    and step counts. The factors F = F_zeta are walked backward with the
+    adjoint state chi_t, chi_T = phi_out, so that K = h <chi_t | phi_t> for
+    every t: chi_{t-1} = F^H chi_t is one trans 'C' solve on zeta's stored LU,
+    and phi_{t-1}, phi_t are read from the record, so the walk builds no H and
+    factorises nothing. With w = z/zeta, dF = -(1/2) (F + 1) dw (F + 1), so
+    factor t adds
 
         -(h/2) <chi_{t-1} + chi_t | dw | phi_{t-1} + phi_t>
 
@@ -273,22 +281,20 @@ def _adjoint_sweep(phi: np.ndarray, phi_out: RadialState, path: LambdaPath,
     dk_dlam = np.empty(path.num_segments, dtype=complex)
     sum_s = 0j
     for j in reversed(range(path.num_segments)):
+        lus, states = record[j]
+        sums = [0j] * len(roots)
+        # states[t] follows factor (t - 1) % len(roots) of its step
+        for t in range(len(states) - 1, 0, -1):
+            k = (t - 1) % len(roots)
+            phi_prev, phi = states[t - 1], states[t]
+            chi_prev, _ = zgttrs(*lus[k], 2.0 * chi, trans="C", overwrite_b=1)
+            chi_prev -= chi
+            chi_mid = chi_prev + chi
+            sums[k] += np.vdot(chi_mid, dh_dlam * (phi_prev + phi))
+            sum_s += np.vdot(chi_mid, phi - phi_prev)
+            chi = chi_prev
         ds = path.durations[j] / counts[j]
-        ham = _hamiltonian_tridiag(grid, phi_out.l, path.values[j], u)
-        lus = {zeta: _cayley(*ham, ds, zeta, u) for zeta in roots}
-        sums = dict.fromkeys(roots, 0j)
-        for _ in range(counts[j]):
-            for zeta in reversed(roots):
-                phi_prev, _ = zgttrs(*lus[zeta.conjugate()], 2.0 * phi,
-                                     trans="C", overwrite_b=1)
-                phi_prev -= phi
-                chi_prev, _ = zgttrs(*lus[zeta], 2.0 * chi, trans="C", overwrite_b=1)
-                chi_prev -= chi
-                chi_mid = chi_prev + chi
-                sums[zeta] += np.vdot(chi_mid, dh_dlam * (phi_prev + phi))
-                sum_s += np.vdot(chi_mid, phi - phi_prev)
-                phi, chi = phi_prev, chi_prev
-        dk_dlam[j] = -0.5j * h * ds / u.hbar * sum(s / z for z, s in sums.items())
+        dk_dlam[j] = -0.5j * h * ds / u.hbar * sum(s / z for z, s in zip(roots, sums))
     return dk_dlam, complex(0.5 * h * sum_s / path.S)
 
 
@@ -339,17 +345,17 @@ def evolve_spectral(state: RadialState, path: LambdaPath, u: UnitSystem,
 
 
 def _transition(phi_in: RadialState, phi_out: RadialState, path: LambdaPath,
-                u: UnitSystem, counts: list[int], roots: tuple
-                ) -> tuple[TransitionAmplitude, np.ndarray]:
+                u: UnitSystem, counts: list[int], roots: tuple,
+                record: list | None = None) -> TransitionAmplitude:
     """The amplitude of counts[j] steps on the Cayley roots given on segment
-    j, with the swept state at s = S, which _adjoint_sweep starts from."""
+    j; a record list is passed on to _sweep, for _adjoint_sweep."""
     _check_pair(phi_in, phi_out)
     norm_in = state_norm(phi_in)
     for name, nrm in (("phi_in", norm_in), ("phi_out", state_norm(phi_out))):
         if abs(nrm - 1.0) > 1e-6:
             raise ValueError(f"{name} is not normalized (norm = {nrm!r})")
     out = np.asarray(phi_out.amplitudes)
-    phi, K, theta = _sweep(phi_in, path, counts, u, roots, np.conj(out))
+    phi, K, theta = _sweep(phi_in, path, counts, u, roots, np.conj(out), record)
     # re-anchor to the principal branch nearest the accumulated estimate, a
     # no-op unless tracking was suspended near |K| = 0
     if abs(K) > 0.0:
@@ -373,11 +379,10 @@ def _transition(phi_in: RadialState, phi_out: RadialState, path: LambdaPath,
     terms = phi.size + len(roots) * sum(counts)
     roundoff = np.finfo(float).eps * terms * h * float(np.dot(np.abs(out), np.abs(phi)))
     valid = not mag <= ROUNDOFF_SAFETY * roundoff
-    amp = TransitionAmplitude(
+    return TransitionAmplitude(
         K=K, I=-u.hbar * theta if valid else float("nan"),
         Q=math.log(mag) if valid else float("-inf"),
         path=path, phase_valid=valid, norm_drift=norm_drift)
-    return amp, phi
 
 
 def transition_amplitude(phi_in: RadialState, phi_out: RadialState,
@@ -399,7 +404,7 @@ def transition_amplitude(phi_in: RadialState, phi_out: RadialState,
     """
     floors = _fixed_counts(path, 1 if steps_per_segment is None else steps_per_segment)
     counts = list(map(max, _segment_steps(path, phi_in, u, MAX_PHASE_PER_STEP), floors))
-    return _transition(phi_in, phi_out, path, u, counts, CN_ROOTS)[0]
+    return _transition(phi_in, phi_out, path, u, counts, CN_ROOTS)
 
 
 def transition_probability(amp: TransitionAmplitude) -> float:

@@ -44,8 +44,11 @@ STEP_PHASE = (720.0 * PHASE_ERROR) ** 0.25   # 0.11 rad
 # guard of the phase unwrapping: a path that turns the overlap phase more than
 # this per step at the problem's fixed step count is refused, never re-stepped
 UNWRAP_PHASE = 0.5
-# work budget: a step is one solve per Cayley root forward, two in the adjoint
+# work budget: a step is one solve per Cayley root forward and one in the
+# adjoint, which reads the forward states from memory instead of re-solving
 MAX_SOLVES_PER_RESIDUAL = 20_000
+# memory budget of those stored states and LU factors, 16 bytes a grid point
+MAX_STORED_BYTES = 2 ** 28
 
 __all__ = [
     "VariationalProblem", "StationaryPath", "classical_action_part",
@@ -65,8 +68,11 @@ class VariationalProblem:
     (2,2) step count that holds the overlap phase under STEP_PHASE rad per
     step at optimize_path's start point, and so its eigenphase error under
     PHASE_ERROR per radian; every sweep of the problem takes exactly that
-    many per segment. A schedule of more than MAX_SOLVES_PER_RESIDUAL solves
-    per residual is refused with a ValueError before any propagation runs.
+    many per segment. A residual's forward sweep keeps a state after every
+    Cayley factor and four LU vectors per factor and segment for its adjoint
+    sweep. A schedule of more than MAX_SOLVES_PER_RESIDUAL solves or
+    MAX_STORED_BYTES bytes of those vectors per residual is refused with a
+    ValueError before any propagation runs.
     """
 
     phi_in: RadialState
@@ -84,12 +90,19 @@ class VariationalProblem:
         start = LambdaPath.equal_segments([2.0 * self.u.mc] * self.segments,
                                           self.x10 / (2.0 * self.u.mc))
         steps = max(_segment_steps(start, self.phi_in, self.u, STEP_PHASE))
-        solves = 3 * len(PADE22_ROOTS) * self.segments * steps
+        factors = len(PADE22_ROOTS) * self.segments
+        solves = 2 * factors * steps
         if solves > MAX_SOLVES_PER_RESIDUAL:
             raise ValueError(
                 f"x10 = {self.x10!r} needs {solves} tridiagonal solves per "
                 f"residual, over the budget of {MAX_SOLVES_PER_RESIDUAL}; "
                 "lower x10")
+        stored = 16 * self.phi_in.grid.num_points * (1 + factors * (steps + 4))
+        if stored > MAX_STORED_BYTES:
+            raise ValueError(
+                f"x10 = {self.x10!r} needs {stored} bytes of stored states per "
+                f"residual, over the budget of {MAX_STORED_BYTES}; "
+                "lower x10 or the grid points")
         object.__setattr__(self, "steps_per_segment", steps)
 
     def s_bounds(self) -> tuple[float, float]:
@@ -128,9 +141,10 @@ def classical_action_part(path: LambdaPath, kappa: float, x10: float,
 
 
 def _forward(path: LambdaPath, problem: VariationalProblem
-             ) -> tuple[TransitionAmplitude, np.ndarray, list[int]]:
-    """The problem's (2,2) amplitude along path, its end state and step counts,
-    problem.steps_per_segment on every segment (see UNWRAP_PHASE)."""
+             ) -> tuple[TransitionAmplitude, list, list[int]]:
+    """The problem's (2,2) amplitude along path, the sweep's record for
+    _adjoint_sweep and the step counts, problem.steps_per_segment on every
+    segment (see UNWRAP_PHASE)."""
     steps = problem.steps_per_segment
     need = max(_segment_steps(path, problem.phi_in, problem.u, UNWRAP_PHASE))
     if need > steps:
@@ -138,15 +152,16 @@ def _forward(path: LambdaPath, problem: VariationalProblem
             f"path turns the overlap phase more than {UNWRAP_PHASE} rad per step "
             f"at the fixed {steps} steps per segment (it needs {need})")
     counts = [steps] * path.num_segments
-    amp, phi = _transition(problem.phi_in, problem.phi_out, path, problem.u,
-                           counts, PADE22_ROOTS)
+    record = []
+    amp = _transition(problem.phi_in, problem.phi_out, path, problem.u, counts,
+                      PADE22_ROOTS, record)
     if not amp.phase_valid:
         lams = ", ".join(f"{v / problem.u.mc:.6g}" for v in path.values)
         raise PhaseUndefinedError(
             f"transition amplitude vanished along the path (lambda/mc = [{lams}], "
             f"S = {path.S:.6g}): boundary states orthogonal under the path are "
             "refused, e.g. two levels prepared at lambda = 2 m c")
-    return amp, phi, counts
+    return amp, record, counts
 
 
 def full_action(path: LambdaPath, kappa: float,
@@ -166,14 +181,15 @@ def _kkt_residual(lam: np.ndarray, problem: VariationalProblem
     S = x10 / mean(lambda) meets the constraint exactly and kappa zeroes the
     S row, so those two rows vanish and only the N lambda rows remain. Their
     dI/dlambda_j and dI/dS = -hbar Im(dK/K) are exact at the problem's step
-    counts: one forward sweep gives K, one adjoint sweep every dK.
+    counts: one forward sweep gives K and records its states, one adjoint
+    sweep over that record gives every dK.
     """
     u = problem.u
     mc = u.mc
     mean_lam = float(np.mean(lam))
     path = LambdaPath.equal_segments(lam, problem.x10 / mean_lam)
-    amp, phi, counts = _forward(path, problem)
-    dk_dlam, dk_ds = _adjoint_sweep(phi, problem.phi_out, path, counts, u,
+    amp, record, counts = _forward(path, problem)
+    dk_dlam, dk_ds = _adjoint_sweep(record, problem.phi_out, path, counts, u,
                                     PADE22_ROOTS)
     di_dlam = -u.hbar * np.imag(dk_dlam / amp.K)
     di_ds = -u.hbar * (dk_ds / amp.K).imag
@@ -192,8 +208,10 @@ def optimize_path(problem: VariationalProblem, tol: float = 1e-8,
     (the chord method, Kelley 1995, section 5.4): linear convergence by a
     factor of order alpha^2, one residual per step. A residual is one forward
     and one adjoint sweep of problem.steps_per_segment (2,2) Pade steps per
-    segment, two solves per step forward and four backward; the returned
-    amplitude is the forward sweep of the last residual. Non-convergence is
+    segment, two solves per step forward and two backward, with one LU
+    factorisation per Cayley root and segment, made by the forward sweep and
+    reused from its record by the adjoint; the returned amplitude is the
+    forward sweep of the last residual. Non-convergence is
     reported through the converged flag rather than raised, so callers still
     get the best point found; an amplitude within roundoff of zero raises
     PhaseUndefinedError.
@@ -235,16 +253,16 @@ def internal_time_map(path: LambdaPath, x0: float) -> float:
 
     The map x0(s) = integral_0^s lambda is strictly increasing when every
     segment value is positive, so the inverse is exact piecewise algebra.
+    The reachable total is the running sum of the segments, whose last
+    segment then holds every x0 past the one before it.
     """
     if np.any(path.values <= 0.0):
         raise ValueError("time map needs strictly positive lambda on every segment")
-    total = path.integral()
+    cum = path.cumulative_integral()
+    total = float(cum[-1])
     if not (0.0 <= x0 <= total):
         raise ValueError(f"x0 = {x0!r} outside the reachable range [0, {total!r}]")
-    cum = path.cumulative_integral()
     idx = int(np.searchsorted(cum, x0, side="left"))
-    if idx >= path.num_segments:
-        return path.S
     before = cum[idx - 1] if idx > 0 else 0.0
     start = path.starts[idx]
     return float(start + (x0 - before) / path.values[idx])

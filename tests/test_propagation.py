@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.linalg.lapack as lapack
 from scipy.linalg import eigh_tridiagonal
 
@@ -129,6 +130,24 @@ def test_reflection_detected_inside_segment(u10, path):
         evolve(packet, path, 800, u10)
     with pytest.raises(BoundaryReflectionError):
         transition_amplitude(packet, packet, path, u10, steps_per_segment=800)
+
+
+def test_grid_eigenstate_sign_is_fixed(u10, monkeypatch):
+    # eigh_tridiagonal may return either sign of an eigenvector; the state
+    # is the same for both, with its largest sample positive
+    g = propagation_grid(25.0, 800)
+    state, eps = _eigenpair(1, 0, 2.0, g, u10)
+    solve = scipy.linalg.eigh_tridiagonal
+
+    def negated(*args, **kwargs):
+        w, v = solve(*args, **kwargs)
+        return w, -v
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", negated)
+    flipped, eps_flipped = _eigenpair(1, 0, 2.0, g, u10)
+    assert eps_flipped == eps
+    np.testing.assert_array_equal(flipped.amplitudes, state.amplitudes)
+    assert state.amplitudes[np.argmax(np.abs(state.amplitudes))].real > 0.0
 
 
 def test_evolve_rejects_bad_input(u10):
@@ -338,7 +357,7 @@ def test_eigenstate_amplitude_never_exceeds_one(u10, roots):
     path = LambdaPath.constant(2.0 * u10.mc, 0.7)
     for points, r_max in ((900, 25.0), (1200, 30.0), (2000, 25.0), (1500, 40.0)):
         state, eps = _eigenpair(1, 0, 2.0, propagation_grid(r_max, points), u10)
-        amp = _transition(state, state, path, u10, [steps], roots)[0]
+        amp = _transition(state, state, path, u10, [steps], roots)
         assert abs(amp.K) <= 1.0 and amp.Q <= 0.0, points
         assert abs(amp.K) > 1.0 - 1e-13, points
         assert abs(amp.I - eps * path.S) < 5e-5, points
@@ -364,13 +383,13 @@ def test_pade22_is_fourth_order(u10):
     ref = _exact_amplitude(mix, s1, path, u10)
     errors = []
     for steps in (8, 16, 32):
-        amp, _ = _transition(mix, s1, path, u10, [steps, steps], PADE22_ROOTS)
+        amp = _transition(mix, s1, path, u10, [steps, steps], PADE22_ROOTS)
         assert amp.norm_drift <= 1e-12
         errors.append(abs(amp.K - ref))
     # halving ds cuts the error 16-fold at fourth order, 4-fold at second
     assert errors[0] / errors[1] >= 12.0 and errors[1] / errors[2] >= 12.0, errors
     # and beats Crank-Nicolson at four times the solves
-    cn = _transition(mix, s1, path, u10, [64, 64], CN_ROOTS)[0]
+    cn = _transition(mix, s1, path, u10, [64, 64], CN_ROOTS)
     assert errors[1] < abs(cn.K - ref) / 10.0
 
 

@@ -151,6 +151,13 @@ def test_radial_grid_validation():
         RadialGrid(r_min=0.1, r_max=1.0, num_points=100, spacing="cubic")
 
 
+def test_step_is_for_uniform_grids_only():
+    assert RadialGrid(r_min=0.5, r_max=10.0, num_points=20, spacing=UNIFORM).step == 0.5
+    log_grid = RadialGrid(r_min=1e-3, r_max=10.0, num_points=20, spacing=LOG)
+    with pytest.raises(ValueError, match="uniform grids only"):
+        log_grid.step
+
+
 def test_grid_points_monotone():
     for spacing in (UNIFORM, LOG):
         g = RadialGrid(r_min=1e-3, r_max=50.0, num_points=64, spacing=spacing)

@@ -122,9 +122,9 @@ def test_adjoint_gradients_match_central_differences(u10, coarse_setup, n_out):
                                  u=u10)
     lam = np.array([1.9, 2.05, 2.1]) * u10.mc
     path = LambdaPath.equal_segments(lam, problem.x10 / float(np.mean(lam)))
-    amp, phi, counts = variational._forward(path, problem)
+    amp, record, counts = variational._forward(path, problem)
     assert counts == [problem.steps_per_segment] * 3
-    dk_dlam, dk_ds = variational._adjoint_sweep(phi, out, path, counts, u10,
+    dk_dlam, dk_ds = variational._adjoint_sweep(record, out, path, counts, u10,
                                                 propagation.PADE22_ROOTS)
 
     def action(p):
@@ -174,8 +174,35 @@ def test_runaway_schedule_rejected_before_any_sweep(u_codata, monkeypatch):
     assert str(variational.MAX_SOLVES_PER_RESIDUAL) in message
     ok = VariationalProblem(phi_in=state, phi_out=state, x10=40.0, segments=1,
                             u=u_codata)
-    assert (3 * len(propagation.PADE22_ROOTS) * ok.steps_per_segment
+    assert (2 * len(propagation.PADE22_ROOTS) * ok.steps_per_segment
             <= variational.MAX_SOLVES_PER_RESIDUAL)
+
+
+def test_stored_bytes_over_budget_rejected_before_any_sweep(u10, monkeypatch):
+    # the adjoint sweep reads the forward sweep's states from memory; at
+    # x10 = 2000 the schedule's solves fit their budget on either grid, but
+    # on 20 000 points the states it would keep do not fit theirs
+    def problem(points):
+        g = propagation_grid(35.0, points)
+        state, _ = grid_eigenstate(1, 0, 2.0 * u10.mc, g, u10)
+        return lambda: VariationalProblem(phi_in=state, phi_out=state, x10=2000.0,
+                                          segments=1, u=u10)
+
+    coarse, fine = problem(1500), problem(20_000)
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep ran")
+
+    for name in ("zgttrf", "zgttrs"):
+        monkeypatch.setattr(lapack, name, no_sweep)
+    ok = coarse()
+    assert (2 * len(propagation.PADE22_ROOTS) * ok.steps_per_segment
+            <= variational.MAX_SOLVES_PER_RESIDUAL)
+    with pytest.raises(ValueError) as err:
+        fine()
+    message = str(err.value)
+    assert "x10" in message and "bytes" in message
+    assert str(variational.MAX_STORED_BYTES) in message
 
 
 @pytest.fixture(scope="module")
@@ -240,13 +267,13 @@ def test_one_step_schedule_per_solve(u10, coarse_setup, monkeypatch):
     sweep, adjoint = propagation._sweep, variational._adjoint_sweep
     seen = {"forward": set(), "adjoint": set()}
 
-    def forward(state, path, counts, u, roots, out_conj=None):
+    def forward(state, path, counts, u, roots, out_conj=None, record=None):
         seen["forward"].add((tuple(counts), roots))
-        return sweep(state, path, counts, u, roots, out_conj)
+        return sweep(state, path, counts, u, roots, out_conj, record)
 
-    def backward(phi, phi_out, path, counts, u, roots):
+    def backward(record, phi_out, path, counts, u, roots):
         seen["adjoint"].add((tuple(counts), roots))
-        return adjoint(phi, phi_out, path, counts, u, roots)
+        return adjoint(record, phi_out, path, counts, u, roots)
 
     monkeypatch.setattr(propagation, "_sweep", forward)
     monkeypatch.setattr(variational, "_adjoint_sweep", backward)
@@ -260,9 +287,9 @@ def test_one_step_schedule_per_solve(u10, coarse_setup, monkeypatch):
 @pytest.mark.parametrize("segments", [1, 4])
 def test_one_hamiltonian_build_per_segment_per_sweep(u10, coarse_setup,
                                                      monkeypatch, segments):
-    # one residual builds H per segment three times: the unwrap guard's step
-    # count, the forward sweep and the adjoint sweep, each shared by both
-    # (2,2) roots
+    # one residual builds H per segment twice: the unwrap guard's step count
+    # and the forward sweep, shared by both (2,2) roots; the adjoint sweep
+    # reads the forward sweep's LU factors and builds none
     _, state, _ = coarse_setup
     problem = VariationalProblem(phi_in=state, phi_out=state, x10=40.0,
                                  segments=segments, u=u10)
@@ -274,7 +301,7 @@ def test_one_hamiltonian_build_per_segment_per_sweep(u10, coarse_setup,
 
     monkeypatch.setattr(propagation, "_hamiltonian_tridiag", counting)
     variational._kkt_residual(np.full(segments, 2.0 * u10.mc), problem)
-    assert len(calls) == 3 * segments
+    assert len(calls) == 2 * segments
 
 
 def test_path_too_fast_for_the_schedule_is_refused(u10):
@@ -343,10 +370,11 @@ def test_optimize_kappa_matches_closed_form(u10, counted_solves):
 def test_optimize_solves_per_step(counted_solves):
     # one residual at the start and one line-search trial per step; each is a
     # forward sweep of N * steps_per_segment (2,2) steps, one single-column
-    # solve per Cayley factor, and an adjoint sweep, two per factor (the
-    # state and the adjoint state), with one factorisation per factor,
-    # segment and sweep, so the work per residual does not grow with N
-    # beyond the schedule. The Jacobian is held fixed, S and kappa are
+    # solve per Cayley factor, and an adjoint sweep, one per factor (the
+    # adjoint state; the states are read from the forward sweep's record),
+    # with one factorisation per factor and segment, made forward and reused
+    # backward, so the work per residual does not grow with N beyond the
+    # schedule. The Jacobian is held fixed, S and kappa are
     # closed forms and the returned amplitude is the last forward sweep's:
     # they add none.
     roots = len(propagation.PADE22_ROOTS)
@@ -354,9 +382,9 @@ def test_optimize_solves_per_step(counted_solves):
         steps = nseg * problem.steps_per_segment
         residuals = 1 + res.iterations
         assert res.iterations >= 1
-        assert work == {"zgttrs": 3 * roots * steps * residuals,
-                        "columns": 3 * roots * steps * residuals,
-                        "zgttrf": 2 * roots * nseg * residuals}, nseg
+        assert work == {"zgttrs": 2 * roots * steps * residuals,
+                        "columns": 2 * roots * steps * residuals,
+                        "zgttrf": roots * nseg * residuals}, nseg
 
 
 def test_optimize_amplitude_is_last_forward_sweep(u10, counted_solves):
@@ -464,6 +492,17 @@ def test_internal_time_map_exact():
     signed = LambdaPath(np.array([1.0, 2.0]), np.array([1.0, -2.0]))
     with pytest.raises(ValueError):
         internal_time_map(signed, 0.5)
+
+
+def test_internal_time_map_total_is_the_running_sum():
+    # the reachable total is the last running sum of the segments, which the
+    # dot-product integral can miss by an ulp (here it lands 1.1e-16 above);
+    # x0 at that total lies in the last segment and maps to its end
+    path = LambdaPath.equal_segments([0.3, 0.6, 0.9, 1.2], 1.1)
+    total = float(path.cumulative_integral()[-1])
+    assert math.isclose(internal_time_map(path, total), path.S, rel_tol=1e-15)
+    with pytest.raises(ValueError, match="reachable range"):
+        internal_time_map(path, total + 1e-12)
 
 
 def test_internal_time_map_round_trip():
