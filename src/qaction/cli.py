@@ -373,7 +373,7 @@ def run_propagate(cfg: SimpleNamespace, u: UnitSystem) -> dict:
 
 
 def _timemap_rows(path: LambdaPath, samples: int) -> list[list]:
-    x0_values = np.linspace(0.0, path.cumulative_integral()[-1], samples)
+    x0_values = np.linspace(0.0, path.integral(), samples)
     return [[internal_time_map(path, float(x0)), float(x0)]
             for x0 in x0_values]
 

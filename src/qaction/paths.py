@@ -80,12 +80,14 @@ class LambdaPath:
         return min(j, self.num_segments - 1)
 
     def integral(self, upto: float | None = None) -> float:
-        """Running integral of lambda from 0 to `upto` (default: full S), exact."""
+        """Running integral of lambda from 0 to `upto` (default: full S), exact:
+        cumulative_integral's prefix plus the part of upto's own segment."""
+        cum = self.cumulative_integral()
         if upto is None:
-            return float(np.dot(self.values, self.durations))
+            return float(cum[-1])
         j = self._segment_index(upto)
-        full = float(np.dot(self.values[:j], self.durations[:j]))
-        return full + float(self.values[j]) * (upto - float(self.starts[j]))
+        before = float(cum[j - 1]) if j > 0 else 0.0
+        return before + float(self.values[j]) * (upto - float(self.starts[j]))
 
     def cumulative_integral(self) -> np.ndarray:
         """Integral of lambda up to each breakpoint."""

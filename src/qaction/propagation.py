@@ -19,8 +19,8 @@ constant on a constant-lambda segment, so it is LU-factored once per segment
 (LAPACK zgttrf) and every factor then costs one back-substitution (zgttrs);
 the wall amplitude is checked for reflection after every step. Transition
 amplitudes K = <phi_out | U | phi_in> are accumulated with a continuously
-unwrapped phase (per-step increments kept below pi by an energy-based bound
-on the step), and split as K = exp(I / (i hbar) + Q): I is the real
+unwrapped phase (a segment whose per-step increment may exceed UNWRAP_PHASE
+is refused), and split as K = exp(I / (i hbar) + Q): I is the real
 quantum-action phase and Q = log |K| <= 0 the dissipative part.
 """
 
@@ -46,6 +46,7 @@ ROUNDOFF_SAFETY = 10.0  # |K| within this many roundoff bounds of zero has no us
 CN_ROOTS = (-2.0,)      # Crank-Nicolson: (1 + z/2) / (1 - z/2)
 PADE22_ROOTS = (complex(-3.0, math.sqrt(3.0)), complex(-3.0, -math.sqrt(3.0)))
 MAX_PHASE_PER_STEP = 0.02  # radians of overlap phase per Crank-Nicolson step, at most
+UNWRAP_PHASE = 0.5  # radians per step past which overlap phase unwrapping can alias
 
 
 class BoundaryReflectionError(RuntimeError):
@@ -204,9 +205,11 @@ def _sweep(state: RadialState, path: LambdaPath, counts: list[int],
     the wall sample is tested against a floor under the peak; only when it
     trips does the exact O(N) reflection check run. With out_conj, the overlap
     h sum(out_conj * phi) is recorded after every whole step and its phase
-    unwrapped. With record, a list, every segment appends (LU factors, states):
-    the factors in roots order and the state entering the segment followed by
-    the state after every Cayley factor, which is all _adjoint_sweep reads.
+    unwrapped; a segment whose entering state would turn it more than
+    UNWRAP_PHASE rad a step is refused (RuntimeError) before it is factored.
+    With record, a list, every segment appends (ds, roots, LU factors in
+    roots order, states): the states are the one entering the segment and
+    the one after every Cayley factor. That is all _adjoint_sweep reads.
     Returns (phi, last overlap, unwrapped phase); without out_conj the overlap
     is None and the phase 0.
     """
@@ -222,12 +225,19 @@ def _sweep(state: RadialState, path: LambdaPath, counts: list[int],
         h = grid.step  # only overlaps need it; _hamiltonian_tridiag checks the grid
         o_prev = complex(h * np.dot(out_conj, phi))
         theta = math.atan2(o_prev.imag, o_prev.real) if abs(o_prev) > 0.0 else 0.0
-    for lam, dur, n_steps in zip(path.values, path.durations, counts):
+    for j, (lam, dur, n_steps) in enumerate(zip(path.values, path.durations, counts)):
         ham = _hamiltonian_tridiag(grid, state.l, lam, u)
-        lus = [_cayley(*ham, dur / n_steps, zeta, u) for zeta in roots]
+        if out_conj is not None:
+            need = math.ceil(dur * _energy_scale(phi, *ham) / (u.hbar * UNWRAP_PHASE))
+            if need > n_steps:
+                raise RuntimeError(
+                    f"segment {j} turns the overlap phase more than {UNWRAP_PHASE} "
+                    f"rad per step at its {n_steps} steps (it needs {need})")
+        ds = dur / n_steps
+        lus = [_cayley(*ham, ds, zeta, u) for zeta in roots]
         if record is not None:
             states = [phi]
-            record.append((lus, states))
+            record.append((ds, roots, lus, states))
         for _ in range(n_steps):
             for lu in lus:
                 x, _ = zgttrs(*lu, 2.0 * phi, overwrite_b=1)
@@ -251,14 +261,13 @@ def _sweep(state: RadialState, path: LambdaPath, counts: list[int],
 
 
 def _adjoint_sweep(record: list, phi_out: RadialState, path: LambdaPath,
-                   counts: list[int], u: UnitSystem, roots: tuple
-                   ) -> tuple[np.ndarray, complex]:
+                   u: UnitSystem) -> tuple[np.ndarray, complex]:
     """Exact dK/dlambda_j and dK/dS of K = h <phi_out | F_T ... F_1 | phi_in>.
 
-    record is what the forward sweep (_sweep with these counts and roots)
-    recorded: every segment's LU factors and the state phi_t after every
-    Cayley factor F_t, phi_0 = phi_in. dS is taken at fixed segment fractions
-    and step counts. The factors F = F_zeta are walked backward with the
+    record is what the forward sweep (_sweep along path) recorded: every
+    segment's ds, Cayley roots and their LU factors, and the state phi_t after
+    every Cayley factor F_t, phi_0 = phi_in. dS is taken at fixed segment
+    fractions and step counts. The factors F = F_zeta are walked backward with the
     adjoint state chi_t, chi_T = phi_out, so that K = h <chi_t | phi_t> for
     every t: chi_{t-1} = F^H chi_t is one trans 'C' solve on zeta's stored LU,
     and phi_{t-1}, phi_t are read from the record, so the walk builds no H and
@@ -281,7 +290,7 @@ def _adjoint_sweep(record: list, phi_out: RadialState, path: LambdaPath,
     dk_dlam = np.empty(path.num_segments, dtype=complex)
     sum_s = 0j
     for j in reversed(range(path.num_segments)):
-        lus, states = record[j]
+        ds, roots, lus, states = record[j]
         sums = [0j] * len(roots)
         # states[t] follows factor (t - 1) % len(roots) of its step
         for t in range(len(states) - 1, 0, -1):
@@ -293,7 +302,6 @@ def _adjoint_sweep(record: list, phi_out: RadialState, path: LambdaPath,
             sums[k] += np.vdot(chi_mid, dh_dlam * (phi_prev + phi))
             sum_s += np.vdot(chi_mid, phi - phi_prev)
             chi = chi_prev
-        ds = path.durations[j] / counts[j]
         dk_dlam[j] = -0.5j * h * ds / u.hbar * sum(s / z for z, s in zip(roots, sums))
     return dk_dlam, complex(0.5 * h * sum_s / path.S)
 
@@ -391,12 +399,13 @@ def transition_amplitude(phi_in: RadialState, phi_out: RadialState,
                          ) -> TransitionAmplitude:
     """K = <phi_out | U_S | phi_in> with its phase/magnitude decomposition.
 
-    Steps with Crank-Nicolson, one solve per step. The overlap with phi_out
-    is recorded after every step and its phase unwrapped by nearest-branch
-    continuation; each segment's step count, floored at steps_per_segment
-    (at least one, as in evolve), is raised until the phase motion per step
-    stays under MAX_PHASE_PER_STEP (0.02 rad), so the unwrapping cannot
-    alias (a floor above that need fixes the counts). I = -hbar theta_unwrapped, Q = log |K|.
+    Steps with Crank-Nicolson, one solve per step; each segment's count,
+    floored at steps_per_segment (at least one, as in evolve), is raised until
+    phi_in turns the overlap phase at most MAX_PHASE_PER_STEP (0.02 rad,
+    Crank-Nicolson's accuracy step) a step. The overlap's phase is unwrapped by
+    nearest-branch continuation, which can alias past UNWRAP_PHASE (0.5 rad)
+    a step, so _sweep refuses a segment whose entering state would turn it
+    that fast at its count. I = -hbar theta_unwrapped, Q = log |K|.
     A |K| within roundoff above one is scaled back to one, phase kept, so
     |K| <= 1 and Q <= 0 hold for every amplitude returned. When |K| is within
     ROUNDOFF_SAFETY times the sweep's roundoff bound of zero the result is

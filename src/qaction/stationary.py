@@ -109,9 +109,7 @@ def stationary_closed_form(n: QuantumNumbers | int, x10: float,
     if not x10 > 0.0:
         raise ValueError("x10 must be positive")
     e_n = bohr_energy(n, u)
-    shrink = 1.0 + 2.0 * e_n / u.rest_energy  # equals 1 - (alpha/n)^2
-    if not shrink > 0.0:
-        raise ValueError("level too deep: 1 + 2 E_n / m c^2 must stay positive")
+    shrink = 1.0 + 2.0 * e_n / u.rest_energy  # equals 1 - (alpha/n)^2 > 0
     lam = 2.0 * u.mc / math.sqrt(shrink)
     kappa_c = math.sqrt(u.rest_energy * u.rest_energy + 2.0 * u.rest_energy * e_n)
     return StationaryPoint(
@@ -126,7 +124,6 @@ def stationary_closed_form(n: QuantumNumbers | int, x10: float,
 
 def _jacobian(params: np.ndarray, e_n: float, u: UnitSystem) -> np.ndarray:
     d, lam, S, kappa = params
-    m2c2 = u.mass * u.mass * u.c * u.c
     ratio = e_n / u.rest_energy
     g2 = -d - lam * ratio + kappa
     return np.array([

@@ -41,9 +41,6 @@ from .units import UnitSystem
 PHASE_ERROR = 0.1 * 0.005 ** 2 / 12.0
 # (2,2) Pade turns an eigenphase x per step with relative error x^4 / 720
 STEP_PHASE = (720.0 * PHASE_ERROR) ** 0.25   # 0.11 rad
-# guard of the phase unwrapping: a path that turns the overlap phase more than
-# this per step at the problem's fixed step count is refused, never re-stepped
-UNWRAP_PHASE = 0.5
 # work budget: a step is one solve per Cayley root forward and one in the
 # adjoint, which reads the forward states from memory instead of re-solving
 MAX_SOLVES_PER_RESIDUAL = 20_000
@@ -68,9 +65,10 @@ class VariationalProblem:
     (2,2) step count that holds the overlap phase under STEP_PHASE rad per
     step at optimize_path's start point, and so its eigenphase error under
     PHASE_ERROR per radian; every sweep of the problem takes exactly that
-    many per segment. A residual's forward sweep keeps a state after every
-    Cayley factor and four LU vectors per factor and segment for its adjoint
-    sweep. A schedule of more than MAX_SOLVES_PER_RESIDUAL solves or
+    many per segment and refuses, never re-steps, a trial path too fast for
+    it (UNWRAP_PHASE in qaction.propagation). A residual's forward sweep
+    keeps a state after every Cayley factor and four LU vectors per factor
+    and segment for its adjoint sweep. A schedule of more than MAX_SOLVES_PER_RESIDUAL solves or
     MAX_STORED_BYTES bytes of those vectors per residual is refused with a
     ValueError before any propagation runs.
     """
@@ -141,19 +139,14 @@ def classical_action_part(path: LambdaPath, kappa: float, x10: float,
 
 
 def _forward(path: LambdaPath, problem: VariationalProblem
-             ) -> tuple[TransitionAmplitude, list, list[int]]:
-    """The problem's (2,2) amplitude along path, the sweep's record for
-    _adjoint_sweep and the step counts, problem.steps_per_segment on every
-    segment (see UNWRAP_PHASE)."""
-    steps = problem.steps_per_segment
-    need = max(_segment_steps(path, problem.phi_in, problem.u, UNWRAP_PHASE))
-    if need > steps:
-        raise RuntimeError(
-            f"path turns the overlap phase more than {UNWRAP_PHASE} rad per step "
-            f"at the fixed {steps} steps per segment (it needs {need})")
-    counts = [steps] * path.num_segments
+             ) -> tuple[TransitionAmplitude, list]:
+    """The problem's (2,2) amplitude along path, problem.steps_per_segment
+    steps on every segment, and the sweep's record for _adjoint_sweep. A
+    path too fast for that count is refused by the sweep (UNWRAP_PHASE in
+    qaction.propagation), never re-stepped."""
     record = []
-    amp = _transition(problem.phi_in, problem.phi_out, path, problem.u, counts,
+    amp = _transition(problem.phi_in, problem.phi_out, path, problem.u,
+                      [problem.steps_per_segment] * path.num_segments,
                       PADE22_ROOTS, record)
     if not amp.phase_valid:
         lams = ", ".join(f"{v / problem.u.mc:.6g}" for v in path.values)
@@ -161,7 +154,7 @@ def _forward(path: LambdaPath, problem: VariationalProblem
             f"transition amplitude vanished along the path (lambda/mc = [{lams}], "
             f"S = {path.S:.6g}): boundary states orthogonal under the path are "
             "refused, e.g. two levels prepared at lambda = 2 m c")
-    return amp, record, counts
+    return amp, record
 
 
 def full_action(path: LambdaPath, kappa: float,
@@ -188,9 +181,8 @@ def _kkt_residual(lam: np.ndarray, problem: VariationalProblem
     mc = u.mc
     mean_lam = float(np.mean(lam))
     path = LambdaPath.equal_segments(lam, problem.x10 / mean_lam)
-    amp, record, counts = _forward(path, problem)
-    dk_dlam, dk_ds = _adjoint_sweep(record, problem.phi_out, path, counts, u,
-                                    PADE22_ROOTS)
+    amp, record = _forward(path, problem)
+    dk_dlam, dk_ds = _adjoint_sweep(record, problem.phi_out, path, u)
     di_dlam = -u.hbar * np.imag(dk_dlam / amp.K)
     di_ds = -u.hbar * (dk_ds / amp.K).imag
     kappa = (float(np.mean(0.25 * lam * lam + mc * mc)) - di_ds) / mean_lam

@@ -13,7 +13,7 @@ from qaction import (
     propagation_grid, state_norm, transition_amplitude, transition_probability,
 )
 from qaction.propagation import (CN_ROOTS, PADE22_ROOTS, _hamiltonian_tridiag,
-                                 _transition)
+                                 _sweep, _transition)
 from qaction.spectrum import LOG, UNIFORM
 
 
@@ -361,6 +361,41 @@ def test_eigenstate_amplitude_never_exceeds_one(u10, roots):
         assert abs(amp.K) <= 1.0 and amp.Q <= 0.0, points
         assert abs(amp.K) > 1.0 - 1e-13, points
         assert abs(amp.I - eps * path.S) < 5e-5, points
+
+
+@pytest.mark.parametrize("roots", [CN_ROOTS, PADE22_ROOTS])
+def test_tracked_sweep_refuses_counts_too_coarse_to_unwrap(u10, roots):
+    # the 1s level turns the overlap phase 6 rad over S = 6, which needs 12
+    # steps at 0.5 rad a step; one step used to return I = 2.50 (CN) or -1.97
+    # (2,2) with no error, aliased by whole turns
+    state, eps = _eigenpair(1, 0, 2.0, propagation_grid(25.0, 500), u10)
+    path = LambdaPath.constant(2.0 * u10.mc, 6.0)
+    for steps in (1, 11):
+        with pytest.raises(RuntimeError, match=rf"0\.5 rad .* {steps} steps \(it needs 12\)"):
+            _transition(state, state, path, u10, [steps], roots)
+    amp = _transition(state, state, path, u10, [12], roots)
+    assert abs(amp.I - eps * path.S) < 0.2
+
+
+def test_amplitude_rounded_outside_after_rescale_steps_inside(u10):
+    # a |K| within roundoff above one is divided by itself, which can land an
+    # ulp outside the unit circle; then it is scaled inside once more. Every
+    # rotation of phi_out keeps |K| in (1, 1 + 1e-12), and the division lands
+    # outside on about one in twenty (9 of these 200 on numpy 2.4 / scipy 1.17)
+    g = propagation_grid(25.0, 400)
+    state, _ = _eigenpair(1, 0, 2.0, g, u10)
+    path = LambdaPath.constant(2.0 * u10.mc, 0.1)
+    outside = 0
+    for k in range(200):
+        out = RadialState(g, 0, state.amplitudes * ((1.0 + 4e-13) * cmath.exp(0.01j * k)))
+        _, raw, _ = _sweep(state, path, [2], u10, CN_ROOTS,
+                           np.conj(np.asarray(out.amplitudes)))
+        assert 1.0 < abs(raw) < 1.0 + 1e-12
+        outside += abs(raw / abs(raw)) > 1.0
+        amp = _transition(state, out, path, u10, [2], CN_ROOTS)
+        assert abs(amp.K) <= 1.0 and amp.Q <= 0.0
+        assert cmath.isclose(amp.K, raw, rel_tol=1e-12)
+    assert outside > 0
 
 
 def _exact_amplitude(phi_in, phi_out, path, u):

@@ -256,6 +256,32 @@ def test_numerov_grid_too_small(u10):
         numerov_eigenvalue(QuantumNumbers(5), 2.0, g, u10)
 
 
+def test_numerov_rescales_the_growing_solution(u10):
+    # past r ~ 290 the solution at the lower bracket grows beyond 1e250 and is
+    # rescaled as it goes; the 1s level of coupling 2 is still -1
+    g = RadialGrid(r_min=1e-4, r_max=400.0, num_points=4000, spacing=LOG)
+    assert math.isclose(numerov_eigenvalue(QuantumNumbers(1), 2.0, g, u10), -1.0,
+                        rel_tol=1e-6)
+
+
+def test_numerov_lower_bracket_fails_on_a_coarse_mesh(u10):
+    # 64 log points to r = 200: far out hx^2 g / 12 > 1, so the recursion
+    # alternates in sign and counts nodes even below every bound level
+    g = RadialGrid(r_min=1e-4, r_max=200.0, num_points=64, spacing=LOG)
+    with pytest.raises(RuntimeError, match="lower bracket fails"):
+        numerov_eigenvalue(QuantumNumbers(1), 2.0, g, u10)
+
+
+def test_numerov_bisection_stops_at_its_step_limit(u10):
+    # a tol below an ulp of the level is never met: the bracket stops
+    # shrinking at adjacent floats and the 400 steps run out
+    g = RadialGrid(r_min=1e-4, r_max=20.0, num_points=200, spacing=LOG)
+    with pytest.raises(RuntimeError, match="bisection failed to converge"):
+        numerov_eigenvalue(QuantumNumbers(1), 2.0, g, u10, tol=1e-20)
+    assert math.isclose(numerov_eigenvalue(QuantumNumbers(1), 2.0, g, u10), -1.0,
+                        rel_tol=1e-6)
+
+
 def test_state_operations(u10):
     g = RadialGrid(r_min=1e-6, r_max=200.0, num_points=2001, spacing=LOG)
     a = scaled_eigenfunction(QuantumNumbers(1), 2.0 * u10.mc, g, u10)
