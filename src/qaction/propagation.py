@@ -10,17 +10,18 @@ factors
     F_zeta = (1 - z/zeta) (1 + z/zeta)^-1 = 2 (1 + z/zeta)^-1 - 1
 
 over a set of roots zeta: the single root -2 is Crank-Nicolson, second
-order, which every call with a requested step count uses; the pair
--3 +- i sqrt(3) is the (2,2) diagonal Pade approximant of exp(z), fourth
-order, which the path search uses (qaction.variational). Either step is
-exactly unitary for the symmetric tridiagonal H, so norms are conserved to
-roundoff over any number of steps. Each factor's matrix 1 + z/zeta is
-constant on a constant-lambda segment, so it is LU-factored once per segment
-(LAPACK zgttrf) and every factor then costs one back-substitution (zgttrs);
-the wall amplitude is checked for reflection after every step. Transition
-amplitudes K = <phi_out | U | phi_in> are accumulated with a continuously
-unwrapped phase (a segment whose per-step increment may exceed UNWRAP_PHASE
-is refused), and split as K = exp(I / (i hbar) + Q): I is the real
+order, which evolve and transition_amplitude use; the pair -3 +- i sqrt(3)
+is the (2,2) diagonal Pade approximant of exp(z), fourth order, which the
+path search uses (qaction.variational). Either step is exactly unitary for
+the symmetric tridiagonal H, so norms are conserved to roundoff over any
+number of steps. The sweep sets each segment's step count, from the state
+entering it. Each factor's matrix 1 + z/zeta is constant on a
+constant-lambda segment, so it is LU-factored once per segment (LAPACK
+zgttrf) and every factor then costs one back-substitution (zgttrs); the wall
+amplitude is checked for reflection after every step. Transition amplitudes
+K = <phi_out | U | phi_in> are accumulated with a continuously unwrapped
+phase (a segment whose per-step increment may exceed UNWRAP_PHASE is
+refused), and split as K = exp(I / (i hbar) + Q): I is the real
 quantum-action phase and Q = log |K| <= 0 the dissipative part.
 """
 
@@ -159,17 +160,6 @@ def _energy_scale(phi: np.ndarray, diag: np.ndarray, off: np.ndarray) -> float:
     return abs(m1) + 2.0 * spread
 
 
-def _segment_steps(path: LambdaPath, state: RadialState, u: UnitSystem,
-                   cap: float) -> list[int]:
-    """Per-segment step counts that turn state's overlap phases at most cap rad a step."""
-    counts = []
-    for lam, dur in zip(path.values, path.durations):
-        diag, off = _hamiltonian_tridiag(state.grid, state.l, lam, u)
-        eps = _energy_scale(np.asarray(state.amplitudes), diag, off)
-        counts.append(max(1, math.ceil(dur * eps / (u.hbar * cap))))
-    return counts
-
-
 def _cayley(diag: np.ndarray, off: np.ndarray, ds: float, zeta: complex,
             u: UnitSystem) -> tuple:
     """LU factors (LAPACK zgttrf) of 1 + z/zeta, z = i ds H / hbar, H = (diag, off).
@@ -190,29 +180,33 @@ def _cayley(diag: np.ndarray, off: np.ndarray, ds: float, zeta: complex,
     return dl, d, du, du2, ipiv
 
 
-def _sweep(state: RadialState, path: LambdaPath, counts: list[int],
-           u: UnitSystem, roots: tuple, out_conj: np.ndarray | None = None,
-           record: list | None = None
-           ) -> tuple[np.ndarray, complex | None, float]:
-    """The Cayley loop: counts[j] steps on segment j of path.
+def _sweep(state: RadialState, path: LambdaPath, steps: int, u: UnitSystem,
+           roots: tuple, cap: float | None = None,
+           out_conj: np.ndarray | None = None, record: list | None = None
+           ) -> tuple[np.ndarray, complex | None, float, int]:
+    """The Cayley loop along path, with at least steps (one or more) per segment.
 
     A step is the product of the Cayley factors (1 - z/zeta)(1 + z/zeta)^-1
     over roots, z = i ds H / hbar: one factor at zeta = -2 is Crank-Nicolson,
     the pair -3 +- i sqrt(3) the (2,2) diagonal Pade approximant of exp(z).
-    Per segment H is built once, each factor's matrix is LU-factored once
-    (_cayley), and each factor then costs one zgttrs solve. After every
-    whole step (the state between two factors of a step is not unit-norm)
-    the wall sample is tested against a floor under the peak; only when it
-    trips does the exact O(N) reflection check run. With out_conj, the overlap
-    h sum(out_conj * phi) is recorded after every whole step and its phase
-    unwrapped; a segment whose entering state would turn it more than
-    UNWRAP_PHASE rad a step is refused (RuntimeError) before it is factored.
-    With record, a list, every segment appends (ds, roots, LU factors in
-    roots order, states): the states are the one entering the segment and
-    the one after every Cayley factor. That is all _adjoint_sweep reads.
-    Returns (phi, last overlap, unwrapped phase); without out_conj the overlap
-    is None and the phase 0.
+    Per segment H is built once; the state entering the segment turns overlap
+    phases by about turn = dur _energy_scale / hbar over it, and the segment
+    takes steps, or with cap max(steps, ceil(turn / cap)): no other code
+    sizes a sweep. Each factor's matrix is LU-factored once (_cayley), and
+    each factor then costs one zgttrs solve. After every whole step (the
+    state between two factors of a step is not unit-norm) the wall sample is
+    tested against a floor under the peak; only when it trips does the exact
+    O(N) reflection check run. With out_conj, the overlap h sum(out_conj *
+    phi) is recorded after every whole step and its phase unwrapped; a
+    segment with fewer than ceil(turn / UNWRAP_PHASE) steps is refused
+    (RuntimeError) before it is factored. With record, a list, every segment
+    appends (ds, roots, LU factors in roots order, states): the states are
+    the one entering the segment and the one after every Cayley factor. That
+    is all _adjoint_sweep reads. Returns (phi, last overlap, unwrapped phase,
+    steps taken); without out_conj the overlap is None and the phase 0.
     """
+    if steps < 1:
+        raise ValueError("need at least one step per segment")
     from scipy.linalg.lapack import zgttrs
     grid = state.grid
     phi = np.array(state.amplitudes, dtype=complex)
@@ -220,19 +214,23 @@ def _sweep(state: RadialState, path: LambdaPath, counts: list[int],
     # norm to roundoff, so a wall sample under this floor is no reflection
     wall_floor = REFLECTION_TOL * math.sqrt(
         float(np.real(np.vdot(phi, phi))) / grid.num_points)
-    o_prev, theta = None, 0.0
-    if out_conj is not None:
-        h = grid.step  # only overlaps need it; _hamiltonian_tridiag checks the grid
-        o_prev = complex(h * np.dot(out_conj, phi))
-        theta = math.atan2(o_prev.imag, o_prev.real) if abs(o_prev) > 0.0 else 0.0
-    for j, (lam, dur, n_steps) in enumerate(zip(path.values, path.durations, counts)):
+    o_prev, theta, total = None, 0.0, 0
+    for j, (lam, dur) in enumerate(zip(path.values, path.durations)):
         ham = _hamiltonian_tridiag(grid, state.l, lam, u)
+        if cap is not None or out_conj is not None:
+            turn = dur * _energy_scale(phi, *ham) / u.hbar
+        n_steps = steps if cap is None else max(steps, math.ceil(turn / cap))
         if out_conj is not None:
-            need = math.ceil(dur * _energy_scale(phi, *ham) / (u.hbar * UNWRAP_PHASE))
+            need = math.ceil(turn / UNWRAP_PHASE)
             if need > n_steps:
                 raise RuntimeError(
                     f"segment {j} turns the overlap phase more than {UNWRAP_PHASE} "
                     f"rad per step at its {n_steps} steps (it needs {need})")
+            if j == 0:
+                h = grid.step  # read once _hamiltonian_tridiag has checked the grid
+                o_prev = complex(h * np.dot(out_conj, phi))
+                theta = math.atan2(o_prev.imag, o_prev.real) if abs(o_prev) > 0.0 else 0.0
+        total += n_steps
         ds = dur / n_steps
         lus = [_cayley(*ham, ds, zeta, u) for zeta in roots]
         if record is not None:
@@ -254,10 +252,10 @@ def _sweep(state: RadialState, path: LambdaPath, counts: list[int],
             if out_conj is not None:
                 o_new = complex(h * np.dot(out_conj, phi))
                 if abs(o_new) > 1e-280 and abs(o_prev) > 1e-280:
-                    turn = o_new * o_prev.conjugate()
-                    theta += math.atan2(turn.imag, turn.real)
+                    rot = o_new * o_prev.conjugate()
+                    theta += math.atan2(rot.imag, rot.real)
                 o_prev = o_new
-    return phi, o_prev, theta
+    return phi, o_prev, theta, total
 
 
 def _adjoint_sweep(record: list, phi_out: RadialState, path: LambdaPath,
@@ -306,24 +304,16 @@ def _adjoint_sweep(record: list, phi_out: RadialState, path: LambdaPath,
     return dk_dlam, complex(0.5 * h * sum_s / path.S)
 
 
-def _fixed_counts(path: LambdaPath, steps_per_segment: int) -> list[int]:
-    """steps_per_segment on every segment of path, which must be at least one."""
-    if steps_per_segment < 1:
-        raise ValueError("need at least one step per segment")
-    return [steps_per_segment] * path.num_segments
-
-
 def evolve(state: RadialState, path: LambdaPath, steps_per_segment: int,
            u: UnitSystem) -> RadialState:
     """Propagate through the path with the given number of steps per segment.
 
-    Applies exactly steps_per_segment Crank-Nicolson steps, one solve each,
-    per constant-lambda segment: the caller picks the resolution, with no
-    phase cap (transition_amplitude adds one). Raises
+    Applies exactly steps_per_segment (at least one) Crank-Nicolson steps,
+    one solve each, per constant-lambda segment: the caller picks the
+    resolution, with no phase cap (transition_amplitude adds one). Raises
     BoundaryReflectionError when amplitude reaches the outer wall at any step.
     """
-    phi, _, _ = _sweep(state, path, _fixed_counts(path, steps_per_segment), u,
-                       CN_ROOTS)
+    phi, _, _, _ = _sweep(state, path, steps_per_segment, u, CN_ROOTS)
     return RadialState(state.grid, state.l, phi)
 
 
@@ -353,17 +343,18 @@ def evolve_spectral(state: RadialState, path: LambdaPath, u: UnitSystem,
 
 
 def _transition(phi_in: RadialState, phi_out: RadialState, path: LambdaPath,
-                u: UnitSystem, counts: list[int], roots: tuple,
+                u: UnitSystem, steps: int, roots: tuple, cap: float | None = None,
                 record: list | None = None) -> TransitionAmplitude:
-    """The amplitude of counts[j] steps on the Cayley roots given on segment
-    j; a record list is passed on to _sweep, for _adjoint_sweep."""
+    """The amplitude of a _sweep of steps (and cap) on the Cayley roots given;
+    a record list is passed on to _sweep, for _adjoint_sweep."""
     _check_pair(phi_in, phi_out)
     norm_in = state_norm(phi_in)
     for name, nrm in (("phi_in", norm_in), ("phi_out", state_norm(phi_out))):
         if abs(nrm - 1.0) > 1e-6:
             raise ValueError(f"{name} is not normalized (norm = {nrm!r})")
     out = np.asarray(phi_out.amplitudes)
-    phi, K, theta = _sweep(phi_in, path, counts, u, roots, np.conj(out), record)
+    phi, K, theta, total = _sweep(phi_in, path, steps, u, roots, cap, np.conj(out),
+                                  record)
     # re-anchor to the principal branch nearest the accumulated estimate, a
     # no-op unless tracking was suspended near |K| = 0
     if abs(K) > 0.0:
@@ -384,7 +375,7 @@ def _transition(phi_in: RadialState, phi_out: RadialState, path: LambdaPath,
     # roundoff bound of K: an N-term overlap errs by up to N eps_mach
     # h sum |phi_out| |phi| (as does that of two eigenvectors LAPACK returns
     # orthogonal to O(N eps_mach)), and every solve adds about eps_mach more
-    terms = phi.size + len(roots) * sum(counts)
+    terms = phi.size + len(roots) * total
     roundoff = np.finfo(float).eps * terms * h * float(np.dot(np.abs(out), np.abs(phi)))
     valid = not mag <= ROUNDOFF_SAFETY * roundoff
     return TransitionAmplitude(
@@ -399,21 +390,20 @@ def transition_amplitude(phi_in: RadialState, phi_out: RadialState,
                          ) -> TransitionAmplitude:
     """K = <phi_out | U_S | phi_in> with its phase/magnitude decomposition.
 
-    Steps with Crank-Nicolson, one solve per step; each segment's count,
-    floored at steps_per_segment (at least one, as in evolve), is raised until
-    phi_in turns the overlap phase at most MAX_PHASE_PER_STEP (0.02 rad,
-    Crank-Nicolson's accuracy step) a step. The overlap's phase is unwrapped by
-    nearest-branch continuation, which can alias past UNWRAP_PHASE (0.5 rad)
-    a step, so _sweep refuses a segment whose entering state would turn it
-    that fast at its count. I = -hbar theta_unwrapped, Q = log |K|.
+    Steps with Crank-Nicolson, one solve per step. Each segment takes the
+    larger of steps_per_segment (at least one, as in evolve) and the count at
+    which the state entering it turns the overlap phase at most
+    MAX_PHASE_PER_STEP (0.02 rad, Crank-Nicolson's accuracy step) a step, far
+    below UNWRAP_PHASE (0.5 rad), where the nearest-branch unwrapping of the
+    overlap's phase could alias. I = -hbar theta_unwrapped, Q = log |K|.
     A |K| within roundoff above one is scaled back to one, phase kept, so
     |K| <= 1 and Q <= 0 hold for every amplitude returned. When |K| is within
     ROUNDOFF_SAFETY times the sweep's roundoff bound of zero the result is
     flagged instead: phase_valid False, I NaN, Q -inf.
     """
-    floors = _fixed_counts(path, 1 if steps_per_segment is None else steps_per_segment)
-    counts = list(map(max, _segment_steps(path, phi_in, u, MAX_PHASE_PER_STEP), floors))
-    return _transition(phi_in, phi_out, path, u, counts, CN_ROOTS)
+    return _transition(phi_in, phi_out, path, u,
+                       1 if steps_per_segment is None else steps_per_segment,
+                       CN_ROOTS, MAX_PHASE_PER_STEP)
 
 
 def transition_probability(amp: TransitionAmplitude) -> float:

@@ -25,13 +25,15 @@ straight-line free motion between the fixed events.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .paths import LambdaPath
 from .propagation import (PADE22_ROOTS, PhaseUndefinedError, TransitionAmplitude,
-                          _adjoint_sweep, _segment_steps, _transition)
+                          _adjoint_sweep, _energy_scale, _hamiltonian_tridiag,
+                          _transition)
 from .spectrum import RadialState
 from .stationary import _damped_newton
 from .units import UnitSystem
@@ -64,13 +66,14 @@ class VariationalProblem:
     times x10 / (2 m c). steps_per_segment is worked out, not passed: the
     (2,2) step count that holds the overlap phase under STEP_PHASE rad per
     step at optimize_path's start point, and so its eigenphase error under
-    PHASE_ERROR per radian; every sweep of the problem takes exactly that
-    many per segment and refuses, never re-steps, a trial path too fast for
-    it (UNWRAP_PHASE in qaction.propagation). A residual's forward sweep
-    keeps a state after every Cayley factor and four LU vectors per factor
-    and segment for its adjoint sweep. A schedule of more than MAX_SOLVES_PER_RESIDUAL solves or
-    MAX_STORED_BYTES bytes of those vectors per residual is refused with a
-    ValueError before any propagation runs.
+    PHASE_ERROR per radian (one energy scale of phi_in at lambda = 2 m c, as
+    the start's N segments are alike); every sweep of the problem takes
+    exactly that many per segment and refuses, never re-steps, a trial path
+    too fast for it (UNWRAP_PHASE in qaction.propagation). A residual's
+    forward sweep keeps a state after every Cayley factor and four LU vectors
+    per factor and segment for its adjoint sweep. A schedule of more than
+    MAX_SOLVES_PER_RESIDUAL solves or MAX_STORED_BYTES bytes of those vectors
+    per residual is refused with a ValueError before any propagation runs.
     """
 
     phi_in: RadialState
@@ -85,9 +88,11 @@ class VariationalProblem:
             raise ValueError("x10 must be positive")
         if self.segments < 1:
             raise ValueError("need at least one path segment")
-        start = LambdaPath.equal_segments([2.0 * self.u.mc] * self.segments,
-                                          self.x10 / (2.0 * self.u.mc))
-        steps = max(_segment_steps(start, self.phi_in, self.u, STEP_PHASE))
+        phi, lam = self.phi_in, 2.0 * self.u.mc
+        ham = _hamiltonian_tridiag(phi.grid, phi.l, lam, self.u)
+        turn = self.x10 / (lam * self.segments) \
+            * _energy_scale(np.asarray(phi.amplitudes), *ham) / self.u.hbar
+        steps = max(1, math.ceil(turn / STEP_PHASE))
         factors = len(PADE22_ROOTS) * self.segments
         solves = 2 * factors * steps
         if solves > MAX_SOLVES_PER_RESIDUAL:
@@ -146,8 +151,7 @@ def _forward(path: LambdaPath, problem: VariationalProblem
     qaction.propagation), never re-stepped."""
     record = []
     amp = _transition(problem.phi_in, problem.phi_out, path, problem.u,
-                      [problem.steps_per_segment] * path.num_segments,
-                      PADE22_ROOTS, record)
+                      problem.steps_per_segment, PADE22_ROOTS, record=record)
     if not amp.phase_valid:
         lams = ", ".join(f"{v / problem.u.mc:.6g}" for v in path.values)
         raise PhaseUndefinedError(
@@ -246,7 +250,8 @@ def internal_time_map(path: LambdaPath, x0: float) -> float:
     The map x0(s) = integral_0^s lambda is strictly increasing when every
     segment value is positive, so the inverse is exact piecewise algebra.
     The reachable total is the running sum of the segments, whose last
-    segment then holds every x0 past the one before it.
+    segment then holds every x0 past the one before it. x0 is measured from
+    the nearer end of its segment, so running sums map to breakpoints exactly.
     """
     if np.any(path.values <= 0.0):
         raise ValueError("time map needs strictly positive lambda on every segment")
@@ -256,8 +261,9 @@ def internal_time_map(path: LambdaPath, x0: float) -> float:
         raise ValueError(f"x0 = {x0!r} outside the reachable range [0, {total!r}]")
     idx = int(np.searchsorted(cum, x0, side="left"))
     before = cum[idx - 1] if idx > 0 else 0.0
-    start = path.starts[idx]
-    return float(start + (x0 - before) / path.values[idx])
+    if x0 - before <= cum[idx] - x0:
+        return float(path.starts[idx] + (x0 - before) / path.values[idx])
+    return float(path.breakpoints[idx] - (cum[idx] - x0) / path.values[idx])
 
 
 def lambda_from_trajectory(s_samples: np.ndarray,

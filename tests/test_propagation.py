@@ -12,8 +12,9 @@ from qaction import (
     TransitionAmplitude, evolve, evolve_spectral, grid_eigenstate,
     propagation_grid, state_norm, transition_amplitude, transition_probability,
 )
-from qaction.propagation import (CN_ROOTS, PADE22_ROOTS, _hamiltonian_tridiag,
-                                 _sweep, _transition)
+from qaction.propagation import (CN_ROOTS, MAX_PHASE_PER_STEP, PADE22_ROOTS,
+                                 _energy_scale, _hamiltonian_tridiag, _sweep,
+                                 _transition)
 from qaction.spectrum import LOG, UNIFORM
 
 
@@ -357,7 +358,7 @@ def test_eigenstate_amplitude_never_exceeds_one(u10, roots):
     path = LambdaPath.constant(2.0 * u10.mc, 0.7)
     for points, r_max in ((900, 25.0), (1200, 30.0), (2000, 25.0), (1500, 40.0)):
         state, eps = _eigenpair(1, 0, 2.0, propagation_grid(r_max, points), u10)
-        amp = _transition(state, state, path, u10, [steps], roots)
+        amp = _transition(state, state, path, u10, steps, roots)
         assert abs(amp.K) <= 1.0 and amp.Q <= 0.0, points
         assert abs(amp.K) > 1.0 - 1e-13, points
         assert abs(amp.I - eps * path.S) < 5e-5, points
@@ -372,8 +373,8 @@ def test_tracked_sweep_refuses_counts_too_coarse_to_unwrap(u10, roots):
     path = LambdaPath.constant(2.0 * u10.mc, 6.0)
     for steps in (1, 11):
         with pytest.raises(RuntimeError, match=rf"0\.5 rad .* {steps} steps \(it needs 12\)"):
-            _transition(state, state, path, u10, [steps], roots)
-    amp = _transition(state, state, path, u10, [12], roots)
+            _transition(state, state, path, u10, steps, roots)
+    amp = _transition(state, state, path, u10, 12, roots)
     assert abs(amp.I - eps * path.S) < 0.2
 
 
@@ -388,11 +389,11 @@ def test_amplitude_rounded_outside_after_rescale_steps_inside(u10):
     outside = 0
     for k in range(200):
         out = RadialState(g, 0, state.amplitudes * ((1.0 + 4e-13) * cmath.exp(0.01j * k)))
-        _, raw, _ = _sweep(state, path, [2], u10, CN_ROOTS,
-                           np.conj(np.asarray(out.amplitudes)))
+        _, raw, _, _ = _sweep(state, path, 2, u10, CN_ROOTS,
+                              out_conj=np.conj(np.asarray(out.amplitudes)))
         assert 1.0 < abs(raw) < 1.0 + 1e-12
         outside += abs(raw / abs(raw)) > 1.0
-        amp = _transition(state, out, path, u10, [2], CN_ROOTS)
+        amp = _transition(state, out, path, u10, 2, CN_ROOTS)
         assert abs(amp.K) <= 1.0 and amp.Q <= 0.0
         assert cmath.isclose(amp.K, raw, rel_tol=1e-12)
     assert outside > 0
@@ -418,13 +419,13 @@ def test_pade22_is_fourth_order(u10):
     ref = _exact_amplitude(mix, s1, path, u10)
     errors = []
     for steps in (8, 16, 32):
-        amp = _transition(mix, s1, path, u10, [steps, steps], PADE22_ROOTS)
+        amp = _transition(mix, s1, path, u10, steps, PADE22_ROOTS)
         assert amp.norm_drift <= 1e-12
         errors.append(abs(amp.K - ref))
     # halving ds cuts the error 16-fold at fourth order, 4-fold at second
     assert errors[0] / errors[1] >= 12.0 and errors[1] / errors[2] >= 12.0, errors
     # and beats Crank-Nicolson at four times the solves
-    cn = _transition(mix, s1, path, u10, [64, 64], CN_ROOTS)
+    cn = _transition(mix, s1, path, u10, 64, CN_ROOTS)
     assert errors[1] < abs(cn.K - ref) / 10.0
 
 
@@ -446,3 +447,40 @@ def test_explicit_steps_take_one_solve_per_step(u10, monkeypatch):
     calls.clear()
     evolve(state, path, 70, u10)
     assert calls == [1] * 140
+
+
+def test_counts_follow_the_state_entering_each_segment(u10, monkeypatch):
+    # with no floor, each segment takes the Crank-Nicolson steps that hold the
+    # overlap phase of the state entering it under 0.02 rad a step; here the
+    # last segment's entering state needs 27, where phi_in at that lambda
+    # needs only 10
+    g = propagation_grid(60.0, 600)
+    s2, _ = _eigenpair(2, 0, 1.7, g, u10)
+    s1, _ = _eigenpair(1, 0, 1.75, g, u10)
+    path = LambdaPath.equal_segments([1.7 * u10.mc, 2.3 * u10.mc, 1.75 * u10.mc], 2.4)
+    phi, counts, turns = s2, [], []
+    for lam, dur in zip(path.values, path.durations):
+        ham = _hamiltonian_tridiag(g, 0, lam, u10)
+        turns.append(dur * _energy_scale(np.asarray(phi.amplitudes), *ham) / u10.hbar)
+        counts.append(math.ceil(turns[-1] / MAX_PHASE_PER_STEP))
+        phi = evolve(phi, LambdaPath.constant(lam, dur), counts[-1], u10)
+    last = _hamiltonian_tridiag(g, 0, path.values[-1], u10)
+    from_phi_in = path.durations[-1] * _energy_scale(np.asarray(s2.amplitudes), *last)
+    assert counts[-1] > math.ceil(from_phi_in / u10.hbar / MAX_PHASE_PER_STEP)
+    calls = []
+    solve = lapack.zgttrs
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(lapack, "zgttrs", counting)
+    amp = transition_amplitude(s2, s1, path, u10)
+    assert len(calls) == sum(counts)
+    # the reference propagates in the full eigenbasis of every segment's H,
+    # with no time step at all; Crank-Nicolson errs by x^3 / 12 per step on a
+    # phase of x rad, so by about turn * 0.02^2 / 12 over a segment (here
+    # 1.5e-5 against 4.2e-5; 2.6e-5 at phi_in's counts)
+    ref = evolve_spectral(s2, path, u10, num_states=g.num_points)
+    k_ref = g.step * np.vdot(s1.amplitudes, ref.amplitudes)
+    assert abs(amp.K - k_ref) <= sum(turns) * MAX_PHASE_PER_STEP ** 2 / 12.0

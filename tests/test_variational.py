@@ -266,9 +266,10 @@ def test_one_step_schedule_per_solve(u10, coarse_setup, monkeypatch):
     sweep, adjoint = propagation._sweep, variational._adjoint_sweep
     seen = {"forward": set(), "adjoint": set()}
 
-    def forward(state, path, counts, u, roots, out_conj=None, record=None):
-        seen["forward"].add((tuple(counts), roots))
-        return sweep(state, path, counts, u, roots, out_conj, record)
+    def forward(state, path, steps, u, roots, cap=None, out_conj=None, record=None):
+        assert cap is None  # no cap: every segment takes exactly steps
+        seen["forward"].add(((steps,) * path.num_segments, roots))
+        return sweep(state, path, steps, u, roots, cap, out_conj, record)
 
     def backward(record, phi_out, path, u):
         # a segment's record holds its entering state and one per factor and step
@@ -291,7 +292,8 @@ def test_one_hamiltonian_build_per_segment_per_sweep(u10, coarse_setup,
                                                      monkeypatch, segments):
     # one residual builds H once per segment: the forward sweep's, shared by
     # its unwrap check and both (2,2) roots; the adjoint sweep reads the
-    # forward sweep's LU factors and builds none
+    # forward sweep's LU factors and builds none. transition_amplitude's
+    # sweep sizes each segment's Crank-Nicolson count from the same H
     _, state, _ = coarse_setup
     problem = VariationalProblem(phi_in=state, phi_out=state, x10=40.0,
                                  segments=segments, u=u10)
@@ -303,6 +305,10 @@ def test_one_hamiltonian_build_per_segment_per_sweep(u10, coarse_setup,
 
     monkeypatch.setattr(propagation, "_hamiltonian_tridiag", counting)
     variational._kkt_residual(np.full(segments, 2.0 * u10.mc), problem)
+    assert len(calls) == segments
+    calls.clear()
+    path = LambdaPath.equal_segments([2.0 * u10.mc] * segments, 40.0 / (2.0 * u10.mc))
+    transition_amplitude(state, state, path, u10)
     assert len(calls) == segments
 
 
@@ -554,18 +560,18 @@ def test_internal_time_map_total_is_the_running_sum():
 def test_internal_time_map_of_the_integral_is_the_duration():
     # path.integral() is the one total of lambda, so it maps back to S on
     # every path (a dot-product total was refused as out of range on 2 395
-    # of these 20 000). The map divides the last segment's share of the total
-    # by its lambda, so an ulp of the total moves s by up to that ulp over
-    # lambda_last: the tolerance scales with mean(lambda) / lambda_last
-    # (measured worst 3.3e-16 relative after that scaling)
+    # of these 20 000). x0 is measured from the nearer end of its segment, so
+    # every running sum maps to its breakpoint and 0 to 0, exactly; measured
+    # from the segment's start, the total missed S on 4 783 of these paths
     rng = np.random.default_rng(0)
     for _ in range(20_000):
         n = int(rng.integers(2, 6))
         path = LambdaPath(np.cumsum(rng.uniform(0.1, 2.0, n)), rng.uniform(0.1, 3.0, n))
-        total = path.integral()
-        cond = max(1.0, total / (path.S * path.values[-1]))
-        assert math.isclose(internal_time_map(path, total), path.S,
-                            rel_tol=1e-15 * cond), path
+        assert path.integral() == path.cumulative_integral()[-1]
+        assert internal_time_map(path, 0.0) == 0.0, path
+        # the last running sum is the total, the last breakpoint S
+        for x0, end in zip(path.cumulative_integral(), path.breakpoints):
+            assert internal_time_map(path, float(x0)) == end, path
 
 
 def test_internal_time_map_round_trip():
