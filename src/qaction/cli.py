@@ -37,13 +37,13 @@ import numpy as np
 
 from . import __version__
 from .gaussian_phase import _default_d, chi_initial, integrate_chi
-from .paths import LambdaPath, load_path_csv
+from .paths import LambdaPath, internal_time_map, load_path_csv
 from .propagation import (grid_eigenstate, propagation_grid,
                           transition_amplitude, transition_probability)
 from .spectrum import bohr_energy, epsilon_n
 from .stationary import level_comparison, solve_stationary
 from .units import HARTREE_ATOMIC, SI_LIKE, UnitSystem, make_units
-from .variational import VariationalProblem, internal_time_map, optimize_path
+from .variational import VariationalProblem, optimize_path
 
 FINE_STRUCTURE_DEFAULT = 0.0072973525693
 
@@ -373,9 +373,8 @@ def run_propagate(cfg: SimpleNamespace, u: UnitSystem) -> dict:
 
 
 def _timemap_rows(path: LambdaPath, samples: int) -> list[list]:
-    x0_values = np.linspace(0.0, path.integral(), samples)
-    return [[internal_time_map(path, float(x0)), float(x0)]
-            for x0 in x0_values]
+    x0 = np.linspace(0.0, path.integral(), samples)
+    return np.column_stack((internal_time_map(path, x0), x0)).tolist()
 
 
 def run_optimize(cfg: SimpleNamespace, u: UnitSystem) -> dict:

@@ -23,6 +23,7 @@ center rides along x0 = L(s).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,8 +128,8 @@ def integrate_chi(state: GaussianPhaseState, path: LambdaPath, d: float | None,
     never straddle a breakpoint, so for this right-hand side, polynomial in s
     within each segment, RK4 reproduces the quadrature solution to roundoff.
     """
-    if steps < 1:
-        raise ValueError("need at least one step")
+    if not (isinstance(steps, numbers.Integral) and steps >= 1):
+        raise ValueError(f"steps must be a whole number >= 1, got {steps!r}")
     if state.s != 0.0:
         raise ValueError("trajectory must start at s = 0")
     if d is None:

@@ -1,9 +1,9 @@
-"""Piecewise-constant control paths lambda(s) on the internal-time axis.
+"""Piecewise-constant control paths lambda(s) and the time map x0(s) both ways.
 
 A path is a finite list of constant segments covering (0, S]. Integrals of
-lambda and of lambda's running integral are exact for this class, which is
-what makes the closed-form phase solutions and the time-map inversion
-machine-precision operations.
+lambda are exact for this class, which makes the closed-form phase solutions
+and the time map machine-precision operations: x0(s) is LambdaPath.integral,
+s(x0) internal_time_map, and lambda_from_trajectory the path of samples.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["LambdaPath", "load_path_csv"]
+__all__ = ["LambdaPath", "internal_time_map", "lambda_from_trajectory", "load_path_csv"]
 
 
 @dataclass(frozen=True)
@@ -72,20 +72,16 @@ class LambdaPath:
     def durations(self) -> np.ndarray:
         return np.diff(np.concatenate(([0.0], self.breakpoints)))
 
-    def _segment_index(self, s: float) -> int:
-        if not 0.0 <= s <= self.S:
-            raise ValueError(f"s = {s} outside path domain [0, {self.S}]")
-        # segments are left-open, so a breakpoint belongs to the segment it ends
-        j = int(np.searchsorted(self.breakpoints, s, side="left"))
-        return min(j, self.num_segments - 1)
-
     def integral(self, upto: float | None = None) -> float:
         """Running integral of lambda from 0 to `upto` (default: full S), exact:
         cumulative_integral's prefix plus the part of upto's own segment."""
         cum = self.cumulative_integral()
         if upto is None:
             return float(cum[-1])
-        j = self._segment_index(upto)
+        if not 0.0 <= upto <= self.S:
+            raise ValueError(f"s = {upto} outside path domain [0, {self.S}]")
+        # segments are left-open, so a breakpoint belongs to the segment it ends
+        j = int(np.searchsorted(self.breakpoints, upto, side="left"))
         before = float(cum[j - 1]) if j > 0 else 0.0
         return before + float(self.values[j]) * (upto - float(self.starts[j]))
 
@@ -105,8 +101,53 @@ class LambdaPath:
         return LambdaPath(self.breakpoints * (S / self.S), self.values)
 
     def reversed(self) -> "LambdaPath":
-        durs = self.durations[::-1]
-        return LambdaPath(np.cumsum(durs), self.values[::-1])
+        return LambdaPath(np.cumsum(self.durations[::-1]), self.values[::-1])
+
+
+def internal_time_map(path: LambdaPath, x0: float | np.ndarray) -> float | np.ndarray:
+    """Internal time s at which the running integral of lambda reaches x0.
+
+    x0 is a number, giving a float, or an array, giving one of its shape equal
+    elementwise to the number's result; one element out of range or NaN
+    refuses the whole call. Every lambda must be positive. The reachable
+    total is the last running sum, and x0 is measured from the nearer end of
+    its segment, so running sums map to breakpoints exactly.
+    """
+    if np.any(path.values <= 0.0):
+        raise ValueError("time map needs strictly positive lambda on every segment")
+    cum = path.cumulative_integral()
+    total = float(cum[-1])
+    x = np.asarray(x0, dtype=float)
+    bad = x[~((x >= 0.0) & (x <= total))]
+    if bad.size:
+        raise ValueError(f"x0 = {float(bad[0])!r} outside the reachable range [0, {total!r}]")
+    j = np.searchsorted(cum, x, side="left")
+    before, end, lam = np.concatenate(([0.0], cum))[j], cum[j], path.values[j]
+    s = np.where(x - before <= end - x, path.starts[j] + (x - before) / lam,
+                 path.breakpoints[j] - (end - x) / lam)
+    return float(s) if s.ndim == 0 else s
+
+
+def lambda_from_trajectory(s_samples: np.ndarray,
+                           x0_samples: np.ndarray) -> LambdaPath:
+    """Piecewise-constant control reconstructed from a sampled trajectory x0(s).
+
+    Consecutive samples define one segment each with value equal to the
+    chord slope dx0/ds, so the running integral of the result passes through
+    every sample; both sample arrays must start at the origin and be
+    strictly increasing.
+    """
+    s = np.asarray(s_samples, dtype=float)
+    x = np.asarray(x0_samples, dtype=float)
+    if s.ndim != 1 or x.ndim != 1 or s.size != x.size:
+        raise ValueError("sample arrays must be 1d and of equal length")
+    if s.size < 2:
+        raise ValueError("need at least two samples")
+    if s[0] != 0.0 or x[0] != 0.0:
+        raise ValueError("trajectory samples must start at s = 0, x0 = 0")
+    if np.any(np.diff(s) <= 0.0) or np.any(np.diff(x) <= 0.0):
+        raise ValueError("trajectory samples must be strictly increasing")
+    return LambdaPath(breakpoints=s[1:], values=np.diff(x) / np.diff(s))
 
 
 def load_path_csv(filename) -> LambdaPath:

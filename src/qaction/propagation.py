@@ -28,6 +28,7 @@ quantum-action phase and Q = log |K| <= 0 the dissipative part.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,7 +185,7 @@ def _sweep(state: RadialState, path: LambdaPath, steps: int, u: UnitSystem,
            roots: tuple, cap: float | None = None,
            out_conj: np.ndarray | None = None, record: list | None = None
            ) -> tuple[np.ndarray, complex | None, float, int]:
-    """The Cayley loop along path, with at least steps (one or more) per segment.
+    """The Cayley loop along path, at least steps (an integer >= 1) per segment.
 
     A step is the product of the Cayley factors (1 - z/zeta)(1 + z/zeta)^-1
     over roots, z = i ds H / hbar: one factor at zeta = -2 is Crank-Nicolson,
@@ -205,6 +206,8 @@ def _sweep(state: RadialState, path: LambdaPath, steps: int, u: UnitSystem,
     is all _adjoint_sweep reads. Returns (phi, last overlap, unwrapped phase,
     steps taken); without out_conj the overlap is None and the phase 0.
     """
+    if not isinstance(steps, numbers.Integral):
+        raise ValueError(f"need at least one step per segment, a whole number, got {steps!r}")
     if steps < 1:
         raise ValueError("need at least one step per segment")
     from scipy.linalg.lapack import zgttrs

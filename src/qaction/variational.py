@@ -26,6 +26,7 @@ straight-line free motion between the fixed events.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,10 +50,8 @@ MAX_SOLVES_PER_RESIDUAL = 20_000
 # memory budget of those stored states and LU factors, 16 bytes a grid point
 MAX_STORED_BYTES = 2 ** 28
 
-__all__ = [
-    "VariationalProblem", "StationaryPath", "classical_action_part",
-    "full_action", "optimize_path", "internal_time_map", "lambda_from_trajectory",
-]
+__all__ = ["VariationalProblem", "StationaryPath", "classical_action_part",
+           "full_action", "optimize_path"]
 
 
 @dataclass(frozen=True)
@@ -86,8 +85,8 @@ class VariationalProblem:
     def __post_init__(self):
         if not self.x10 > 0.0:
             raise ValueError("x10 must be positive")
-        if self.segments < 1:
-            raise ValueError("need at least one path segment")
+        if not (isinstance(self.segments, numbers.Integral) and self.segments >= 1):
+            raise ValueError(f"segments must be a whole number >= 1, got {self.segments!r}")
         phi, lam = self.phi_in, 2.0 * self.u.mc
         ham = _hamiltonian_tridiag(phi.grid, phi.l, lam, self.u)
         turn = self.x10 / (lam * self.segments) \
@@ -242,46 +241,3 @@ def optimize_path(problem: VariationalProblem, tol: float = 1e-8,
                           residual=float(np.max(np.abs(resid))),
                           amplitude=amp, converged=converged,
                           iterations=iterations)
-
-
-def internal_time_map(path: LambdaPath, x0: float) -> float:
-    """Internal time s at which the running integral of lambda reaches x0.
-
-    The map x0(s) = integral_0^s lambda is strictly increasing when every
-    segment value is positive, so the inverse is exact piecewise algebra.
-    The reachable total is the running sum of the segments, whose last
-    segment then holds every x0 past the one before it. x0 is measured from
-    the nearer end of its segment, so running sums map to breakpoints exactly.
-    """
-    if np.any(path.values <= 0.0):
-        raise ValueError("time map needs strictly positive lambda on every segment")
-    cum = path.cumulative_integral()
-    total = float(cum[-1])
-    if not (0.0 <= x0 <= total):
-        raise ValueError(f"x0 = {x0!r} outside the reachable range [0, {total!r}]")
-    idx = int(np.searchsorted(cum, x0, side="left"))
-    before = cum[idx - 1] if idx > 0 else 0.0
-    if x0 - before <= cum[idx] - x0:
-        return float(path.starts[idx] + (x0 - before) / path.values[idx])
-    return float(path.breakpoints[idx] - (cum[idx] - x0) / path.values[idx])
-
-
-def lambda_from_trajectory(s_samples: np.ndarray,
-                           x0_samples: np.ndarray) -> LambdaPath:
-    """Piecewise-constant control reconstructed from a sampled trajectory.
-
-    Consecutive samples define one segment each with value equal to the
-    chord slope dx0/ds; both sample arrays must start at the origin and be
-    strictly increasing.
-    """
-    s = np.asarray(s_samples, dtype=float)
-    x = np.asarray(x0_samples, dtype=float)
-    if s.ndim != 1 or x.ndim != 1 or s.size != x.size:
-        raise ValueError("sample arrays must be 1d and of equal length")
-    if s.size < 2:
-        raise ValueError("need at least two samples")
-    if s[0] != 0.0 or x[0] != 0.0:
-        raise ValueError("trajectory samples must start at s = 0, x0 = 0")
-    if np.any(np.diff(s) <= 0.0) or np.any(np.diff(x) <= 0.0):
-        raise ValueError("trajectory samples must be strictly increasing")
-    return LambdaPath(breakpoints=s[1:], values=np.diff(x) / np.diff(s))

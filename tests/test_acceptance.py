@@ -13,7 +13,7 @@ import numpy as np
 
 from qaction import make_units
 from qaction.gaussian_phase import chi_closed_form, chi_initial, integrate_chi
-from qaction.paths import LambdaPath
+from qaction.paths import LambdaPath, internal_time_map
 from qaction.propagation import (
     grid_eigenstate, propagation_grid, transition_amplitude,
 )
@@ -24,9 +24,7 @@ from qaction.spectrum import (
 from qaction.stationary import (
     action_value, level_comparison, solve_stationary, stationary_closed_form,
 )
-from qaction.variational import (
-    VariationalProblem, internal_time_map, optimize_path,
-)
+from qaction.variational import VariationalProblem, optimize_path
 
 ALPHAS = (0.01, 0.0072973525693, 0.1)
 

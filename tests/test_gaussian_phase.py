@@ -141,6 +141,8 @@ def test_integrate_domain_errors(u_half):
     path = LambdaPath.constant(1.0, 1.0)
     with pytest.raises(ValueError):
         integrate_chi(chi_initial(1.0), path, None, u_half, 0)
+    with pytest.raises(ValueError, match="whole number"):
+        integrate_chi(chi_initial(1.0), path, None, u_half, 2.5)
     moved = GaussianPhaseState(chi0=0j, chi1=0j, chi2=-0.5 + 0j, s=0.5)
     with pytest.raises(ValueError):
         integrate_chi(moved, path, None, u_half, 100)

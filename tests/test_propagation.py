@@ -156,6 +156,8 @@ def test_evolve_rejects_bad_input(u10):
     state, _ = _eigenpair(1, 0, 2.0, g, u10)
     with pytest.raises(ValueError):
         evolve(state, LambdaPath.constant(2.0 * u10.mc, 1.0), 0, u10)
+    with pytest.raises(ValueError, match="whole number"):
+        evolve(state, LambdaPath.constant(2.0 * u10.mc, 1.0), 2.5, u10)
     log_grid = RadialGrid(r_min=1e-4, r_max=25.0, num_points=800, spacing=LOG)
     amps = np.exp(-log_grid.points())
     rough = RadialState(log_grid, 0, amps)
@@ -184,7 +186,7 @@ def test_grid_not_walled_at_origin_is_refused(u10, grid, call):
         call(state, path, u10)
 
 
-@pytest.mark.parametrize("floor", [0, -5])
+@pytest.mark.parametrize("floor", [0, -5, 2.5, 300.5])
 def test_transition_amplitude_refuses_floor_below_one(u10, floor):
     g = propagation_grid(25.0, 900)
     state, _ = _eigenpair(1, 0, 2.0, g, u10)

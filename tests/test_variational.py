@@ -519,6 +519,8 @@ def test_problem_validation(u10, coarse_setup):
         VariationalProblem(phi_in=state, phi_out=state, x10=0.0, segments=1, u=u10)
     with pytest.raises(ValueError):
         VariationalProblem(phi_in=state, phi_out=state, x10=1.0, segments=0, u=u10)
+    with pytest.raises(ValueError, match="whole number"):
+        VariationalProblem(phi_in=state, phi_out=state, x10=1.0, segments=2.0, u=u10)
     # the step schedule and the S box are worked out from the problem, not
     # chosen per call
     for knob in ({"steps_per_segment": 100}, {"max_phase_per_step": 0.01},
@@ -540,6 +542,11 @@ def test_internal_time_map_exact():
         internal_time_map(two, -0.1)
     with pytest.raises(ValueError):
         internal_time_map(two, 3.1)
+    # one element out of range, or NaN, refuses the whole array
+    with pytest.raises(ValueError, match="x0 = 3.1 outside"):
+        internal_time_map(two, np.array([0.5, 3.1, 1.0]))
+    with pytest.raises(ValueError, match="x0 = nan outside"):
+        internal_time_map(two, np.array([[0.5, 1.0], [np.nan, 2.0]]))
     signed = LambdaPath(np.array([1.0, 2.0]), np.array([1.0, -2.0]))
     with pytest.raises(ValueError):
         internal_time_map(signed, 0.5)
@@ -570,8 +577,8 @@ def test_internal_time_map_of_the_integral_is_the_duration():
         assert path.integral() == path.cumulative_integral()[-1]
         assert internal_time_map(path, 0.0) == 0.0, path
         # the last running sum is the total, the last breakpoint S
-        for x0, end in zip(path.cumulative_integral(), path.breakpoints):
-            assert internal_time_map(path, float(x0)) == end, path
+        ends = internal_time_map(path, path.cumulative_integral())
+        assert np.array_equal(ends, path.breakpoints), path
 
 
 def test_internal_time_map_round_trip():
@@ -583,8 +590,11 @@ def test_internal_time_map_round_trip():
         total = path.integral()
         xs = np.sort(rng.uniform(0.0, total, size=12))
         s_prev = -1.0
-        for x0 in xs:
+        mapped = internal_time_map(path, xs)
+        assert mapped.shape == xs.shape
+        for x0, s_array in zip(xs, mapped):
             s = internal_time_map(path, float(x0))
+            assert s == s_array  # one array call, bit for bit the scalar calls
             assert s > s_prev  # strictly increasing map
             s_prev = s
             assert abs(path.integral(upto=s) - x0) <= 1e-12 * (1.0 + x0)
