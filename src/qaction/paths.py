@@ -72,18 +72,25 @@ class LambdaPath:
     def durations(self) -> np.ndarray:
         return np.diff(np.concatenate(([0.0], self.breakpoints)))
 
-    def integral(self, upto: float | None = None) -> float:
+    def integral(self, upto: float | np.ndarray | None = None) -> float | np.ndarray:
         """Running integral of lambda from 0 to `upto` (default: full S), exact:
-        cumulative_integral's prefix plus the part of upto's own segment."""
+        cumulative_integral's prefix plus the part of upto's own segment.
+
+        upto is a number, giving a float, or an array, giving one of its shape
+        equal elementwise to the number's result; one element outside [0, S]
+        or NaN refuses the whole call.
+        """
         cum = self.cumulative_integral()
         if upto is None:
             return float(cum[-1])
-        if not 0.0 <= upto <= self.S:
-            raise ValueError(f"s = {upto} outside path domain [0, {self.S}]")
+        s = np.asarray(upto, dtype=float)
+        bad = s[~((s >= 0.0) & (s <= self.S))]
+        if bad.size:
+            raise ValueError(f"s = {float(bad[0])!r} outside path domain [0, {self.S}]")
         # segments are left-open, so a breakpoint belongs to the segment it ends
-        j = int(np.searchsorted(self.breakpoints, upto, side="left"))
-        before = float(cum[j - 1]) if j > 0 else 0.0
-        return before + float(self.values[j]) * (upto - float(self.starts[j]))
+        j = np.searchsorted(self.breakpoints, s, side="left")
+        x = np.concatenate(([0.0], cum))[j] + self.values[j] * (s - self.starts[j])
+        return float(x) if x.ndim == 0 else x
 
     def cumulative_integral(self) -> np.ndarray:
         """Integral of lambda up to each breakpoint."""

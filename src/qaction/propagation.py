@@ -17,7 +17,11 @@ the symmetric tridiagonal H, so norms are conserved to roundoff over any
 number of steps. The sweep sets each segment's step count, from the state
 entering it. Each factor's matrix 1 + z/zeta is constant on a
 constant-lambda segment, so it is LU-factored once per segment (LAPACK
-zgttrf) and every factor then costs one back-substitution (zgttrs); the wall
+zgttrf) and every factor then costs one back-substitution (zgttrs). On grids
+of SPLIT_POINTS or more a Crank-Nicolson sweep that keeps no record factors
+the matrix as two diagonal blocks instead, and solves them at once on two
+threads (partition method, H. H. Wang, ACM TOMS 7, 170, 1981); every sum
+over such a grid is then taken in the same two halves. The wall
 amplitude is checked for reflection after every step. Transition amplitudes
 K = <phi_out | U | phi_in> are accumulated with a continuously unwrapped
 phase (a segment whose per-step increment may exceed UNWRAP_PHASE is
@@ -49,6 +53,7 @@ CN_ROOTS = (-2.0,)      # Crank-Nicolson: (1 + z/2) / (1 - z/2)
 PADE22_ROOTS = (complex(-3.0, math.sqrt(3.0)), complex(-3.0, -math.sqrt(3.0)))
 MAX_PHASE_PER_STEP = 0.02  # radians of overlap phase per Crank-Nicolson step, at most
 UNWRAP_PHASE = 0.5  # radians per step past which overlap phase unwrapping can alias
+SPLIT_POINTS = 6000  # grid points from which a CN solve is two blocks on two threads
 
 
 class BoundaryReflectionError(RuntimeError):
@@ -149,14 +154,27 @@ def grid_eigenstate(n: int, l: int, lam: float, grid: RadialGrid, u: UnitSystem,
     return state, -e_std
 
 
+def _halves(dot, a: np.ndarray, b: np.ndarray):
+    """dot(a, b), summed over the two halves of a grid of SPLIT_POINTS or more.
+
+    numpy's BLAS threads dots longer than 10 000 elements: their last bits
+    then depend on the core count, and its threads spin against the
+    two-block solve's worker. A half is 10 000 elements at 20 000 points.
+    """
+    if a.size < SPLIT_POINTS:
+        return dot(a, b)
+    m = a.size // 2
+    return dot(a[:m], b[:m]) + dot(a[m:], b[m:])
+
+
 def _energy_scale(phi: np.ndarray, diag: np.ndarray, off: np.ndarray) -> float:
     """|<H>| plus twice the spread, the rate at which overlap phases can turn."""
     hphi = diag * phi
     hphi[:-1] += off * phi[1:]
     hphi[1:] += off * phi[:-1]
-    nrm = float(np.real(np.vdot(phi, phi)))
-    m1 = float(np.real(np.vdot(phi, hphi))) / nrm
-    m2 = float(np.real(np.vdot(hphi, hphi))) / nrm
+    nrm = float(np.real(_halves(np.vdot, phi, phi)))
+    m1 = float(np.real(_halves(np.vdot, phi, hphi))) / nrm
+    m2 = float(np.real(_halves(np.vdot, hphi, hphi))) / nrm
     spread = math.sqrt(max(m2 - m1 * m1, 0.0))
     return abs(m1) + 2.0 * spread
 
@@ -181,6 +199,94 @@ def _cayley(diag: np.ndarray, off: np.ndarray, ds: float, zeta: complex,
     return dl, d, du, du2, ipiv
 
 
+def _two_blocks(diag: np.ndarray, off: np.ndarray, ds: float, zeta: complex,
+                u: UnitSystem) -> tuple:
+    """1 + z/zeta as two diagonal blocks, A1 on rows [0, m) and A2 on rows [m, N), m = N // 2.
+
+    Each block is LU-factored on its own (_cayley). With the coupling
+    a = A[m-1, m] = A[m, m-1], g1 = A1^-1 e_{m-1} and g2 = A2^-1 e_0: the
+    matrix is complex symmetric, so entry m-1 of A1^-1 b1 is the plain dot
+    g1 . b1 and entry m of A2^-1 b2 is g2 . b2, and x_{m-1}, x_m solve a
+    2x2 system with determinant det = 1 - a^2 g1[-1] g2[0]. At zeta = -2 the
+    matrix is 1 - i beta H with H real symmetric, whose Hermitian part is 1,
+    so both blocks and that system are nonsingular with no pivoting across
+    the interface; this holds for Crank-Nicolson only. g decays away from
+    the interface, into subnormals on fine steps, and a dot over subnormals
+    is some 40 times slower: the dots run over the window [lo, m) of g1 and
+    [0, hi) of g2 where |g| is at least the smallest normal float, and a
+    term dropped is below 2.2e-308 |b|. Returns (LU of A1, LU of A2, m,
+    g1[lo:], lo, g2[:hi], hi, a g1[-1], a g2[0], a / det).
+    """
+    from scipy.linalg.lapack import zgttrs
+    n = diag.size
+    m = n // 2
+    lu_top = _cayley(diag[:m], off[:m - 1], ds, zeta, u)
+    lu_bottom = _cayley(diag[m:], off[m:], ds, zeta, u)
+    e = np.zeros(m, dtype=complex)
+    e[-1] = 1.0
+    g_top, _ = zgttrs(*lu_top, e, overwrite_b=1)
+    e = np.zeros(n - m, dtype=complex)
+    e[0] = 1.0
+    g_bottom, _ = zgttrs(*lu_bottom, e, overwrite_b=1)
+    a = complex(1j * ds / (u.hbar * zeta) * off[m - 1])
+    q_top, q_bottom = a * complex(g_top[-1]), a * complex(g_bottom[0])
+    tiny = np.finfo(float).tiny
+    lo = int(np.argmax(np.abs(g_top) >= tiny))
+    hi = n - m - int(np.argmax(np.abs(g_bottom[::-1]) >= tiny))
+    return (lu_top, lu_bottom, m, g_top[lo:], lo, g_bottom[:hi], hi,
+            q_top, q_bottom, a / (1.0 - q_top * q_bottom))
+
+
+class _TwoBlockSolver:
+    """Solves with _two_blocks' factors, the bottom block on a worker thread.
+
+    Per solve, two half-length dots give x_{m-1} and x_m; the coupling
+    moves into the right-hand side, b1[-1] -= a x_m and b2[0] -= a x_{m-1};
+    then the worker solves A2 while the calling thread solves A1, each one
+    zgttrs in place on its contiguous half of b (overwrite_b), which
+    releases the GIL. Two queues hand each solve over and back. The thread
+    starts with the solver and stops at close().
+    """
+
+    def __init__(self):
+        # imported here, so that importing qaction does not load queue
+        import queue
+        import threading
+        from scipy.linalg.lapack import zgttrs
+        self._zgttrs = zgttrs
+        self._tasks, self._done = queue.SimpleQueue(), queue.SimpleQueue()
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self) -> None:
+        for lu, b in iter(self._tasks.get, None):
+            try:
+                self._zgttrs(*lu, b, overwrite_b=1)
+            except Exception as exc:  # raised again on the calling thread
+                self._done.put(exc)
+            else:
+                self._done.put(None)
+
+    def __call__(self, blocks: tuple, b: np.ndarray) -> np.ndarray:
+        """(1 + z/zeta)^-1 b, in place of b, from _two_blocks' tuple."""
+        lu_top, lu_bottom, m, g_top, lo, g_bottom, hi, q_top, q_bottom, p = blocks
+        top, bottom = b[:m], b[m:]
+        y_top = complex(np.dot(g_top, top[lo:]))
+        y_bottom = complex(np.dot(g_bottom, bottom[:hi]))
+        top[-1] -= p * (y_bottom - q_bottom * y_top)
+        bottom[0] -= p * (y_top - q_top * y_bottom)
+        self._tasks.put((lu_bottom, bottom))
+        self._zgttrs(*lu_top, top, overwrite_b=1)
+        exc = self._done.get()
+        if exc is not None:
+            raise exc
+        return b
+
+    def close(self) -> None:
+        self._tasks.put(None)
+        self._thread.join()
+
+
 def _sweep(state: RadialState, path: LambdaPath, steps: int, u: UnitSystem,
            roots: tuple, cap: float | None = None,
            out_conj: np.ndarray | None = None, record: list | None = None
@@ -194,17 +300,23 @@ def _sweep(state: RadialState, path: LambdaPath, steps: int, u: UnitSystem,
     phases by about turn = dur _energy_scale / hbar over it, and the segment
     takes steps, or with cap max(steps, ceil(turn / cap)): no other code
     sizes a sweep. Each factor's matrix is LU-factored once (_cayley), and
-    each factor then costs one zgttrs solve. After every whole step (the
-    state between two factors of a step is not unit-norm) the wall sample is
-    tested against a floor under the peak; only when it trips does the exact
-    O(N) reflection check run. With out_conj, the overlap h sum(out_conj *
-    phi) is recorded after every whole step and its phase unwrapped; a
-    segment with fewer than ceil(turn / UNWRAP_PHASE) steps is refused
-    (RuntimeError) before it is factored. With record, a list, every segment
-    appends (ds, roots, LU factors in roots order, states): the states are
-    the one entering the segment and the one after every Cayley factor. That
-    is all _adjoint_sweep reads. Returns (phi, last overlap, unwrapped phase,
-    steps taken); without out_conj the overlap is None and the phase 0.
+    each factor then costs one zgttrs solve. A Crank-Nicolson sweep on
+    SPLIT_POINTS or more points that keeps no record (_adjoint_sweep solves
+    with one-block factors) instead factors two diagonal blocks per segment
+    (_two_blocks) and solves them at once on two threads (_TwoBlockSolver);
+    it does so whatever the core count, so its results do not depend on it.
+    After every whole step (the state between two factors of a step is not
+    unit-norm) the wall sample is tested against a floor under the peak;
+    only when it trips does the exact O(N) reflection check run. With
+    out_conj, the overlap h sum(out_conj * phi), in halves on a split-size
+    grid (_halves), is recorded after every whole step and its phase
+    unwrapped; a segment with fewer than ceil(turn / UNWRAP_PHASE)
+    steps is refused (RuntimeError) before it is factored. With record, a
+    list, every segment appends (ds, roots, LU factors in roots order,
+    states): the states are the one entering the segment and the one after
+    every Cayley factor. That is all _adjoint_sweep reads. Returns (phi,
+    last overlap, unwrapped phase, steps taken); without out_conj the
+    overlap is None and the phase 0.
     """
     if not isinstance(steps, numbers.Integral):
         raise ValueError(f"need at least one step per segment, a whole number, got {steps!r}")
@@ -216,48 +328,57 @@ def _sweep(state: RadialState, path: LambdaPath, steps: int, u: UnitSystem,
     # ||phi|| / sqrt(h N) never exceeds max |phi| and every step keeps the
     # norm to roundoff, so a wall sample under this floor is no reflection
     wall_floor = REFLECTION_TOL * math.sqrt(
-        float(np.real(np.vdot(phi, phi))) / grid.num_points)
+        float(np.real(_halves(np.vdot, phi, phi))) / grid.num_points)
+    split = roots == CN_ROOTS and record is None and grid.num_points >= SPLIT_POINTS
+    if split:
+        factor, solve = _two_blocks, _TwoBlockSolver()
+    else:
+        factor, solve = _cayley, lambda lu, b: zgttrs(*lu, b, overwrite_b=1)[0]
     o_prev, theta, total = None, 0.0, 0
-    for j, (lam, dur) in enumerate(zip(path.values, path.durations)):
-        ham = _hamiltonian_tridiag(grid, state.l, lam, u)
-        if cap is not None or out_conj is not None:
-            turn = dur * _energy_scale(phi, *ham) / u.hbar
-        n_steps = steps if cap is None else max(steps, math.ceil(turn / cap))
-        if out_conj is not None:
-            need = math.ceil(turn / UNWRAP_PHASE)
-            if need > n_steps:
-                raise RuntimeError(
-                    f"segment {j} turns the overlap phase more than {UNWRAP_PHASE} "
-                    f"rad per step at its {n_steps} steps (it needs {need})")
-            if j == 0:
-                h = grid.step  # read once _hamiltonian_tridiag has checked the grid
-                o_prev = complex(h * np.dot(out_conj, phi))
-                theta = math.atan2(o_prev.imag, o_prev.real) if abs(o_prev) > 0.0 else 0.0
-        total += n_steps
-        ds = dur / n_steps
-        lus = [_cayley(*ham, ds, zeta, u) for zeta in roots]
-        if record is not None:
-            states = [phi]
-            record.append((ds, roots, lus, states))
-        for _ in range(n_steps):
-            for lu in lus:
-                x, _ = zgttrs(*lu, 2.0 * phi, overwrite_b=1)
-                x -= phi
-                phi = x  # a fresh array, so the record keeps it without a copy
-                if record is not None:
-                    states.append(phi)
-            if abs(phi[-1]) > wall_floor:
-                peak = float(np.max(np.abs(phi)))
-                if abs(phi[-1]) > REFLECTION_TOL * peak:
-                    raise BoundaryReflectionError(
-                        f"boundary amplitude {abs(phi[-1]) / peak:.2e} of peak "
-                        f"at r_max = {grid.r_max}; enlarge r_max")
+    try:
+        for j, (lam, dur) in enumerate(zip(path.values, path.durations)):
+            ham = _hamiltonian_tridiag(grid, state.l, lam, u)
+            if cap is not None or out_conj is not None:
+                turn = dur * _energy_scale(phi, *ham) / u.hbar
+            n_steps = steps if cap is None else max(steps, math.ceil(turn / cap))
             if out_conj is not None:
-                o_new = complex(h * np.dot(out_conj, phi))
-                if abs(o_new) > 1e-280 and abs(o_prev) > 1e-280:
-                    rot = o_new * o_prev.conjugate()
-                    theta += math.atan2(rot.imag, rot.real)
-                o_prev = o_new
+                need = math.ceil(turn / UNWRAP_PHASE)
+                if need > n_steps:
+                    raise RuntimeError(
+                        f"segment {j} turns the overlap phase more than {UNWRAP_PHASE} "
+                        f"rad per step at its {n_steps} steps (it needs {need})")
+                if j == 0:
+                    h = grid.step  # read once _hamiltonian_tridiag has checked the grid
+                    o_prev = complex(h * _halves(np.dot, out_conj, phi))
+                    theta = math.atan2(o_prev.imag, o_prev.real) if abs(o_prev) > 0.0 else 0.0
+            total += n_steps
+            ds = dur / n_steps
+            lus = [factor(*ham, ds, zeta, u) for zeta in roots]
+            if record is not None:
+                states = [phi]
+                record.append((ds, roots, lus, states))
+            for _ in range(n_steps):
+                for lu in lus:
+                    x = solve(lu, 2.0 * phi)
+                    x -= phi
+                    phi = x  # a fresh array, so the record keeps it without a copy
+                    if record is not None:
+                        states.append(phi)
+                if abs(phi[-1]) > wall_floor:
+                    peak = float(np.max(np.abs(phi)))
+                    if abs(phi[-1]) > REFLECTION_TOL * peak:
+                        raise BoundaryReflectionError(
+                            f"boundary amplitude {abs(phi[-1]) / peak:.2e} of peak "
+                            f"at r_max = {grid.r_max}; enlarge r_max")
+                if out_conj is not None:
+                    o_new = complex(h * _halves(np.dot, out_conj, phi))
+                    if abs(o_new) > 1e-280 and abs(o_prev) > 1e-280:
+                        rot = o_new * o_prev.conjugate()
+                        theta += math.atan2(rot.imag, rot.real)
+                    o_prev = o_new
+    finally:
+        if split:
+            solve.close()
     return phi, o_prev, theta, total
 
 
@@ -363,7 +484,7 @@ def _transition(phi_in: RadialState, phi_out: RadialState, path: LambdaPath,
     if abs(K) > 0.0:
         theta += math.remainder(math.atan2(K.imag, K.real) - theta, 2.0 * math.pi)
     h = phi_in.grid.step
-    norm_out = math.sqrt(float(np.real(np.vdot(phi, phi))) * h)
+    norm_out = math.sqrt(float(np.real(_halves(np.vdot, phi, phi))) * h)
     norm_drift = abs(norm_out - norm_in)
     mag = abs(K)
     if mag > 1.0 + 1e-12:
@@ -379,7 +500,8 @@ def _transition(phi_in: RadialState, phi_out: RadialState, path: LambdaPath,
     # h sum |phi_out| |phi| (as does that of two eigenvectors LAPACK returns
     # orthogonal to O(N eps_mach)), and every solve adds about eps_mach more
     terms = phi.size + len(roots) * total
-    roundoff = np.finfo(float).eps * terms * h * float(np.dot(np.abs(out), np.abs(phi)))
+    roundoff = np.finfo(float).eps * terms * h * float(
+        _halves(np.dot, np.abs(out), np.abs(phi)))
     valid = not mag <= ROUNDOFF_SAFETY * roundoff
     return TransitionAmplitude(
         K=K, I=-u.hbar * theta if valid else float("nan"),

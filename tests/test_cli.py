@@ -494,9 +494,10 @@ def test_version_subprocess():
 
 
 def test_cli_import_skips_unused_scipy_modules():
+    # nor the queues of the two-block solver's worker thread
     probe = ("import sys, qaction.cli; print(sorted(m for m in "
-             "('scipy.integrate', 'scipy.linalg', 'scipy.special') "
-             "if m in sys.modules))")
+             "('scipy.integrate', 'scipy.linalg', 'scipy.special', 'queue', "
+             "'concurrent.futures') if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True)
     assert proc.returncode == 0, proc.stderr

@@ -37,6 +37,34 @@ def test_partial_integral_exact():
             p.integral(upto=upto)
 
 
+def _integral_one_s(path, s):
+    """The running integral at one s, in Python floats: the reference."""
+    cum = path.cumulative_integral()
+    j = int(np.searchsorted(path.breakpoints, s, side="left"))
+    before = float(cum[j - 1]) if j > 0 else 0.0
+    return before + float(path.values[j]) * (s - float(path.starts[j]))
+
+
+def test_integral_maps_an_array_bit_for_bit():
+    # one array call equals the calls one s at a time and the Python-float
+    # reference, bit for bit, ends and breakpoints included
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        nseg = int(rng.integers(1, 6))
+        path = LambdaPath(np.cumsum(rng.uniform(0.1, 2.0, nseg)),
+                          rng.uniform(0.1, 3.0, nseg))
+        s = np.concatenate(([0.0], path.breakpoints, rng.uniform(0.0, path.S, 20)))
+        x = path.integral(upto=s)
+        assert x.shape == s.shape
+        for si, xi in zip(s.tolist(), x.tolist()):
+            assert xi == path.integral(upto=si) == _integral_one_s(path, si)
+    assert path.integral(upto=np.full((2, 3), 0.5 * path.S)).shape == (2, 3)
+    assert isinstance(path.integral(upto=0.5 * path.S), float)
+    for bad in (np.nan, -1e-300, path.S * (1.0 + 1e-15)):
+        with pytest.raises(ValueError, match=f"s = {bad!r} outside path domain"):
+            path.integral(upto=np.array([0.0, bad, path.S]))
+
+
 def test_with_value_and_scaled_to():
     p = LambdaPath.equal_segments([1.0, 2.0], 2.0)
     q = p.with_value(1, 9.0)

@@ -1,5 +1,7 @@
 import cmath
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -12,9 +14,11 @@ from qaction import (
     TransitionAmplitude, evolve, evolve_spectral, grid_eigenstate,
     propagation_grid, state_norm, transition_amplitude, transition_probability,
 )
+from qaction import propagation
 from qaction.propagation import (CN_ROOTS, MAX_PHASE_PER_STEP, PADE22_ROOTS,
-                                 _energy_scale, _hamiltonian_tridiag, _sweep,
-                                 _transition)
+                                 SPLIT_POINTS, _cayley, _energy_scale,
+                                 _hamiltonian_tridiag, _sweep, _transition,
+                                 _two_blocks, _TwoBlockSolver)
 from qaction.spectrum import LOG, UNIFORM
 
 
@@ -486,3 +490,146 @@ def test_counts_follow_the_state_entering_each_segment(u10, monkeypatch):
     ref = evolve_spectral(s2, path, u10, num_states=g.num_points)
     k_ref = g.step * np.vdot(s1.amplitudes, ref.amplitudes)
     assert abs(amp.K - k_ref) <= sum(turns) * MAX_PHASE_PER_STEP ** 2 / 12.0
+
+
+@pytest.fixture(scope="module")
+def split_case(u10):
+    """1s in, 2s out, a three-segment path, on a grid one point above
+    SPLIT_POINTS, so that its two blocks differ in length."""
+    g = propagation_grid(60.0, SPLIT_POINTS + 1)
+    s1, _ = _eigenpair(1, 0, 1.8, g, u10)
+    s2, _ = _eigenpair(2, 0, 1.9, g, u10)
+    path = LambdaPath.equal_segments([1.8 * u10.mc, 2.2 * u10.mc, 1.9 * u10.mc], 1.8)
+    return s1, s2, path
+
+
+@pytest.mark.parametrize("ds", [1e-4, 0.5])
+def test_two_block_solve_is_the_one_block_solve(u10, ds):
+    # the split algebra on a right-hand side as large at the interface as
+    # anywhere; at ds = 1e-4 the interface vectors fall into subnormals and
+    # the dots run over a window, at 0.5 they span both blocks
+    g = propagation_grid(60.0, SPLIT_POINTS + 1)
+    ham = _hamiltonian_tridiag(g, 0, 2.0 * u10.mc, u10)
+    rng = np.random.default_rng(3)
+    b = rng.standard_normal(g.num_points) + 1j * rng.standard_normal(g.num_points)
+    one, _ = lapack.zgttrs(*_cayley(*ham, ds, CN_ROOTS[0], u10), b)
+    blocks = _two_blocks(*ham, ds, CN_ROOTS[0], u10)
+    lo, hi = blocks[4], blocks[6]
+    assert (lo > 0 and hi < g.num_points - blocks[2]) == (ds < 0.01)
+    solver = _TwoBlockSolver()
+    try:
+        split = solver(blocks, b.copy())
+    finally:
+        solver.close()
+    assert np.max(np.abs(split - one)) <= 1e-13 * np.max(np.abs(one))
+
+
+def test_two_block_sweep_matches_one_block(u10, split_case, monkeypatch):
+    # the split solve and the one-block LU differ by roundoff only, and the
+    # step counts, sized before either solves, are the same
+    s1, s2, path = split_case
+    out_conj = np.conj(s2.amplitudes)
+    split = _sweep(s1, path, 1, u10, CN_ROOTS, MAX_PHASE_PER_STEP, out_conj)
+    amp = transition_amplitude(s1, s2, path, u10)
+    moved = evolve(s1, path, 40, u10)
+    monkeypatch.setattr(propagation, "SPLIT_POINTS", s1.grid.num_points + 1)
+    one = _sweep(s1, path, 1, u10, CN_ROOTS, MAX_PHASE_PER_STEP, out_conj)
+    ref = transition_amplitude(s1, s2, path, u10)
+    assert split[3] == one[3] > 3
+    assert np.max(np.abs(split[0] - one[0])) <= 1e-13
+    assert abs(amp.K) > 0.05 and amp.phase_valid
+    assert abs(amp.K - ref.K) <= 1e-13 and abs(amp.I - ref.I) <= 1e-13
+    assert abs(amp.norm_drift - ref.norm_drift) <= 1e-13
+    diff = moved.amplitudes - evolve(s1, path, 40, u10).amplitudes
+    assert np.max(np.abs(diff)) <= 1e-13
+
+
+@pytest.mark.parametrize("points, blocks", [(SPLIT_POINTS, 2), (SPLIT_POINTS - 1, 1)])
+def test_two_blocks_from_split_points_on(u10, monkeypatch, points, blocks):
+    # a Crank-Nicolson segment factors two blocks from SPLIT_POINTS on and
+    # solves each step as two half-length zgttrs, plus one per block for the
+    # interface vectors; below, one block and one solve a step. The (2,2)
+    # path keeps one block per root on any grid.
+    g = propagation_grid(40.0, points)
+    r = g.points()
+    state = RadialState(g, 0, r * np.exp(-r))
+    state = RadialState(g, 0, state.amplitudes / state_norm(state))
+    path = LambdaPath.equal_segments([1.8 * u10.mc, 2.2 * u10.mc, 1.9 * u10.mc], 0.3)
+    calls = {"zgttrf": [], "zgttrs": []}
+    for name, fn in [(name, getattr(lapack, name)) for name in calls]:
+        def counting(*args, _name=name, _fn=fn, **kwargs):
+            calls[_name].append(len(args[-1]) if _name == "zgttrs" else len(args[1]))
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(lapack, name, counting)
+    evolve(state, path, 10, u10)
+    sizes = [points // 2, points - points // 2] if blocks == 2 else [points]
+    assert calls["zgttrf"] == sizes * 3
+    solves = calls["zgttrs"]
+    assert len(solves) == 3 * (10 * blocks + (blocks == 2) * 2)
+    assert sorted(set(solves)) == sorted(set(sizes))
+    calls["zgttrf"].clear()
+    _transition(state, state, path, u10, 10, PADE22_ROOTS)
+    assert calls["zgttrf"] == [points] * 6
+
+
+def test_two_block_sweep_refuses_as_one_block(u10, split_case):
+    # the wall check and the unwrap refusal run on the split path too, and a
+    # sweep that raises stops its worker thread
+    threads = threading.active_count()
+    g = propagation_grid(40.0, SPLIT_POINTS + 1)
+    r = g.points()
+    packet = RadialState(g, 0, np.exp(-(r - 32.0) ** 2 / 8.0 - 8j * r))
+    packet = RadialState(g, 0, packet.amplitudes / state_norm(packet))
+    with pytest.raises(BoundaryReflectionError):
+        evolve(packet, LambdaPath.constant(0.0, 1.0), 200, u10)
+    s1, _, _ = split_case
+    with pytest.raises(RuntimeError, match=r"0\.5 rad per step at its 9 steps"):
+        _transition(s1, s1, LambdaPath.constant(1.8 * u10.mc, 6.0), u10, 9, CN_ROOTS)
+    assert threading.active_count() == threads
+
+
+class _WorkerSolveFailed(RuntimeError):
+    pass
+
+
+def test_two_block_worker_failure_reaches_the_caller(u10, split_case, monkeypatch):
+    # a solve that fails on the worker thread is raised on the sweep's own
+    # thread, which then stops the worker instead of waiting on it forever
+    s1, _, path = split_case
+    solve = lapack.zgttrs
+
+    def failing(*args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            raise _WorkerSolveFailed("worker solve")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(lapack, "zgttrs", failing)
+    threads = threading.active_count()
+    with pytest.raises(_WorkerSolveFailed):
+        evolve(s1, path, 3, u10)
+    assert threading.active_count() == threads
+
+
+def test_concurrent_two_block_sweeps_are_bit_identical(u10, split_case):
+    # every sweep owns its worker and buffers: more sweeps at once than
+    # cores, under a short switch interval, give the serial result bit for bit
+    s1, s2, path = split_case
+    ref = transition_amplitude(s1, s2, path, u10)
+    results = [None] * 3
+
+    def run(k):
+        results[k] = transition_amplitude(s1, s2, path, u10)
+
+    workers = [threading.Thread(target=run, args=(k,)) for k in range(len(results))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=120.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    for amp in results:
+        assert (amp.K, amp.I, amp.norm_drift) == (ref.K, ref.I, ref.norm_drift)
