@@ -138,7 +138,7 @@ def integrate_chi(state: GaussianPhaseState, path: LambdaPath, d: float | None,
     out = [state]
     chi0, chi1, chi2 = complex(state.chi0), complex(state.chi1), complex(state.chi2)
     s_now = 0.0
-    for lam, dur in zip(path.values, path.durations):
+    for lam, dur in zip(path.values.tolist(), path.durations.tolist()):
         n_sub = max(1, math.ceil(steps * dur / path.S))
         h = dur / n_sub
         c0 = (d * d - lam * d - m2c2) / (1j * u.hbar)

@@ -20,13 +20,13 @@ constant-lambda segment, so it is LU-factored once per segment (LAPACK
 zgttrf) and every factor then costs one back-substitution (zgttrs). On grids
 of SPLIT_POINTS or more a Crank-Nicolson sweep that keeps no record factors
 the matrix as two diagonal blocks instead, and solves them at once on two
-threads (partition method, H. H. Wang, ACM TOMS 7, 170, 1981); every sum
-over such a grid is then taken in the same two halves. The wall
-amplitude is checked for reflection after every step. Transition amplitudes
-K = <phi_out | U | phi_in> are accumulated with a continuously unwrapped
-phase (a segment whose per-step increment may exceed UNWRAP_PHASE is
-refused), and split as K = exp(I / (i hbar) + Q): I is the real
-quantum-action phase and Q = log |K| <= 0 the dissipative part.
+threads (partition method, H. H. Wang, ACM TOMS 7, 170, 1981). Every sum
+over a grid runs in parts of at most BLAS_SERIAL elements, so no result
+depends on the core count. The wall is checked for reflection after every
+step. Transition amplitudes K = <phi_out | U | phi_in> are accumulated with
+a continuously unwrapped phase (a segment whose per-step increment may
+exceed UNWRAP_PHASE is refused), and split as K = exp(I / (i hbar) + Q): I
+is the real quantum-action phase and Q = log |K| <= 0 the dissipative part.
 """
 
 from __future__ import annotations
@@ -54,6 +54,9 @@ PADE22_ROOTS = (complex(-3.0, math.sqrt(3.0)), complex(-3.0, -math.sqrt(3.0)))
 MAX_PHASE_PER_STEP = 0.02  # radians of overlap phase per Crank-Nicolson step, at most
 UNWRAP_PHASE = 0.5  # radians per step past which overlap phase unwrapping can alias
 SPLIT_POINTS = 6000  # grid points from which a CN solve is two blocks on two threads
+# longest dot numpy 2.4.6's OpenBLAS keeps on one thread (10 001 elements give
+# other bits on one core than on two); another BLAS may need another value
+BLAS_SERIAL = 10000
 
 
 class BoundaryReflectionError(RuntimeError):
@@ -154,17 +157,19 @@ def grid_eigenstate(n: int, l: int, lam: float, grid: RadialGrid, u: UnitSystem,
     return state, -e_std
 
 
-def _halves(dot, a: np.ndarray, b: np.ndarray):
-    """dot(a, b), summed over the two halves of a grid of SPLIT_POINTS or more.
+def _chunked(dot, a: np.ndarray, b: np.ndarray):
+    """dot(a, b), summed over k = ceil(n / BLAS_SERIAL) contiguous parts, edges n i // k.
 
-    numpy's BLAS threads dots longer than 10 000 elements: their last bits
-    then depend on the core count, and its threads spin against the
-    two-block solve's worker. A half is 10 000 elements at 20 000 points.
+    numpy's BLAS threads longer dots: their last bits would then depend on
+    the core count, and its threads spin against the two-block solve's worker.
     """
-    if a.size < SPLIT_POINTS:
+    n = a.size
+    if n <= BLAS_SERIAL:
         return dot(a, b)
-    m = a.size // 2
-    return dot(a[:m], b[:m]) + dot(a[m:], b[m:])
+    k = -(-n // BLAS_SERIAL)
+    edges = [n * i // k for i in range(k + 1)]
+    parts = [dot(a[i:j], b[i:j]) for i, j in zip(edges, edges[1:])]
+    return sum(parts[1:], parts[0])
 
 
 def _energy_scale(phi: np.ndarray, diag: np.ndarray, off: np.ndarray) -> float:
@@ -172,9 +177,9 @@ def _energy_scale(phi: np.ndarray, diag: np.ndarray, off: np.ndarray) -> float:
     hphi = diag * phi
     hphi[:-1] += off * phi[1:]
     hphi[1:] += off * phi[:-1]
-    nrm = float(np.real(_halves(np.vdot, phi, phi)))
-    m1 = float(np.real(_halves(np.vdot, phi, hphi))) / nrm
-    m2 = float(np.real(_halves(np.vdot, hphi, hphi))) / nrm
+    nrm = float(np.real(_chunked(np.vdot, phi, phi)))
+    m1 = float(np.real(_chunked(np.vdot, phi, hphi))) / nrm
+    m2 = float(np.real(_chunked(np.vdot, hphi, hphi))) / nrm
     spread = math.sqrt(max(m2 - m1 * m1, 0.0))
     return abs(m1) + 2.0 * spread
 
@@ -271,8 +276,8 @@ class _TwoBlockSolver:
         """(1 + z/zeta)^-1 b, in place of b, from _two_blocks' tuple."""
         lu_top, lu_bottom, m, g_top, lo, g_bottom, hi, q_top, q_bottom, p = blocks
         top, bottom = b[:m], b[m:]
-        y_top = complex(np.dot(g_top, top[lo:]))
-        y_bottom = complex(np.dot(g_bottom, bottom[:hi]))
+        y_top = complex(_chunked(np.dot, g_top, top[lo:]))
+        y_bottom = complex(_chunked(np.dot, g_bottom, bottom[:hi]))
         top[-1] -= p * (y_bottom - q_bottom * y_top)
         bottom[0] -= p * (y_top - q_top * y_bottom)
         self._tasks.put((lu_bottom, bottom))
@@ -308,15 +313,14 @@ def _sweep(state: RadialState, path: LambdaPath, steps: int, u: UnitSystem,
     After every whole step (the state between two factors of a step is not
     unit-norm) the wall sample is tested against a floor under the peak;
     only when it trips does the exact O(N) reflection check run. With
-    out_conj, the overlap h sum(out_conj * phi), in halves on a split-size
-    grid (_halves), is recorded after every whole step and its phase
-    unwrapped; a segment with fewer than ceil(turn / UNWRAP_PHASE)
-    steps is refused (RuntimeError) before it is factored. With record, a
-    list, every segment appends (ds, roots, LU factors in roots order,
-    states): the states are the one entering the segment and the one after
-    every Cayley factor. That is all _adjoint_sweep reads. Returns (phi,
-    last overlap, unwrapped phase, steps taken); without out_conj the
-    overlap is None and the phase 0.
+    out_conj, the overlap h sum(out_conj * phi), in parts (_chunked), is
+    recorded after every whole step and its phase unwrapped; a segment with
+    fewer than ceil(turn / UNWRAP_PHASE) steps is refused (RuntimeError)
+    before it is factored. With record, a list, every segment appends (ds,
+    roots, LU factors in roots order, states): the states are the one
+    entering the segment and the one after every Cayley factor. That is all
+    _adjoint_sweep reads. Returns (phi, last overlap, unwrapped phase, steps
+    taken); without out_conj the overlap is None and the phase 0.
     """
     if not isinstance(steps, numbers.Integral):
         raise ValueError(f"need at least one step per segment, a whole number, got {steps!r}")
@@ -328,7 +332,7 @@ def _sweep(state: RadialState, path: LambdaPath, steps: int, u: UnitSystem,
     # ||phi|| / sqrt(h N) never exceeds max |phi| and every step keeps the
     # norm to roundoff, so a wall sample under this floor is no reflection
     wall_floor = REFLECTION_TOL * math.sqrt(
-        float(np.real(_halves(np.vdot, phi, phi))) / grid.num_points)
+        float(np.real(_chunked(np.vdot, phi, phi))) / grid.num_points)
     split = roots == CN_ROOTS and record is None and grid.num_points >= SPLIT_POINTS
     if split:
         factor, solve = _two_blocks, _TwoBlockSolver()
@@ -349,7 +353,7 @@ def _sweep(state: RadialState, path: LambdaPath, steps: int, u: UnitSystem,
                         f"rad per step at its {n_steps} steps (it needs {need})")
                 if j == 0:
                     h = grid.step  # read once _hamiltonian_tridiag has checked the grid
-                    o_prev = complex(h * _halves(np.dot, out_conj, phi))
+                    o_prev = complex(h * _chunked(np.dot, out_conj, phi))
                     theta = math.atan2(o_prev.imag, o_prev.real) if abs(o_prev) > 0.0 else 0.0
             total += n_steps
             ds = dur / n_steps
@@ -371,7 +375,7 @@ def _sweep(state: RadialState, path: LambdaPath, steps: int, u: UnitSystem,
                             f"boundary amplitude {abs(phi[-1]) / peak:.2e} of peak "
                             f"at r_max = {grid.r_max}; enlarge r_max")
                 if out_conj is not None:
-                    o_new = complex(h * _halves(np.dot, out_conj, phi))
+                    o_new = complex(h * _chunked(np.dot, out_conj, phi))
                     if abs(o_new) > 1e-280 and abs(o_prev) > 1e-280:
                         rot = o_new * o_prev.conjugate()
                         theta += math.atan2(rot.imag, rot.real)
@@ -421,8 +425,8 @@ def _adjoint_sweep(record: list, phi_out: RadialState, path: LambdaPath,
             chi_prev, _ = zgttrs(*lus[k], 2.0 * chi, trans="C", overwrite_b=1)
             chi_prev -= chi
             chi_mid = chi_prev + chi
-            sums[k] += np.vdot(chi_mid, dh_dlam * (phi_prev + phi))
-            sum_s += np.vdot(chi_mid, phi - phi_prev)
+            sums[k] += _chunked(np.vdot, chi_mid, dh_dlam * (phi_prev + phi))
+            sum_s += _chunked(np.vdot, chi_mid, phi - phi_prev)
             chi = chi_prev
         dk_dlam[j] = -0.5j * h * ds / u.hbar * sum(s / z for z, s in zip(roots, sums))
     return dk_dlam, complex(0.5 * h * sum_s / path.S)
@@ -484,7 +488,7 @@ def _transition(phi_in: RadialState, phi_out: RadialState, path: LambdaPath,
     if abs(K) > 0.0:
         theta += math.remainder(math.atan2(K.imag, K.real) - theta, 2.0 * math.pi)
     h = phi_in.grid.step
-    norm_out = math.sqrt(float(np.real(_halves(np.vdot, phi, phi))) * h)
+    norm_out = math.sqrt(float(np.real(_chunked(np.vdot, phi, phi))) * h)
     norm_drift = abs(norm_out - norm_in)
     mag = abs(K)
     if mag > 1.0 + 1e-12:
@@ -501,7 +505,7 @@ def _transition(phi_in: RadialState, phi_out: RadialState, path: LambdaPath,
     # orthogonal to O(N eps_mach)), and every solve adds about eps_mach more
     terms = phi.size + len(roots) * total
     roundoff = np.finfo(float).eps * terms * h * float(
-        _halves(np.dot, np.abs(out), np.abs(phi)))
+        _chunked(np.dot, np.abs(out), np.abs(phi)))
     valid = not mag <= ROUNDOFF_SAFETY * roundoff
     return TransitionAmplitude(
         K=K, I=-u.hbar * theta if valid else float("nan"),

@@ -243,9 +243,9 @@ def _numerov_node_count(eps: float, r: np.ndarray, hx: float, l: int,
     """
     q = (-coupling / r + hbar * hbar * l * (l + 1) / (r * r) - eps) / (hbar * hbar)
     g = r * r * q + 0.25
-    c = 1.0 - (hx * hx / 12.0) * g
-    v_prev = r[0] ** (l + 0.5)
-    v_cur = r[1] ** (l + 0.5)
+    c = (1.0 - (hx * hx / 12.0) * g).tolist()
+    v_prev = float(r[0]) ** (l + 0.5)
+    v_cur = float(r[1]) ** (l + 0.5)
     nodes = 0
     for i in range(1, r.size - 1):
         v_next = ((12.0 - 10.0 * c[i]) * v_cur - c[i - 1] * v_prev) / c[i + 1]

@@ -15,8 +15,9 @@ from qaction import (
     propagation_grid, state_norm, transition_amplitude, transition_probability,
 )
 from qaction import propagation
-from qaction.propagation import (CN_ROOTS, MAX_PHASE_PER_STEP, PADE22_ROOTS,
-                                 SPLIT_POINTS, _cayley, _energy_scale,
+from qaction.propagation import (BLAS_SERIAL, CN_ROOTS, MAX_PHASE_PER_STEP,
+                                 PADE22_ROOTS, SPLIT_POINTS, _adjoint_sweep,
+                                 _cayley, _chunked, _energy_scale,
                                  _hamiltonian_tridiag, _sweep, _transition,
                                  _two_blocks, _TwoBlockSolver)
 from qaction.spectrum import LOG, UNIFORM
@@ -503,12 +504,46 @@ def split_case(u10):
     return s1, s2, path
 
 
-@pytest.mark.parametrize("ds", [1e-4, 0.5])
-def test_two_block_solve_is_the_one_block_solve(u10, ds):
+@pytest.fixture
+def dot_lengths(monkeypatch):
+    """The length of every numpy.dot and numpy.vdot called while it is in use."""
+    lengths = []
+    for name in ("dot", "vdot"):
+        def recording(a, b, _fn=getattr(np, name)):
+            lengths.append(np.size(a))
+            return _fn(a, b)
+        monkeypatch.setattr(np, name, recording)
+    return lengths
+
+
+@pytest.mark.parametrize("n", [1, BLAS_SERIAL, BLAS_SERIAL + 1, 2 * BLAS_SERIAL,
+                               2 * BLAS_SERIAL + 1, 24000])
+def test_chunked_dot_parts(n, dot_lengths):
+    # ceil(n / BLAS_SERIAL) contiguous parts with edges n i // k: from
+    # BLAS_SERIAL + 1 to 2 BLAS_SERIAL elements that is the two halves n // 2
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    value = _chunked(np.vdot, a, b)
+    k = -(-n // BLAS_SERIAL)
+    assert dot_lengths == [n * (i + 1) // k - n * i // k for i in range(k)]
+    assert max(dot_lengths) <= BLAS_SERIAL
+    if k == 2:
+        assert value == np.vdot(a[:n // 2], b[:n // 2]) + np.vdot(a[n // 2:], b[n // 2:])
+    assert abs(value - np.sum(np.conj(a) * b)) <= 1e-12 * n
+
+
+@pytest.mark.parametrize("points, r_max, ds", [
+    (SPLIT_POINTS + 1, 60.0, 1e-4), (SPLIT_POINTS + 1, 60.0, 0.5), (24000, 240.0, 0.5)],
+    ids=["0.0001", "0.5", "24000-0.5"])
+def test_two_block_solve_is_the_one_block_solve(u10, points, r_max, ds, dot_lengths):
     # the split algebra on a right-hand side as large at the interface as
     # anywhere; at ds = 1e-4 the interface vectors fall into subnormals and
-    # the dots run over a window, at 0.5 they span both blocks
-    g = propagation_grid(60.0, SPLIT_POINTS + 1)
+    # the dots run over a window, at 0.5 they span both blocks, which on
+    # 24 000 points is longer than one dot BLAS keeps serial. Every case has
+    # the same mesh step: the two solves part by roundoff times the
+    # stiffness ds / h^2 (1.2e-13 relative on 24 000 points to r = 60)
+    g = propagation_grid(r_max, points)
     ham = _hamiltonian_tridiag(g, 0, 2.0 * u10.mc, u10)
     rng = np.random.default_rng(3)
     b = rng.standard_normal(g.num_points) + 1j * rng.standard_normal(g.num_points)
@@ -522,6 +557,22 @@ def test_two_block_solve_is_the_one_block_solve(u10, ds):
     finally:
         solver.close()
     assert np.max(np.abs(split - one)) <= 1e-13 * np.max(np.abs(one))
+    assert dot_lengths and max(dot_lengths) <= BLAS_SERIAL
+
+
+def test_adjoint_sweep_dots_stay_serial(u10, dot_lengths):
+    # the path search's forward and adjoint sweeps on a grid longer than
+    # BLAS_SERIAL sum every overlap in parts BLAS keeps on one thread
+    g = propagation_grid(40.0, 12000)
+    r = g.points()
+    state = RadialState(g, 0, r * np.exp(-r))
+    state = RadialState(g, 0, state.amplitudes / state_norm(state))
+    path = LambdaPath.equal_segments([1.9 * u10.mc, 2.1 * u10.mc], 0.02)
+    record = []
+    amp = _transition(state, state, path, u10, 2, PADE22_ROOTS, record=record)
+    dk_dlam, _ = _adjoint_sweep(record, state, path, u10)
+    assert amp.phase_valid and np.all(np.isfinite(dk_dlam))
+    assert max(dot_lengths) <= BLAS_SERIAL < g.num_points
 
 
 def test_two_block_sweep_matches_one_block(u10, split_case, monkeypatch):

@@ -10,8 +10,8 @@ from qaction import (
     LambdaPath, PacketDiagnostics, PhaseUndefinedError, QuantumNumbers,
     RadialGrid, RadialState, VariationalProblem, action_value, chi_initial,
     classical_action_part, full_action, grid_eigenstate, internal_time_map,
-    lambda_from_trajectory, make_units, numerov_eigenvalue, optimize_path,
-    packet_diagnostics, propagation_grid, solve_stationary,
+    lambda_from_trajectory, level_comparison, make_units, numerov_eigenvalue,
+    optimize_path, packet_diagnostics, propagation_grid, solve_stationary,
     sommerfeld_nstar_sq, state_norm, stationary_closed_form, transition_amplitude,
 )
 
@@ -361,6 +361,27 @@ def test_path_search_gives_the_paper_spectrum(alpha):
             assert dev <= 2e-4 * (u.rest_energy - level), (n, l)
             if alpha == 0.1:
                 assert dev <= alpha ** 4 / 32.0 / 4.0 * u.rest_energy, (n, l)
+
+
+def test_path_search_resolves_sommerfeld_at_codata_alpha(u_codata):
+    # at the physical alpha the raw h^2 deviation of kappa c exceeds the
+    # Sommerfeld splitting, but it falls 4-fold per doubling of the points
+    # (measured 3.998 to 4.000), so Richardson's (4 k(h/2) - k(h)) / 3 from
+    # 2000 n and 4000 n points leaves the paper's level m c^2 sqrt(1 -
+    # alpha^2 / n^2) alone: measured at most 4.6e-13 m c^2 (1s) against
+    # quarter-splittings of 2.2e-11 (n = 1, alpha^4 m c^2 / 128), 2.2e-11
+    # (n = 2) and 2.2e-12 (n = 3)
+    u = u_codata
+    for n in (1, 2, 3):
+        comparison = level_comparison(n, u)
+        gaps = [abs(row.difference) for row in comparison.comparisons if row.difference != 0.0]
+        bound = min(gaps) / 4.0 if gaps else u.alpha ** 4 * u.rest_energy / 128.0
+        for l in range(n):
+            coarse, fine = (_search_at_level(n, l, points * n, u)[1].kappa * u.c
+                            for points in (2000, 4000))
+            dev_coarse, dev_fine = coarse - comparison.energy, fine - comparison.energy
+            assert abs(dev_coarse) >= 3.0 * abs(dev_fine), (n, l, dev_coarse, dev_fine)
+            assert abs((4.0 * fine - coarse) / 3.0 - comparison.energy) <= bound, (n, l)
 
 
 def test_path_search_lambda_deviation_is_mesh_order(u10):
