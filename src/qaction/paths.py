@@ -22,8 +22,8 @@ class LambdaPath:
     breakpoints are the segment end times, strictly increasing, the last one
     equal to the total duration S; values[j] is the constant lambda (momentum
     units) on segment j, i.e. on (breakpoints[j-1], breakpoints[j]] with an
-    implicit start at s = 0. Instances are immutable; editing helpers return
-    new paths.
+    implicit start at s = 0. Every entry, and the running integral of lambda,
+    must be finite. Instances are immutable; editing helpers return new paths.
     """
 
     breakpoints: np.ndarray
@@ -42,6 +42,10 @@ class LambdaPath:
         vals.setflags(write=False)
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(self.cumulative_integral()[-1])
+        if not finite:
+            raise ValueError("the running integral of lambda overflows")
 
     @classmethod
     def constant(cls, lam: float, S: float) -> "LambdaPath":

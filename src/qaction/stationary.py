@@ -194,7 +194,9 @@ def solve_stationary(n: QuantumNumbers | int, x10: float, u: UnitSystem,
                             u.mass * u.mass * u.c * u.c, x10])
 
     def residual(z: np.ndarray) -> np.ndarray:
-        av = action_value(*(z * scale), n, x10, u)
+        # floats, not numpy scalars: the value, which this never reads, may
+        # overflow at large x10, and a float product does so silently
+        av = action_value(*(z * scale).tolist(), n, x10, u)
         return np.array([av.grad_d, av.grad_lam, av.grad_S,
                          av.grad_kappa]) / resid_scale
 

@@ -5,6 +5,18 @@ from qaction import make_units
 CODATA_ALPHA = 0.0072973525693
 
 
+def record_calls(mp, owner, name):
+    """Replace owner.name, while the MonkeyPatch mp holds, with a pass-through
+    that appends each call's positional arguments to the list returned."""
+    calls, fn = [], getattr(owner, name)
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+    mp.setattr(owner, name, recording)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def u10():
     # exaggerated alpha: fine-structure effects visible at desk scale

@@ -380,6 +380,24 @@ def test_non_finite_values_rejected(cli, tmp_path, args, config, flag):
     assert payload["message"] == f"{flag} must be finite"
 
 
+def test_overflowing_path_file_refused_in_one_line(cli, tmp_path):
+    # lambda * duration = 1e310: refused where the path is read, with no numpy warning
+    p = tmp_path / "huge.csv"
+    p.write_text("1e10,1e300\n")
+    for args in (("packet", "--sigma", "0.8", "--steps", "50"), ("timemap", "--samples", "5")):
+        code, out, err = cli(*args, "--path-file", str(p))
+        assert (code, out, err.count("\n")) == (2, "", 1), args
+        assert "the running integral of lambda overflows" in json.loads(err)["error"]["message"]
+
+
+def test_stationary_at_huge_x10_warns_nothing(cli, u_codata):
+    # the unread action value overflows at x10 = 1e308; numpy warnings fail the suite
+    code, out, err = cli("stationary", "--n", "1", "--x10", "1e308")
+    assert code == 0 and err == ""
+    kappa_c = json.loads(out)["result"]["kappa_c"]
+    assert math.isclose(kappa_c, stationary_closed_form(1, 1e308, u_codata).kappa_c, rel_tol=1e-10)
+
+
 def test_output_dir_env_and_file_equality(cli, tmp_path, monkeypatch):
     monkeypatch.setenv("QACTION_OUTPUT_DIR", str(tmp_path))
     code, out, _ = cli("spectrum", "--alpha", FROZEN_ALPHA)

@@ -94,6 +94,8 @@ def test_reversed():
     ([1.0], [1.0, 2.0]),          # length mismatch
     ([1.0, float("nan")], [1.0, 2.0]),
     ([1.0, 2.0], [1.0, float("inf")]),
+    ([1e10], [1e300]),            # lambda * duration overflows, with no numpy
+    ([1.0, 2.0], [1e308, 1.7e308]),  # warning; so does only their running sum
 ])
 def test_invalid_paths_rejected(bps, vals):
     with pytest.raises(ValueError):

@@ -21,6 +21,7 @@ from qaction.propagation import (BLAS_SERIAL, CN_ROOTS, MAX_PHASE_PER_STEP,
                                  _hamiltonian_tridiag, _sweep, _transition,
                                  _two_blocks, _TwoBlockSolver)
 from qaction.spectrum import LOG, UNIFORM
+from conftest import record_calls
 
 
 def _eigenpair(n, l, lam_mc, grid, u, **kw):
@@ -441,19 +442,12 @@ def test_explicit_steps_take_one_solve_per_step(u10, monkeypatch):
     g = propagation_grid(25.0, 600)
     state, _ = _eigenpair(1, 0, 2.0, g, u10)
     path = LambdaPath.equal_segments([2.0 * u10.mc, 1.9 * u10.mc], 0.2)
-    calls = []
-    solve = lapack.zgttrs
-
-    def counting(*args, **kwargs):
-        calls.append(np.asarray(args[5]).ndim)
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(lapack, "zgttrs", counting)
+    calls = record_calls(monkeypatch, lapack, "zgttrs")
     transition_amplitude(state, state, path, u10, steps_per_segment=300)
-    assert calls == [1] * 600
+    assert [np.ndim(args[5]) for args in calls] == [1] * 600
     calls.clear()
     evolve(state, path, 70, u10)
-    assert calls == [1] * 140
+    assert [np.ndim(args[5]) for args in calls] == [1] * 140
 
 
 def test_counts_follow_the_state_entering_each_segment(u10, monkeypatch):
@@ -474,14 +468,7 @@ def test_counts_follow_the_state_entering_each_segment(u10, monkeypatch):
     last = _hamiltonian_tridiag(g, 0, path.values[-1], u10)
     from_phi_in = path.durations[-1] * _energy_scale(np.asarray(s2.amplitudes), *last)
     assert counts[-1] > math.ceil(from_phi_in / u10.hbar / MAX_PHASE_PER_STEP)
-    calls = []
-    solve = lapack.zgttrs
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(lapack, "zgttrs", counting)
+    calls = record_calls(monkeypatch, lapack, "zgttrs")
     amp = transition_amplitude(s2, s1, path, u10)
     assert len(calls) == sum(counts)
     # the reference propagates in the full eigenbasis of every segment's H,
@@ -506,14 +493,9 @@ def split_case(u10):
 
 @pytest.fixture
 def dot_lengths(monkeypatch):
-    """The length of every numpy.dot and numpy.vdot called while it is in use."""
-    lengths = []
-    for name in ("dot", "vdot"):
-        def recording(a, b, _fn=getattr(np, name)):
-            lengths.append(np.size(a))
-            return _fn(a, b)
-        monkeypatch.setattr(np, name, recording)
-    return lengths
+    """A call giving the lengths of the numpy.dot, then numpy.vdot, calls so far."""
+    logs = [record_calls(monkeypatch, np, name) for name in ("dot", "vdot")]
+    return lambda: [np.size(args[0]) for log in logs for args in log]
 
 
 @pytest.mark.parametrize("n", [1, BLAS_SERIAL, BLAS_SERIAL + 1, 2 * BLAS_SERIAL,
@@ -526,8 +508,8 @@ def test_chunked_dot_parts(n, dot_lengths):
     b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     value = _chunked(np.vdot, a, b)
     k = -(-n // BLAS_SERIAL)
-    assert dot_lengths == [n * (i + 1) // k - n * i // k for i in range(k)]
-    assert max(dot_lengths) <= BLAS_SERIAL
+    assert dot_lengths() == [n * (i + 1) // k - n * i // k for i in range(k)]
+    assert max(dot_lengths()) <= BLAS_SERIAL
     if k == 2:
         assert value == np.vdot(a[:n // 2], b[:n // 2]) + np.vdot(a[n // 2:], b[n // 2:])
     assert abs(value - np.sum(np.conj(a) * b)) <= 1e-12 * n
@@ -557,7 +539,7 @@ def test_two_block_solve_is_the_one_block_solve(u10, points, r_max, ds, dot_leng
     finally:
         solver.close()
     assert np.max(np.abs(split - one)) <= 1e-13 * np.max(np.abs(one))
-    assert dot_lengths and max(dot_lengths) <= BLAS_SERIAL
+    assert dot_lengths() and max(dot_lengths()) <= BLAS_SERIAL
 
 
 def test_adjoint_sweep_dots_stay_serial(u10, dot_lengths):
@@ -572,7 +554,7 @@ def test_adjoint_sweep_dots_stay_serial(u10, dot_lengths):
     amp = _transition(state, state, path, u10, 2, PADE22_ROOTS, record=record)
     dk_dlam, _ = _adjoint_sweep(record, state, path, u10)
     assert amp.phase_valid and np.all(np.isfinite(dk_dlam))
-    assert max(dot_lengths) <= BLAS_SERIAL < g.num_points
+    assert max(dot_lengths()) <= BLAS_SERIAL < g.num_points
 
 
 def test_two_block_sweep_matches_one_block(u10, split_case, monkeypatch):
@@ -606,21 +588,16 @@ def test_two_blocks_from_split_points_on(u10, monkeypatch, points, blocks):
     state = RadialState(g, 0, r * np.exp(-r))
     state = RadialState(g, 0, state.amplitudes / state_norm(state))
     path = LambdaPath.equal_segments([1.8 * u10.mc, 2.2 * u10.mc, 1.9 * u10.mc], 0.3)
-    calls = {"zgttrf": [], "zgttrs": []}
-    for name, fn in [(name, getattr(lapack, name)) for name in calls]:
-        def counting(*args, _name=name, _fn=fn, **kwargs):
-            calls[_name].append(len(args[-1]) if _name == "zgttrs" else len(args[1]))
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(lapack, name, counting)
+    factored = record_calls(monkeypatch, lapack, "zgttrf")
+    solves = record_calls(monkeypatch, lapack, "zgttrs")
     evolve(state, path, 10, u10)
     sizes = [points // 2, points - points // 2] if blocks == 2 else [points]
-    assert calls["zgttrf"] == sizes * 3
-    solves = calls["zgttrs"]
+    assert [len(args[1]) for args in factored] == sizes * 3
     assert len(solves) == 3 * (10 * blocks + (blocks == 2) * 2)
-    assert sorted(set(solves)) == sorted(set(sizes))
-    calls["zgttrf"].clear()
+    assert sorted({len(args[-1]) for args in solves}) == sorted(set(sizes))
+    factored.clear()
     _transition(state, state, path, u10, 10, PADE22_ROOTS)
-    assert calls["zgttrf"] == [points] * 6
+    assert [len(args[1]) for args in factored] == [points] * 6
 
 
 def test_two_block_sweep_refuses_as_one_block(u10, split_case):

@@ -14,6 +14,7 @@ from qaction import (
     optimize_path, packet_diagnostics, propagation_grid, solve_stationary,
     sommerfeld_nstar_sq, state_norm, stationary_closed_form, transition_amplitude,
 )
+from conftest import record_calls
 
 
 @pytest.fixture(scope="module")
@@ -263,24 +264,16 @@ def test_one_step_schedule_per_solve(u10, coarse_setup, monkeypatch):
     g, state, _ = coarse_setup
     problem = VariationalProblem(phi_in=state, phi_out=state, x10=40.0,
                                  segments=2, u=u10)
-    sweep, adjoint = propagation._sweep, variational._adjoint_sweep
-    seen = {"forward": set(), "adjoint": set()}
-
-    def forward(state, path, steps, u, roots, cap=None, out_conj=None, record=None):
-        assert cap is None  # no cap: every segment takes exactly steps
-        seen["forward"].add(((steps,) * path.num_segments, roots))
-        return sweep(state, path, steps, u, roots, cap, out_conj, record)
-
-    def backward(record, phi_out, path, u):
-        # a segment's record holds its entering state and one per factor and step
-        seen["adjoint"].add((tuple((len(states) - 1) // len(roots)
-                                   for _, roots, _, states in record),
-                             record[0][1]))
-        return adjoint(record, phi_out, path, u)
-
-    monkeypatch.setattr(propagation, "_sweep", forward)
-    monkeypatch.setattr(variational, "_adjoint_sweep", backward)
+    forward = record_calls(monkeypatch, propagation, "_sweep")
+    backward = record_calls(monkeypatch, variational, "_adjoint_sweep")
     assert optimize_path(problem).converged
+    assert all(args[5] is None for args in forward)  # no cap: exactly steps a segment
+    # a segment's record holds its entering state and one per factor and step
+    seen = {"forward": {((steps,) * path.num_segments, roots)
+                        for _, path, steps, _, roots, *_ in forward},
+            "adjoint": {(tuple((len(states) - 1) // len(roots)
+                               for _, roots, _, states in record), record[0][1])
+                        for record, *_ in backward}}
     assert seen == {"forward": {((problem.steps_per_segment,) * 2,
                                  propagation.PADE22_ROOTS)},
                     "adjoint": {((problem.steps_per_segment,) * 2,
@@ -297,13 +290,7 @@ def test_one_hamiltonian_build_per_segment_per_sweep(u10, coarse_setup,
     _, state, _ = coarse_setup
     problem = VariationalProblem(phi_in=state, phi_out=state, x10=40.0,
                                  segments=segments, u=u10)
-    build, calls = propagation._hamiltonian_tridiag, []
-
-    def counting(*args):
-        calls.append(args)
-        return build(*args)
-
-    monkeypatch.setattr(propagation, "_hamiltonian_tridiag", counting)
+    calls = record_calls(monkeypatch, propagation, "_hamiltonian_tridiag")
     variational._kkt_residual(np.full(segments, 2.0 * u10.mc), problem)
     assert len(calls) == segments
     calls.clear()
@@ -397,29 +384,20 @@ def test_path_search_lambda_deviation_is_mesh_order(u10):
 
 @pytest.fixture(scope="module")
 def counted_solves(u10, coarse_setup):
-    """One- and two-segment solves with the LAPACK tridiagonal work they did."""
-    g, state, _ = coarse_setup
+    """One- and two-segment solves on the coarse grid, then N = 1 and 4 on the
+    acceptance-07 problem, with the LAPACK tridiagonal work they did."""
+    _, coarse, _ = coarse_setup
+    fine, _ = grid_eigenstate(1, 0, 2.0 * u10.mc, propagation_grid(30.0, 2000), u10)
     runs = []
-    for nseg in (1, 2):
+    for state, nseg in ((coarse, 1), (coarse, 2), (fine, 1), (fine, 4)):
         problem = VariationalProblem(phi_in=state, phi_out=state, x10=40.0,
                                      segments=nseg, u=u10)
-        work = {"zgttrf": 0, "zgttrs": 0, "columns": 0}
-
-        def counting(name):
-            fn = getattr(lapack, name)
-
-            def wrapped(*args, **kwargs):
-                work[name] += 1
-                if name == "zgttrs":
-                    b = np.asarray(args[5])
-                    work["columns"] += 1 if b.ndim == 1 else b.shape[1]
-                return fn(*args, **kwargs)
-            return wrapped
-
         with pytest.MonkeyPatch.context() as mp:
-            for name in ("zgttrf", "zgttrs"):
-                mp.setattr(lapack, name, counting(name))
+            factored = record_calls(mp, lapack, "zgttrf")
+            solved = record_calls(mp, lapack, "zgttrs")
             res = optimize_path(problem)
+        work = {"zgttrf": len(factored), "zgttrs": len(solved),
+                "columns": sum(np.size(b) // len(b) for *_, b in solved)}
         runs.append((nseg, problem, res, work))
     return runs
 
@@ -433,7 +411,7 @@ def test_optimize_meets_constraint_exactly(counted_solves):
 
 
 def test_optimize_kappa_matches_closed_form(u10, counted_solves):
-    # measured 3.19e-6 from the closed form at N = 1 and 2 on this 500-point grid
+    # measured 3.16e-6 from the closed form on the 500-point grid, 2.6e-7 on 2000
     ref = stationary_closed_form(1, 40.0, u10)
     for nseg, _, res, _ in counted_solves:
         assert math.isclose(res.kappa, ref.kappa, rel_tol=2e-5), nseg
@@ -457,6 +435,10 @@ def test_optimize_solves_per_step(counted_solves):
         assert work == {"zgttrs": 2 * roots * steps * residuals,
                         "columns": 2 * roots * steps * residuals,
                         "zgttrf": roots * nseg * residuals}, nseg
+    # N = 1 and 4 on the acceptance-07 problem, gated at 400 solves at N = 4
+    fine = [(nseg, work["zgttrs"], work["zgttrf"], res.iterations)
+            for nseg, _, res, work in counted_solves[2:]]
+    assert fine == [(1, 304, 8, 3), (4, 320, 32, 3)] and fine[1][1] <= 400
 
 
 def test_optimize_amplitude_is_last_forward_sweep(u10, counted_solves):
