@@ -39,7 +39,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GaussianPhaseState:
-    """Phase coefficients (chi0, chi1, chi2) at internal time s."""
+    """Phase coefficients (chi0, chi1, chi2) at internal time s, with Re chi2 < 0."""
 
     chi0: complex
     chi1: complex
@@ -51,19 +51,17 @@ class GaussianPhaseState:
             z = complex(getattr(self, name))
             if not (math.isfinite(z.real) and math.isfinite(z.imag)):
                 raise ValueError(f"{name} is not finite")
+        if self.chi2.real >= 0.0:
+            raise ValueError("state is not normalizable (Re chi2 >= 0)")
 
     @property
     def center(self) -> float:
         """Peak of |psi0|^2, at -Re chi1 / Re chi2."""
-        if self.chi2.real >= 0.0:
-            raise ValueError("state is not normalizable (Re chi2 >= 0)")
         return -self.chi1.real / self.chi2.real
 
     @property
     def width(self) -> float:
         """Standard deviation of |psi0|^2, sqrt(-1 / (2 Re chi2))."""
-        if self.chi2.real >= 0.0:
-            raise ValueError("state is not normalizable (Re chi2 >= 0)")
         return math.sqrt(-0.5 / self.chi2.real)
 
 
@@ -171,8 +169,6 @@ def packet_diagnostics(state: GaussianPhaseState, x0_grid: np.ndarray) -> Packet
     x = np.asarray(x0_grid, dtype=float)
     if x.ndim != 1 or x.size < 8 or not np.all(np.diff(x) > 0.0):
         raise ValueError("x0 grid must be 1d, increasing, with at least 8 points")
-    if state.chi2.real >= 0.0:
-        raise ValueError("state is not normalizable (Re chi2 >= 0)")
     re_chi = (state.chi0.real + state.chi1.real * x + 0.5 * state.chi2.real * x * x)
     dens = np.exp(2.0 * re_chi)
     mass = _trapezoid(dens, x)

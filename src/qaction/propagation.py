@@ -319,8 +319,9 @@ def _sweep(state: RadialState, path: LambdaPath, steps: int, u: UnitSystem,
     before it is factored. With record, a list, every segment appends (ds,
     roots, LU factors in roots order, states): the states are the one
     entering the segment and the one after every Cayley factor. That is all
-    _adjoint_sweep reads. Returns (phi, last overlap, unwrapped phase, steps
-    taken); without out_conj the overlap is None and the phase 0.
+    _adjoint_sweep reads, and all _record_price counts. Returns (phi, last
+    overlap, unwrapped phase, steps taken); without out_conj the overlap is
+    None and the phase 0.
     """
     if not isinstance(steps, numbers.Integral):
         raise ValueError(f"need at least one step per segment, a whole number, got {steps!r}")
@@ -384,6 +385,24 @@ def _sweep(state: RadialState, path: LambdaPath, steps: int, u: UnitSystem,
         if split:
             solve.close()
     return phi, o_prev, theta, total
+
+
+def _record_price(points: int, segments: int, steps: int, roots: tuple
+                  ) -> tuple[int, int]:
+    """(solves, bytes) of a recorded _sweep and the _adjoint_sweep that reads it.
+
+    With factors = len(roots) * segments, a sweep of steps a segment applies
+    factors * steps Cayley factors, one solve each, and the adjoint as many.
+    The record keeps the state entering the sweep and the one after every
+    factor, points complex numbers each (a segment's entering state is the
+    one its predecessor left), and per root and segment zgttrf's dl, d, du,
+    du2 (points - 1, points, points - 1, points - 2 complex numbers) and its
+    int32 ipiv (points).
+    """
+    factors = len(roots) * segments
+    states = 16 * points * (1 + factors * steps)
+    lu = 16 * (4 * points - 4) + 4 * points
+    return 2 * factors * steps, states + factors * lu
 
 
 def _adjoint_sweep(record: list, phi_out: RadialState, path: LambdaPath,

@@ -33,7 +33,7 @@ import numpy as np
 
 from .paths import LambdaPath
 from .propagation import (PADE22_ROOTS, PhaseUndefinedError, TransitionAmplitude,
-                          _adjoint_sweep, _energy_scale, _hamiltonian_tridiag,
+                          _energy_scale, _hamiltonian_tridiag, _record_price,
                           _transition)
 from .spectrum import RadialState
 from .stationary import _damped_newton
@@ -44,10 +44,9 @@ from .units import UnitSystem
 PHASE_ERROR = 0.1 * 0.005 ** 2 / 12.0
 # (2,2) Pade turns an eigenphase x per step with relative error x^4 / 720
 STEP_PHASE = (720.0 * PHASE_ERROR) ** 0.25   # 0.11 rad
-# work budget: a step is one solve per Cayley root forward and one in the
-# adjoint, which reads the forward states from memory instead of re-solving
+# work and memory budgets of one residual's sweep record and its adjoint
+# (qaction.propagation._record_price prices both)
 MAX_SOLVES_PER_RESIDUAL = 20_000
-# memory budget of those stored states and LU factors, 16 bytes a grid point
 MAX_STORED_BYTES = 2 ** 28
 
 __all__ = ["VariationalProblem", "StationaryPath", "classical_action_part",
@@ -69,10 +68,10 @@ class VariationalProblem:
     the start's N segments are alike); every sweep of the problem takes
     exactly that many per segment and refuses, never re-steps, a trial path
     too fast for it (UNWRAP_PHASE in qaction.propagation). A residual's
-    forward sweep keeps a state after every Cayley factor and four LU vectors
-    per factor and segment for its adjoint sweep. A schedule of more than
-    MAX_SOLVES_PER_RESIDUAL solves or MAX_STORED_BYTES bytes of those vectors
-    per residual is refused with a ValueError before any propagation runs.
+    forward sweep keeps a record of its states and LU factors for its adjoint
+    sweep. A schedule whose residual takes more than MAX_SOLVES_PER_RESIDUAL
+    solves or keeps more than MAX_STORED_BYTES bytes of record is refused
+    with a ValueError before any propagation runs.
     """
 
     phi_in: RadialState
@@ -92,18 +91,17 @@ class VariationalProblem:
         turn = self.x10 / (lam * self.segments) \
             * _energy_scale(np.asarray(phi.amplitudes), *ham) / self.u.hbar
         steps = max(1, math.ceil(turn / STEP_PHASE))
-        factors = len(PADE22_ROOTS) * self.segments
-        solves = 2 * factors * steps
+        solves, stored = _record_price(phi.grid.num_points, self.segments, steps,
+                                       PADE22_ROOTS)
         if solves > MAX_SOLVES_PER_RESIDUAL:
             raise ValueError(
                 f"x10 = {self.x10!r} needs {solves} tridiagonal solves per "
                 f"residual, over the budget of {MAX_SOLVES_PER_RESIDUAL}; "
                 "lower x10")
-        stored = 16 * self.phi_in.grid.num_points * (1 + factors * (steps + 4))
         if stored > MAX_STORED_BYTES:
             raise ValueError(
-                f"x10 = {self.x10!r} needs {stored} bytes of stored states per "
-                f"residual, over the budget of {MAX_STORED_BYTES}; "
+                f"x10 = {self.x10!r} needs {stored} bytes of stored states and "
+                f"LU factors per residual, over the budget of {MAX_STORED_BYTES}; "
                 "lower x10 or the grid points")
         object.__setattr__(self, "steps_per_segment", steps)
 
@@ -142,13 +140,12 @@ def classical_action_part(path: LambdaPath, kappa: float, x10: float,
     return kinetic + kappa * (path.integral() - x10)
 
 
-def _forward(path: LambdaPath, problem: VariationalProblem
-             ) -> tuple[TransitionAmplitude, list]:
+def _forward(path: LambdaPath, problem: VariationalProblem,
+             record: list | None = None) -> TransitionAmplitude:
     """The problem's (2,2) amplitude along path, problem.steps_per_segment
-    steps on every segment, and the sweep's record for _adjoint_sweep. A
-    path too fast for that count is refused by the sweep (UNWRAP_PHASE in
-    qaction.propagation), never re-stepped."""
-    record = []
+    steps on every segment; with record, a list, the sweep appends its record
+    for _adjoint_sweep to it. A path too fast for that count is refused by
+    the sweep (UNWRAP_PHASE in qaction.propagation), never re-stepped."""
     amp = _transition(problem.phi_in, problem.phi_out, path, problem.u,
                       problem.steps_per_segment, PADE22_ROOTS, record=record)
     if not amp.phase_valid:
@@ -157,7 +154,7 @@ def _forward(path: LambdaPath, problem: VariationalProblem
             f"transition amplitude vanished along the path (lambda/mc = [{lams}], "
             f"S = {path.S:.6g}): boundary states orthogonal under the path are "
             "refused, e.g. two levels prepared at lambda = 2 m c")
-    return amp, record
+    return amp
 
 
 def full_action(path: LambdaPath, kappa: float,
@@ -167,7 +164,7 @@ def full_action(path: LambdaPath, kappa: float,
     if not (lo <= path.S <= hi):
         raise ValueError(f"path duration {path.S!r} outside S bounds ({lo}, {hi})")
     return classical_action_part(path, kappa, problem.x10, problem.u) \
-        + _forward(path, problem)[0].I
+        + _forward(path, problem).I
 
 
 def _kkt_residual(lam: np.ndarray, problem: VariationalProblem
@@ -180,11 +177,13 @@ def _kkt_residual(lam: np.ndarray, problem: VariationalProblem
     counts: one forward sweep gives K and records its states, one adjoint
     sweep over that record gives every dK.
     """
+    from .propagation import _adjoint_sweep  # the one reader of a sweep record
     u = problem.u
     mc = u.mc
     mean_lam = float(np.mean(lam))
     path = LambdaPath.equal_segments(lam, problem.x10 / mean_lam)
-    amp, record = _forward(path, problem)
+    record = []
+    amp = _forward(path, problem, record)
     dk_dlam, dk_ds = _adjoint_sweep(record, problem.phi_out, path, u)
     di_dlam = -u.hbar * np.imag(dk_dlam / amp.K)
     di_ds = -u.hbar * (dk_ds / amp.K).imag

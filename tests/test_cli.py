@@ -522,6 +522,23 @@ def test_cli_import_skips_unused_scipy_modules():
     assert proc.stdout.strip() == "[]"
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="needs os.sched_setaffinity")
+def test_output_does_not_depend_on_the_core_count(const_path_20):
+    # on 24 000 points a Crank-Nicolson solve is two blocks on two threads and
+    # every grid sum runs in parts BLAS keeps on one thread, so a child
+    # pinned to one CPU prints the same bytes as one free to use them all
+    cmd = [sys.executable, "-m", "qaction", "propagate", "--alpha", "0.1",
+           "--path-file", const_path_20, "--grid-points", "24000", "--rmax", "25",
+           "--steps", "50"]
+    cpu = min(os.sched_getaffinity(0))
+    free = subprocess.run(cmd, capture_output=True, timeout=120)
+    pinned = subprocess.run(cmd, capture_output=True, timeout=120,
+                            preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
+    assert free.returncode == pinned.returncode == 0, pinned.stderr
+    assert free.stdout == pinned.stdout
+
+
 def test_stdout_determinism_subprocess(two_segment_path):
     cmd = [sys.executable, "-m", "qaction", "packet", "--alpha", "0.5",
            "--path-file", two_segment_path, "--sigma", "0.8", "--steps", "25"]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qaction import LambdaPath, load_path_csv
+from qaction import LambdaPath, internal_time_map, lambda_from_trajectory, load_path_csv
 
 
 def test_constant_path():
@@ -168,3 +168,98 @@ def test_csv_decreasing_ends_name_the_file(tmp_path):
     with pytest.raises(ValueError, match="backwards.csv: breakpoints must be positive "
                                          "and strictly increasing"):
         load_path_csv(str(f))
+
+
+def test_internal_time_map_exact():
+    const = LambdaPath.constant(4.0, 3.0)
+    assert internal_time_map(const, 1.0) == 1.0 / 4.0
+    assert internal_time_map(const, 0.0) == 0.0
+    two = LambdaPath(np.array([1.0, 2.0]), np.array([1.0, 2.0]))
+    assert internal_time_map(two, 1.0) == 1.0
+    assert internal_time_map(two, 2.0) == 1.5
+    assert internal_time_map(two, 3.0) == 2.0
+    with pytest.raises(ValueError):
+        internal_time_map(two, -0.1)
+    with pytest.raises(ValueError):
+        internal_time_map(two, 3.1)
+    # one element out of range, or NaN, refuses the whole array
+    with pytest.raises(ValueError, match="x0 = 3.1 outside"):
+        internal_time_map(two, np.array([0.5, 3.1, 1.0]))
+    with pytest.raises(ValueError, match="x0 = nan outside"):
+        internal_time_map(two, np.array([[0.5, 1.0], [np.nan, 2.0]]))
+    signed = LambdaPath(np.array([1.0, 2.0]), np.array([1.0, -2.0]))
+    with pytest.raises(ValueError):
+        internal_time_map(signed, 0.5)
+
+
+def test_internal_time_map_total_is_the_running_sum():
+    # the reachable total is the last running sum of the segments, which a
+    # dot-product integral would miss by an ulp (here 1.1e-16 above); x0 at
+    # that total lies in the last segment and maps to its end
+    path = LambdaPath.equal_segments([0.3, 0.6, 0.9, 1.2], 1.1)
+    total = float(path.cumulative_integral()[-1])
+    assert path.integral() == total
+    assert math.isclose(internal_time_map(path, total), path.S, rel_tol=1e-15)
+    with pytest.raises(ValueError, match="reachable range"):
+        internal_time_map(path, total + 1e-12)
+
+
+def test_internal_time_map_of_the_integral_is_the_duration():
+    # path.integral() is the one total of lambda, so it maps back to S on
+    # every path (a dot-product total was refused as out of range on 2 395
+    # of these 20 000). x0 is measured from the nearer end of its segment, so
+    # every running sum maps to its breakpoint and 0 to 0, exactly; measured
+    # from the segment's start, the total missed S on 4 783 of these paths
+    rng = np.random.default_rng(0)
+    for _ in range(20_000):
+        n = int(rng.integers(2, 6))
+        path = LambdaPath(np.cumsum(rng.uniform(0.1, 2.0, n)), rng.uniform(0.1, 3.0, n))
+        assert path.integral() == path.cumulative_integral()[-1]
+        assert internal_time_map(path, 0.0) == 0.0, path
+        # the last running sum is the total, the last breakpoint S
+        ends = internal_time_map(path, path.cumulative_integral())
+        assert np.array_equal(ends, path.breakpoints), path
+
+
+def test_internal_time_map_round_trip():
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        nseg = int(rng.integers(1, 7))
+        path = LambdaPath.equal_segments(rng.uniform(0.2, 30.0, size=nseg),
+                                         float(rng.uniform(0.1, 4.0)))
+        total = path.integral()
+        xs = np.sort(rng.uniform(0.0, total, size=12))
+        s_prev = -1.0
+        mapped = internal_time_map(path, xs)
+        assert mapped.shape == xs.shape
+        for x0, s_array in zip(xs, mapped):
+            s = internal_time_map(path, float(x0))
+            assert s == s_array  # one array call, bit for bit the scalar calls
+            assert s > s_prev  # strictly increasing map
+            s_prev = s
+        assert np.all(np.abs(path.integral(upto=mapped) - xs) <= 1e-12 * (1.0 + xs))
+
+
+def test_lambda_from_trajectory():
+    p = lambda_from_trajectory(np.array([0.0, 1.0, 2.0]),
+                               np.array([0.0, 3.0, 6.0]))
+    assert list(p.breakpoints) == [1.0, 2.0]
+    assert list(p.values) == [3.0, 3.0]
+    original = LambdaPath(np.array([1.0, 2.0]), np.array([1.0, 2.0]))
+    s = np.array([0.0, 1.0, 2.0])
+    x = original.integral(upto=s)
+    recovered = lambda_from_trajectory(s, x)
+    assert np.array_equal(recovered.breakpoints, original.breakpoints)
+    assert np.array_equal(recovered.values, original.values)
+
+
+def test_lambda_from_trajectory_validation():
+    with pytest.raises(ValueError):
+        lambda_from_trajectory(np.array([0.0, 1.0]), np.array([0.0]))
+    with pytest.raises(ValueError):
+        lambda_from_trajectory(np.array([0.0]), np.array([0.0]))
+    with pytest.raises(ValueError):
+        lambda_from_trajectory(np.array([0.1, 1.0]), np.array([0.0, 1.0]))
+    with pytest.raises(ValueError):
+        lambda_from_trajectory(np.array([0.0, 1.0, 2.0]),
+                               np.array([0.0, 2.0, 1.0]))

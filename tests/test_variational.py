@@ -9,8 +9,8 @@ import qaction.variational as variational
 from qaction import (
     LambdaPath, PacketDiagnostics, PhaseUndefinedError, QuantumNumbers,
     RadialGrid, RadialState, VariationalProblem, action_value, chi_initial,
-    classical_action_part, full_action, grid_eigenstate, internal_time_map,
-    lambda_from_trajectory, level_comparison, make_units, numerov_eigenvalue,
+    classical_action_part, full_action, grid_eigenstate, level_comparison,
+    make_units, numerov_eigenvalue,
     optimize_path, packet_diagnostics, propagation_grid, solve_stationary,
     sommerfeld_nstar_sq, state_norm, stationary_closed_form, transition_amplitude,
 )
@@ -123,12 +123,13 @@ def test_adjoint_gradients_match_central_differences(u10, coarse_setup, n_out):
                                  u=u10)
     lam = np.array([1.9, 2.05, 2.1]) * u10.mc
     path = LambdaPath.equal_segments(lam, problem.x10 / float(np.mean(lam)))
-    amp, record = variational._forward(path, problem)
+    record = []
+    amp = variational._forward(path, problem, record)
     assert [ds for ds, _, _, _ in record] == list(path.durations / problem.steps_per_segment)
-    dk_dlam, dk_ds = variational._adjoint_sweep(record, out, path, u10)
+    dk_dlam, dk_ds = propagation._adjoint_sweep(record, out, path, u10)
 
     def action(p):
-        return variational._forward(p, problem)[0].I
+        return variational._forward(p, problem).I
 
     for j in range(3):
         h = 1e-5 * lam[j]
@@ -265,7 +266,7 @@ def test_one_step_schedule_per_solve(u10, coarse_setup, monkeypatch):
     problem = VariationalProblem(phi_in=state, phi_out=state, x10=40.0,
                                  segments=2, u=u10)
     forward = record_calls(monkeypatch, propagation, "_sweep")
-    backward = record_calls(monkeypatch, variational, "_adjoint_sweep")
+    backward = record_calls(monkeypatch, propagation, "_adjoint_sweep")
     assert optimize_path(problem).converged
     assert all(args[5] is None for args in forward)  # no cap: exactly steps a segment
     # a segment's record holds its entering state and one per factor and step
@@ -441,9 +442,46 @@ def test_optimize_solves_per_step(counted_solves):
     assert fine == [(1, 304, 8, 3), (4, 320, 32, 3)] and fine[1][1] <= 400
 
 
+def test_record_price_is_what_a_residual_keeps_and_solves(counted_solves):
+    # propagation._record_price is the one count of a residual's record: on
+    # the acceptance-07 problem its bytes are those of the distinct arrays a
+    # recorded forward sweep holds (a segment's entering state is its
+    # predecessor's last), pivots included, and its solves are the zgttrs
+    # calls per residual counted above
+    priced = []
+    for nseg, problem, res, work in counted_solves[2:]:
+        record = []
+        variational._forward(res.path, problem, record)
+        held = {id(a): a.nbytes for _, _, lus, states in record
+                for a in (*(v for lu in lus for v in lu), *states)}
+        solves, stored = propagation._record_price(
+            problem.phi_in.grid.num_points, nseg, problem.steps_per_segment,
+            propagation.PADE22_ROOTS)
+        assert stored == sum(held.values()), nseg
+        assert solves * (1 + res.iterations) == work["zgttrs"], nseg
+        priced.append((nseg, solves, stored))
+    assert priced == [(1, 76, 1_519_872), (4, 80, 2_399_488)]
+
+
+def test_full_action_keeps_no_record(u10, coarse_setup, monkeypatch):
+    # full_action reads only I, so its sweep records nothing; the residual,
+    # whose adjoint reads the record, is the one caller that keeps one.
+    # record_calls keeps positional arguments, and _transition hands its
+    # record on to _sweep as the eighth
+    _, state, _ = coarse_setup
+    problem = VariationalProblem(phi_in=state, phi_out=state, x10=40.0,
+                                 segments=2, u=u10)
+    sweeps = record_calls(monkeypatch, propagation, "_sweep")
+    lam = np.full(2, 2.0 * u10.mc)
+    full_action(LambdaPath.equal_segments(lam, 40.0 / (2.0 * u10.mc)), 1.0, problem)
+    variational._kkt_residual(lam, problem)
+    kept_by_action, kept_by_residual = (args[7] for args in sweeps)
+    assert kept_by_action is None and isinstance(kept_by_residual, list)
+
+
 def test_optimize_amplitude_is_last_forward_sweep(u10, counted_solves):
     for nseg, problem, res, _ in counted_solves:
-        amp = variational._forward(res.path, problem)[0]
+        amp = variational._forward(res.path, problem)
         for name in ("K", "I", "Q", "norm_drift"):
             assert repr(getattr(res.amplitude, name)) == repr(getattr(amp, name)), name
         assert repr(res.amplitude.path.S) == repr(amp.path.S)
@@ -531,98 +569,3 @@ def test_problem_validation(u10, coarse_setup):
         with pytest.raises(TypeError):
             VariationalProblem(phi_in=state, phi_out=state, x10=1.0, segments=1,
                                u=u10, **knob)
-
-
-def test_internal_time_map_exact():
-    const = LambdaPath.constant(4.0, 3.0)
-    assert internal_time_map(const, 1.0) == 1.0 / 4.0
-    assert internal_time_map(const, 0.0) == 0.0
-    two = LambdaPath(np.array([1.0, 2.0]), np.array([1.0, 2.0]))
-    assert internal_time_map(two, 1.0) == 1.0
-    assert internal_time_map(two, 2.0) == 1.5
-    assert internal_time_map(two, 3.0) == 2.0
-    with pytest.raises(ValueError):
-        internal_time_map(two, -0.1)
-    with pytest.raises(ValueError):
-        internal_time_map(two, 3.1)
-    # one element out of range, or NaN, refuses the whole array
-    with pytest.raises(ValueError, match="x0 = 3.1 outside"):
-        internal_time_map(two, np.array([0.5, 3.1, 1.0]))
-    with pytest.raises(ValueError, match="x0 = nan outside"):
-        internal_time_map(two, np.array([[0.5, 1.0], [np.nan, 2.0]]))
-    signed = LambdaPath(np.array([1.0, 2.0]), np.array([1.0, -2.0]))
-    with pytest.raises(ValueError):
-        internal_time_map(signed, 0.5)
-
-
-def test_internal_time_map_total_is_the_running_sum():
-    # the reachable total is the last running sum of the segments, which a
-    # dot-product integral would miss by an ulp (here 1.1e-16 above); x0 at
-    # that total lies in the last segment and maps to its end
-    path = LambdaPath.equal_segments([0.3, 0.6, 0.9, 1.2], 1.1)
-    total = float(path.cumulative_integral()[-1])
-    assert path.integral() == total
-    assert math.isclose(internal_time_map(path, total), path.S, rel_tol=1e-15)
-    with pytest.raises(ValueError, match="reachable range"):
-        internal_time_map(path, total + 1e-12)
-
-
-def test_internal_time_map_of_the_integral_is_the_duration():
-    # path.integral() is the one total of lambda, so it maps back to S on
-    # every path (a dot-product total was refused as out of range on 2 395
-    # of these 20 000). x0 is measured from the nearer end of its segment, so
-    # every running sum maps to its breakpoint and 0 to 0, exactly; measured
-    # from the segment's start, the total missed S on 4 783 of these paths
-    rng = np.random.default_rng(0)
-    for _ in range(20_000):
-        n = int(rng.integers(2, 6))
-        path = LambdaPath(np.cumsum(rng.uniform(0.1, 2.0, n)), rng.uniform(0.1, 3.0, n))
-        assert path.integral() == path.cumulative_integral()[-1]
-        assert internal_time_map(path, 0.0) == 0.0, path
-        # the last running sum is the total, the last breakpoint S
-        ends = internal_time_map(path, path.cumulative_integral())
-        assert np.array_equal(ends, path.breakpoints), path
-
-
-def test_internal_time_map_round_trip():
-    rng = np.random.default_rng(41)
-    for _ in range(20):
-        nseg = int(rng.integers(1, 7))
-        path = LambdaPath.equal_segments(rng.uniform(0.2, 30.0, size=nseg),
-                                         float(rng.uniform(0.1, 4.0)))
-        total = path.integral()
-        xs = np.sort(rng.uniform(0.0, total, size=12))
-        s_prev = -1.0
-        mapped = internal_time_map(path, xs)
-        assert mapped.shape == xs.shape
-        for x0, s_array in zip(xs, mapped):
-            s = internal_time_map(path, float(x0))
-            assert s == s_array  # one array call, bit for bit the scalar calls
-            assert s > s_prev  # strictly increasing map
-            s_prev = s
-        assert np.all(np.abs(path.integral(upto=mapped) - xs) <= 1e-12 * (1.0 + xs))
-
-
-def test_lambda_from_trajectory():
-    p = lambda_from_trajectory(np.array([0.0, 1.0, 2.0]),
-                               np.array([0.0, 3.0, 6.0]))
-    assert list(p.breakpoints) == [1.0, 2.0]
-    assert list(p.values) == [3.0, 3.0]
-    original = LambdaPath(np.array([1.0, 2.0]), np.array([1.0, 2.0]))
-    s = np.array([0.0, 1.0, 2.0])
-    x = original.integral(upto=s)
-    recovered = lambda_from_trajectory(s, x)
-    assert np.array_equal(recovered.breakpoints, original.breakpoints)
-    assert np.array_equal(recovered.values, original.values)
-
-
-def test_lambda_from_trajectory_validation():
-    with pytest.raises(ValueError):
-        lambda_from_trajectory(np.array([0.0, 1.0]), np.array([0.0]))
-    with pytest.raises(ValueError):
-        lambda_from_trajectory(np.array([0.0]), np.array([0.0]))
-    with pytest.raises(ValueError):
-        lambda_from_trajectory(np.array([0.1, 1.0]), np.array([0.0, 1.0]))
-    with pytest.raises(ValueError):
-        lambda_from_trajectory(np.array([0.0, 1.0, 2.0]),
-                               np.array([0.0, 2.0, 1.0]))
