@@ -23,7 +23,8 @@ class LambdaPath:
     equal to the total duration S; values[j] is the constant lambda (momentum
     units) on segment j, i.e. on (breakpoints[j-1], breakpoints[j]] with an
     implicit start at s = 0. Every entry, and the running integral of lambda,
-    must be finite. Instances are immutable; editing helpers return new paths.
+    must be finite. Instances are immutable, their segment starts, durations and
+    running integral built once, read-only; editing helpers return new paths.
     """
 
     breakpoints: np.ndarray
@@ -38,14 +39,17 @@ class LambdaPath:
             raise ValueError("path contains non-finite entries")
         if bp[0] <= 0.0 or np.any(np.diff(bp) <= 0.0):
             raise ValueError("breakpoints must be positive and strictly increasing")
-        bp.setflags(write=False)
-        vals.setflags(write=False)
-        object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "values", vals)
+        starts = np.concatenate(([0.0], bp[:-1]))
+        durations = bp - starts
         with np.errstate(over="ignore", invalid="ignore"):
-            finite = np.isfinite(self.cumulative_integral()[-1])
-        if not finite:
+            prefix = np.concatenate(([0.0], np.cumsum(vals * durations)))
+        if not np.isfinite(prefix[-1]):
             raise ValueError("the running integral of lambda overflows")
+        for name, arr in {"breakpoints": bp, "values": vals, "starts": starts,
+                          "durations": durations, "_prefix": prefix,
+                          "_cumulative": prefix[1:]}.items():
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @classmethod
     def constant(cls, lam: float, S: float) -> "LambdaPath":
@@ -68,14 +72,6 @@ class LambdaPath:
     def num_segments(self) -> int:
         return int(self.breakpoints.size)
 
-    @property
-    def starts(self) -> np.ndarray:
-        return np.concatenate(([0.0], self.breakpoints[:-1]))
-
-    @property
-    def durations(self) -> np.ndarray:
-        return np.diff(np.concatenate(([0.0], self.breakpoints)))
-
     def integral(self, upto: float | np.ndarray | None = None) -> float | np.ndarray:
         """Running integral of lambda from 0 to `upto` (default: full S), exact:
         cumulative_integral's prefix plus the part of upto's own segment.
@@ -84,21 +80,20 @@ class LambdaPath:
         equal elementwise to the number's result; one element outside [0, S]
         or NaN refuses the whole call.
         """
-        cum = self.cumulative_integral()
         if upto is None:
-            return float(cum[-1])
+            return float(self._prefix[-1])
         s = np.asarray(upto, dtype=float)
         bad = s[~((s >= 0.0) & (s <= self.S))]
         if bad.size:
             raise ValueError(f"s = {float(bad[0])!r} outside path domain [0, {self.S}]")
         # segments are left-open, so a breakpoint belongs to the segment it ends
         j = np.searchsorted(self.breakpoints, s, side="left")
-        x = np.concatenate(([0.0], cum))[j] + self.values[j] * (s - self.starts[j])
+        x = self._prefix[j] + self.values[j] * (s - self.starts[j])
         return float(x) if x.ndim == 0 else x
 
     def cumulative_integral(self) -> np.ndarray:
         """Integral of lambda up to each breakpoint."""
-        return np.cumsum(self.values * self.durations)
+        return self._cumulative
 
     def with_value(self, j: int, lam: float) -> "LambdaPath":
         vals = np.array(self.values)
@@ -133,7 +128,7 @@ def internal_time_map(path: LambdaPath, x0: float | np.ndarray) -> float | np.nd
     if bad.size:
         raise ValueError(f"x0 = {float(bad[0])!r} outside the reachable range [0, {total!r}]")
     j = np.searchsorted(cum, x, side="left")
-    before, end, lam = np.concatenate(([0.0], cum))[j], cum[j], path.values[j]
+    before, end, lam = path._prefix[j], cum[j], path.values[j]
     s = np.where(x - before <= end - x, path.starts[j] + (x - before) / lam,
                  path.breakpoints[j] - (end - x) / lam)
     return float(s) if s.ndim == 0 else s

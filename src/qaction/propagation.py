@@ -102,8 +102,11 @@ def _hamiltonian_tridiag(grid: RadialGrid, l: int, lam: float,
     if grid.spacing != UNIFORM or abs(grid.r_min - grid.step) > 1e-12 * grid.step:
         raise ValueError("propagation needs a uniform grid walled at r = 0, "
                          "r_min equal to the step (see propagation_grid)")
-    r = grid.points()
     h = grid.step
+    if h * h == 0.0 or math.isinf(grid.r_max * grid.r_max):
+        raise ValueError("propagation grid outside the float range: "
+                         "its step squared underflows or r_max squared overflows")
+    r = grid.points()
     t = u.hbar * u.hbar / (h * h)
     diag = 2.0 * t + u.hbar * u.hbar * l * (l + 1) / (r * r) \
         - lam * u.coulomb_momentum / r
@@ -472,8 +475,9 @@ def evolve_spectral(state: RadialState, path: LambdaPath, u: UnitSystem,
     generator and rotates them by their exact eigenphases. Valid only while
     the state stays inside the retained span; anything outside is dropped.
     """
-    if num_states < 1:
-        raise ValueError("need at least one basis state")
+    n = state.grid.num_points
+    if not (isinstance(num_states, numbers.Integral) and 1 <= num_states <= n):
+        raise ValueError(f"num_states must be a whole number in [1, {n}], got {num_states!r}")
     from scipy.linalg import eigh_tridiagonal
     phi = np.array(state.amplitudes, dtype=complex)
     basis_cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}

@@ -70,7 +70,8 @@ class SommerfeldNumbers:
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Strictly increasing radial mesh on [r_min, r_max], uniform or log spaced."""
+    """Strictly increasing radial mesh on [r_min, r_max], uniform or log spaced,
+    whose points and quadrature weights are built once, read-only."""
 
     r_min: float
     r_max: float
@@ -84,11 +85,19 @@ class RadialGrid:
             raise ValueError("need at least 16 grid points")
         if self.spacing not in (UNIFORM, LOG):
             raise ValueError(f"unknown spacing {self.spacing!r}")
+        if self.spacing == UNIFORM:
+            r = np.linspace(self.r_min, self.r_max, self.num_points)
+            w = np.full(self.num_points, self.step)
+        else:
+            r = np.geomspace(self.r_min, self.r_max, self.num_points)
+            hx = math.log(self.r_max / self.r_min) / (self.num_points - 1)
+            w = _simpson_weights(self.num_points, hx) * r  # dr = r dx
+        for name, arr in (("_points", r), ("_weights", w)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     def points(self) -> np.ndarray:
-        if self.spacing == UNIFORM:
-            return np.linspace(self.r_min, self.r_max, self.num_points)
-        return np.geomspace(self.r_min, self.r_max, self.num_points)
+        return self._points
 
     @property
     def step(self) -> float:
@@ -107,12 +116,7 @@ class RadialGrid:
         when the point count is even), whose h^4 accuracy keeps norm checks
         meaningful at the default resolution.
         """
-        r = self.points()
-        if self.spacing == UNIFORM:
-            return np.full(self.num_points, self.step)
-        hx = math.log(self.r_max / self.r_min) / (self.num_points - 1)
-        w = _simpson_weights(self.num_points, hx)
-        return w * r  # dr = r dx
+        return self._weights
 
 
 def _simpson_weights(n: int, h: float) -> np.ndarray:

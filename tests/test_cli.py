@@ -173,12 +173,17 @@ def test_timemap_x0_rejects_csv_format(cli, tmp_path):
     assert json.loads(err)["error"]["code"] == 2
 
 
-def test_exit_code_domain_error(cli):
-    code, out, err = cli("spectrum", "--alpha", "1.5")
-    assert code == 2 and out == ""
-    payload = json.loads(err)["error"]
-    assert payload["code"] == 2
-    assert payload["type"] == "ValueError"
+def test_exit_code_domain_error(cli, const_path_20):
+    # alpha out of range; propagation grids whose step squared underflows or
+    # whose r_max squared overflows, refused before any arithmetic on them
+    for args in (("spectrum", "--alpha", "1.5"),
+                 ("propagate", "--path-file", const_path_20, "--rmax", "1e-160"),
+                 ("propagate", "--path-file", const_path_20, "--rmax", "1e300")):
+        code, out, err = cli(*args)
+        assert code == 2 and out == "", args
+        payload = json.loads(err)["error"]
+        assert payload["code"] == 2
+        assert payload["type"] == "ValueError"
 
 
 def test_exit_code_malformed_path(cli, tmp_path):

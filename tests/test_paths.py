@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qaction import LambdaPath, internal_time_map, lambda_from_trajectory, load_path_csv
+from conftest import record_calls
 
 
 def test_constant_path():
@@ -219,6 +220,21 @@ def test_internal_time_map_of_the_integral_is_the_duration():
         # the last running sum is the total, the last breakpoint S
         ends = internal_time_map(path, path.cumulative_integral())
         assert np.array_equal(ends, path.breakpoints), path
+
+
+def test_derived_arrays_are_built_once(monkeypatch):
+    # the starts, durations and running integral are built with the path and
+    # every later read, integral and time map included, returns those arrays
+    cumsums = record_calls(monkeypatch, np, "cumsum")
+    path = LambdaPath(np.array([1.0, 2.5, 4.0]), np.array([2.0, 1.0, 3.0]))
+    assert len(cumsums) == 1
+    for first, again in ((path.starts, path.starts), (path.durations, path.durations),
+                         (path.cumulative_integral(), path.cumulative_integral())):
+        assert again is first and not first.flags.writeable
+    assert path.integral() == 8.0
+    assert path.integral(np.array([0.5, 2.0, 3.0])).tolist() == [1.0, 3.0, 5.0]
+    assert internal_time_map(path, np.array([1.0, 3.5, 8.0])).tolist() == [0.5, 2.5, 4.0]
+    assert len(cumsums) == 1
 
 
 def test_internal_time_map_round_trip():

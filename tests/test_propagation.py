@@ -334,8 +334,9 @@ def test_spectral_cross_check(u10):
                         - evolve_spectral(state, mild, u10, num_states=40).amplitudes))
     assert d10 < 2e-2
     assert d40 < d10 / 3.0
-    with pytest.raises(ValueError):
-        evolve_spectral(state, const, u10, num_states=0)
+    for bad in (0, g.num_points + 1, 2.5):
+        with pytest.raises(ValueError, match="num_states"):
+            evolve_spectral(state, const, u10, num_states=bad)
 
 
 def test_coarse_and_fine_stepping_agree(u10):
@@ -478,6 +479,24 @@ def test_counts_follow_the_state_entering_each_segment(u10, monkeypatch):
     ref = evolve_spectral(s2, path, u10, num_states=g.num_points)
     k_ref = g.step * np.vdot(s1.amplitudes, ref.amplitudes)
     assert abs(amp.K - k_ref) <= sum(turns) * MAX_PHASE_PER_STEP ** 2 / 12.0
+
+
+def test_grid_arrays_are_built_once(u10, monkeypatch):
+    # the points and weights are built with the grid; every sweep, adjoint
+    # sweep, norm and overlap after that reads those arrays
+    for g in (RadialGrid(0.01, 30.0, 401, LOG), RadialGrid(0.5, 10.0, 20, UNIFORM)):
+        for first, again in ((g.points(), g.points()), (g.quad_weights(), g.quad_weights())):
+            assert again is first and not first.flags.writeable
+    spaced = record_calls(monkeypatch, np, "linspace")
+    g = propagation_grid(25.0, 600)
+    state, _ = _eigenpair(1, 0, 2.0, g, u10)
+    path = LambdaPath.equal_segments([2.0 * u10.mc, 1.9 * u10.mc], 0.2)
+    for _ in range(3):
+        record = []
+        _transition(state, state, path, u10, 2, PADE22_ROOTS, record=record)
+        _adjoint_sweep(record, state, path, u10)
+        evolve(state, path, 20, u10)
+    assert len(spaced) == 1
 
 
 @pytest.fixture(scope="module")
