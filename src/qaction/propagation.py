@@ -54,6 +54,8 @@ PADE22_ROOTS = (complex(-3.0, math.sqrt(3.0)), complex(-3.0, -math.sqrt(3.0)))
 MAX_PHASE_PER_STEP = 0.02  # radians of overlap phase per Crank-Nicolson step, at most
 UNWRAP_PHASE = 0.5  # radians per step past which overlap phase unwrapping can alias
 SPLIT_POINTS = 6000  # grid points from which a CN solve is two blocks on two threads
+# grid points x steps of one sweep, at most: five times acceptance 06's 20 000 x 10 000
+MAX_SWEEP_WORK = 10 ** 9
 # longest dot numpy 2.4.6's OpenBLAS keeps on one thread (10 001 elements give
 # other bits on one core than on two); another BLAS may need another value
 BLAS_SERIAL = 10000
@@ -103,13 +105,17 @@ def _hamiltonian_tridiag(grid: RadialGrid, l: int, lam: float,
         raise ValueError("propagation needs a uniform grid walled at r = 0, "
                          "r_min equal to the step (see propagation_grid)")
     h = grid.step
-    if h * h == 0.0 or math.isinf(grid.r_max * grid.r_max):
-        raise ValueError("propagation grid outside the float range: "
-                         "its step squared underflows or r_max squared overflows")
     r = grid.points()
-    t = u.hbar * u.hbar / (h * h)
-    diag = 2.0 * t + u.hbar * u.hbar * l * (l + 1) / (r * r) \
-        - lam * u.coulomb_momentum / r
+    # the largest entries sit at r = h: t and diag[0] are checked once built
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        t = np.divide(u.hbar * u.hbar, h * h)
+        diag = 2.0 * t + u.hbar * u.hbar * l * (l + 1) / (r * r) \
+            - lam * u.coulomb_momentum / r
+    if not (0.0 < t < math.inf and math.isfinite(diag[0])):
+        raise ValueError(
+            f"propagation grid r_max = {grid.r_max!r} on {grid.num_points} points leaves "
+            f"the float range: hbar^2 / step^2 = {float(t)!r}, first diagonal entry "
+            f"{float(diag[0])!r}")
     off = np.full(grid.num_points - 1, -t)
     return diag, off
 
@@ -307,11 +313,14 @@ def _sweep(state: RadialState, path: LambdaPath, steps: int, u: UnitSystem,
     Per segment H is built once; the state entering the segment turns overlap
     phases by about turn = dur _energy_scale / hbar over it, and the segment
     takes steps, or with cap max(steps, ceil(turn / cap)): no other code
-    sizes a sweep. Each factor's matrix is LU-factored once (_cayley), and
-    each factor then costs one zgttrs solve. A Crank-Nicolson sweep on
-    SPLIT_POINTS or more points that keeps no record (_adjoint_sweep solves
-    with one-block factors) instead factors two diagonal blocks per segment
-    (_two_blocks) and solves them at once on two threads (_TwoBlockSolver);
+    sizes a sweep. A segment whose count takes the sweep past MAX_SWEEP_WORK
+    grid points x steps, or whose step ds is subnormal, is refused
+    (ValueError) before it is factored. Each factor's matrix is LU-factored
+    once (_cayley), and each factor then costs one zgttrs solve. A
+    Crank-Nicolson sweep on SPLIT_POINTS or more points that keeps no record
+    (_adjoint_sweep solves with one-block factors) instead factors two
+    diagonal blocks per segment (_two_blocks) and solves them at once on two
+    threads (_TwoBlockSolver);
     it does so whatever the core count, so its results do not depend on it.
     After every whole step (the state between two factors of a step is not
     unit-norm) the wall sample is tested against a floor under the peak;
@@ -347,8 +356,15 @@ def _sweep(state: RadialState, path: LambdaPath, steps: int, u: UnitSystem,
         for j, (lam, dur) in enumerate(zip(path.values, path.durations)):
             ham = _hamiltonian_tridiag(grid, state.l, lam, u)
             if cap is not None or out_conj is not None:
-                turn = dur * _energy_scale(phi, *ham) / u.hbar
-            n_steps = steps if cap is None else max(steps, math.ceil(turn / cap))
+                # float arithmetic: a turn past the float range is inf, over the budget
+                turn = float(dur) * _energy_scale(phi, *ham) / u.hbar
+            n_steps = steps if cap is None else max(steps, turn / cap)
+            if (total + n_steps) * grid.num_points > MAX_SWEEP_WORK:
+                raise ValueError(
+                    f"segment {j} needs {n_steps:.4g} steps on {grid.num_points} grid "
+                    f"points, past the sweep's budget of {MAX_SWEEP_WORK:.0e} grid "
+                    "points x steps; shorten the path or coarsen the grid")
+            n_steps = math.ceil(n_steps)
             if out_conj is not None:
                 need = math.ceil(turn / UNWRAP_PHASE)
                 if need > n_steps:
@@ -361,6 +377,10 @@ def _sweep(state: RadialState, path: LambdaPath, steps: int, u: UnitSystem,
                     theta = math.atan2(o_prev.imag, o_prev.real) if abs(o_prev) > 0.0 else 0.0
             total += n_steps
             ds = dur / n_steps
+            if ds < np.finfo(float).tiny:
+                raise ValueError(
+                    f"segment {j} of duration {float(dur)!r} in {n_steps} steps has the "
+                    f"subnormal step ds = {float(ds)!r}; lengthen the path")
             lus = [factor(*ham, ds, zeta, u) for zeta in roots]
             if record is not None:
                 states = [phi]

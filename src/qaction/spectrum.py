@@ -197,9 +197,13 @@ def epsilon_n(lam: float, n: QuantumNumbers | int, u: UnitSystem) -> float:
 
     Positive for bound states and exactly quadratic in the control momentum;
     epsilon_n(2 m c) = -2 E_n. lambda may be any real value (the formula is
-    even in lambda); the bound-state interpretation needs lambda > 0.
+    even in lambda); the bound-state interpretation needs lambda > 0. A
+    lambda whose level is not finite is refused.
     """
-    return -lam * lam * bohr_energy(n, u) / (2.0 * u.rest_energy)
+    level = -lam * lam * bohr_energy(n, u) / (2.0 * u.rest_energy)
+    if not math.isfinite(level):
+        raise ValueError(f"lambda = {lam!r} makes the level epsilon_n = {level!r}")
+    return level
 
 
 def _hydrogen_reduced_radial(n: int, l: int, r: np.ndarray, a: float) -> np.ndarray:

@@ -9,6 +9,7 @@ provided for dimension checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = ["UnitSystem", "make_units", "HARTREE_ATOMIC", "SI_LIKE"]
@@ -28,9 +29,10 @@ class UnitSystem:
     hbar, mass, c and e2k (Coulomb coupling e^2 k, energy times length) are
     primary and positive, and are the whole state: the name of the system
     that make_units built them from is not kept. Derived on access, so never out of step: alpha =
-    e2k / (hbar c) in (0, 1), the rest energy m c^2, the Rydberg energy
-    m e2k^2 / (2 hbar^2), and the momentum-dimension Coulomb coupling e2k / c
-    that multiplies the control momentum in the radial generator. Instances
+    e2k / (hbar c) in (0, 1), the rest energy m c^2 (its square finite), the
+    Rydberg energy m e2k^2 / (2 hbar^2), and the momentum-dimension Coulomb
+    coupling e2k / c that multiplies the control momentum in the radial
+    generator. Instances
     are immutable and safe to share across threads.
     """
 
@@ -44,6 +46,10 @@ class UnitSystem:
             raise ValueError("hbar, mass, c and e2k must all be positive")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"derived alpha = {self.alpha} lies outside (0, 1)")
+        # (m c^2)^2 is the largest product the solvers form
+        if not math.isfinite(self.rest_energy * self.rest_energy):
+            raise ValueError(f"rest energy m c^2 = {self.rest_energy!r} is too large: its "
+                             f"square overflows (alpha = {self.alpha!r})")
 
     @property
     def alpha(self) -> float:

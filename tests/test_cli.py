@@ -4,12 +4,14 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from qaction import make_units, stationary_closed_form
-from qaction.cli import SPECTRUM_COLUMNS, emit_json, main, render_csv, resolve_config
+from qaction.cli import (_COMMANDS, _COMMON_FIRST, OPTIONS, SPECTRUM_COLUMNS, emit_json, main,
+                         render_csv, resolve_config)
 
 FROZEN_ALPHA = "0.1"
 
@@ -164,67 +166,6 @@ def test_timemap_csv_and_x0(cli, tmp_path):
     assert doc["result"] == {"x0": 1.5, "s": 1.25}
 
 
-def test_timemap_x0_rejects_csv_format(cli, tmp_path):
-    p = tmp_path / "tm.csv"
-    p.write_text("1.0,1.0\n")
-    code, out, err = cli("timemap", "--path-file", str(p), "--x0", "0.5",
-                         "--format", "csv")
-    assert code == 2
-    assert json.loads(err)["error"]["code"] == 2
-
-
-def test_exit_code_domain_error(cli, const_path_20):
-    # alpha out of range; propagation grids whose step squared underflows or
-    # whose r_max squared overflows, refused before any arithmetic on them
-    for args in (("spectrum", "--alpha", "1.5"),
-                 ("propagate", "--path-file", const_path_20, "--rmax", "1e-160"),
-                 ("propagate", "--path-file", const_path_20, "--rmax", "1e300")):
-        code, out, err = cli(*args)
-        assert code == 2 and out == "", args
-        payload = json.loads(err)["error"]
-        assert payload["code"] == 2
-        assert payload["type"] == "ValueError"
-
-
-def test_exit_code_malformed_path(cli, tmp_path):
-    p = tmp_path / "bad.csv"
-    p.write_text("s_end,lambda\n1.0,2.0\nnonsense\n")
-    code, _, err = cli("packet", "--path-file", str(p), "--sigma", "1.0")
-    assert code == 2
-    msg = json.loads(err)["error"]["message"]
-    assert "line 3" in msg and "bad.csv" in msg
-
-
-def test_exit_code_numerical_failure(cli, tmp_path):
-    p = tmp_path / "c.csv"
-    p.write_text("0.5,20.0\n")
-    code, _, err = cli("propagate", "--alpha", FROZEN_ALPHA,
-                       "--path-file", str(p), "--in", "3,0",
-                       "--rmax", "20", "--grid-points", "800")
-    assert code == 3
-    assert json.loads(err)["error"]["type"] == "RuntimeError"
-
-
-def test_optimize_roundoff_amplitude_exits_3(cli):
-    # 1s and 2s prepared at lambda = 2 mc are eigenvectors of the start
-    # path's generator, so K there is roundoff and the phase is undefined
-    code, out, err = cli("optimize", "--alpha", "0.1", "--in", "1,0",
-                         "--out", "2,0", "--x10", "40", "--grid-points", "1200",
-                         "--rmax", "50")
-    assert code == 3 and out == ""
-    error = json.loads(err)["error"]
-    assert error["type"] == "PhaseUndefinedError"
-    assert "(lambda/mc = [2], S = 2)" in error["message"]
-    assert "boundary states orthogonal under the path are refused" in error["message"]
-
-
-def test_optimize_runaway_schedule_exits_2(cli):
-    code, out, err = cli("optimize", "--in", "1,0", "--out", "1,0",
-                         "--x10", "1e6", "--grid-points", "600", "--rmax", "24")
-    assert code == 2 and out == ""
-    assert "x10" in json.loads(err)["error"]["message"]
-
-
 def test_optimize_unconverged_exits_3(cli, tmp_path, monkeypatch):
     # one chord step leaves the residual at 2.5e-5; like a stalled
     # stationary, the run fails before it writes anything, sidecar included
@@ -238,45 +179,10 @@ def test_optimize_unconverged_exits_3(cli, tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_exit_code_missing_required(cli):
-    code, _, err = cli("stationary", "--x10", "1.0")
-    assert code == 2
-    assert "--n" in json.loads(err)["error"]["message"]
-
-
-def test_missing_required_names_the_real_flag(cli):
-    # the field is state_in, but the option a user types is --in
-    code, _, err = cli("optimize", "--x10", "40")
-    assert code == 2
-    msg = json.loads(err)["error"]["message"]
-    assert "--in" in msg and "--state-in" not in msg
-
-
-@pytest.mark.parametrize("args", [
-    ("spectrum", "--n-max", "abc"),
-    ("spectrum", "--no-such-flag"),
-    ("no-such-command",),
-    (),
-])
-def test_usage_errors_use_json_envelope(cli, args):
-    code, out, err = cli(*args)
-    assert code == 2 and out == ""
-    payload = json.loads(err)["error"]
-    assert payload["code"] == 2
-    assert payload["type"] == "ValueError"
-    assert payload["message"].startswith("qaction")
-
-
 def test_help_still_prints_usage(cli):
     with pytest.raises(SystemExit) as exc:
         main(["spectrum", "--help"])
     assert exc.value.code == 0
-
-
-def test_exit_code_bad_state_argument(cli, const_path_20):
-    code, _, err = cli("propagate", "--path-file", const_path_20, "--in", "3")
-    assert code == 2
-    assert json.loads(err)["error"]["type"] == "ValueError"
 
 
 def test_config_file_precedence(cli, tmp_path):
@@ -290,23 +196,6 @@ def test_config_file_precedence(cli, tmp_path):
     assert doc["header"]["config"]["tol"] == 1e-12  # untouched default survives
     ref = stationary_closed_form(2, 7.0, make_units(0.1))
     assert math.isclose(doc["result"]["lambda"], ref.lam, rel_tol=1e-10)
-
-
-def test_config_file_rejects_unknown_keys(cli, tmp_path):
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"alpha": 0.1, "typo_key": 1}))
-    code, _, err = cli("stationary", "--config", str(cfg), "--n", "1",
-                       "--x10", "1.0")
-    assert code == 2
-    assert "typo_key" in json.loads(err)["error"]["message"]
-
-
-def test_config_file_rejects_integer_too_large_for_a_float(cli, tmp_path):
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"x10": 10 ** 400}))
-    code, out, err = cli("stationary", "--config", str(cfg), "--n", "1")
-    assert code == 2 and out == ""
-    assert "'x10'" in json.loads(err)["error"]["message"]
 
 
 def test_config_file_ignores_options_the_command_does_not_take(cli, tmp_path):
@@ -332,75 +221,193 @@ def test_config_file_null_means_the_default(cli, tmp_path, args, key, default):
     assert json.loads(out)["header"]["config"][key] == default
 
 
-@pytest.mark.parametrize("args, config, flag", [
-    (("stationary", "--n", "0", "--x10", "1"), None, "--n"),
-    (("packet", "--path-file", "{two}", "--sigma", "-1"), None, "--sigma"),
-    (("timemap", "--path-file", "{two}", "--samples", "1"), None, "--samples"),
-    (("timemap", "--path-file", "{two}", "--x0", "-1"), None, "--x0"),
-    (("propagate", "--path-file", "{two}", "--in", "a,b"), None, "--in"),
-    (("stationary", "--n", "1", "--x10", "1"), "[1, 2]", "--config"),
-    (("stationary", "--x10", "1"), '{"n": "1"}', "--n"),
-    (("stationary", "--x10", "1"), '{"n": true}', "--n"),
-    (("stationary", "--n", "1", "--x10", "1", "--format", "csv"), None, "--format"),
-    (("timemap", "--path-file", "{two}"), '{"system": "not_a_system"}', "--system"),
-    (("spectrum",), '{"format": "xml"}', "--format"),
-    (("timemap", "--path-file", "{two}", "--alpha", "2"), None, "--alpha"),
-    (("spectrum",), '{"alpha": 1.0}', "--alpha"),
-    (("stationary", "--n", "101", "--x10", "1"), None, "--n"),
-    (("spectrum",), '{"n_max": 101}', "--n-max"),
-], ids=["n-zero", "sigma-negative", "one-sample", "x0-negative", "state-not-int",
-        "config-list", "config-n-string", "config-n-bool", "stationary-csv",
-        "config-system-choice", "config-format-choice", "alpha-two",
-        "config-alpha-one", "n-over-100", "config-n-max-101"])
-def test_error_paths_name_the_flag(cli, tmp_path, two_segment_path, args, config,
-                                   flag):
-    args = [a.format(two=two_segment_path) for a in args]
-    if config is not None:
-        cfg = tmp_path / "run.json"
-        cfg.write_text(config)
-        args = [*args, "--config", str(cfg)]
-    code, out, err = cli(*args)
-    assert code == 2 and out == ""
-    payload = json.loads(err)["error"]
-    assert payload["code"] == 2 and payload["type"] == "ValueError"
-    assert flag in payload["message"]
-
-
-@pytest.mark.parametrize("args, config, flag", [
-    (("spectrum", "--alpha", "0.1", "--lam-mc", "nan", "--n-max", "1"), None,
-     "--lam-mc"),
-    (("stationary", "--alpha", "0.1", "--n", "1", "--x10", "inf"), None, "--x10"),
-    (("stationary", "--n", "1", "--x10", "1", "--tol", "nan"), None, "--tol"),
-    (("stationary", "--n", "1"), '{"x10": NaN}', "--x10"),
-], ids=["lam-mc-nan", "x10-inf", "tol-nan", "config-x10-nan"])
-def test_non_finite_values_rejected(cli, tmp_path, args, config, flag):
-    if config is not None:
-        cfg = tmp_path / "run.json"
-        cfg.write_text(config)
-        args = (*args, "--config", str(cfg))
-    code, out, err = cli(*args)
-    assert code == 2 and out == ""
-    payload = json.loads(err)["error"]
-    assert payload["type"] == "ValueError"
-    assert payload["message"] == f"{flag} must be finite"
-
-
-def test_overflowing_path_file_refused_in_one_line(cli, tmp_path):
-    # lambda * duration = 1e310: refused where the path is read, with no numpy warning
-    p = tmp_path / "huge.csv"
-    p.write_text("1e10,1e300\n")
-    for args in (("packet", "--sigma", "0.8", "--steps", "50"), ("timemap", "--samples", "5")):
-        code, out, err = cli(*args, "--path-file", str(p))
-        assert (code, out, err.count("\n")) == (2, "", 1), args
-        assert "the running integral of lambda overflows" in json.loads(err)["error"]["message"]
-
-
 def test_stationary_at_huge_x10_warns_nothing(cli, u_codata):
     # the unread action value overflows at x10 = 1e308; numpy warnings fail the suite
     code, out, err = cli("stationary", "--n", "1", "--x10", "1e308")
     assert code == 0 and err == ""
     kappa_c = json.loads(out)["result"]["kappa_c"]
     assert math.isclose(kappa_c, stationary_closed_form(1, 1e308, u_codata).kappa_c, rel_tol=1e-10)
+
+
+# every CLI run ends in one {"error": ...} line with exit code 2 or 3, or
+# exits 0 printing only finite numbers, and warns nothing either way. Named
+# rows pin how a known input fails; generated rows put every float option of
+# every command, and extreme path files, into that command's acceptance-10 run
+
+# acceptance 10's argv; {two} and {const} are the shared path files
+ACCEPTANCE_ARGS = {
+    "spectrum": "spectrum --alpha 0.1",
+    "stationary": "stationary --alpha 0.1 --n 2 --x10 12.5",
+    "packet": "packet --alpha 0.5 --path-file {two} --sigma 0.8 --steps 50",
+    "propagate": "propagate --alpha 0.1 --path-file {const} --grid-points 900 "
+                 "--rmax 25 --steps 300",
+    "optimize": "optimize --alpha 0.1 --in 1,0 --out 1,0 --x10 40.0 "
+                "--grid-points 600 --rmax 24",
+    "timemap": "timemap --path-file {two} --samples 41",
+}
+
+
+def row(name, argv, code, error_type, *says, exact=None, config=None, path=None):
+    """A named failure: its exit code, error type, and the fragments its
+    message holds or its exact text. In argv and the fragments {two} and
+    {const} name the shared path files, {config} and {path} files holding the
+    row's config and path text."""
+    return pytest.param(argv, config, path, (code, error_type, says, exact), id=name)
+
+
+NAMED_FAILURES = [
+    row("timemap-x0-csv", "timemap --path-file {two} --x0 0.5 --format csv", 2,
+        "ValueError", exact="this timemap run emits JSON, so --format must be json"),
+    # alpha out of range; grids whose entries leave the float range
+    row("alpha-one-and-a-half", "spectrum --alpha 1.5", 2, "ValueError",
+        exact="--alpha must lie in (0, 1)"),
+    row("rmax-1e-160", "propagate --path-file {const} --rmax 1e-160", 2, "ValueError",
+        "propagation grid"),
+    row("rmax-1e300", "propagate --path-file {const} --rmax 1e300", 2, "ValueError",
+        "propagation grid"),
+    row("subnormal-step-squared", "propagate --alpha 0.1 --path-file {const} --rmax 2e-157 "
+        "--grid-points 900 --in 2,1 --out 2,1", 2, "ValueError", "propagation grid"),
+    # (m c^2)^2 overflows: the unit system refuses it
+    row("optimize-alpha-1e-160", "optimize --alpha 1e-160 --in 1,0 --out 1,0 --x10 40.0 "
+        "--grid-points 600 --rmax 24", 2, "ValueError", "its square overflows"),
+    row("spectrum-alpha-1e-100", "spectrum --alpha 1e-100", 2, "ValueError",
+        "its square overflows"),
+    row("stationary-alpha-1e-100", "stationary --alpha 1e-100 --n 2 --x10 12.5", 2,
+        "ValueError", "its square overflows"),
+    row("spectrum-lam-mc-1e160", "spectrum --lam-mc 1e160", 2, "ValueError",
+        "makes the level epsilon_n = inf"),
+    row("optimize-subnormal-x10", "optimize --alpha 0.1 --in 1,0 --out 1,0 --x10 1e-310 "
+        "--grid-points 600 --rmax 24", 2, "ValueError", "segment 0", "subnormal"),
+    # sweeps over the work budget, refused before their first factorisation
+    *(row(f"propagate-path-{s}", "propagate --alpha 0.1 --path-file {path} --grid-points 900 "
+          "--rmax 25 --steps 300", 2, "ValueError", "segment 0", "budget", path=f"{s},20.0\n")
+      for s in ("1e300", "1e6", "5e306")),  # at 5e306 the phase turn is inf
+    row("malformed-path", "packet --path-file {path} --sigma 1.0", 2, "ValueError",
+        "{path}, line 3", path="s_end,lambda\n1.0,2.0\nnonsense\n"),
+    # lambda * duration = 1e310: refused where the path is read
+    *(row(f"overflowing-path-{argv.split()[0]}", f"{argv} --path-file {{path}}", 2,
+          "ValueError", "the running integral of lambda overflows", path="1e10,1e300\n")
+      for argv in ("packet --sigma 0.8 --steps 50", "timemap --samples 5")),
+    row("unresolved-state", "propagate --alpha 0.1 --path-file {const} --in 3,0 --rmax 20 "
+        "--grid-points 800", 3, "RuntimeError", "enlarge r_max"),
+    # 1s and 2s prepared at lambda = 2 mc are eigenvectors of the start
+    # path's generator, so K there is roundoff and the phase is undefined
+    row("optimize-roundoff-amplitude", "optimize --alpha 0.1 --in 1,0 --out 2,0 --x10 40 "
+        "--grid-points 1200 --rmax 50", 3, "PhaseUndefinedError",
+        "(lambda/mc = [2], S = 2)", "boundary states orthogonal under the path are refused"),
+    row("optimize-runaway-schedule", "optimize --in 1,0 --out 1,0 --x10 1e6 --grid-points 600 "
+        "--rmax 24", 2, "ValueError", "x10 = 1000000.0", "lower x10"),
+    row("missing-n", "stationary --x10 1.0", 2, "ValueError", exact="stationary requires --n"),
+    # the field is state_in, but the option a user types is --in
+    row("missing-in", "optimize --x10 40", 2, "ValueError", exact="optimize requires --in"),
+    # argparse's own errors, prefixed by the parser's name
+    row("usage-bad-int", "spectrum --n-max abc", 2, "ValueError",
+        exact="qaction spectrum: argument --n-max: invalid int value: 'abc'"),
+    row("usage-unknown-flag", "spectrum --no-such-flag", 2, "ValueError",
+        exact="qaction: unrecognized arguments: --no-such-flag"),
+    row("usage-unknown-command", "no-such-command", 2, "ValueError",
+        "qaction: argument command: invalid choice: 'no-such-command'"),
+    row("usage-no-command", "", 2, "ValueError",
+        exact="qaction: the following arguments are required: command"),
+    row("state-one-number", "propagate --path-file {const} --in 3", 2, "ValueError",
+        exact="--in must be two integers as 'n,l'"),
+    row("config-unknown-key", "stationary --config {config} --n 1 --x10 1.0", 2, "ValueError",
+        exact="unknown config keys: typo_key", config='{"alpha": 0.1, "typo_key": 1}'),
+    row("config-integer-too-large", "stationary --config {config} --n 1", 2, "ValueError",
+        exact="config key 'x10' is too large for a float", config='{"x10": 1%s}' % ("0" * 400)),
+    # the message names a flag the command really has
+    *(row(name, argv, 2, "ValueError", flag, config=config) for name, argv, config, flag in [
+        ("n-zero", "stationary --n 0 --x10 1", None, "--n"),
+        ("sigma-negative", "packet --path-file {two} --sigma -1", None, "--sigma"),
+        ("one-sample", "timemap --path-file {two} --samples 1", None, "--samples"),
+        ("x0-negative", "timemap --path-file {two} --x0 -1", None, "--x0"),
+        ("state-not-int", "propagate --path-file {two} --in a,b", None, "--in"),
+        ("config-list", "stationary --n 1 --x10 1 --config {config}", "[1, 2]", "--config"),
+        ("config-n-string", "stationary --x10 1 --config {config}", '{"n": "1"}', "--n"),
+        ("config-n-bool", "stationary --x10 1 --config {config}", '{"n": true}', "--n"),
+        ("stationary-csv", "stationary --n 1 --x10 1 --format csv", None, "--format"),
+        ("config-system-choice", "timemap --path-file {two} --config {config}",
+         '{"system": "not_a_system"}', "--system"),
+        ("config-format-choice", "spectrum --config {config}", '{"format": "xml"}', "--format"),
+        ("alpha-two", "timemap --path-file {two} --alpha 2", None, "--alpha"),
+        ("config-alpha-one", "spectrum --config {config}", '{"alpha": 1.0}', "--alpha"),
+        ("n-over-100", "stationary --n 101 --x10 1", None, "--n"),
+        ("config-n-max-101", "spectrum --config {config}", '{"n_max": 101}', "--n-max")]),
+    *(row(name, argv, 2, "ValueError", exact=f"{flag} must be finite", config=config)
+      for name, argv, config, flag in [
+        ("lam-mc-nan", "spectrum --alpha 0.1 --lam-mc nan --n-max 1", None, "--lam-mc"),
+        ("x10-inf", "stationary --alpha 0.1 --n 1 --x10 inf", None, "--x10"),
+        ("tol-nan", "stationary --n 1 --x10 1 --tol nan", None, "--tol"),
+        ("config-x10-nan", "stationary --n 1 --config {config}", '{"x10": NaN}', "--x10")]),
+]
+
+FLOAT_EDGES = (5e-324, 1e-310, 1e-300, 1e-160, 1e-30, 1e30, 1e160, 1e300, 1.7e308, -1e300)
+ALPHA_EDGES = (5e-324, 1e-300, 1e-160, 1e-100, 1e-20, 1.0 - 2.0 ** -53)
+PATH_EDGES = (*(f"{s},20.0" for s in ("5e-324", "1e-310", "1e6", "1e300")),
+              *(f"0.5,{lam}" for lam in ("5e-324", "1e300", "-1e300")))
+
+
+def _edge_runs():
+    """Each float option of each command at the float range's edges, then
+    every command that reads a path file, and timemap --x0, on extreme paths."""
+    path_runs = []
+    for command, spec in _COMMANDS.items():
+        argv = ACCEPTANCE_ARGS[command]
+        for key in (*_COMMON_FIRST, *spec.options):
+            flag = OPTIONS[key].flags[0]
+            if OPTIONS[key].type is float:
+                for v in ALPHA_EDGES if key == "alpha" else FLOAT_EDGES:
+                    yield pytest.param(f"{argv} {flag}={v!r}", None, None, None,
+                                       id=f"{command}{flag}={v!r}")
+        if "path_file" in spec.options:
+            path_runs.append((command, argv))
+    for command, argv in [*path_runs, ("timemap--x0", ACCEPTANCE_ARGS["timemap"] + " --x0 0.5")]:
+        for text in PATH_EDGES:
+            yield pytest.param(f"{argv} --path-file {{path}}", None, text + "\n", None,
+                               id=f"{command}-path-{text}")
+
+
+def _nulls(v, key=None):
+    """The keys of every null under v, a JSON value."""
+    if isinstance(v, dict):
+        return [k for name, x in v.items() for k in _nulls(x, name)]
+    if isinstance(v, list):
+        return [k for x in v for k in _nulls(x, key)]
+    return [key] if v is None else []
+
+
+@pytest.mark.parametrize("argv, config, path, expect", [*NAMED_FAILURES, *_edge_runs()])
+def test_every_run_ends_in_the_envelope_or_prints_finite_numbers(
+        capsys, tmp_path, two_segment_path, const_path_20, argv, config, path, expect):
+    files = {"two": two_segment_path, "const": const_path_20}
+    for name, text in (("config", config), ("path", path)):
+        if text is not None:
+            files[name] = tmp_path / f"{name}.txt"
+            files[name].write_text(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv.format(**files).split())
+    out, err = capsys.readouterr()
+    assert [str(w.message) for w in caught] == []
+    if code == 0 and expect is None:
+        assert err == ""
+        if out.startswith("#"):  # CSV: the data rows follow four header lines
+            cells = {c for line in out.splitlines()[4:] for c in line.split(",")}
+            assert not cells & {"nan", "inf", "-inf"}
+        else:
+            result = json.loads(out)["result"]
+            undefined = [] if result.get("phase_valid", True) else ["action_phase",
+                                                                    "log_magnitude"]
+            assert [k for k in _nulls(result) if k not in undefined] == []
+        return
+    assert code in (2, 3) and out == "" and err.count("\n") == 1
+    error = json.loads(err)["error"]
+    assert error["code"] == code
+    if expect is not None:
+        want_code, want_type, says, exact = expect
+        assert (code, error["type"]) == (want_code, want_type)
+        assert all(s.format(**files) in error["message"] for s in says)
+        assert exact is None or error["message"] == exact
 
 
 def test_output_dir_env_and_file_equality(cli, tmp_path, monkeypatch):
@@ -414,25 +421,11 @@ def test_output_dir_env_and_file_equality(cli, tmp_path, monkeypatch):
     assert written == out  # same bytes whether to stdout or a file
 
 
-ROUND_TRIP_ARGS = {
-    "spectrum": ["--alpha", FROZEN_ALPHA, "--n-max", "2"],
-    "stationary": ["--alpha", FROZEN_ALPHA, "--n", "2", "--x10", "12.5"],
-    "packet": ["--alpha", "0.5", "--path-file", "{two}", "--sigma", "0.8",
-               "--steps", "10"],
-    "propagate": ["--alpha", FROZEN_ALPHA, "--path-file", "{const}",
-                  "--grid-points", "900", "--rmax", "25", "--steps", "200"],
-    "optimize": ["--alpha", FROZEN_ALPHA, "--in", "1,0", "--out", "1,0",
-                 "--x10", "40.0", "--grid-points", "600", "--rmax", "24"],
-    "timemap": ["--path-file", "{two}", "--samples", "5"],
-}
-
-
-@pytest.mark.parametrize("command", list(ROUND_TRIP_ARGS))
+@pytest.mark.parametrize("command", list(ACCEPTANCE_ARGS))
 def test_header_config_round_trips(cli, tmp_path, two_segment_path,
                                    const_path_20, command):
-    args = [a.format(two=two_segment_path, const=const_path_20)
-            for a in ROUND_TRIP_ARGS[command]]
-    code, out, err = cli(command, *args)
+    argv = ACCEPTANCE_ARGS[command].format(two=two_segment_path, const=const_path_20)
+    code, out, err = cli(*argv.split())
     assert code == 0, err
     if out.startswith("#"):  # CSV: the config is the third comment line
         header_cfg = json.loads(out.splitlines()[2][len("# config: "):])
