@@ -252,7 +252,7 @@ def row(name, argv, code, error_type, *says, exact=None, config=None, path=None)
     message holds or its exact text. In argv and the fragments {two} and
     {const} name the shared path files, {config} and {path} files holding the
     row's config and path text."""
-    return pytest.param(argv, config, path, (code, error_type, says, exact), id=name)
+    return pytest.param((argv, config, path, (code, error_type, says, exact)), id=name)
 
 
 NAMED_FAILURES = [
@@ -315,8 +315,11 @@ NAMED_FAILURES = [
         exact="unknown config keys: typo_key", config='{"alpha": 0.1, "typo_key": 1}'),
     row("config-integer-too-large", "stationary --config {config} --n 1", 2, "ValueError",
         exact="config key 'x10' is too large for a float", config='{"x10": 1%s}' % ("0" * 400)),
-    # the message names a flag the command really has
-    *(row(name, argv, 2, "ValueError", flag, config=config) for name, argv, config, flag in [
+]
+
+# the message names a flag the command really has
+FLAG_FAILURES = [
+    row(name, argv, 2, "ValueError", flag, config=config) for name, argv, config, flag in [
         ("n-zero", "stationary --n 0 --x10 1", None, "--n"),
         ("sigma-negative", "packet --path-file {two} --sigma -1", None, "--sigma"),
         ("one-sample", "timemap --path-file {two} --samples 1", None, "--samples"),
@@ -332,14 +335,15 @@ NAMED_FAILURES = [
         ("alpha-two", "timemap --path-file {two} --alpha 2", None, "--alpha"),
         ("config-alpha-one", "spectrum --config {config}", '{"alpha": 1.0}', "--alpha"),
         ("n-over-100", "stationary --n 101 --x10 1", None, "--n"),
-        ("config-n-max-101", "spectrum --config {config}", '{"n_max": 101}', "--n-max")]),
-    *(row(name, argv, 2, "ValueError", exact=f"{flag} must be finite", config=config)
-      for name, argv, config, flag in [
+        ("config-n-max-101", "spectrum --config {config}", '{"n_max": 101}', "--n-max")]]
+
+NON_FINITE_FAILURES = [
+    row(name, argv, 2, "ValueError", exact=f"{flag} must be finite", config=config)
+    for name, argv, config, flag in [
         ("lam-mc-nan", "spectrum --alpha 0.1 --lam-mc nan --n-max 1", None, "--lam-mc"),
         ("x10-inf", "stationary --alpha 0.1 --n 1 --x10 inf", None, "--x10"),
         ("tol-nan", "stationary --n 1 --x10 1 --tol nan", None, "--tol"),
-        ("config-x10-nan", "stationary --n 1 --config {config}", '{"x10": NaN}', "--x10")]),
-]
+        ("config-x10-nan", "stationary --n 1 --config {config}", '{"x10": NaN}', "--x10")]]
 
 FLOAT_EDGES = (5e-324, 1e-310, 1e-300, 1e-160, 1e-30, 1e30, 1e160, 1e300, 1.7e308, -1e300)
 ALPHA_EDGES = (5e-324, 1e-300, 1e-160, 1e-100, 1e-20, 1.0 - 2.0 ** -53)
@@ -357,13 +361,13 @@ def _edge_runs():
             flag = OPTIONS[key].flags[0]
             if OPTIONS[key].type is float:
                 for v in ALPHA_EDGES if key == "alpha" else FLOAT_EDGES:
-                    yield pytest.param(f"{argv} {flag}={v!r}", None, None, None,
+                    yield pytest.param((f"{argv} {flag}={v!r}", None, None, None),
                                        id=f"{command}{flag}={v!r}")
         if "path_file" in spec.options:
             path_runs.append((command, argv))
     for command, argv in [*path_runs, ("timemap--x0", ACCEPTANCE_ARGS["timemap"] + " --x0 0.5")]:
         for text in PATH_EDGES:
-            yield pytest.param(f"{argv} --path-file {{path}}", None, text + "\n", None,
+            yield pytest.param((f"{argv} --path-file {{path}}", None, text + "\n", None),
                                id=f"{command}-path-{text}")
 
 
@@ -376,38 +380,56 @@ def _nulls(v, key=None):
     return [key] if v is None else []
 
 
-@pytest.mark.parametrize("argv, config, path, expect", [*NAMED_FAILURES, *_edge_runs()])
-def test_every_run_ends_in_the_envelope_or_prints_finite_numbers(
-        capsys, tmp_path, two_segment_path, const_path_20, argv, config, path, expect):
-    files = {"two": two_segment_path, "const": const_path_20}
-    for name, text in (("config", config), ("path", path)):
-        if text is not None:
-            files[name] = tmp_path / f"{name}.txt"
-            files[name].write_text(text)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code = main(argv.format(**files).split())
-    out, err = capsys.readouterr()
-    assert [str(w.message) for w in caught] == []
-    if code == 0 and expect is None:
-        assert err == ""
-        if out.startswith("#"):  # CSV: the data rows follow four header lines
-            cells = {c for line in out.splitlines()[4:] for c in line.split(",")}
-            assert not cells & {"nan", "inf", "-inf"}
-        else:
-            result = json.loads(out)["result"]
-            undefined = [] if result.get("phase_valid", True) else ["action_phase",
-                                                                    "log_magnitude"]
-            assert [k for k in _nulls(result) if k not in undefined] == []
-        return
-    assert code in (2, 3) and out == "" and err.count("\n") == 1
-    error = json.loads(err)["error"]
-    assert error["code"] == code
-    if expect is not None:
-        want_code, want_type, says, exact = expect
-        assert (code, error["type"]) == (want_code, want_type)
-        assert all(s.format(**files) in error["message"] for s in says)
-        assert exact is None or error["message"] == exact
+@pytest.fixture()
+def run_row(capsys, tmp_path, two_segment_path, const_path_20):
+    def check(argv, config, path, expect):
+        """Exit 2 or 3 with one envelope line matching expect, or, where expect
+        is None, exit 0 printing only finite numbers; never a warning."""
+        files = {"two": two_segment_path, "const": const_path_20}
+        for name, text in (("config", config), ("path", path)):
+            if text is not None:
+                files[name] = tmp_path / f"{name}.txt"
+                files[name].write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv.format(**files).split())
+        out, err = capsys.readouterr()
+        assert [str(w.message) for w in caught] == []
+        if code == 0 and expect is None:
+            assert err == ""
+            if out.startswith("#"):  # CSV: the data rows follow four header lines
+                cells = {c for line in out.splitlines()[4:] for c in line.split(",")}
+                assert not cells & {"nan", "inf", "-inf"}
+            else:
+                result = json.loads(out)["result"]
+                undefined = [] if result.get("phase_valid", True) else ["action_phase",
+                                                                        "log_magnitude"]
+                assert [k for k in _nulls(result) if k not in undefined] == []
+            return
+        assert code in (2, 3) and out == "" and err.count("\n") == 1
+        error = json.loads(err)["error"]
+        assert error["code"] == code
+        if expect is not None:
+            want_code, want_type, says, exact = expect
+            assert (code, error["type"]) == (want_code, want_type)
+            assert all(s.format(**files) in error["message"] for s in says)
+            assert exact is None or error["message"] == exact
+    return check
+
+
+@pytest.mark.parametrize("case", [*NAMED_FAILURES, *_edge_runs()])
+def test_every_run_ends_in_the_envelope_or_prints_finite_numbers(run_row, case):
+    run_row(*case)
+
+
+@pytest.mark.parametrize("case", FLAG_FAILURES)
+def test_error_paths_name_the_flag(run_row, case):
+    run_row(*case)
+
+
+@pytest.mark.parametrize("case", NON_FINITE_FAILURES)
+def test_non_finite_values_rejected(run_row, case):
+    run_row(*case)
 
 
 def test_output_dir_env_and_file_equality(cli, tmp_path, monkeypatch):
