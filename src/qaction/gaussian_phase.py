@@ -125,6 +125,7 @@ def integrate_chi(state: GaussianPhaseState, path: LambdaPath, d: float | None,
     over segments in proportion to duration (at least one per segment) and
     never straddle a breakpoint, so for this right-hand side, polynomial in s
     within each segment, RK4 reproduces the quadrature solution to roundoff.
+    A segment whose duration times steps overflows is refused (ValueError).
     """
     if not (isinstance(steps, numbers.Integral) and steps >= 1):
         raise ValueError(f"steps must be a whole number >= 1, got {steps!r}")
@@ -136,8 +137,12 @@ def integrate_chi(state: GaussianPhaseState, path: LambdaPath, d: float | None,
     out = [state]
     chi0, chi1, chi2 = complex(state.chi0), complex(state.chi1), complex(state.chi2)
     s_now = 0.0
-    for lam, dur in zip(path.values.tolist(), path.durations.tolist()):
-        n_sub = max(1, math.ceil(steps * dur / path.S))
+    for j, (lam, dur) in enumerate(zip(path.values.tolist(), path.durations.tolist())):
+        share = steps * dur / path.S
+        if share == math.inf:
+            raise ValueError(f"segment {j} of duration {dur!r} times steps = {steps} "
+                             "overflows; shorten the path or lower steps")
+        n_sub = max(1, math.ceil(share))
         h = dur / n_sub
         c0 = (d * d - lam * d - m2c2) / (1j * u.hbar)
 

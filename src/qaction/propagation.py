@@ -31,8 +31,13 @@ is the real quantum-action phase and Q = log |K| <= 0 the dissipative part.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
 import numbers
+import os
+import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +64,7 @@ MAX_SWEEP_WORK = 10 ** 9
 # longest dot numpy 2.4.6's OpenBLAS keeps on one thread (10 001 elements give
 # other bits on one core than on two); another BLAS may need another value
 BLAS_SERIAL = 10000
+_LAPACK_LOAD = threading.Lock()  # makes _lapack's look-up and load one step
 
 
 class BoundaryReflectionError(RuntimeError):
@@ -98,6 +104,38 @@ def propagation_grid(r_max: float, num_points: int) -> RadialGrid:
                       num_points=num_points, spacing=UNIFORM)
 
 
+def _lapack():
+    """scipy's LAPACK extension module scipy.linalg._flapack, without scipy.linalg.
+
+    The package calls four of its routines, zgttrf and zgttrs (_cayley and the
+    sweeps) and dstebz and dstein (grid_eigenstate), and importing the
+    scipy.linalg package around them costs about half of a fresh propagate
+    or optimize run. A module already imported under that name is returned,
+    so a process holds one copy whatever it imported first. Otherwise the
+    extension file is loaded from scipy's directory and registered under
+    that name, so a later import of scipy.linalg reuses it; only where the
+    file is missing is the package imported. Its f2py signatures are scipy
+    internals, checked against scipy 1.17.1 only: CI's floors job is the one
+    run against scipy 1.10.
+    """
+    name = "scipy.linalg._flapack"
+    with _LAPACK_LOAD:  # threads that load it at once load it once
+        if name not in sys.modules:
+            roots = importlib.util.find_spec("scipy").submodule_search_locations
+            paths = [os.path.join(root, "linalg", "_flapack" + suffix) for root in roots
+                     for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+            path = next((p for p in paths if os.path.isfile(p)), None)
+            if path is None:
+                from scipy.linalg import _flapack as module
+            else:
+                loader = importlib.machinery.ExtensionFileLoader(name, path)
+                module = importlib.util.module_from_spec(
+                    importlib.util.spec_from_loader(name, loader))
+                loader.exec_module(module)
+            sys.modules[name] = module
+        return sys.modules[name]
+
+
 def _hamiltonian_tridiag(grid: RadialGrid, l: int, lam: float,
                          u: UnitSystem) -> tuple[np.ndarray, np.ndarray]:
     """H_std's diagonal and off-diagonal; the one check that grid is a propagation_grid."""
@@ -132,12 +170,22 @@ def grid_eigenstate(n: int, l: int, lam: float, grid: RadialGrid, u: UnitSystem,
     QuantumNumbers(n, l)  # refuses anything that is not a bound level
     if not lam > 0.0:
         raise ValueError("lambda must be positive for bound states")
-    # scipy.linalg is imported where it is used, so importing qaction (and the
-    # CLI commands that never touch a radial grid) does not pay for it
-    from scipy.linalg import eigh_tridiagonal
     diag, off = _hamiltonian_tridiag(grid, l, lam, u)
     index = n - l - 1
-    w, v = eigh_tridiagonal(diag, off, select="i", select_range=(index, index))
+    if index >= grid.num_points:
+        raise ValueError(f"state (n={n}, l={l}) needs more than {grid.num_points} grid points")
+    # the two LAPACK calls of eigh_tridiagonal(select="i"), with the same
+    # arguments, so the same bits: bisection for the one eigenvalue, inverse
+    # iteration for its vector; a nonzero info is a failure. Its check that
+    # the entries are finite is _hamiltonian_tridiag's, on the largest, diag[0]
+    lapack = _lapack()
+    found, w, block, split, info = lapack.dstebz(diag, off, 2, 0.0, 1.0, index + 1,
+                                                 index + 1, 0.0, "B")
+    if info != 0:
+        raise np.linalg.LinAlgError(f"eigenvalue bisection failed (dstebz info {info})")
+    v, info = lapack.dstein(diag, off, w[:found], block, split)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"inverse iteration failed (dstein info {info})")
     e_std = float(w[0])
     if e_std >= 0.0:
         raise RuntimeError(
@@ -203,10 +251,9 @@ def _cayley(diag: np.ndarray, off: np.ndarray, ds: float, zeta: complex,
     symmetric, so F_zeta^H = 2 (1 + z/zeta)^-H - 1: a trans 'C' solve with
     these factors applies F_zeta^H, the adjoint sweep's step.
     """
-    from scipy.linalg.lapack import zgttrf
     c = 1j * ds / (u.hbar * zeta)
     side = c * off
-    dl, d, du, du2, ipiv, info = zgttrf(side, 1.0 + c * diag, side)
+    dl, d, du, du2, ipiv, info = _lapack().zgttrf(side, 1.0 + c * diag, side)
     if info != 0:
         raise np.linalg.LinAlgError(
             f"Cayley matrix is singular (zgttrf info = {info})")
@@ -231,7 +278,7 @@ def _two_blocks(diag: np.ndarray, off: np.ndarray, ds: float, zeta: complex,
     term dropped is below 2.2e-308 |b|. Returns (LU of A1, LU of A2, m,
     g1[lo:], lo, g2[:hi], hi, a g1[-1], a g2[0], a / det).
     """
-    from scipy.linalg.lapack import zgttrs
+    zgttrs = _lapack().zgttrs
     n = diag.size
     m = n // 2
     lu_top = _cayley(diag[:m], off[:m - 1], ds, zeta, u)
@@ -265,9 +312,7 @@ class _TwoBlockSolver:
     def __init__(self):
         # imported here, so that importing qaction does not load queue
         import queue
-        import threading
-        from scipy.linalg.lapack import zgttrs
-        self._zgttrs = zgttrs
+        self._zgttrs = _lapack().zgttrs  # read here, never on the worker
         self._tasks, self._done = queue.SimpleQueue(), queue.SimpleQueue()
         self._thread = threading.Thread(target=self._serve, daemon=True)
         self._thread.start()
@@ -339,7 +384,7 @@ def _sweep(state: RadialState, path: LambdaPath, steps: int, u: UnitSystem,
         raise ValueError(f"need at least one step per segment, a whole number, got {steps!r}")
     if steps < 1:
         raise ValueError("need at least one step per segment")
-    from scipy.linalg.lapack import zgttrs
+    zgttrs = _lapack().zgttrs
     grid = state.grid
     phi = np.array(state.amplitudes, dtype=complex)
     # ||phi|| / sqrt(h N) never exceeds max |phi| and every step keeps the
@@ -450,7 +495,7 @@ def _adjoint_sweep(record: list, phi_out: RadialState, path: LambdaPath,
     Crank-Nicolson root zeta = -2 this is the (i beta h / 2) <...|H'|...>
     term of a Cayley step with beta = ds / (2 hbar).
     """
-    from scipy.linalg.lapack import zgttrs
+    zgttrs = _lapack().zgttrs
     grid = phi_out.grid
     h = grid.step
     dh_dlam = -u.coulomb_momentum / grid.points()

@@ -288,6 +288,9 @@ NAMED_FAILURES = [
     *(row(f"overflowing-path-{argv.split()[0]}", f"{argv} --path-file {{path}}", 2,
           "ValueError", "the running integral of lambda overflows", path="1e10,1e300\n")
       for argv in ("packet --sigma 0.8 --steps 50", "timemap --samples 5")),
+    # 50 steps x 1.7e308: the packet's step count would overflow
+    row("packet-steps-overflow", "packet --alpha 0.5 --path-file {path} --sigma 0.8 --steps 50",
+        2, "ValueError", "segment 0", "steps = 50", path="1.7e308,1.0\n"),
     row("unresolved-state", "propagate --alpha 0.1 --path-file {const} --in 3,0 --rmax 20 "
         "--grid-points 800", 3, "RuntimeError", "enlarge r_max"),
     # 1s and 2s prepared at lambda = 2 mc are eigenvectors of the start
@@ -348,7 +351,7 @@ NON_FINITE_FAILURES = [
 FLOAT_EDGES = (5e-324, 1e-310, 1e-300, 1e-160, 1e-30, 1e30, 1e160, 1e300, 1.7e308, -1e300)
 ALPHA_EDGES = (5e-324, 1e-300, 1e-160, 1e-100, 1e-20, 1.0 - 2.0 ** -53)
 PATH_EDGES = (*(f"{s},20.0" for s in ("5e-324", "1e-310", "1e6", "1e300")),
-              *(f"0.5,{lam}" for lam in ("5e-324", "1e300", "-1e300")))
+              *(f"0.5,{lam}" for lam in ("5e-324", "1e300", "-1e300")), "1.7e308,1.0")
 
 
 def _edge_runs():
@@ -531,7 +534,7 @@ def test_version_subprocess():
     assert proc.stdout.strip() == "qaction 0.1.0"
 
 
-def test_cli_import_skips_unused_scipy_modules():
+def test_cli_import_skips_unused_scipy_modules(const_path_20):
     # nor the queues of the two-block solver's worker thread
     probe = ("import sys, qaction.cli; print(sorted(m for m in "
              "('scipy.integrate', 'scipy.linalg', 'scipy.special', 'queue', "
@@ -540,6 +543,15 @@ def test_cli_import_skips_unused_scipy_modules():
                           text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+    # propagate and optimize load scipy's LAPACK extension, not scipy.linalg
+    probe = ("import sys; from qaction import cli; "
+             "codes = [cli.main(argv.split()) for argv in sys.argv[1:]]; "
+             "print(codes, 'scipy.linalg' in sys.modules, 'scipy.linalg._flapack' in sys.modules)")
+    argv = [ACCEPTANCE_ARGS[c].format(const=const_path_20) for c in ("propagate", "optimize")]
+    proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0] False True"
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),

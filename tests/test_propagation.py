@@ -6,7 +6,6 @@ import threading
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.linalg.lapack as lapack
 from scipy.linalg import eigh_tridiagonal
 
 from qaction import (
@@ -22,6 +21,9 @@ from qaction.propagation import (BLAS_SERIAL, CN_ROOTS, MAX_PHASE_PER_STEP,
                                  _two_blocks, _TwoBlockSolver)
 from qaction.spectrum import LOG, UNIFORM
 from conftest import record_calls
+
+# the LAPACK module whose routines the package calls, the one to patch
+lapack = propagation._lapack()
 
 
 def _eigenpair(n, l, lam_mc, grid, u, **kw):
@@ -58,6 +60,8 @@ def test_grid_eigenstate_validation(u10):
     g = propagation_grid(30.0, 600)
     with pytest.raises(ValueError):
         grid_eigenstate(0, 0, 20.0, g, u10)
+    with pytest.raises(ValueError, match="needs more than 16 grid points"):
+        grid_eigenstate(17, 0, 20.0, propagation_grid(30.0, 16), u10)
     with pytest.raises(ValueError):
         grid_eigenstate(2, 2, 20.0, g, u10)
     with pytest.raises(ValueError):
@@ -140,21 +144,92 @@ def test_reflection_detected_inside_segment(u10, path):
 
 
 def test_grid_eigenstate_sign_is_fixed(u10, monkeypatch):
-    # eigh_tridiagonal may return either sign of an eigenvector; the state
-    # is the same for both, with its largest sample positive
+    # inverse iteration (dstein) may return either sign of an eigenvector;
+    # the state is the same for both, with its largest sample positive
     g = propagation_grid(25.0, 800)
     state, eps = _eigenpair(1, 0, 2.0, g, u10)
-    solve = scipy.linalg.eigh_tridiagonal
+    solve = lapack.dstein
 
     def negated(*args, **kwargs):
-        w, v = solve(*args, **kwargs)
-        return w, -v
+        v, info = solve(*args, **kwargs)
+        return -v, info
 
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", negated)
+    monkeypatch.setattr(lapack, "dstein", negated)
     flipped, eps_flipped = _eigenpair(1, 0, 2.0, g, u10)
     assert eps_flipped == eps
     np.testing.assert_array_equal(flipped.amplitudes, state.amplitudes)
     assert state.amplitudes[np.argmax(np.abs(state.amplitudes))].real > 0.0
+
+
+@pytest.mark.parametrize("n, l, r_max, points", [
+    (1, 0, 25.0, 800), (2, 1, 60.0, 1500), (3, 2, 100.0, 3000),
+    (2, 0, 60.0, SPLIT_POINTS + 1), (1, 0, 25.0, 20000)])
+def test_direct_eigenpair_is_eigh_tridiagonals(u10, monkeypatch, n, l, r_max, points):
+    # grid_eigenstate makes eigh_tridiagonal(select="i")'s two LAPACK calls
+    # itself, so its eigenvalue and vector keep eigh_tridiagonal's bits
+    g = propagation_grid(r_max, points)
+    ham = _hamiltonian_tridiag(g, l, 2.0 * u10.mc, u10)
+    w, v = eigh_tridiagonal(*ham, select="i", select_range=(n - l - 1, n - l - 1))
+    returned = {}
+    for name in ("dstebz", "dstein"):
+        def keep(*args, name=name, solve=getattr(lapack, name)):
+            returned[name] = solve(*args)
+            return returned[name]
+        monkeypatch.setattr(lapack, name, keep)
+    _, eps = _eigenpair(n, l, 2.0, g, u10)
+    found, w_direct, *_ = returned["dstebz"]
+    assert found == 1 and eps == -w[0]
+    assert np.array_equal(w_direct[:found], w)
+    assert np.array_equal(returned["dstein"][0], v)
+
+
+def test_lapack_loads_its_file_under_its_own_name(monkeypatch):
+    # with no module of that name loaded yet, the extension file is loaded
+    # and registered, so a later import of scipy.linalg reuses it; threads
+    # loading it at once, under a short switch interval, all get that one
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    loaded = [None] * 3
+
+    def load(k):
+        loaded[k] = propagation._lapack()
+
+    workers = [threading.Thread(target=load, args=(k,)) for k in range(len(loaded))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    module = sys.modules["scipy.linalg._flapack"]
+    assert all(m is module for m in loaded) and propagation._lapack() is module
+    assert module.__file__ == lapack.__file__
+    assert all(callable(getattr(module, name))
+               for name in ("zgttrf", "zgttrs", "dstebz", "dstein"))
+
+
+def test_lapack_falls_back_to_the_package_without_its_file(monkeypatch):
+    import importlib.machinery
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
+    fallback = object()
+    monkeypatch.setattr(scipy.linalg, "_flapack", fallback)
+    assert propagation._lapack() is fallback
+
+
+def test_lapack_is_scipys_own_when_scipy_linalg_came_first(u10, split_case, monkeypatch):
+    # the benchmark's import order: scipy.linalg, then qaction. The owner
+    # returns the module scipy.linalg.lapack reads, and a two-block sweep
+    # gives the K of the package's routines read through scipy.linalg.lapack
+    assert lapack is scipy.linalg.lapack._flapack
+    s1, s2, path = split_case
+    amp = transition_amplitude(s1, s2, path, u10)
+    monkeypatch.setattr(propagation, "_lapack", lambda: scipy.linalg.lapack)
+    ref = transition_amplitude(s1, s2, path, u10)
+    assert (amp.K, amp.I, amp.norm_drift) == (ref.K, ref.I, ref.norm_drift)
 
 
 def test_evolve_rejects_bad_input(u10):

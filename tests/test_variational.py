@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg.lapack as lapack
 
 import qaction.propagation as propagation
 import qaction.variational as variational
@@ -15,6 +14,9 @@ from qaction import (
     sommerfeld_nstar_sq, state_norm, stationary_closed_form, transition_amplitude,
 )
 from conftest import record_calls
+
+# the LAPACK module whose routines the package calls, the one to patch
+lapack = propagation._lapack()
 
 
 @pytest.fixture(scope="module")
