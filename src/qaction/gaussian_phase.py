@@ -31,6 +31,12 @@ import numpy as np
 from .paths import LambdaPath
 from .units import UnitSystem
 
+# RK4 steps of one integrate_chi call, at most: on 2 cores (Python 3.11) a
+# step took 4-7 us and kept one ~200-byte state, so 10^6 steps are about 5 s
+# and 200 MB (the CLI renders them in about 20 s and 0.9 GB); the tests run
+# at most 1 500 (acceptance 04)
+MAX_RK4_STEPS = 10 ** 6
+
 __all__ = [
     "GaussianPhaseState", "PacketDiagnostics",
     "chi_initial", "chi_closed_form", "integrate_chi", "packet_diagnostics",
@@ -125,10 +131,13 @@ def integrate_chi(state: GaussianPhaseState, path: LambdaPath, d: float | None,
     over segments in proportion to duration (at least one per segment) and
     never straddle a breakpoint, so for this right-hand side, polynomial in s
     within each segment, RK4 reproduces the quadrature solution to roundoff.
-    A segment whose duration times steps overflows is refused (ValueError).
+    More than MAX_RK4_STEPS steps, or a segment whose duration times steps
+    overflows, is refused (ValueError).
     """
     if not (isinstance(steps, numbers.Integral) and steps >= 1):
         raise ValueError(f"steps must be a whole number >= 1, got {steps!r}")
+    if steps > MAX_RK4_STEPS:
+        raise ValueError(f"steps must be at most {MAX_RK4_STEPS:.0e}, the RK4 work budget")
     if state.s != 0.0:
         raise ValueError("trajectory must start at s = 0")
     if d is None:

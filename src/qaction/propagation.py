@@ -96,10 +96,14 @@ def propagation_grid(r_max: float, num_points: int) -> RadialGrid:
     """Uniform mesh whose implicit Dirichlet wall sits exactly at r = 0.
 
     Chooses r_min equal to the mesh step, so reduced radial functions, which
-    vanish linearly at the origin, see a consistent boundary.
+    vanish linearly at the origin, see a consistent boundary. A grid no sweep
+    could take one step on (MAX_SWEEP_WORK) is refused.
     """
     if num_points < 16:
         raise ValueError("need at least 16 grid points")
+    if num_points > MAX_SWEEP_WORK:  # an integer, before r_max / num_points
+        raise ValueError(f"need at most {MAX_SWEEP_WORK:.0e} grid points: one step on more "
+                         "is past the sweep's budget of grid points x steps")
     return RadialGrid(r_min=r_max / num_points, r_max=r_max,
                       num_points=num_points, spacing=UNIFORM)
 
@@ -358,9 +362,10 @@ def _sweep(state: RadialState, path: LambdaPath, steps: int, u: UnitSystem,
     Per segment H is built once; the state entering the segment turns overlap
     phases by about turn = dur _energy_scale / hbar over it, and the segment
     takes steps, or with cap max(steps, ceil(turn / cap)): no other code
-    sizes a sweep. A segment whose count takes the sweep past MAX_SWEEP_WORK
-    grid points x steps, or whose step ds is subnormal, is refused
-    (ValueError) before it is factored. Each factor's matrix is LU-factored
+    sizes a sweep. A floor steps past MAX_SWEEP_WORK grid points x steps on
+    one segment is refused (ValueError) before the sweep starts, and a
+    segment whose count takes the sweep past it, or whose step ds is
+    subnormal, before it is factored. Each factor's matrix is LU-factored
     once (_cayley), and each factor then costs one zgttrs solve. A
     Crank-Nicolson sweep on SPLIT_POINTS or more points that keeps no record
     (_adjoint_sweep solves with one-block factors) instead factors two
@@ -384,8 +389,12 @@ def _sweep(state: RadialState, path: LambdaPath, steps: int, u: UnitSystem,
         raise ValueError(f"need at least one step per segment, a whole number, got {steps!r}")
     if steps < 1:
         raise ValueError("need at least one step per segment")
-    zgttrs = _lapack().zgttrs
     grid = state.grid
+    if steps * grid.num_points > MAX_SWEEP_WORK:  # an integer, before it meets a float
+        raise ValueError(
+            f"the step floor on {grid.num_points} grid points is past the sweep's budget "
+            f"of {MAX_SWEEP_WORK:.0e} grid points x steps; lower the steps or coarsen the grid")
+    zgttrs = _lapack().zgttrs
     phi = np.array(state.amplitudes, dtype=complex)
     # ||phi|| / sqrt(h N) never exceeds max |phi| and every step keeps the
     # norm to roundoff, so a wall sample under this floor is no reflection

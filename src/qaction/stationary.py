@@ -134,43 +134,48 @@ def _jacobian(params: np.ndarray, e_n: float, u: UnitSystem) -> np.ndarray:
     ])
 
 
-def _damped_newton(residual: Callable[[np.ndarray], np.ndarray],
-                   jacobian: Callable[[np.ndarray], np.ndarray],
+def _newton_step(jac: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The Newton step -jac^-1 r, in least squares where jac is singular."""
+    try:
+        return np.linalg.solve(jac, -r)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(jac, -r, rcond=None)[0]
+
+
+def _damped_newton(residual: Callable[[np.ndarray], tuple[np.ndarray, object]],
+                   step: Callable[[np.ndarray, np.ndarray], np.ndarray],
                    z0: np.ndarray, feasible: Callable[[np.ndarray], bool],
                    tol: float, max_iters: int
-                   ) -> tuple[np.ndarray, np.ndarray, int, bool]:
-    """Damped Newton iteration on a residual in scaled unknowns.
+                   ) -> tuple[np.ndarray, np.ndarray, object, int, bool]:
+    """Damped Newton-type iteration on a residual in scaled unknowns.
 
-    Each step halves t from 1 down to 1/1024 until z + t dz is feasible and
-    passes the sufficient-decrease test max|r| <= (1 - 1e-4 t) max|r_prev|
-    (Dennis & Schnabel, section 6.3). Stops once max|r| <= tol, after
-    max_iters steps, or when no step is accepted. Returns (z, r, steps taken,
-    converged).
+    residual(z) gives (r, data) and step(z, r) the undamped step. Each step
+    halves t from 1 down to 1/1024 until z + t step is feasible and passes the
+    sufficient-decrease test max|r| <= (1 - 1e-4 t) max|r_prev| (Dennis &
+    Schnabel, section 6.3). Stops once max|r| <= tol, after max_iters steps,
+    or when no step is accepted. Returns (z, r, data, steps taken, converged)
+    of the last accepted point.
     """
     z = z0
-    r = residual(z)
+    r, data = residual(z)
     err = float(np.max(np.abs(r)))
     steps = 0
     while err > tol and steps < max_iters:
-        jac = jacobian(z)
-        try:
-            dz = np.linalg.solve(jac, -r)
-        except np.linalg.LinAlgError:
-            dz = np.linalg.lstsq(jac, -r, rcond=None)[0]
+        dz = step(z, r)
         t = 1.0
         while t >= 1.0 / 1024.0:
             trial = z + t * dz
             if feasible(trial):
-                r_trial = residual(trial)
+                r_trial, data_trial = residual(trial)
                 err_trial = float(np.max(np.abs(r_trial)))
                 if err_trial <= (1.0 - 1e-4 * t) * err:
                     break
             t *= 0.5
         else:
             break  # no acceptable step
-        z, r, err = trial, r_trial, err_trial
+        z, r, data, err = trial, r_trial, data_trial, err_trial
         steps += 1
-    return z, r, steps, err <= tol
+    return z, r, data, steps, err <= tol
 
 
 def solve_stationary(n: QuantumNumbers | int, x10: float, u: UnitSystem,
@@ -193,23 +198,24 @@ def solve_stationary(n: QuantumNumbers | int, x10: float, u: UnitSystem,
     resid_scale = np.array([u.mc * S0, u.mc * S0,
                             u.mass * u.mass * u.c * u.c, x10])
 
-    def residual(z: np.ndarray) -> np.ndarray:
+    def residual(z: np.ndarray) -> tuple[np.ndarray, None]:
         # floats, not numpy scalars: the value, which this never reads, may
         # overflow at large x10, and a float product does so silently
         av = action_value(*(z * scale).tolist(), n, x10, u)
         return np.array([av.grad_d, av.grad_lam, av.grad_S,
-                         av.grad_kappa]) / resid_scale
+                         av.grad_kappa]) / resid_scale, None
 
-    def jacobian(z: np.ndarray) -> np.ndarray:
+    def step(z: np.ndarray, r: np.ndarray) -> np.ndarray:
         # rows and columns scaled so the linear solve sees O(1) numbers
-        return _jacobian(z * scale, e_n, u) * scale[None, :] / resid_scale[:, None]
+        return _newton_step(_jacobian(z * scale, e_n, u) * scale[None, :]
+                            / resid_scale[:, None], r)
 
     def feasible(z: np.ndarray) -> bool:
         return bool(z[1] > 0.0 and z[2] > 0.0)  # lambda > 0 branch, S > 0
 
-    z, r, _, converged = _damped_newton(residual, jacobian,
-                                        np.array([1.0, 2.0, 1.0, 1.0]),
-                                        feasible, tol, max_iters)
+    z, r, _, _, converged = _damped_newton(residual, step,
+                                           np.array([1.0, 2.0, 1.0, 1.0]),
+                                           feasible, tol, max_iters)
     if not converged:
         raise RuntimeError("stationarity iteration stalled at scaled residual "
                            f"{float(np.max(np.abs(r))):.3e} (tol {tol:.3e})")

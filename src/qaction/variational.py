@@ -33,8 +33,8 @@ import numpy as np
 
 from .paths import LambdaPath
 from .propagation import (PADE22_ROOTS, PhaseUndefinedError, TransitionAmplitude,
-                          _energy_scale, _hamiltonian_tridiag, _record_price,
-                          _transition)
+                          _adjoint_sweep, _energy_scale, _hamiltonian_tridiag,
+                          _record_price, _transition)
 from .spectrum import RadialState
 from .stationary import _damped_newton
 from .units import UnitSystem
@@ -87,6 +87,13 @@ class VariationalProblem:
         if not (isinstance(self.segments, numbers.Integral) and self.segments >= 1):
             raise ValueError(f"segments must be a whole number >= 1, got {self.segments!r}")
         phi, lam = self.phi_in, 2.0 * self.u.mc
+        # checked as an integer, before it meets a float: a segment takes
+        # `least` solves a residual at one step
+        least = _record_price(phi.grid.num_points, 1, 1, PADE22_ROOTS)[0]
+        if self.segments * least > MAX_SOLVES_PER_RESIDUAL:
+            raise ValueError(
+                f"segments must be at most {MAX_SOLVES_PER_RESIDUAL // least}, the budget of "
+                f"{MAX_SOLVES_PER_RESIDUAL} tridiagonal solves per residual at one step each")
         ham = _hamiltonian_tridiag(phi.grid, phi.l, lam, self.u)
         turn = self.x10 / (lam * self.segments) \
             * _energy_scale(np.asarray(phi.amplitudes), *ham) / self.u.hbar
@@ -168,8 +175,8 @@ def full_action(path: LambdaPath, kappa: float,
 
 
 def _kkt_residual(lam: np.ndarray, problem: VariationalProblem
-                  ) -> tuple[np.ndarray, float, TransitionAmplitude]:
-    """Scaled lambda rows of the KKT residual, the multiplier kappa, and K.
+                  ) -> tuple[np.ndarray, tuple[float, TransitionAmplitude]]:
+    """Scaled lambda rows of the KKT residual, then the multiplier kappa and K.
 
     S = x10 / mean(lambda) meets the constraint exactly and kappa zeroes the
     S row, so those two rows vanish and only the N lambda rows remain. Their
@@ -177,7 +184,6 @@ def _kkt_residual(lam: np.ndarray, problem: VariationalProblem
     counts: one forward sweep gives K and records its states, one adjoint
     sweep over that record gives every dK.
     """
-    from .propagation import _adjoint_sweep  # the one reader of a sweep record
     u = problem.u
     mc = u.mc
     mean_lam = float(np.mean(lam))
@@ -189,7 +195,7 @@ def _kkt_residual(lam: np.ndarray, problem: VariationalProblem
     di_ds = -u.hbar * (dk_ds / amp.K).imag
     kappa = (float(np.mean(0.25 * lam * lam + mc * mc)) - di_ds) / mean_lam
     ds = path.S / problem.segments
-    return ((kappa - 0.5 * lam) * ds + di_dlam) / (mc * ds), kappa, amp
+    return ((kappa - 0.5 * lam) * ds + di_dlam) / (mc * ds), (kappa, amp)
 
 
 def optimize_path(problem: VariationalProblem, tol: float = 1e-8,
@@ -215,26 +221,16 @@ def optimize_path(problem: VariationalProblem, tol: float = 1e-8,
     u = problem.u
     mc = u.mc
     lo, hi = problem.s_bounds()
-    evaluated = {}  # kappa and amplitude of every evaluated point, keyed by its bytes
 
     def feasible(zv: np.ndarray) -> bool:
         return bool(np.all(zv > 0.0)
                     and lo <= problem.x10 / float(np.mean(zv * mc)) <= hi)
 
-    def residual_at(zv: np.ndarray) -> np.ndarray:
-        r, kappa, amp = _kkt_residual(zv * mc, problem)
-        evaluated[zv.tobytes()] = kappa, amp
-        return r
-
-    def jacobian(zv: np.ndarray) -> np.ndarray:
-        # -lam_j/2 ds over the row scale mc ds is -z_j/2; kappa and I add O(alpha^2)
-        return -0.5 * np.eye(zv.size)
-
-    z, resid, iterations, converged = _damped_newton(
-        residual_at, jacobian, np.full(problem.segments, 2.0), feasible, tol,
-        max_iters)
-
-    kappa, amp = evaluated[z.tobytes()]
+    # -lam_j/2 ds over the row scale mc ds is -z_j/2, so the chord step is 2 r;
+    # kappa and I add O(alpha^2)
+    _, resid, (kappa, amp), iterations, converged = _damped_newton(
+        lambda zv: _kkt_residual(zv * mc, problem), lambda zv, r: 2.0 * r,
+        np.full(problem.segments, 2.0), feasible, tol, max_iters)
     action = classical_action_part(amp.path, kappa, problem.x10, u) + amp.I
     return StationaryPath(path=amp.path, kappa=kappa, action=action,
                           residual=float(np.max(np.abs(resid))),

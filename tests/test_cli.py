@@ -255,6 +255,10 @@ def row(name, argv, code, error_type, *says, exact=None, config=None, path=None)
     return pytest.param((argv, config, path, (code, error_type, says, exact)), id=name)
 
 
+# numpy and the owners refuse these before allocating; a mid-size count
+# would allocate gigabytes
+INT_EDGES = {"1e15": 10 ** 15, "1e400": 10 ** 400}
+
 NAMED_FAILURES = [
     row("timemap-x0-csv", "timemap --path-file {two} --x0 0.5 --format csv", 2,
         "ValueError", exact="this timemap run emits JSON, so --format must be json"),
@@ -318,6 +322,25 @@ NAMED_FAILURES = [
         exact="unknown config keys: typo_key", config='{"alpha": 0.1, "typo_key": 1}'),
     row("config-integer-too-large", "stationary --config {config} --n 1", 2, "ValueError",
         exact="config key 'x10' is too large for a float", config='{"x10": 1%s}' % ("0" * 400)),
+    # huge counts, refused as integers by their owners: once bare OverflowErrors
+    # (exit 3), numpy MemoryErrors (exit 1) or an endless packet loop
+    *(row(f"{name}-{power}", f"{argv} {flag} {INT_EDGES[power]}", 2, "ValueError", *says)
+      for name, argv, flag, says, powers in [
+          ("propagate-steps", ACCEPTANCE_ARGS["propagate"], "--steps",
+           ("the step floor", "the sweep's budget"), ("1e400",)),
+          ("propagate-grid-points", ACCEPTANCE_ARGS["propagate"], "--grid-points",
+           ("grid points", "the sweep's budget"), ("1e15", "1e400")),
+          ("optimize-grid-points", ACCEPTANCE_ARGS["optimize"], "--grid-points",
+           ("grid points", "the sweep's budget"), ("1e15",)),
+          ("optimize-segments", ACCEPTANCE_ARGS["optimize"], "--segments",
+           ("segments must be at most 5000", "solves per residual"), ("1e400",)),
+          ("packet-steps", ACCEPTANCE_ARGS["packet"], "--steps",
+           ("steps must be at most", "RK4 work budget"), ("1e15", "1e400")),
+          ("timemap-samples", ACCEPTANCE_ARGS["timemap"], "--samples",
+           ("--samples needs",), ("1e15",)),
+          ("optimize-output-timemap-samples", ACCEPTANCE_ARGS["optimize"] + " --output o.json",
+           "--timemap-samples", ("--timemap-samples needs",), ("1e15",))]
+      for power in powers),
 ]
 
 # the message names a flag the command really has
@@ -355,13 +378,18 @@ PATH_EDGES = (*(f"{s},20.0" for s in ("5e-324", "1e-310", "1e6", "1e300")),
 
 
 def _edge_runs():
-    """Each float option of each command at the float range's edges, then
-    every command that reads a path file, and timemap --x0, on extreme paths."""
+    """Each float option of each command at the float range's edges and each
+    integer option at 10^15 and 10^400, then every command that reads a path
+    file, and timemap --x0, on extreme paths."""
     path_runs = []
     for command, spec in _COMMANDS.items():
         argv = ACCEPTANCE_ARGS[command]
         for key in (*_COMMON_FIRST, *spec.options):
             flag = OPTIONS[key].flags[0]
+            if OPTIONS[key].type is int:
+                for name, v in INT_EDGES.items():
+                    yield pytest.param((f"{argv} {flag}={v}", None, None, None),
+                                       id=f"{command}{flag}={name}")
             if OPTIONS[key].type is float:
                 for v in ALPHA_EDGES if key == "alpha" else FLOAT_EDGES:
                     yield pytest.param((f"{argv} {flag}={v!r}", None, None, None),
@@ -384,7 +412,9 @@ def _nulls(v, key=None):
 
 
 @pytest.fixture()
-def run_row(capsys, tmp_path, two_segment_path, const_path_20):
+def run_row(capsys, tmp_path, monkeypatch, two_segment_path, const_path_20):
+    monkeypatch.setenv("QACTION_OUTPUT_DIR", str(tmp_path / "out"))
+
     def check(argv, config, path, expect):
         """Exit 2 or 3 with one envelope line matching expect, or, where expect
         is None, exit 0 printing only finite numbers; never a warning."""
@@ -556,13 +586,17 @@ def test_cli_import_skips_unused_scipy_modules(const_path_20):
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
                     reason="needs os.sched_setaffinity")
-def test_output_does_not_depend_on_the_core_count(const_path_20):
-    # on 24 000 points a Crank-Nicolson solve is two blocks on two threads and
+@pytest.mark.parametrize("argv", [
+    # on 24 000 points a Crank-Nicolson solve is two blocks on two threads,
+    # each half longer than propagation.BLAS_SERIAL
+    "propagate --alpha 0.1 --path-file {const} --grid-points 24000 --rmax 25 --steps 50",
+    # the path search's adjoint sums, over 12 000 points, are longer than it
+    "optimize --alpha 0.1 --in 1,0 --out 1,0 --x10 40.0 --grid-points 12000 --rmax 24",
+], ids=["propagate", "optimize"])
+def test_output_does_not_depend_on_the_core_count(const_path_20, argv):
     # every grid sum runs in parts BLAS keeps on one thread, so a child
     # pinned to one CPU prints the same bytes as one free to use them all
-    cmd = [sys.executable, "-m", "qaction", "propagate", "--alpha", "0.1",
-           "--path-file", const_path_20, "--grid-points", "24000", "--rmax", "25",
-           "--steps", "50"]
+    cmd = [sys.executable, "-m", "qaction", *argv.format(const=const_path_20).split()]
     cpu = min(os.sched_getaffinity(0))
     free = subprocess.run(cmd, capture_output=True, timeout=120)
     pinned = subprocess.run(cmd, capture_output=True, timeout=120,
@@ -570,12 +604,3 @@ def test_output_does_not_depend_on_the_core_count(const_path_20):
     assert free.returncode == pinned.returncode == 0, pinned.stderr
     assert free.stdout == pinned.stdout
 
-
-def test_stdout_determinism_subprocess(two_segment_path):
-    cmd = [sys.executable, "-m", "qaction", "packet", "--alpha", "0.5",
-           "--path-file", two_segment_path, "--sigma", "0.8", "--steps", "25"]
-    a = subprocess.run(cmd, capture_output=True)
-    b = subprocess.run(cmd, capture_output=True)
-    assert a.returncode == b.returncode == 0
-    assert a.stdout == b.stdout
-    assert a.stdout.count(b"\n") == 4 + 25 + 1  # header + columns + rows

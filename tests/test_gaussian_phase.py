@@ -7,6 +7,7 @@ from qaction import (
     GaussianPhaseState, LambdaPath, PacketDiagnostics, chi_closed_form,
     chi_initial, integrate_chi, packet_diagnostics,
 )
+from qaction.gaussian_phase import MAX_RK4_STEPS
 
 
 def test_chi_initial_values():
@@ -143,6 +144,8 @@ def test_integrate_domain_errors(u_half):
         integrate_chi(chi_initial(1.0), path, None, u_half, 0)
     with pytest.raises(ValueError, match="whole number"):
         integrate_chi(chi_initial(1.0), path, None, u_half, 2.5)
+    with pytest.raises(ValueError, match="RK4 work budget"):  # refused before the loop
+        integrate_chi(chi_initial(1.0), path, None, u_half, MAX_RK4_STEPS + 1)
     moved = GaussianPhaseState(chi0=0j, chi1=0j, chi2=-0.5 + 0j, s=0.5)
     with pytest.raises(ValueError):
         integrate_chi(moved, path, None, u_half, 100)

@@ -7,7 +7,7 @@ from qaction import (
     action_value, level_comparison, make_units,
     solve_stationary, stationary_closed_form,
 )
-from qaction.stationary import _damped_newton
+from qaction.stationary import _damped_newton, _newton_step
 
 
 def _gradient_scales(sp, u):
@@ -158,15 +158,16 @@ ARCTAN_FULL_STEP = 3.0 - 10.0 * math.atan(3.0)
 def _arctan(seen):
     def residual(z):
         seen.append(float(z[0]))
-        return np.arctan(z)
-    return residual, lambda z: np.array([[1.0 / (1.0 + z[0] ** 2)]])
+        return np.arctan(z), float(z[0])  # the data: the point's own z
+    return residual, lambda z, r: -r * (1.0 + z[0] ** 2)
 
 
 def test_damped_newton_halves_a_diverging_step():
     seen = []
-    z, r, steps, converged = _damped_newton(*_arctan(seen), np.array([3.0]),
-                                            lambda z: True, 1e-12, 20)
+    z, r, data, steps, converged = _damped_newton(*_arctan(seen), np.array([3.0]),
+                                                  lambda z: True, 1e-12, 20)
     assert converged and abs(z[0]) <= 1e-12 and abs(r[0]) <= 1e-12
+    assert data == z[0]  # the data of the accepted point, not of the last trial
     # full and half steps rejected by the decrease test, the quarter accepted
     assert seen[1:4] == pytest.approx([3.0 + t * (ARCTAN_FULL_STEP - 3.0)
                                        for t in (1.0, 0.5, 0.25)])
@@ -174,8 +175,8 @@ def test_damped_newton_halves_a_diverging_step():
 
 def test_damped_newton_skips_infeasible_trials():
     seen = []
-    z, _, _, converged = _damped_newton(*_arctan(seen), np.array([3.0]),
-                                        lambda z: bool(z[0] > -1.0), 1e-12, 20)
+    z, _, _, _, converged = _damped_newton(*_arctan(seen), np.array([3.0]),
+                                           lambda z: bool(z[0] > -1.0), 1e-12, 20)
     assert converged and abs(z[0]) <= 1e-12
     # the full and half steps fall below -1, so their residuals are never taken
     assert seen[1] == pytest.approx(3.0 + 0.25 * (ARCTAN_FULL_STEP - 3.0))
@@ -183,13 +184,13 @@ def test_damped_newton_skips_infeasible_trials():
 
 
 def test_damped_newton_gives_up_without_an_acceptable_step():
-    # a Jacobian of the wrong sign points every trial uphill
+    # a step of the wrong sign points every trial uphill
     seen = []
-    residual = lambda z: (seen.append(float(z[0])), z)[1]
-    z, r, steps, converged = _damped_newton(residual, lambda z: -np.eye(1),
-                                            np.array([1.0]), lambda z: True,
-                                            1e-12, 20)
-    assert (converged, steps, z[0], r[0]) == (False, 0, 1.0, 1.0)
+    residual = lambda z: (seen.append(float(z[0])), (z, "start"))[1]
+    z, r, data, steps, converged = _damped_newton(residual, lambda z, r: r,
+                                                  np.array([1.0]), lambda z: True,
+                                                  1e-12, 20)
+    assert (converged, steps, z[0], r[0], data) == (False, 0, 1.0, 1.0, "start")
     assert len(seen) == 1 + 11  # the start, then t = 1, 1/2, ..., 1/1024
 
 
@@ -197,8 +198,10 @@ def test_damped_newton_singular_jacobian_falls_back_to_lstsq():
     jac = np.array([[1.0, 0.0], [1.0, 0.0]])  # the second unknown is free
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(jac, np.ones(2))
-    z, r, steps, converged = _damped_newton(lambda z: np.array([z[0], z[0]]),
-                                            lambda z: jac, np.array([2.0, 5.0]),
-                                            lambda z: True, 1e-12, 20)
+    # solve_stationary's steps are _newton_step's
+    z, r, _, steps, converged = _damped_newton(lambda z: (np.array([z[0], z[0]]), None),
+                                               lambda z, r: _newton_step(jac, r),
+                                               np.array([2.0, 5.0]),
+                                               lambda z: True, 1e-12, 20)
     assert converged and steps == 1
     assert z == pytest.approx([0.0, 5.0], abs=1e-12)

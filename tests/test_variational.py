@@ -268,7 +268,7 @@ def test_one_step_schedule_per_solve(u10, coarse_setup, monkeypatch):
     problem = VariationalProblem(phi_in=state, phi_out=state, x10=40.0,
                                  segments=2, u=u10)
     forward = record_calls(monkeypatch, propagation, "_sweep")
-    backward = record_calls(monkeypatch, propagation, "_adjoint_sweep")
+    backward = record_calls(monkeypatch, variational, "_adjoint_sweep")
     assert optimize_path(problem).converged
     assert all(args[5] is None for args in forward)  # no cap: exactly steps a segment
     # a segment's record holds its entering state and one per factor and step
