@@ -352,10 +352,14 @@ def run_packet(cfg: SimpleNamespace, u: UnitSystem) -> tuple[list, list]:
 
 def _boundary_states(cfg: SimpleNamespace, u: UnitSystem, lam_in: float,
                      lam_out: float) -> tuple:
-    """Grid eigenstates of --in at lam_in and --out at lam_out."""
+    """Grid eigenstates of --in at lam_in and --out at lam_out; one state,
+    solved once, when both name the same level at the same lambda."""
     grid = propagation_grid(cfg.rmax, cfg.grid_points)
-    return tuple(grid_eigenstate(*map(int, state.split(",")), lam, grid, u)[0]
-                 for state, lam in ((cfg.state_in, lam_in), (cfg.state_out, lam_out)))
+    n_in, n_out = (tuple(map(int, s.split(","))) for s in (cfg.state_in, cfg.state_out))
+    phi_in = grid_eigenstate(*n_in, lam_in, grid, u)[0]
+    if (n_in, lam_in) == (n_out, lam_out):
+        return phi_in, phi_in
+    return phi_in, grid_eigenstate(*n_out, lam_out, grid, u)[0]
 
 
 def run_propagate(cfg: SimpleNamespace, u: UnitSystem) -> dict:

@@ -235,6 +235,12 @@ def _chunked(dot, a: np.ndarray, b: np.ndarray):
 
 def _energy_scale(phi: np.ndarray, diag: np.ndarray, off: np.ndarray) -> float:
     """|<H>| plus twice the spread, the rate at which overlap phases can turn."""
+    return _energy_moments(phi, diag, off)[1]
+
+
+def _energy_moments(phi: np.ndarray, diag: np.ndarray, off: np.ndarray
+                    ) -> tuple[float, float]:
+    """<H> in phi and _energy_scale, from one product H phi."""
     hphi = diag * phi
     hphi[:-1] += off * phi[1:]
     hphi[1:] += off * phi[:-1]
@@ -242,7 +248,7 @@ def _energy_scale(phi: np.ndarray, diag: np.ndarray, off: np.ndarray) -> float:
     m1 = float(np.real(_chunked(np.vdot, phi, hphi))) / nrm
     m2 = float(np.real(_chunked(np.vdot, hphi, hphi))) / nrm
     spread = math.sqrt(max(m2 - m1 * m1, 0.0))
-    return abs(m1) + 2.0 * spread
+    return m1, abs(m1) + 2.0 * spread
 
 
 def _cayley(diag: np.ndarray, off: np.ndarray, ds: float, zeta: complex,

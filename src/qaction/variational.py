@@ -33,7 +33,7 @@ import numpy as np
 
 from .paths import LambdaPath
 from .propagation import (PADE22_ROOTS, PhaseUndefinedError, TransitionAmplitude,
-                          _adjoint_sweep, _energy_scale, _hamiltonian_tridiag,
+                          _adjoint_sweep, _energy_moments, _hamiltonian_tridiag,
                           _record_price, _transition)
 from .spectrum import RadialState
 from .stationary import _damped_newton
@@ -63,11 +63,16 @@ class VariationalProblem:
     pieces being optimized. The path duration S is held in the box (0.2, 5)
     times x10 / (2 m c). steps_per_segment is worked out, not passed: the
     (2,2) step count that holds the overlap phase under STEP_PHASE rad per
-    step at optimize_path's start point, and so its eigenphase error under
-    PHASE_ERROR per radian (one energy scale of phi_in at lambda = 2 m c, as
-    the start's N segments are alike); every sweep of the problem takes
-    exactly that many per segment and refuses, never re-steps, a trial path
-    too fast for it (UNWRAP_PHASE in qaction.propagation). A residual's
+    step on the constant path lambda = 2 m c, and so its eigenphase error
+    under PHASE_ERROR per radian (one energy scale of phi_in at lambda =
+    2 m c, as that path's N segments are alike); every sweep of the problem
+    takes exactly that many per segment and refuses, never re-steps, a trial
+    path too fast for it (UNWRAP_PHASE in qaction.propagation). start is
+    worked out too, optimize_path's scaled start lambda_j / mc: where phi_out
+    is phi_in (same grid, l and amplitudes), the closed-form stationary
+    2 / sqrt(1 + 2E / mc^2) of the level E = <H_std(2 m c)> / 2m that phi_in
+    has at lambda = 2 m c, if that is real and its S inside s_bounds();
+    otherwise 2, the classical lambda = 2 m c. A residual's
     forward sweep keeps a record of its states and LU factors for its adjoint
     sweep. A schedule whose residual takes more than MAX_SOLVES_PER_RESIDUAL
     solves or keeps more than MAX_STORED_BYTES bytes of record is refused
@@ -80,6 +85,7 @@ class VariationalProblem:
     segments: int
     u: UnitSystem
     steps_per_segment: int = field(init=False)
+    start: float = field(init=False)
 
     def __post_init__(self):
         if not self.x10 > 0.0:
@@ -95,8 +101,8 @@ class VariationalProblem:
                 f"segments must be at most {MAX_SOLVES_PER_RESIDUAL // least}, the budget of "
                 f"{MAX_SOLVES_PER_RESIDUAL} tridiagonal solves per residual at one step each")
         ham = _hamiltonian_tridiag(phi.grid, phi.l, lam, self.u)
-        turn = self.x10 / (lam * self.segments) \
-            * _energy_scale(np.asarray(phi.amplitudes), *ham) / self.u.hbar
+        mean, scale = _energy_moments(np.asarray(phi.amplitudes), *ham)
+        turn = self.x10 / (lam * self.segments) * scale / self.u.hbar
         steps = max(1, math.ceil(turn / STEP_PHASE))
         solves, stored = _record_price(phi.grid.num_points, self.segments, steps,
                                        PADE22_ROOTS)
@@ -111,10 +117,24 @@ class VariationalProblem:
                 f"LU factors per residual, over the budget of {MAX_STORED_BYTES}; "
                 "lower x10 or the grid points")
         object.__setattr__(self, "steps_per_segment", steps)
+        out, shrink = self.phi_out, 1.0 + mean / (self.u.mc * self.u.mc)
+        same = (out.grid == phi.grid and out.l == phi.l
+                and np.array_equal(out.amplitudes, phi.amplitudes))
+        start = 2.0 / math.sqrt(shrink) if same and shrink > 0.0 else 2.0
+        if not self._feasible(np.full(self.segments, start)):
+            start = 2.0
+        object.__setattr__(self, "start", start)
 
     def s_bounds(self) -> tuple[float, float]:
         s0 = self.x10 / (2.0 * self.u.mc)
         return (0.2 * s0, 5.0 * s0)
+
+    def _feasible(self, z: np.ndarray) -> bool:
+        """Whether the scaled lambda_j = z_j mc are positive with S = x10 /
+        mean(lambda) inside s_bounds()."""
+        lo, hi = self.s_bounds()
+        return bool(np.all(z > 0.0)
+                    and lo <= self.x10 / float(np.mean(z * self.u.mc)) <= hi)
 
 
 @dataclass(frozen=True)
@@ -202,35 +222,31 @@ def optimize_path(problem: VariationalProblem, tol: float = 1e-8,
                   max_iters: int = 40) -> StationaryPath:
     """Damped chord solve of the stationarity system on the constraint manifold.
 
-    Runs over the scaled lambda_j / mc alone from (2, ..., 2); every trial
-    takes S = x10 / mean(lambda) and the kappa that zeroes the S row (see
-    _kkt_residual). Newton's Jacobian is held at the classical Hessian -I/2
-    (the chord method, Kelley 1995, section 5.4): linear convergence by a
-    factor of order alpha^2, one residual per step. A residual is one forward
-    and one adjoint sweep of problem.steps_per_segment (2,2) Pade steps per
-    segment, two solves per step forward and two backward, with one LU
-    factorisation per Cayley root and segment, made by the forward sweep and
-    reused from its record by the adjoint; the returned amplitude is the
-    forward sweep of the last residual. Non-convergence is
-    reported through the converged flag rather than raised, so callers still
-    get the best point found; an amplitude within roundoff of zero raises
-    PhaseUndefinedError.
+    Runs over the scaled lambda_j / mc alone from (start, ..., start), with
+    problem.start the level's stationary value where phi_out is phi_in and 2
+    otherwise; every trial takes S = x10 / mean(lambda) and the kappa that
+    zeroes the S row (see _kkt_residual). Newton's Jacobian is held at the
+    classical Hessian -I/2 (the chord method, Kelley 1995, section 5.4):
+    linear convergence by a factor of order alpha^2, one residual per step.
+    A residual is one forward and one adjoint sweep of
+    problem.steps_per_segment (2,2) Pade steps per segment (the schedule
+    sized at lambda = 2 m c, whatever the start), two solves per step forward
+    and two backward, with one LU factorisation per Cayley root and segment,
+    made by the forward sweep and reused from its record by the adjoint; the
+    returned amplitude is the forward sweep of the last residual.
+    Non-convergence is reported through the converged flag rather than
+    raised, so callers still get the best point found; an amplitude within
+    roundoff of zero raises PhaseUndefinedError.
     """
     if not tol > 0.0 or max_iters < 1:
         raise ValueError("tol and max_iters must be positive")
     u = problem.u
     mc = u.mc
-    lo, hi = problem.s_bounds()
-
-    def feasible(zv: np.ndarray) -> bool:
-        return bool(np.all(zv > 0.0)
-                    and lo <= problem.x10 / float(np.mean(zv * mc)) <= hi)
-
     # -lam_j/2 ds over the row scale mc ds is -z_j/2, so the chord step is 2 r;
     # kappa and I add O(alpha^2)
     _, resid, (kappa, amp), iterations, converged = _damped_newton(
         lambda zv: _kkt_residual(zv * mc, problem), lambda zv, r: 2.0 * r,
-        np.full(problem.segments, 2.0), feasible, tol, max_iters)
+        np.full(problem.segments, problem.start), problem._feasible, tol, max_iters)
     action = classical_action_part(amp.path, kappa, problem.x10, u) + amp.I
     return StationaryPath(path=amp.path, kappa=kappa, action=action,
                           residual=float(np.max(np.abs(resid))),

@@ -9,9 +9,11 @@ import warnings
 import numpy as np
 import pytest
 
+import qaction.propagation as propagation
 from qaction import make_units, stationary_closed_form
 from qaction.cli import (_COMMANDS, _COMMON_FIRST, OPTIONS, SPECTRUM_COLUMNS, emit_json, main,
                          render_csv, resolve_config)
+from conftest import record_calls
 
 FROZEN_ALPHA = "0.1"
 
@@ -167,7 +169,7 @@ def test_timemap_csv_and_x0(cli, tmp_path):
 
 
 def test_optimize_unconverged_exits_3(cli, tmp_path, monkeypatch):
-    # one chord step leaves the residual at 2.5e-5; like a stalled
+    # one chord step leaves the residual at 1.2e-7; like a stalled
     # stationary, the run fails before it writes anything, sidecar included
     monkeypatch.setenv("QACTION_OUTPUT_DIR", str(tmp_path))
     code, out, err = cli("optimize", "--alpha", FROZEN_ALPHA, "--in", "1,0",
@@ -463,6 +465,23 @@ def test_error_paths_name_the_flag(run_row, case):
 @pytest.mark.parametrize("case", NON_FINITE_FAILURES)
 def test_non_finite_values_rejected(run_row, case):
     run_row(*case)
+
+
+@pytest.mark.parametrize("argv, solved", [
+    (ACCEPTANCE_ARGS["optimize"], 1),
+    (ACCEPTANCE_ARGS["propagate"], 1),
+    ("propagate --alpha 0.1 --path-file {three} --in 2,0 --out 1,0 "
+     "--grid-points 1500 --rmax 60", 2),
+], ids=["optimize", "propagate", "propagate-two-levels"])
+def test_one_eigenproblem_per_distinct_boundary_state(cli, const_path_20, tmp_path,
+                                                      monkeypatch, argv, solved):
+    # --in and --out naming one level at one lambda share one grid eigenstate
+    three = tmp_path / "three.csv"
+    three.write_text("0.8,17.0\n1.6,23.0\n2.4,17.5\n")
+    calls = record_calls(monkeypatch, propagation._lapack(), "dstebz")
+    code, _, err = cli(*argv.format(const=const_path_20, three=three).split())
+    assert code == 0, err
+    assert len(calls) == solved
 
 
 def test_output_dir_env_and_file_equality(cli, tmp_path, monkeypatch):

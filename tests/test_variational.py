@@ -303,7 +303,7 @@ def test_one_hamiltonian_build_per_segment_per_sweep(u10, coarse_setup,
 
 
 def test_path_too_fast_for_the_schedule_is_refused(u10):
-    # the schedule is 10 steps per segment, sized at the start point; this
+    # the schedule is 10 steps per segment, sized at lambda = 2 m c; this
     # path, inside the S box, would turn the overlap phase more than 0.5 rad
     # per step on its first segment at that count (it needs 15), so it is
     # refused rather than re-stepped, which would make I jump between trials
@@ -319,6 +319,46 @@ def test_path_too_fast_for_the_schedule_is_refused(u10):
                  lambda: full_action(path, 1.0, problem)):
         with pytest.raises(RuntimeError, match=r"0\.5 rad .* 10 steps"):
             call()
+
+
+def test_start_is_the_levels_stationary_lambda(u10):
+    # the acceptance-07 state's energy at lambda = 2 m c is its discrete
+    # level's, so the search starts at that level's lambda* (2.8e-7 below the
+    # closed form's here), whatever the segment count
+    state, _ = grid_eigenstate(1, 0, 2.0 * u10.mc, propagation_grid(30.0, 2000), u10)
+    ref = stationary_closed_form(1, 40.0, u10).lam / u10.mc
+    for nseg in (1, 4):
+        problem = VariationalProblem(phi_in=state, phi_out=state, x10=40.0,
+                                     segments=nseg, u=u10)
+        assert math.isclose(problem.start, ref, rel_tol=1e-6), nseg
+    # an equal state built apart counts as the same one
+    twin = RadialState(state.grid, 0, state.amplitudes.copy())
+    assert VariationalProblem(phi_in=state, phi_out=twin, x10=40.0, segments=1,
+                              u=u10).start == problem.start
+
+
+def test_start_stays_classical_between_different_states(u10, coarse_setup):
+    # no one level to start at: another level, or the same amplitudes at another l
+    g, s1, _ = coarse_setup
+    s2, _ = grid_eigenstate(2, 0, 2.0 * u10.mc, g, u10, check_boundaries=False)
+    for phi_in, phi_out in ((s1, s2), (s2, s1), (s1, RadialState(g, 1, s1.amplitudes))):
+        problem = VariationalProblem(phi_in=phi_in, phi_out=phi_out, x10=40.0,
+                                     segments=1, u=u10)
+        assert problem.start == 2.0
+
+
+def test_start_stays_classical_when_the_level_leaves_the_s_box(u10):
+    # a fast packet, <H>/(mc)^2 = 33.6 > 24: its level's lambda* = 2 mc / sqrt(34.6)
+    # would stretch S past 5 x10 / (2 m c), so the search starts at 2
+    g = propagation_grid(30.0, 2000)
+    r = g.points()
+    packet = RadialState(g, 0, np.exp(-0.5 * (r - 10.0) ** 2) * np.sin(60.0 * r))
+    problem = VariationalProblem(phi_in=packet, phi_out=packet, x10=0.1,
+                                 segments=1, u=u10)
+    ham = propagation._hamiltonian_tridiag(g, 0, 2.0 * u10.mc, u10)
+    mean, _ = propagation._energy_moments(np.asarray(packet.amplitudes), *ham)
+    assert mean / u10.mc ** 2 > 24.0
+    assert problem.start == 2.0
 
 
 def _search_at_level(n, l, points, u):
@@ -439,9 +479,10 @@ def test_optimize_solves_per_step(counted_solves):
                         "columns": 2 * roots * steps * residuals,
                         "zgttrf": roots * nseg * residuals}, nseg
     # N = 1 and 4 on the acceptance-07 problem, gated at 400 solves at N = 4
+    # (from problem.start, one chord step fewer than from lambda = 2 m c)
     fine = [(nseg, work["zgttrs"], work["zgttrf"], res.iterations)
             for nseg, _, res, work in counted_solves[2:]]
-    assert fine == [(1, 304, 8, 3), (4, 320, 32, 3)] and fine[1][1] <= 400
+    assert fine == [(1, 228, 6, 2), (4, 240, 24, 2)] and fine[1][1] <= 400
 
 
 def test_record_price_is_what_a_residual_keeps_and_solves(counted_solves):
