@@ -51,16 +51,6 @@ FINE_STRUCTURE_DEFAULT = 0.0072973525693
 # ---------------------------------------------------------------------------
 # deterministic emitters
 
-def _float_token(x: float) -> str | None:
-    """17 significant digits; None signals a non-finite value."""
-    if math.isnan(x) or math.isinf(x):
-        return None
-    s = format(x, ".17g")
-    if not any(c in s for c in ".eE"):
-        s += ".0"
-    return s
-
-
 def emit_json(v, indent: int | None = 0) -> str:
     """Deterministic JSON: insertion order, fixed float rendering.
 
@@ -74,9 +64,11 @@ def emit_json(v, indent: int | None = 0) -> str:
         return "true" if v else "false"
     if isinstance(v, int):
         return str(v)
-    if isinstance(v, float):
-        tok = _float_token(v)
-        return "null" if tok is None else tok
+    if isinstance(v, float):  # 17 significant digits
+        if not math.isfinite(v):
+            return "null"
+        tok = format(v, ".17g")
+        return tok if any(c in tok for c in ".eE") else tok + ".0"
     if isinstance(v, str):
         return json.dumps(v, ensure_ascii=True)
     if isinstance(v, dict):
@@ -95,22 +87,18 @@ def emit_json(v, indent: int | None = 0) -> str:
 
 
 def _csv_cell(v) -> str:
+    """emit_json's token, but for the empty cell, nan/inf words and bare strings."""
     if v is None:
         return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, float):
-        tok = _float_token(v)
-        if tok is None:
-            return "nan" if math.isnan(v) else ("inf" if v > 0 else "-inf")
-        return tok
+    if isinstance(v, float) and not math.isfinite(v):
+        return "nan" if math.isnan(v) else ("inf" if v > 0 else "-inf")
     if isinstance(v, str):
         if "," in v or "\n" in v:
             raise ValueError(f"cell value {v!r} would corrupt the CSV")
         return v
-    raise TypeError(f"cannot emit {type(v).__name__} in CSV")
+    if isinstance(v, (dict, list, tuple)):
+        raise TypeError(f"cannot emit {type(v).__name__} in CSV")
+    return emit_json(v)
 
 
 def render_csv(command: str, header_cfg: dict, columns: list[str],

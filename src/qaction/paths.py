@@ -161,11 +161,12 @@ def load_path_csv(filename) -> LambdaPath:
 
     Blank lines and lines starting with # are skipped; the header, if any, is
     the first other row and reads exactly s_end,lambda. Rows must be sorted
-    by s_end. Errors name the offending line.
+    by s_end. A leading UTF-8 byte-order mark is dropped. Errors name the
+    offending line.
     """
     ends, vals = [], []
     header_seen = False
-    with open(filename, "r", encoding="utf-8") as fh:
+    with open(filename, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

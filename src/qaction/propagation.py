@@ -116,26 +116,24 @@ def _lapack():
     scipy.linalg package around them costs about half of a fresh propagate
     or optimize run. A module already imported under that name is returned,
     so a process holds one copy whatever it imported first. Otherwise the
-    extension file is loaded from scipy's directory and registered under
-    that name, so a later import of scipy.linalg reuses it; only where the
-    file is missing is the package imported. Its f2py signatures are scipy
-    internals, checked against scipy 1.17.1 only: CI's floors job is the one
-    run against scipy 1.10.
+    import system's path finder looks for it in scipy's linalg directory,
+    and the module it finds is loaded and registered under that name, so a
+    later import of scipy.linalg reuses it; only where it finds none is the
+    package imported. Its f2py signatures are scipy internals, checked
+    against scipy 1.17.1 only: CI's floors job is the one run against scipy
+    1.10.
     """
     name = "scipy.linalg._flapack"
     with _LAPACK_LOAD:  # threads that load it at once load it once
         if name not in sys.modules:
             roots = importlib.util.find_spec("scipy").submodule_search_locations
-            paths = [os.path.join(root, "linalg", "_flapack" + suffix) for root in roots
-                     for suffix in importlib.machinery.EXTENSION_SUFFIXES]
-            path = next((p for p in paths if os.path.isfile(p)), None)
-            if path is None:
+            spec = importlib.machinery.PathFinder.find_spec(
+                name, [os.path.join(root, "linalg") for root in roots])
+            if spec is None:
                 from scipy.linalg import _flapack as module
             else:
-                loader = importlib.machinery.ExtensionFileLoader(name, path)
-                module = importlib.util.module_from_spec(
-                    importlib.util.spec_from_loader(name, loader))
-                loader.exec_module(module)
+                module = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(module)
             sys.modules[name] = module
         return sys.modules[name]
 
@@ -233,14 +231,10 @@ def _chunked(dot, a: np.ndarray, b: np.ndarray):
     return sum(parts[1:], parts[0])
 
 
-def _energy_scale(phi: np.ndarray, diag: np.ndarray, off: np.ndarray) -> float:
-    """|<H>| plus twice the spread, the rate at which overlap phases can turn."""
-    return _energy_moments(phi, diag, off)[1]
-
-
 def _energy_moments(phi: np.ndarray, diag: np.ndarray, off: np.ndarray
                     ) -> tuple[float, float]:
-    """<H> in phi and _energy_scale, from one product H phi."""
+    """<H> in phi, and |<H>| plus twice the spread, the rate at which overlap
+    phases can turn: both from one product H phi."""
     hphi = diag * phi
     hphi[:-1] += off * phi[1:]
     hphi[1:] += off * phi[:-1]
@@ -366,13 +360,14 @@ def _sweep(state: RadialState, path: LambdaPath, steps: int, u: UnitSystem,
     over roots, z = i ds H / hbar: one factor at zeta = -2 is Crank-Nicolson,
     the pair -3 +- i sqrt(3) the (2,2) diagonal Pade approximant of exp(z).
     Per segment H is built once; the state entering the segment turns overlap
-    phases by about turn = dur _energy_scale / hbar over it, and the segment
-    takes steps, or with cap max(steps, ceil(turn / cap)): no other code
-    sizes a sweep. A floor steps past MAX_SWEEP_WORK grid points x steps on
-    one segment is refused (ValueError) before the sweep starts, and a
-    segment whose count takes the sweep past it, or whose step ds is
-    subnormal, before it is factored. Each factor's matrix is LU-factored
-    once (_cayley), and each factor then costs one zgttrs solve. A
+    phases by about turn = dur scale / hbar over it (scale from
+    _energy_moments), and the segment takes steps, or with cap max(steps,
+    ceil(turn / cap)): no other code sizes a sweep. A floor steps past
+    MAX_SWEEP_WORK grid points x steps on one segment is refused
+    (ValueError) before the sweep starts, and a segment whose count takes
+    the sweep past it, or whose step ds is subnormal, before it is
+    factored. Each factor's matrix is LU-factored once (_cayley), and each
+    factor then costs one zgttrs solve. A
     Crank-Nicolson sweep on SPLIT_POINTS or more points that keeps no record
     (_adjoint_sweep solves with one-block factors) instead factors two
     diagonal blocks per segment (_two_blocks) and solves them at once on two
@@ -417,7 +412,7 @@ def _sweep(state: RadialState, path: LambdaPath, steps: int, u: UnitSystem,
             ham = _hamiltonian_tridiag(grid, state.l, lam, u)
             if cap is not None or out_conj is not None:
                 # float arithmetic: a turn past the float range is inf, over the budget
-                turn = float(dur) * _energy_scale(phi, *ham) / u.hbar
+                turn = float(dur) * _energy_moments(phi, *ham)[1] / u.hbar
             n_steps = steps if cap is None else max(steps, turn / cap)
             if (total + n_steps) * grid.num_points > MAX_SWEEP_WORK:
                 raise ValueError(

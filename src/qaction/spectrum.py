@@ -81,8 +81,8 @@ class RadialGrid:
     def __post_init__(self):
         if not 0.0 < self.r_min < self.r_max < math.inf:
             raise ValueError("need 0 < r_min < r_max < inf")
-        if self.num_points < 16:
-            raise ValueError("need at least 16 grid points")
+        if not (isinstance(self.num_points, numbers.Integral) and self.num_points >= 16):
+            raise ValueError(f"need at least 16 grid points, an integer, got {self.num_points!r}")
         if self.spacing not in (UNIFORM, LOG):
             raise ValueError(f"unknown spacing {self.spacing!r}")
         if self.spacing == UNIFORM:
@@ -133,9 +133,13 @@ def _simpson_weights(n: int, h: float) -> np.ndarray:
     return w
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RadialState:
-    """Reduced radial wave function u(r) = r R(r) sampled on a grid."""
+    """Reduced radial wave function u(r) = r R(r) sampled on a grid.
+
+    States are equal when their grids, l and amplitudes are; like their
+    amplitude arrays, they are not hashable.
+    """
 
     grid: RadialGrid
     l: int
@@ -147,10 +151,16 @@ class RadialState:
             raise ValueError("amplitudes must be a 1d array matching the grid")
         if not np.all(np.isfinite(amp.view(float))):
             raise ValueError("amplitudes contain non-finite entries")
-        if self.l < 0:
-            raise ValueError("l must be non-negative")
+        if not (isinstance(self.l, numbers.Integral) and self.l >= 0):
+            raise ValueError(f"l must be non-negative and an integer, got {self.l!r}")
         amp.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)
+
+    def __eq__(self, other):
+        if not isinstance(other, RadialState):
+            return NotImplemented
+        return bool(self.grid == other.grid and self.l == other.l
+                    and np.array_equal(self.amplitudes, other.amplitudes))
 
 
 def state_norm(state: RadialState) -> float:

@@ -69,7 +69,7 @@ class VariationalProblem:
     takes exactly that many per segment and refuses, never re-steps, a trial
     path too fast for it (UNWRAP_PHASE in qaction.propagation). start is
     worked out too, optimize_path's scaled start lambda_j / mc: where phi_out
-    is phi_in (same grid, l and amplitudes), the closed-form stationary
+    == phi_in (same grid, l and amplitudes), the closed-form stationary
     2 / sqrt(1 + 2E / mc^2) of the level E = <H_std(2 m c)> / 2m that phi_in
     has at lambda = 2 m c, if that is real and its S inside s_bounds();
     otherwise 2, the classical lambda = 2 m c. A residual's
@@ -117,10 +117,8 @@ class VariationalProblem:
                 f"LU factors per residual, over the budget of {MAX_STORED_BYTES}; "
                 "lower x10 or the grid points")
         object.__setattr__(self, "steps_per_segment", steps)
-        out, shrink = self.phi_out, 1.0 + mean / (self.u.mc * self.u.mc)
-        same = (out.grid == phi.grid and out.l == phi.l
-                and np.array_equal(out.amplitudes, phi.amplitudes))
-        start = 2.0 / math.sqrt(shrink) if same and shrink > 0.0 else 2.0
+        shrink = 1.0 + mean / (self.u.mc * self.u.mc)
+        start = 2.0 / math.sqrt(shrink) if self.phi_out == phi and shrink > 0.0 else 2.0
         if not self._feasible(np.full(self.segments, start)):
             start = 2.0
         object.__setattr__(self, "start", start)

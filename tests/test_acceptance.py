@@ -25,6 +25,7 @@ from qaction.stationary import (
     action_value, level_comparison, solve_stationary, stationary_closed_form,
 )
 from qaction.variational import VariationalProblem, optimize_path
+from conftest import ACCEPTANCE_ARGS
 
 ALPHAS = (0.01, 0.0072973525693, 0.1)
 
@@ -244,22 +245,9 @@ def test_acceptance_09_action_gradient_matches_finite_difference(u10):
     assert ok, "; ".join(errors[:5])
 
 
-def test_acceptance_10_cli_byte_determinism(tmp_path):
-    steps_path = tmp_path / "steps.csv"
-    steps_path.write_text("s_end,lambda\n1.0,2.0\n2.5,1.0\n")
-    const_path = tmp_path / "const.csv"
-    const_path.write_text("0.5,20.0\n")
-    commands = [
-        ["spectrum", "--alpha", "0.1"],
-        ["stationary", "--alpha", "0.1", "--n", "2", "--x10", "12.5"],
-        ["packet", "--alpha", "0.5", "--path-file", str(steps_path),
-         "--sigma", "0.8", "--steps", "50"],
-        ["propagate", "--alpha", "0.1", "--path-file", str(const_path),
-         "--grid-points", "900", "--rmax", "25", "--steps", "300"],
-        ["timemap", "--path-file", str(steps_path), "--samples", "41"],
-        ["optimize", "--alpha", "0.1", "--in", "1,0", "--out", "1,0",
-         "--x10", "40.0", "--grid-points", "600", "--rmax", "24"],
-    ]
+def test_acceptance_10_cli_byte_determinism(two_segment_path, const_path_20):
+    commands = [argv.format(two=two_segment_path, const=const_path_20).split()
+                for argv in ACCEPTANCE_ARGS.values()]
     errors = []
     for argv in commands:
         cmd = [sys.executable, "-m", "qaction"] + argv

@@ -13,7 +13,7 @@ import qaction.propagation as propagation
 from qaction import make_units, stationary_closed_form
 from qaction.cli import (_COMMANDS, _COMMON_FIRST, OPTIONS, SPECTRUM_COLUMNS, emit_json, main,
                          render_csv, resolve_config)
-from conftest import record_calls
+from conftest import ACCEPTANCE_ARGS, record_calls
 
 FROZEN_ALPHA = "0.1"
 
@@ -25,20 +25,6 @@ def cli(capsys):
         out, err = capsys.readouterr()
         return code, out, err
     return run
-
-
-@pytest.fixture()
-def two_segment_path(tmp_path):
-    p = tmp_path / "path.csv"
-    p.write_text("s_end,lambda\n1.0,2.0\n2.5,1.0\n")
-    return str(p)
-
-
-@pytest.fixture()
-def const_path_20(tmp_path):
-    p = tmp_path / "const.csv"
-    p.write_text("0.5,20.0\n")
-    return str(p)
 
 
 def test_spectrum_csv_layout(cli):
@@ -235,19 +221,6 @@ def test_stationary_at_huge_x10_warns_nothing(cli, u_codata):
 # exits 0 printing only finite numbers, and warns nothing either way. Named
 # rows pin how a known input fails; generated rows put every float option of
 # every command, and extreme path files, into that command's acceptance-10 run
-
-# acceptance 10's argv; {two} and {const} are the shared path files
-ACCEPTANCE_ARGS = {
-    "spectrum": "spectrum --alpha 0.1",
-    "stationary": "stationary --alpha 0.1 --n 2 --x10 12.5",
-    "packet": "packet --alpha 0.5 --path-file {two} --sigma 0.8 --steps 50",
-    "propagate": "propagate --alpha 0.1 --path-file {const} --grid-points 900 "
-                 "--rmax 25 --steps 300",
-    "optimize": "optimize --alpha 0.1 --in 1,0 --out 1,0 --x10 40.0 "
-                "--grid-points 600 --rmax 24",
-    "timemap": "timemap --path-file {two} --samples 41",
-}
-
 
 def row(name, argv, code, error_type, *says, exact=None, config=None, path=None):
     """A named failure: its exit code, error type, and the fragments its
@@ -558,6 +531,8 @@ def test_csv_emitter_tokens_and_refusals():
         render_csv("t", {}, ["a"], [["x,y"]])
     with pytest.raises(ValueError, match="row length"):
         render_csv("t", {}, ["a", "b"], [[1.0]])
+    with pytest.raises(TypeError, match="in CSV"):  # a JSON array is no cell
+        render_csv("t", {}, ["a"], [[[1.0, 2.0]]])
 
 
 @pytest.mark.parametrize("value", [1 + 2j, np.int64(3), np.array([1.0, 2.0])],

@@ -124,6 +124,17 @@ def test_csv_header_optional(tmp_path):
     assert p.S == 2.0
 
 
+@pytest.mark.parametrize("text", ["\ufeffs_end,lambda\n1.0,2.0\n2.0,1.0\n",
+                                  "\ufeff1.0,2.0\n2.0,1.0\n"],
+                         ids=["before-header", "before-data-row"])
+def test_csv_leading_byte_order_mark_is_dropped(tmp_path, text):
+    # editors that save "UTF-8 with BOM" put U+FEFF before the first row
+    f = tmp_path / "bom.csv"
+    f.write_text(text, encoding="utf-8")
+    p = load_path_csv(str(f))
+    assert list(p.breakpoints) == [1.0, 2.0] and list(p.values) == [2.0, 1.0]
+
+
 def test_csv_malformed_names_line(tmp_path):
     f = tmp_path / "bad.csv"
     f.write_text("s_end,lambda\n1.0,2.0\noops\n")

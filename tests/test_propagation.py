@@ -16,7 +16,7 @@ from qaction import (
 from qaction import propagation
 from qaction.propagation import (BLAS_SERIAL, CN_ROOTS, MAX_PHASE_PER_STEP,
                                  PADE22_ROOTS, SPLIT_POINTS, _adjoint_sweep,
-                                 _cayley, _chunked, _energy_scale,
+                                 _cayley, _chunked, _energy_moments,
                                  _hamiltonian_tridiag, _sweep, _transition,
                                  _two_blocks, _TwoBlockSolver)
 from qaction.spectrum import LOG, UNIFORM
@@ -212,9 +212,13 @@ def test_lapack_loads_its_file_under_its_own_name(monkeypatch):
 
 
 def test_lapack_falls_back_to_the_package_without_its_file(monkeypatch):
+    # the path finder finds no file of that name, so the package's module is used
     import importlib.machinery
+    finder = importlib.machinery.PathFinder
+    find_spec = finder.find_spec
     monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
-    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
+    monkeypatch.setattr(finder, "find_spec", lambda name, *args: None
+                        if name == "scipy.linalg._flapack" else find_spec(name, *args))
     fallback = object()
     monkeypatch.setattr(scipy.linalg, "_flapack", fallback)
     assert propagation._lapack() is fallback
@@ -538,11 +542,11 @@ def test_counts_follow_the_state_entering_each_segment(u10, monkeypatch):
     phi, counts, turns = s2, [], []
     for lam, dur in zip(path.values, path.durations):
         ham = _hamiltonian_tridiag(g, 0, lam, u10)
-        turns.append(dur * _energy_scale(np.asarray(phi.amplitudes), *ham) / u10.hbar)
+        turns.append(dur * _energy_moments(np.asarray(phi.amplitudes), *ham)[1] / u10.hbar)
         counts.append(math.ceil(turns[-1] / MAX_PHASE_PER_STEP))
         phi = evolve(phi, LambdaPath.constant(lam, dur), counts[-1], u10)
     last = _hamiltonian_tridiag(g, 0, path.values[-1], u10)
-    from_phi_in = path.durations[-1] * _energy_scale(np.asarray(s2.amplitudes), *last)
+    from_phi_in = path.durations[-1] * _energy_moments(np.asarray(s2.amplitudes), *last)[1]
     assert counts[-1] > math.ceil(from_phi_in / u10.hbar / MAX_PHASE_PER_STEP)
     calls = record_calls(monkeypatch, lapack, "zgttrs")
     amp = transition_amplitude(s2, s1, path, u10)

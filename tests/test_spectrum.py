@@ -149,6 +149,11 @@ def test_radial_grid_validation():
         RadialGrid(r_min=0.1, r_max=1.0, num_points=8)
     with pytest.raises(ValueError):
         RadialGrid(r_min=0.1, r_max=1.0, num_points=100, spacing="cubic")
+    # a float count is refused by the grid, not left to numpy's TypeError
+    for make in (lambda: RadialGrid(r_min=0.1, r_max=1.0, num_points=100.0),
+                 lambda: propagation_grid(30.0, 2000.0)):
+        with pytest.raises(ValueError, match="need at least 16 grid points"):
+            make()
 
 
 def test_step_is_for_uniform_grids_only():
@@ -305,3 +310,22 @@ def test_radial_state_validation(u10):
         RadialState(g, 0, np.full(64, np.nan, dtype=complex))
     with pytest.raises(ValueError, match="l must be non-negative"):
         RadialState(g, -1, np.ones(64, dtype=complex))
+    # l(l+1) of a float l is no centrifugal term of any level
+    for l in (1.5, np.float64(1.0)):
+        with pytest.raises(ValueError, match="l must be non-negative"):
+            RadialState(g, l, np.ones(64, dtype=complex))
+
+
+def test_radial_states_compare_by_value():
+    g = RadialGrid(r_min=1e-6, r_max=200.0, num_points=64, spacing=LOG)
+    amp = np.linspace(0.0, 1.0, 64) + 0.5j
+    state = RadialState(g, 1, amp)
+    assert state == RadialState(g, np.int64(1), amp.copy())  # a twin built apart
+    assert state != RadialState(g, 1, amp + 1e-12)
+    assert state != RadialState(g, 2, amp)
+    other_grid = RadialGrid(r_min=1e-6, r_max=100.0, num_points=64, spacing=LOG)
+    assert state != RadialState(other_grid, 1, amp)
+    for other in (g, None, "state"):  # a non-state is never equal, and never raises
+        assert (state == other) is False and state != other
+    with pytest.raises(TypeError):
+        hash(state)
