@@ -9,13 +9,13 @@ reruns are byte-identical and values round-trip exactly; non-finite floats
 become null in JSON and nan/inf tokens in CSV.
 
 Two tables hold every fact about the interface. OPTIONS maps each config key
-to its flags, type, choices, value check, help text and whether the header
-echoes it. _COMMANDS maps each subcommand to its help line, its runner,
-whether it is a table command (CSV by default) and its own options in header
-order, each with a default or marked required. The parser, the config-file
-types, the defaults, the checks, the header and the dispatch are all read
-from them. A runner takes the configuration and the units and returns data,
-a JSON result dict or table (columns, rows); main renders it in one place.
+to its flags, type, choices, value check and help text. _COMMANDS maps each
+subcommand to its help line, its runner, whether it is a table command (CSV by
+default) and its own options in header order, each with a default or marked
+required. The parser, the config-file types, the defaults, the checks, the
+header and the dispatch are all read from them. A runner takes the
+configuration and the units and returns data, a JSON result dict or table
+(columns, rows); main renders it in one place.
 
 Exit codes: 0 success, 2 configuration or value errors, 3 numerical failures
 (non-convergence, boundary reflection, undefined phase).
@@ -129,9 +129,7 @@ class Option:
     """One config key.
 
     check pairs a predicate that is true for a rejected value with the
-    message reported after the option's first flag. Output paths set echo to
-    False, so the emitted content is identical whether it goes to stdout or
-    a file.
+    message reported after the option's first flag.
     """
 
     flags: tuple[str, ...]
@@ -139,7 +137,6 @@ class Option:
     help: str
     check: tuple[Callable, str] | None = None
     choices: tuple[str, ...] | None = None
-    echo: bool = True
 
 
 _POSITIVE = (lambda v: v <= 0, "must be positive")
@@ -166,8 +163,7 @@ OPTIONS: dict[str, Option] = {
     "seed": Option(("--seed",), int, "recorded in the header for provenance"),
     "format": Option(("--format",), str, "output format (tables default to csv)",
                      choices=("json", "csv")),
-    "output": Option(("--output",), str, "output file, or - for stdout",
-                     echo=False),
+    "output": Option(("--output",), str, "output file, or - for stdout"),
     "lam_mc": Option(("--lam-mc",), float,
                      "lambda in units of m c for the epsilon column", _POSITIVE),
     "x10": Option(("--x10",), float, "prescribed integral of lambda", _POSITIVE),
@@ -200,9 +196,6 @@ OPTIONS: dict[str, Option] = {
                         "path CSV with rows s_end,lambda"),
     "state_in": Option(("--in",), str, "input state as 'n,l'", _STATE),
     "state_out": Option(("--out",), str, "output state as 'n,l'", _STATE),
-    "timemap_output": Option(("--timemap-output",), str,
-                             "also write the solution's time map to this CSV file",
-                             echo=False),
 }
 
 # options every command takes, the first group with its defaults; the header
@@ -267,8 +260,9 @@ def resolve_config(command: str, flags: dict, file_cfg: dict) -> SimpleNamespace
 
 
 def _header_dict(command: str, cfg: SimpleNamespace) -> dict:
+    # a document is the same on stdout as in a file, so output is left out
     names = (*_COMMON_FIRST, *_COMMANDS[command].options, *_COMMON_LAST)
-    return {k: getattr(cfg, k) for k in names if OPTIONS[k].echo}
+    return {k: getattr(cfg, k) for k in names if k != "output"}
 
 
 def _write_text(text: str, path: str | None) -> None:
@@ -382,15 +376,11 @@ def run_optimize(cfg: SimpleNamespace, u: UnitSystem) -> dict:
     if not sol.converged:
         raise RuntimeError(f"path search stalled at scaled residual {sol.residual:.3e} "
                            f"(tol {cfg.tol:.3e}) after {sol.iterations} steps")
-    # the solution's time map goes to --timemap-output when given, otherwise
-    # rides alongside a file --output; stdout runs emit the JSON only
-    timemap_target = cfg.timemap_output
-    if timemap_target is None and cfg.output not in (None, "-"):
-        timemap_target = cfg.output + ".timemap.csv"
-    if timemap_target is not None:
+    # the solution's time map rides alongside a file --output, not stdout
+    if cfg.output not in (None, "-"):
         rows = _timemap_rows(sol.path, cfg.timemap_samples)
         _write_text(render_csv("timemap", _header_dict("optimize", cfg),
-                               ["s", "x0"], rows), timemap_target)
+                               ["s", "x0"], rows), cfg.output + ".timemap.csv")
     return {
         "lambda_path": list(sol.path.values),
         "segment_ends": list(sol.path.breakpoints),
@@ -440,8 +430,7 @@ _COMMANDS: dict[str, Command] = {
         "find the stationary control path at fixed x10", run_optimize, False,
         {"state_in": _REQUIRED, "state_out": _REQUIRED, "x10": _REQUIRED,
          "segments": 1, "tol": 1e-8, "max_iters": 40, "grid_points": 1500,
-         "rmax": 35.0, "prep_lam_mc": 2.0, "timemap_output": None,
-         "timemap_samples": 101}),
+         "rmax": 35.0, "prep_lam_mc": 2.0, "timemap_samples": 101}),
     "timemap": Command(
         "invert the running integral of lambda", run_timemap, True,
         {"path_file": _REQUIRED, "samples": 101, "x0": None}),

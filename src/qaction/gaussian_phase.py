@@ -92,6 +92,8 @@ def chi_initial(sigma: float) -> GaussianPhaseState:
     """
     if not sigma > 0.0:
         raise ValueError("sigma must be positive")
+    if not sigma * sigma > 0.0:
+        raise ValueError(f"sigma = {sigma!r} is too small: sigma^2 underflows to 0")
     return GaussianPhaseState(
         chi0=complex(-0.25 * math.log(2.0 * math.pi * sigma * sigma)),
         chi1=0.0 + 0.0j,
@@ -183,11 +185,13 @@ def packet_diagnostics(state: GaussianPhaseState, x0_grid: np.ndarray) -> Packet
     x = np.asarray(x0_grid, dtype=float)
     if x.ndim != 1 or x.size < 8 or not np.all(np.diff(x) > 0.0):
         raise ValueError("x0 grid must be 1d, increasing, with at least 8 points")
-    re_chi = (state.chi0.real + state.chi1.real * x + 0.5 * state.chi2.real * x * x)
+    with np.errstate(over="ignore"):  # x * x past the float range: the density is 0 there
+        re_chi = (state.chi0.real + state.chi1.real * x + 0.5 * state.chi2.real * x * x)
     dens = np.exp(2.0 * re_chi)
     mass = _trapezoid(dens, x)
     if not mass > 0.0:
         raise ValueError("packet density vanishes on the supplied grid")
     center = _trapezoid(x * dens, x) / mass
-    var = _trapezoid((x - center) ** 2 * dens, x) / mass
+    sq = np.square(x - center, where=dens > 0.0, out=np.zeros_like(x))  # no inf * 0
+    var = _trapezoid(sq * dens, x) / mass
     return PacketDiagnostics(center=center, width=math.sqrt(var), norm=math.sqrt(mass))

@@ -153,7 +153,9 @@ def lambda_from_trajectory(s_samples: np.ndarray,
         raise ValueError("trajectory samples must start at s = 0, x0 = 0")
     if np.any(np.diff(s) <= 0.0) or np.any(np.diff(x) <= 0.0):
         raise ValueError("trajectory samples must be strictly increasing")
-    return LambdaPath(breakpoints=s[1:], values=np.diff(x) / np.diff(s))
+    with np.errstate(over="ignore"):  # LambdaPath refuses an infinite slope
+        values = np.diff(x) / np.diff(s)
+    return LambdaPath(breakpoints=s[1:], values=values)
 
 
 def load_path_csv(filename) -> LambdaPath:

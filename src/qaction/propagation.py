@@ -362,12 +362,14 @@ def _sweep(state: RadialState, path: LambdaPath, steps: int, u: UnitSystem,
     Per segment H is built once; the state entering the segment turns overlap
     phases by about turn = dur scale / hbar over it (scale from
     _energy_moments), and the segment takes steps, or with cap max(steps,
-    ceil(turn / cap)): no other code sizes a sweep. A floor steps past
-    MAX_SWEEP_WORK grid points x steps on one segment is refused
-    (ValueError) before the sweep starts, and a segment whose count takes
-    the sweep past it, or whose step ds is subnormal, before it is
-    factored. Each factor's matrix is LU-factored once (_cayley), and each
-    factor then costs one zgttrs solve. A
+    ceil(turn / cap)): this sizes transition_amplitude's sweeps segment by
+    segment. evolve passes its caller's count and a path search the count
+    VariationalProblem.steps_per_segment fixes once from the same scale,
+    both without a cap. A floor steps past MAX_SWEEP_WORK grid points x
+    steps on one segment is refused (ValueError) before the sweep starts,
+    and a segment whose count takes the sweep past it, or whose step ds is
+    subnormal, before it is factored. Each factor's matrix is LU-factored
+    once (_cayley), and each factor then costs one zgttrs solve. A
     Crank-Nicolson sweep on SPLIT_POINTS or more points that keeps no record
     (_adjoint_sweep solves with one-block factors) instead factors two
     diagonal blocks per segment (_two_blocks) and solves them at once on two

@@ -91,7 +91,10 @@ class RadialGrid:
         else:
             r = np.geomspace(self.r_min, self.r_max, self.num_points)
             hx = math.log(self.r_max / self.r_min) / (self.num_points - 1)
-            w = _simpson_weights(self.num_points, hx) * r  # dr = r dx
+            with np.errstate(over="ignore"):
+                w = _simpson_weights(self.num_points, hx) * r  # dr = r dx
+            if not np.all(np.isfinite(w)):
+                raise ValueError(f"log grid weights on [{self.r_min}, {self.r_max}] overflow")
         for name, arr in (("_points", r), ("_weights", w)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)

@@ -295,6 +295,12 @@ NAMED_FAILURES = [
         exact="--in must be two integers as 'n,l'"),
     row("config-unknown-key", "stationary --config {config} --n 1 --x10 1.0", 2, "ValueError",
         exact="unknown config keys: typo_key", config='{"alpha": 0.1, "typo_key": 1}'),
+    # optimize writes its time map beside a file --output and has no flag or key to move it
+    row("optimize-timemap-output-flag", ACCEPTANCE_ARGS["optimize"] + " --timemap-output t.csv",
+        2, "ValueError", exact="qaction: unrecognized arguments: --timemap-output t.csv"),
+    row("optimize-timemap-output-key", ACCEPTANCE_ARGS["optimize"] + " --config {config}", 2,
+        "ValueError", exact="unknown config keys: timemap_output",
+        config='{"timemap_output": "t.csv"}'),
     row("config-integer-too-large", "stationary --config {config} --n 1", 2, "ValueError",
         exact="config key 'x10' is too large for a float", config='{"x10": 1%s}' % ("0" * 400)),
     # huge counts, refused as integers by their owners: once bare OverflowErrors
@@ -489,11 +495,15 @@ def test_header_config_round_trips(cli, tmp_path, two_segment_path,
 
 def test_optimize_json_and_sidecar(cli, tmp_path, monkeypatch):
     monkeypatch.setenv("QACTION_OUTPUT_DIR", str(tmp_path))
-    code, out, err = cli("optimize", "--alpha", FROZEN_ALPHA,
-                         "--in", "1,0", "--out", "1,0", "--x10", "40.0",
-                         "--grid-points", "600", "--rmax", "24",
-                         "--output", "opt.json")
+    argv = ("optimize", "--alpha", FROZEN_ALPHA, "--in", "1,0", "--out", "1,0",
+            "--x10", "40.0", "--grid-points", "600", "--rmax", "24")
+    # a stdout run writes no sidecar
+    code, out, err = cli(*argv)
     assert code == 0, err
+    assert list(tmp_path.iterdir()) == []
+    code, printed, err = cli(*argv, "--output", "opt.json")
+    assert code == 0 and printed == "", err
+    assert (tmp_path / "opt.json").read_text() == out
     doc = json.loads((tmp_path / "opt.json").read_text())
     r = doc["result"]
     assert list(r.keys()) == ["lambda_path", "segment_ends", "s_total", "kappa",

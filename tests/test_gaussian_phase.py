@@ -35,6 +35,10 @@ def test_chi_initial_domain():
         chi_initial(0.0)
     with pytest.raises(ValueError):
         chi_initial(-1.0)
+    # sigma^2 underflows to 0: once a bare math domain error or ZeroDivisionError
+    for sigma in (1e-200, 1e-162):
+        with pytest.raises(ValueError, match="sigma = .* is too small"):
+            chi_initial(sigma)
     with pytest.raises(ValueError):
         GaussianPhaseState(chi0=complex(np.nan), chi1=0j, chi2=-0.5 + 0j, s=0.0)
 
@@ -160,6 +164,12 @@ def test_diagnostics_domain_errors():
     # exp(2 Re chi) underflows to zero fifty widths out
     with pytest.raises(ValueError, match="density vanishes"):
         packet_diagnostics(st, np.linspace(50.0, 60.0, 50))
+    # x * x overflows on a grid past 1e154; the density there is 0, with no
+    # numpy warning, and one point at the center gives the packet no width
+    with pytest.raises(ValueError, match="density vanishes"):
+        packet_diagnostics(st, np.linspace(-1e200, 1e200, 50))
+    with pytest.raises(ValueError, match="width and norm must be positive"):
+        packet_diagnostics(st, np.linspace(-1e200, 1e200, 51))
     # the state refuses Re chi2 >= 0 itself, so no diagnostic meets one
     for chi2 in (0.25 + 0j, 1j):
         with pytest.raises(ValueError, match="not normalizable"):

@@ -290,3 +290,6 @@ def test_lambda_from_trajectory_validation():
     with pytest.raises(ValueError):
         lambda_from_trajectory(np.array([0.0, 1.0, 2.0]),
                                np.array([0.0, 2.0, 1.0]))
+    # the chord slope overflows: the path refuses it, and no numpy warning
+    with pytest.raises(ValueError, match="non-finite"):
+        lambda_from_trajectory(np.array([0.0, 1e-320]), np.array([0.0, 1.0]))

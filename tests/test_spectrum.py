@@ -154,6 +154,10 @@ def test_radial_grid_validation():
                  lambda: propagation_grid(30.0, 2000.0)):
         with pytest.raises(ValueError, match="need at least 16 grid points"):
             make()
+    # r dx past the float range, or ln(r_max / r_min) = inf: refused, not an inf weight
+    for r_min, r_max in ((1.0, 1e308), (1e-300, 1e300)):
+        with pytest.raises(ValueError, match="log grid weights"):
+            RadialGrid(r_min=r_min, r_max=r_max, num_points=100)
 
 
 def test_step_is_for_uniform_grids_only():
