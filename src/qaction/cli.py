@@ -313,7 +313,7 @@ def run_stationary(cfg: SimpleNamespace, u: UnitSystem) -> dict:
         "s_total": point.S,
         "kappa": point.kappa,
         "kappa_c": point.kappa_c,
-        "x10": point.x10,
+        "x10": cfg.x10,
         "comparisons": [
             {"p": c.p, "k": c.k, "nstar_sq": c.nstar_sq,
              "energy_sommerfeld": c.energy, "difference": c.difference}
@@ -356,7 +356,7 @@ def run_propagate(cfg: SimpleNamespace, u: UnitSystem) -> dict:
         "action_phase": amp.I,
         "log_magnitude": amp.Q,
         "probability": transition_probability(amp),
-        "s_total": amp.path.S,
+        "s_total": path.S,
         "norm_drift": amp.norm_drift,
         "phase_valid": amp.phase_valid,
     }

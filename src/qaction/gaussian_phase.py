@@ -183,8 +183,11 @@ def packet_diagnostics(state: GaussianPhaseState, x0_grid: np.ndarray) -> Packet
     tail converges far below the tolerances used in tests.
     """
     x = np.asarray(x0_grid, dtype=float)
-    if x.ndim != 1 or x.size < 8 or not np.all(np.diff(x) > 0.0):
+    if x.ndim != 1 or x.size < 8 or not np.all(x[1:] > x[:-1]):
         raise ValueError("x0 grid must be 1d, increasing, with at least 8 points")
+    with np.errstate(over="ignore"):  # refused here, before _trapezoid weighs it
+        if not np.all(np.isfinite(np.diff(x))):
+            raise ValueError("x0 grid spacing must be finite")
     with np.errstate(over="ignore"):  # x * x past the float range: the density is 0 there
         re_chi = (state.chi0.real + state.chi1.real * x + 0.5 * state.chi2.real * x * x)
     dens = np.exp(2.0 * re_chi)

@@ -87,7 +87,6 @@ class TransitionAmplitude:
     K: complex
     I: float
     Q: float
-    path: LambdaPath
     phase_valid: bool
     norm_drift: float
 
@@ -610,7 +609,7 @@ def _transition(phi_in: RadialState, phi_out: RadialState, path: LambdaPath,
     return TransitionAmplitude(
         K=K, I=-u.hbar * theta if valid else float("nan"),
         Q=math.log(mag) if valid else float("-inf"),
-        path=path, phase_valid=valid, norm_drift=norm_drift)
+        phase_valid=valid, norm_drift=norm_drift)
 
 
 def transition_amplitude(phi_in: RadialState, phi_out: RadialState,

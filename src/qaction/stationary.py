@@ -21,6 +21,7 @@ gradient, run in scaled variables so one tolerance covers all components.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -57,7 +58,6 @@ class StationaryPoint:
     S: float
     kappa: float
     kappa_c: float
-    x10: float
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,6 @@ class SommerfeldComparison:
 class LevelComparison:
     """Stationary-action level energy against every Sommerfeld (p, k) partner."""
 
-    n: int
     energy: float
     comparisons: tuple[SommerfeldComparison, ...]
 
@@ -106,8 +105,8 @@ def action_value(d: float, lam: float, S: float, kappa: float,
 def stationary_closed_form(n: QuantumNumbers | int, x10: float,
                            u: UnitSystem) -> StationaryPoint:
     """Closed-form stationary point; the oracle the solver is tested against."""
-    if not x10 > 0.0:
-        raise ValueError("x10 must be positive")
+    if not 0.0 < x10 < math.inf:
+        raise ValueError("x10 must be positive and finite")
     e_n = bohr_energy(n, u)
     shrink = 1.0 + 2.0 * e_n / u.rest_energy  # equals 1 - (alpha/n)^2 > 0
     lam = 2.0 * u.mc / math.sqrt(shrink)
@@ -118,7 +117,6 @@ def stationary_closed_form(n: QuantumNumbers | int, x10: float,
         S=x10 / lam,
         kappa=kappa_c / u.c,
         kappa_c=kappa_c,
-        x10=x10,
     )
 
 
@@ -154,8 +152,13 @@ def _damped_newton(residual: Callable[[np.ndarray], tuple[np.ndarray, object]],
     sufficient-decrease test max|r| <= (1 - 1e-4 t) max|r_prev| (Dennis &
     Schnabel, section 6.3). Stops once max|r| <= tol, after max_iters steps,
     or when no step is accepted. Returns (z, r, data, steps taken, converged)
-    of the last accepted point.
+    of the last accepted point. It checks tol (0 < tol < inf) and max_iters (a
+    whole number >= 1) for both callers, before the first residual.
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    if not (isinstance(max_iters, numbers.Integral) and max_iters >= 1):
+        raise ValueError(f"max_iters must be a whole number >= 1, got {max_iters!r}")
     z = z0
     r, data = residual(z)
     err = float(np.max(np.abs(r)))
@@ -188,10 +191,8 @@ def solve_stationary(n: QuantumNumbers | int, x10: float, u: UnitSystem,
     natural scale (momenta against m c S and m^2 c^2, the constraint against
     x10). Quadratic convergence makes 1e-12 a cheap default.
     """
-    if not x10 > 0.0:
-        raise ValueError("x10 must be positive")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < x10 < math.inf:
+        raise ValueError("x10 must be positive and finite")
     e_n = bohr_energy(n, u)
     S0 = x10 / (2.0 * u.mc)
     scale = np.array([u.mc, u.mc, S0, u.mc])
@@ -220,8 +221,7 @@ def solve_stationary(n: QuantumNumbers | int, x10: float, u: UnitSystem,
         raise RuntimeError("stationarity iteration stalled at scaled residual "
                            f"{float(np.max(np.abs(r))):.3e} (tol {tol:.3e})")
     d, lam, S, kappa = (float(v) for v in z * scale)
-    return StationaryPoint(d=d, lam=lam, S=S, kappa=kappa, kappa_c=kappa * u.c,
-                           x10=x10)
+    return StationaryPoint(d=d, lam=lam, S=S, kappa=kappa, kappa_c=kappa * u.c)
 
 
 def level_comparison(n: QuantumNumbers | int, u: UnitSystem) -> LevelComparison:
@@ -245,5 +245,5 @@ def level_comparison(n: QuantumNumbers | int, u: UnitSystem) -> LevelComparison:
                 energy=e_somm,
                 difference=energy - e_somm,
             ))
-    return LevelComparison(n=n.n, energy=energy, comparisons=tuple(rows))
+    return LevelComparison(energy=energy, comparisons=tuple(rows))
 

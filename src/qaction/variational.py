@@ -88,8 +88,8 @@ class VariationalProblem:
     start: float = field(init=False)
 
     def __post_init__(self):
-        if not self.x10 > 0.0:
-            raise ValueError("x10 must be positive")
+        if not 0.0 < self.x10 < math.inf:
+            raise ValueError("x10 must be positive and finite")
         if not (isinstance(self.segments, numbers.Integral) and self.segments >= 1):
             raise ValueError(f"segments must be a whole number >= 1, got {self.segments!r}")
         phi, lam = self.phi_in, 2.0 * self.u.mc
@@ -193,8 +193,8 @@ def full_action(path: LambdaPath, kappa: float,
 
 
 def _kkt_residual(lam: np.ndarray, problem: VariationalProblem
-                  ) -> tuple[np.ndarray, tuple[float, TransitionAmplitude]]:
-    """Scaled lambda rows of the KKT residual, then the multiplier kappa and K.
+                  ) -> tuple[np.ndarray, tuple[float, LambdaPath, TransitionAmplitude]]:
+    """Scaled lambda rows of the KKT residual, then kappa, the trial path and K.
 
     S = x10 / mean(lambda) meets the constraint exactly and kappa zeroes the
     S row, so those two rows vanish and only the N lambda rows remain. Their
@@ -213,7 +213,7 @@ def _kkt_residual(lam: np.ndarray, problem: VariationalProblem
     di_ds = -u.hbar * (dk_ds / amp.K).imag
     kappa = (float(np.mean(0.25 * lam * lam + mc * mc)) - di_ds) / mean_lam
     ds = path.S / problem.segments
-    return ((kappa - 0.5 * lam) * ds + di_dlam) / (mc * ds), (kappa, amp)
+    return ((kappa - 0.5 * lam) * ds + di_dlam) / (mc * ds), (kappa, path, amp)
 
 
 def optimize_path(problem: VariationalProblem, tol: float = 1e-8,
@@ -236,17 +236,14 @@ def optimize_path(problem: VariationalProblem, tol: float = 1e-8,
     raised, so callers still get the best point found; an amplitude within
     roundoff of zero raises PhaseUndefinedError.
     """
-    if not tol > 0.0 or max_iters < 1:
-        raise ValueError("tol and max_iters must be positive")
-    u = problem.u
-    mc = u.mc
+    mc = problem.u.mc
     # -lam_j/2 ds over the row scale mc ds is -z_j/2, so the chord step is 2 r;
     # kappa and I add O(alpha^2)
-    _, resid, (kappa, amp), iterations, converged = _damped_newton(
+    _, resid, (kappa, path, amp), iterations, converged = _damped_newton(
         lambda zv: _kkt_residual(zv * mc, problem), lambda zv, r: 2.0 * r,
         np.full(problem.segments, problem.start), problem._feasible, tol, max_iters)
-    action = classical_action_part(amp.path, kappa, problem.x10, u) + amp.I
-    return StationaryPath(path=amp.path, kappa=kappa, action=action,
+    action = classical_action_part(path, kappa, problem.x10, problem.u) + amp.I
+    return StationaryPath(path=path, kappa=kappa, action=action,
                           residual=float(np.max(np.abs(resid))),
                           amplitude=amp, converged=converged,
                           iterations=iterations)

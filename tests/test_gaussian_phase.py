@@ -161,6 +161,11 @@ def test_diagnostics_domain_errors():
         packet_diagnostics(st, np.zeros(12))
     with pytest.raises(ValueError):
         packet_diagnostics(st, np.linspace(1.0, 0.0, 50))
+    # finite and increasing, but 1e308 - (-1e308) overflows: refused, with no
+    # numpy warning, before the quadrature weighs an infinite interval
+    with pytest.raises(ValueError, match="spacing must be finite"):
+        packet_diagnostics(st, np.array([-1.7e308, -1.5e308, -1.3e308, -1e308,
+                                         1e308, 1.3e308, 1.5e308, 1.7e308]))
     # exp(2 Re chi) underflows to zero fifty widths out
     with pytest.raises(ValueError, match="density vanishes"):
         packet_diagnostics(st, np.linspace(50.0, 60.0, 50))

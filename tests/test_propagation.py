@@ -290,7 +290,6 @@ def test_transition_amplitude_same_state_short(u10):
     assert abs(amp.Q) < 1e-14
     assert amp.phase_valid
     assert amp.norm_drift < 1e-13
-    assert amp.path is path
 
 
 def test_transition_amplitude_eigenstate_phase(u10):
@@ -431,7 +430,6 @@ def test_coarse_and_fine_stepping_agree(u10):
 def test_probability_clamps_roundoff(u10):
     g = propagation_grid(25.0, 900)
     amp = TransitionAmplitude(K=complex(1.0 + 1e-13), I=0.0, Q=0.0,
-                              path=LambdaPath.constant(2.0 * u10.mc, 1.0),
                               phase_valid=True, norm_drift=0.0)
     assert transition_probability(amp) == 1.0
 

@@ -10,12 +10,12 @@ from qaction import (
 from qaction.stationary import _damped_newton, _newton_step
 
 
-def _gradient_scales(sp, u):
+def _gradient_scales(sp, x10, u):
     return {
         "grad_d": u.mc * sp.S,
         "grad_lam": u.mc * sp.S,
         "grad_S": u.mass * u.mass * u.c * u.c,
-        "grad_kappa": sp.x10,
+        "grad_kappa": x10,
     }
 
 
@@ -25,7 +25,7 @@ def test_gradient_vanishes_at_closed_form(u10, u_codata):
             for x10 in (0.5, 7.0, 123.0):
                 sp = stationary_closed_form(n, x10, u)
                 av = action_value(sp.d, sp.lam, sp.S, sp.kappa, n, x10, u)
-                for name, scale in _gradient_scales(sp, u).items():
+                for name, scale in _gradient_scales(sp, x10, u).items():
                     assert abs(getattr(av, name)) <= 1e-10 * scale, (u.alpha, n, name)
 
 
@@ -106,7 +106,6 @@ def test_solver_matches_closed_form(u10, u_codata):
 
 def test_level_comparison_structure(u10):
     lc = level_comparison(2, u10)
-    assert lc.n == 2
     assert len(lc.comparisons) == 4
     assert [(c.p, c.k) for c in lc.comparisons] == [(0, -2), (0, 2), (1, -1), (1, 1)]
     for c in lc.comparisons:
@@ -135,12 +134,20 @@ def test_domain_errors(u10):
         action_value(1.0, 2.0, 0.0, 1.0, 1, 1.0, u10)
     with pytest.raises(ValueError):
         action_value(1.0, 2.0, 1.0, 1.0, 1, -1.0, u10)
-    with pytest.raises(ValueError):
-        stationary_closed_form(1, 0.0, u10)
-    with pytest.raises(ValueError):
-        solve_stationary(1, -2.0, u10)
-    with pytest.raises(ValueError):
-        solve_stationary(1, 1.0, u10, tol=0.0)
+    for x10 in (0.0, math.inf):
+        with pytest.raises(ValueError, match="x10 must be positive and finite"):
+            stationary_closed_form(1, x10, u10)
+    for x10 in (-2.0, math.inf):
+        with pytest.raises(ValueError, match="x10 must be positive and finite"):
+            solve_stationary(1, x10, u10)
+    # the Newton loop refuses its stopping inputs before the first residual,
+    # not as a stall or as a converged start
+    for tol in (0.0, math.inf):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            solve_stationary(1, 1.0, u10, tol=tol)
+    for max_iters in (0, -3):
+        with pytest.raises(ValueError, match="max_iters must be a whole number"):
+            solve_stationary(1, 40.0, u10, max_iters=max_iters)
 
 
 def test_solver_reports_stall(u10):

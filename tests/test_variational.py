@@ -527,7 +527,10 @@ def test_optimize_amplitude_is_last_forward_sweep(u10, counted_solves):
         amp = variational._forward(res.path, problem)
         for name in ("K", "I", "Q", "norm_drift"):
             assert repr(getattr(res.amplitude, name)) == repr(getattr(amp, name)), name
-        assert repr(res.amplitude.path.S) == repr(amp.path.S)
+        # the path is the accepted trial's, whose S meets the constraint
+        trial = LambdaPath.equal_segments(res.path.values,
+                                          40.0 / float(np.mean(res.path.values)))
+        assert repr(res.path.S) == repr(trial.S)
         assert res.action == classical_action_part(res.path, res.kappa, 40.0, u10) + amp.I
 
 
@@ -554,10 +557,12 @@ def test_optimize_argument_validation(u10, coarse_setup):
     g, state, _ = coarse_setup
     problem = VariationalProblem(phi_in=state, phi_out=state, x10=40.0,
                                  segments=1, u=u10)
-    with pytest.raises(ValueError):
-        optimize_path(problem, tol=0.0)
-    with pytest.raises(ValueError):
-        optimize_path(problem, max_iters=0)
+    for tol in (0.0, math.inf):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            optimize_path(problem, tol=tol)
+    for max_iters in (0, 2.5):
+        with pytest.raises(ValueError, match="max_iters must be a whole number"):
+            optimize_path(problem, max_iters=max_iters)
 
 
 NAN = float("nan")
@@ -599,8 +604,9 @@ def test_nan_rejected_by_positivity_checks(u10, coarse_setup, call):
 
 def test_problem_validation(u10, coarse_setup):
     g, state, _ = coarse_setup
-    with pytest.raises(ValueError):
-        VariationalProblem(phi_in=state, phi_out=state, x10=0.0, segments=1, u=u10)
+    for x10 in (0.0, math.inf):
+        with pytest.raises(ValueError, match="x10 must be positive and finite"):
+            VariationalProblem(phi_in=state, phi_out=state, x10=x10, segments=1, u=u10)
     with pytest.raises(ValueError):
         VariationalProblem(phi_in=state, phi_out=state, x10=1.0, segments=0, u=u10)
     with pytest.raises(ValueError, match="whole number"):
