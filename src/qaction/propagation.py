@@ -79,16 +79,21 @@ class PhaseUndefinedError(RuntimeError):
 class TransitionAmplitude:
     """K with its decomposition K = exp(I/(i hbar) + Q) and run diagnostics.
 
-    phase_valid is False when |K| is within roundoff of zero (see
-    transition_amplitude); then I is NaN and Q is -inf but K itself is still
-    the honest propagated overlap.
+    I is NaN when |K| is within roundoff of zero (see transition_amplitude),
+    K still the honest overlap. Q and phase_valid are read from K and I.
     """
 
     K: complex
     I: float
-    Q: float
-    phase_valid: bool
     norm_drift: float
+
+    @property
+    def phase_valid(self) -> bool:
+        return not math.isnan(self.I)
+
+    @property
+    def Q(self) -> float:
+        return math.log(abs(self.K)) if self.phase_valid else -math.inf
 
 
 def propagation_grid(r_max: float, num_points: int) -> RadialGrid:
@@ -364,16 +369,16 @@ def _sweep(state: RadialState, path: LambdaPath, steps: int, u: UnitSystem,
     ceil(turn / cap)): this sizes transition_amplitude's sweeps segment by
     segment. evolve passes its caller's count and a path search the count
     VariationalProblem.steps_per_segment fixes once from the same scale,
-    both without a cap. A floor steps past MAX_SWEEP_WORK grid points x
-    steps on one segment is refused (ValueError) before the sweep starts,
-    and a segment whose count takes the sweep past it, or whose step ds is
-    subnormal, before it is factored. Each factor's matrix is LU-factored
-    once (_cayley), and each factor then costs one zgttrs solve. A
+    both without a cap. A floor whose steps on all segments take more than
+    MAX_SWEEP_WORK grid points x steps is refused (ValueError) before the
+    sweep starts, and a segment whose count the cap raises past the budget, or
+    whose step ds is subnormal, before it is factored. Each factor's matrix is
+    LU-factored once (_cayley), and each factor then costs one zgttrs solve. A
     Crank-Nicolson sweep on SPLIT_POINTS or more points that keeps no record
     (_adjoint_sweep solves with one-block factors) instead factors two
     diagonal blocks per segment (_two_blocks) and solves them at once on two
-    threads (_TwoBlockSolver);
-    it does so whatever the core count, so its results do not depend on it.
+    threads (_TwoBlockSolver); it does so whatever the core count, so its
+    results do not depend on it.
     After every whole step (the state between two factors of a step is not
     unit-norm) the wall sample is tested against a floor under the peak;
     only when it trips does the exact O(N) reflection check run. With
@@ -392,10 +397,11 @@ def _sweep(state: RadialState, path: LambdaPath, steps: int, u: UnitSystem,
     if steps < 1:
         raise ValueError("need at least one step per segment")
     grid = state.grid
-    if steps * grid.num_points > MAX_SWEEP_WORK:  # an integer, before it meets a float
+    if steps * grid.num_points * path.num_segments > MAX_SWEEP_WORK:  # integers: the least work
         raise ValueError(
-            f"the step floor on {grid.num_points} grid points is past the sweep's budget "
-            f"of {MAX_SWEEP_WORK:.0e} grid points x steps; lower the steps or coarsen the grid")
+            f"the step floor on {path.num_segments} segment(s) of {grid.num_points} grid "
+            f"points is past the sweep's budget of {MAX_SWEEP_WORK:.0e} grid points x "
+            "steps; lower the steps, coarsen the grid or use fewer segments")
     zgttrs = _lapack().zgttrs
     phi = np.array(state.amplitudes, dtype=complex)
     # ||phi|| / sqrt(h N) never exceeds max |phi| and every step keeps the
@@ -556,14 +562,9 @@ def evolve_spectral(state: RadialState, path: LambdaPath, u: UnitSystem,
         raise ValueError(f"num_states must be a whole number in [1, {n}], got {num_states!r}")
     from scipy.linalg import eigh_tridiagonal
     phi = np.array(state.amplitudes, dtype=complex)
-    basis_cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
     for lam, dur in zip(path.values, path.durations):
-        key = float(lam)
-        if key not in basis_cache:
-            diag, off = _hamiltonian_tridiag(state.grid, state.l, lam, u)
-            basis_cache[key] = eigh_tridiagonal(
-                diag, off, select="i", select_range=(0, num_states - 1))
-        w, v = basis_cache[key]
+        w, v = eigh_tridiagonal(*_hamiltonian_tridiag(state.grid, state.l, lam, u),
+                                select="i", select_range=(0, num_states - 1))
         coeff = v.T @ phi
         phi = v @ (coeff * np.exp(1j * w * dur / u.hbar))
     return RadialState(state.grid, state.l, phi)
@@ -606,10 +607,8 @@ def _transition(phi_in: RadialState, phi_out: RadialState, path: LambdaPath,
     roundoff = np.finfo(float).eps * terms * h * float(
         _chunked(np.dot, np.abs(out), np.abs(phi)))
     valid = not mag <= ROUNDOFF_SAFETY * roundoff
-    return TransitionAmplitude(
-        K=K, I=-u.hbar * theta if valid else float("nan"),
-        Q=math.log(mag) if valid else float("-inf"),
-        phase_valid=valid, norm_drift=norm_drift)
+    return TransitionAmplitude(K=K, I=-u.hbar * theta if valid else math.nan,
+                               norm_drift=norm_drift)
 
 
 def transition_amplitude(phi_in: RadialState, phi_out: RadialState,

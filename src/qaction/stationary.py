@@ -81,13 +81,13 @@ def action_value(d: float, lam: float, S: float, kappa: float,
                  n: QuantumNumbers | int, x10: float, u: UnitSystem) -> ActionValue:
     """Evaluate the reduced action and its gradient, no approximations.
 
-    S must be positive; the remaining parameters are unconstrained (the
+    S must be positive and x10 positive and finite; the rest are free (the
     lambda > 0 branch is selected by the solver, not by this evaluation).
     """
     if not S > 0.0:
         raise ValueError("S must be positive")
-    if not x10 > 0.0:
-        raise ValueError("x10 must be positive")
+    if not 0.0 < x10 < math.inf:
+        raise ValueError("x10 must be positive and finite")
     e_n = bohr_energy(n, u)
     m2c2 = u.mass * u.mass * u.c * u.c
     ratio = e_n / u.rest_energy

@@ -157,8 +157,8 @@ class StationaryPath:
 def classical_action_part(path: LambdaPath, kappa: float, x10: float,
                           u: UnitSystem) -> float:
     """Reduced classical action of the path plus the constraint term."""
-    if not x10 > 0.0:
-        raise ValueError("x10 must be positive")
+    if not 0.0 < x10 < math.inf:
+        raise ValueError("x10 must be positive and finite")
     lam = path.values
     dur = path.durations
     kinetic = float(np.sum((-0.25 * lam * lam - u.mc * u.mc) * dur))

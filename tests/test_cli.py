@@ -261,6 +261,12 @@ NAMED_FAILURES = [
     *(row(f"propagate-path-{s}", "propagate --alpha 0.1 --path-file {path} --grid-points 900 "
           "--rmax 25 --steps 300", 2, "ValueError", "segment 0", "budget", path=f"{s},20.0\n")
       for s in ("1e300", "1e6", "5e306")),  # at 5e306 the phase turn is inf
+    # a floor one segment holds, three segments do not: once refused only at
+    # segment 2, after 17.6 s of sweeping
+    row("propagate-floor-three-segments", "propagate --alpha 0.1 --path-file {path} --in 2,0 "
+        "--out 1,0 --grid-points 20000 --rmax 60 --steps 20000", 2, "ValueError",
+        "the step floor on 3 segment(s)", "the sweep's budget",
+        path="0.8,17.0\n1.6,23.0\n2.4,17.5\n"),
     row("malformed-path", "packet --path-file {path} --sigma 1.0", 2, "ValueError",
         "{path}, line 3", path="s_end,lambda\n1.0,2.0\nnonsense\n"),
     # lambda * duration = 1e310: refused where the path is read

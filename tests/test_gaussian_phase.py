@@ -161,20 +161,27 @@ def test_diagnostics_domain_errors():
         packet_diagnostics(st, np.zeros(12))
     with pytest.raises(ValueError):
         packet_diagnostics(st, np.linspace(1.0, 0.0, 50))
-    # finite and increasing, but 1e308 - (-1e308) overflows: refused, with no
-    # numpy warning, before the quadrature weighs an infinite interval
-    with pytest.raises(ValueError, match="spacing must be finite"):
-        packet_diagnostics(st, np.array([-1.7e308, -1.5e308, -1.3e308, -1e308,
-                                         1e308, 1.3e308, 1.5e308, 1.7e308]))
-    # exp(2 Re chi) underflows to zero fifty widths out
-    with pytest.raises(ValueError, match="density vanishes"):
-        packet_diagnostics(st, np.linspace(50.0, 60.0, 50))
-    # x * x overflows on a grid past 1e154; the density there is 0, with no
-    # numpy warning, and one point at the center gives the packet no width
-    with pytest.raises(ValueError, match="density vanishes"):
-        packet_diagnostics(st, np.linspace(-1e200, 1e200, 50))
+    # the sum runs over the window center +- 8 widths, [-8, 8] here: a grid
+    # that stops short of either end is refused, as is one whose density
+    # underflows to zero fifty widths out
+    for grid in (np.linspace(-1.0, 1.0, 50), np.linspace(50.0, 60.0, 50)):
+        with pytest.raises(ValueError, match=r"reach past the packet's window \[-8\.0, 8\.0\]"):
+            packet_diagnostics(st, grid)
+    # a step touching the window wider than half a width: once norm 2.1e152
+    # (1e307-wide intervals beside the center weighed the density at x = 3),
+    # width 1.43 on 8 points over [-10, 10]; 1e308 - (-1e308) and x * x past
+    # 1e154 overflow, with no numpy warning since neither is taken
+    for grid in (np.array([-1e308, -1.5e307, -1e307, -3.0, 3.0, 1e307, 1.5e307, 1e308]),
+                 np.linspace(-10.0, 10.0, 8),
+                 np.array([-1.7e308, -1.5e308, -1.3e308, -1e308,
+                           1e308, 1.3e308, 1.5e308, 1.7e308]),
+                 np.linspace(-1e200, 1e200, 50), np.linspace(-1e200, 1e200, 51)):
+        with pytest.raises(ValueError, match="at most w / 2 = 0.5"):
+            packet_diagnostics(st, grid)
+    # a density that underflows everywhere has no norm (once a vanishing sum)
+    faint = GaussianPhaseState(chi0=-800.0 + 0j, chi1=0j, chi2=-0.5 + 0j, s=0.0)
     with pytest.raises(ValueError, match="width and norm must be positive"):
-        packet_diagnostics(st, np.linspace(-1e200, 1e200, 51))
+        packet_diagnostics(faint, np.linspace(-12.0, 12.0, 241))
     # the state refuses Re chi2 >= 0 itself, so no diagnostic meets one
     for chi2 in (0.25 + 0j, 1j):
         with pytest.raises(ValueError, match="not normalizable"):

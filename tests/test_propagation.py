@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import sys
 import threading
@@ -396,8 +397,8 @@ def test_spectral_cross_check(u10):
     a = evolve(state, const, 700, u10)
     b = evolve_spectral(state, const, u10, num_states=10)
     assert np.max(np.abs(a.amplitudes - b.amplitudes)) < 1e-6
-    # two segments sharing one lambda exercise the loop and the basis cache
-    # while the state stays exactly inside the retained span
+    # two segments sharing one lambda exercise the loop over segments while
+    # the state stays exactly inside the retained span
     rep = LambdaPath(np.array([0.3, 0.7]), np.array([1.0, 1.0]) * 2.0 * u10.mc)
     a2 = evolve(state, rep, 2000, u10)
     b2 = evolve_spectral(state, rep, u10, num_states=10)
@@ -427,11 +428,22 @@ def test_coarse_and_fine_stepping_agree(u10):
     assert abs(coarse.I - fine.I) < 2e-8
 
 
-def test_probability_clamps_roundoff(u10):
-    g = propagation_grid(25.0, 900)
-    amp = TransitionAmplitude(K=complex(1.0 + 1e-13), I=0.0, Q=0.0,
-                              phase_valid=True, norm_drift=0.0)
+def test_probability_clamps_roundoff():
+    amp = TransitionAmplitude(K=complex(1.0 + 1e-13), I=0.0, norm_drift=0.0)
     assert transition_probability(amp) == 1.0
+
+
+def test_amplitude_derives_q_and_phase_valid():
+    # Q and phase_valid follow from K and I, so no amplitude can contradict
+    # them: K = 0.5 with I = NaN once came with any Q and phase_valid passed
+    assert [f.name for f in dataclasses.fields(TransitionAmplitude)] == ["K", "I", "norm_drift"]
+    for stored in ({"Q": 0.0}, {"phase_valid": True}):
+        with pytest.raises(TypeError):
+            TransitionAmplitude(K=0.5, I=math.nan, norm_drift=0.0, **stored)
+    flagged = TransitionAmplitude(K=0.5, I=math.nan, norm_drift=0.0)
+    assert not flagged.phase_valid and flagged.Q == -math.inf
+    amp = TransitionAmplitude(K=0.5j, I=1.0, norm_drift=0.0)
+    assert amp.phase_valid and amp.Q == math.log(0.5)
 
 
 @pytest.mark.parametrize("roots", [CN_ROOTS, PADE22_ROOTS])
@@ -485,16 +497,6 @@ def test_amplitude_rounded_outside_after_rescale_steps_inside(u10):
     assert outside > 0
 
 
-def _exact_amplitude(phi_in, phi_out, path, u):
-    """K with every segment propagated in the full eigenbasis of its H."""
-    g = phi_in.grid
-    psi = np.array(phi_in.amplitudes, dtype=complex)
-    for lam, dur in zip(path.values, path.durations):
-        w, v = eigh_tridiagonal(*_hamiltonian_tridiag(g, phi_in.l, lam, u))
-        psi = v @ (np.exp(1j * w * dur / u.hbar) * (v.T @ psi))
-    return g.step * np.vdot(phi_out.amplitudes, psi)
-
-
 def test_pade22_is_fourth_order(u10):
     g = propagation_grid(30.0, 400)
     s1, _ = _eigenpair(1, 0, 2.0, g, u10)
@@ -502,7 +504,9 @@ def test_pade22_is_fourth_order(u10):
     mix = RadialState(g, 0, s1.amplitudes + 0.5 * s2.amplitudes)
     mix = RadialState(g, 0, mix.amplitudes / state_norm(mix))
     path = LambdaPath.equal_segments([2.1 * u10.mc, 1.9 * u10.mc], 1.0)
-    ref = _exact_amplitude(mix, s1, path, u10)
+    # every segment propagated in the full eigenbasis of its H
+    ref = g.step * np.vdot(s1.amplitudes,
+                           evolve_spectral(mix, path, u10, num_states=g.num_points).amplitudes)
     errors = []
     for steps in (8, 16, 32):
         amp = _transition(mix, s1, path, u10, steps, PADE22_ROOTS)
@@ -526,6 +530,28 @@ def test_explicit_steps_take_one_solve_per_step(u10, monkeypatch):
     calls.clear()
     evolve(state, path, 70, u10)
     assert [np.ndim(args[5]) for args in calls] == [1] * 140
+
+
+@pytest.mark.parametrize("sweep", [
+    lambda s, path, steps, u: evolve(s, path, steps, u),
+    lambda s, path, steps, u: transition_amplitude(s, s, path, u, steps_per_segment=steps),
+], ids=["evolve", "transition_amplitude"])
+def test_step_floor_checked_over_the_whole_path_before_any_sweep(u10, monkeypatch, sweep):
+    # the floor fits the budget on one segment but not on three: refused
+    # before the first factorisation, where once segment 2 was refused after
+    # the first two were swept
+    state, _ = _eigenpair(1, 0, 2.0, propagation_grid(25.0, 1000), u10)
+    path = LambdaPath.equal_segments([2.0 * u10.mc] * 3, 0.6)
+    steps = propagation.MAX_SWEEP_WORK // (3 * 1000) + 1
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep ran")
+
+    for name in ("zgttrf", "zgttrs"):
+        monkeypatch.setattr(lapack, name, no_sweep)
+    with pytest.raises(ValueError, match=r"the step floor on 3 segment\(s\) of 1000 grid "
+                                         r"points is past the sweep's budget"):
+        sweep(state, path, steps, u10)
 
 
 def test_counts_follow_the_state_entering_each_segment(u10, monkeypatch):

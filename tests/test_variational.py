@@ -573,9 +573,11 @@ LOG_GRID = RadialGrid(1e-4, 40.0, 2000)
     lambda u, p: stationary_closed_form(1, NAN, u),
     lambda u, p: action_value(1.0, 2.0, NAN, 1.0, 1, 1.0, u),
     lambda u, p: action_value(1.0, 2.0, 1.0, 1.0, 1, NAN, u),
+    lambda u, p: action_value(1.0, 2.0, 1.0, 1.0, 1, math.inf, u),
     lambda u, p: solve_stationary(1, NAN, u),
     lambda u, p: solve_stationary(1, 1.0, u, tol=NAN),
     lambda u, p: classical_action_part(LambdaPath.constant(1.0, 1.0), 1.0, NAN, u),
+    lambda u, p: classical_action_part(LambdaPath.constant(1.0, 1.0), 1.0, math.inf, u),
     lambda u, p: VariationalProblem(phi_in=p.phi_in, phi_out=p.phi_out, x10=NAN,
                                     segments=1, u=u),
     lambda u, p: optimize_path(p, tol=NAN),
@@ -589,12 +591,13 @@ LOG_GRID = RadialGrid(1e-4, 40.0, 2000)
     lambda u, p: numerov_eigenvalue(QuantumNumbers(1), NAN, LOG_GRID, u),
     lambda u, p: numerov_eigenvalue(QuantumNumbers(1), u.coulomb_momentum,
                                     LOG_GRID, u, tol=NAN),
-], ids=["closed_form_x10", "action_S", "action_x10", "solve_x10", "solve_tol",
-        "classical_x10", "problem_x10", "optimize_tol", "grid_rmax", "radial_rmin",
-        "radial_rmax", "packet_width", "packet_grid", "nstar_alpha",
-        "numerov_coupling", "numerov_tol"])
+], ids=["closed_form_x10", "action_S", "action_x10", "action_x10_inf", "solve_x10",
+        "solve_tol", "classical_x10", "classical_x10_inf", "problem_x10", "optimize_tol",
+        "grid_rmax", "radial_rmin", "radial_rmax", "packet_width", "packet_grid",
+        "nstar_alpha", "numerov_coupling", "numerov_tol"])
 def test_nan_rejected_by_positivity_checks(u10, coarse_setup, call):
-    # a check written v <= 0 lets NaN through to the numerics
+    # a check written v <= 0 lets NaN through to the numerics, and one written
+    # not v > 0 lets x10 = inf through (action -inf)
     g, state, _ = coarse_setup
     problem = VariationalProblem(phi_in=state, phi_out=state, x10=40.0,
                                  segments=1, u=u10)
