@@ -9,7 +9,7 @@ reruns are byte-identical and values round-trip exactly; non-finite floats
 become null in JSON and nan/inf tokens in CSV.
 
 Two tables hold every fact about the interface. OPTIONS maps each config key
-to its flags, type, choices, value check and help text. _COMMANDS maps each
+to its flag, type, choices, value check and help text. _COMMANDS maps each
 subcommand to its help line, its runner, whether it is a table command (CSV by
 default) and its own options in header order, each with a default or marked
 required. The parser, the config-file types, the defaults, the checks, the
@@ -38,8 +38,7 @@ import numpy as np
 from . import __version__
 from .gaussian_phase import _default_d, chi_initial, integrate_chi
 from .paths import LambdaPath, internal_time_map, load_path_csv
-from .propagation import (grid_eigenstate, propagation_grid,
-                          transition_amplitude, transition_probability)
+from .propagation import grid_eigenstate, propagation_grid, transition_amplitude
 from .spectrum import bohr_energy, epsilon_n
 from .stationary import level_comparison, solve_stationary
 from .units import HARTREE_ATOMIC, SI_LIKE, UnitSystem, make_units
@@ -129,10 +128,10 @@ class Option:
     """One config key.
 
     check pairs a predicate that is true for a rejected value with the
-    message reported after the option's first flag.
+    message reported after the option's flag.
     """
 
-    flags: tuple[str, ...]
+    flag: str
     type: type
     help: str
     check: tuple[Callable, str] | None = None
@@ -155,47 +154,42 @@ _STATE = (lambda v: re.fullmatch(r"\s*[+-]?\d+\s*,\s*[+-]?\d+\s*", v) is None,
 # every config key a command or a config file may set; the options a command
 # takes are checked in this order, and a float value must also be finite
 OPTIONS: dict[str, Option] = {
-    "alpha": Option(("--alpha",), float,
+    "alpha": Option("--alpha", float,
                     "fine-structure constant (default CODATA value)",
                     (lambda v: not 0 < v < 1, "must lie in (0, 1)")),
-    "system": Option(("--system",), str, "unit system (default hartree_atomic)",
+    "system": Option("--system", str, "unit system (default hartree_atomic)",
                      choices=(HARTREE_ATOMIC, SI_LIKE)),
-    "seed": Option(("--seed",), int, "recorded in the header for provenance"),
-    "format": Option(("--format",), str, "output format (tables default to csv)",
+    "seed": Option("--seed", int, "recorded in the header for provenance"),
+    "format": Option("--format", str, "output format (tables default to csv)",
                      choices=("json", "csv")),
-    "output": Option(("--output",), str, "output file, or - for stdout"),
-    "lam_mc": Option(("--lam-mc",), float,
+    "output": Option("--output", str, "output file, or - for stdout"),
+    "lam_mc": Option("--lam-mc", float,
                      "lambda in units of m c for the epsilon column", _POSITIVE),
-    "x10": Option(("--x10",), float, "prescribed integral of lambda", _POSITIVE),
-    "tol": Option(("--tol",), float, "convergence tolerance", _POSITIVE),
-    "sigma": Option(("--sigma",), float, "initial packet width", _POSITIVE),
-    "rmax": Option(("--rmax",), float, "radius of the grid wall", _POSITIVE),
-    "prep_lam_mc": Option(("--prep-lam-mc",), float,
+    "x10": Option("--x10", float, "prescribed integral of lambda", _POSITIVE),
+    "tol": Option("--tol", float, "convergence tolerance", _POSITIVE),
+    "sigma": Option("--sigma", float, "initial packet width", _POSITIVE),
+    "rmax": Option("--rmax", float, "radius of the grid wall", _POSITIVE),
+    "prep_lam_mc": Option("--prep-lam-mc", float,
                           "lambda / m c at which boundary states are prepared",
                           _POSITIVE),
-    "n": Option(("--n",), int, "principal quantum number", _LEVEL),
-    "n_max": Option(("--n-max",), int, "largest principal quantum number", _LEVEL),
-    "steps": Option(("--steps",), int,
+    "n": Option("--n", int, "principal quantum number", _LEVEL),
+    "n_max": Option("--n-max", int, "largest principal quantum number", _LEVEL),
+    "steps": Option("--steps", int,
                     "packet: RK4 steps spread over the path by duration; "
                     "propagate: minimum Crank-Nicolson steps per segment",
                     _AT_LEAST_1),
-    "grid_points": Option(("--grid-points",), int, "radial grid points",
-                          _AT_LEAST_1),
-    "segments": Option(("--segments",), int, "constant-lambda path segments",
-                       _AT_LEAST_1),
-    "max_iters": Option(("--max-iters",), int, "path-search step limit",
-                        _AT_LEAST_1),
-    "samples": Option(("--samples",), int, "evenly spaced x0 samples",
-                      _SAMPLES),
-    "timemap_samples": Option(("--timemap-samples",), int,
+    "grid_points": Option("--grid-points", int, "radial grid points", _AT_LEAST_1),
+    "segments": Option("--segments", int, "constant-lambda path segments", _AT_LEAST_1),
+    "max_iters": Option("--max-iters", int, "path-search step limit", _AT_LEAST_1),
+    "samples": Option("--samples", int, "evenly spaced x0 samples", _SAMPLES),
+    "timemap_samples": Option("--timemap-samples", int,
                               "x0 samples in the time-map file", _SAMPLES),
-    "x0": Option(("--x0",), float, "single distance to invert",
+    "x0": Option("--x0", float, "single distance to invert",
                  (lambda v: v < 0.0, "must be nonnegative")),
-    "d": Option(("--d",), float, "drift momentum (default: mean lambda / 2)"),
-    "path_file": Option(("--path-file", "--lambda-file"), str,
-                        "path CSV with rows s_end,lambda"),
-    "state_in": Option(("--in",), str, "input state as 'n,l'", _STATE),
-    "state_out": Option(("--out",), str, "output state as 'n,l'", _STATE),
+    "d": Option("--d", float, "drift momentum (default: mean lambda / 2)"),
+    "path_file": Option("--path-file", str, "path CSV with rows s_end,lambda"),
+    "state_in": Option("--in", str, "input state as 'n,l'", _STATE),
+    "state_out": Option("--out", str, "output state as 'n,l'", _STATE),
 }
 
 # options every command takes, the first group with its defaults; the header
@@ -217,7 +211,8 @@ def resolve_config(command: str, flags: dict, file_cfg: dict) -> SimpleNamespace
     the command's default, so a file null means not set. Every file value
     must have its option's JSON type; every value the command takes must be
     finite if a float and pass its option's choices and check. Options the
-    command does not take stay None.
+    command does not take stay None. A file --output is placed under
+    $QACTION_OUTPUT_DIR when that is set, and must name a file there.
     """
     unknown = sorted(set(file_cfg) - set(OPTIONS))
     if unknown:
@@ -226,7 +221,7 @@ def resolve_config(command: str, flags: dict, file_cfg: dict) -> SimpleNamespace
     defaults = {**_COMMON_FIRST, **dict.fromkeys(_COMMON_LAST), **spec.options}
     cfg = SimpleNamespace(**dict.fromkeys(OPTIONS))
     for key, opt in OPTIONS.items():
-        flag, val = opt.flags[0], file_cfg.get(key)
+        flag, val = opt.flag, file_cfg.get(key)
         if val is not None:
             accepted, name = _JSON_TYPES[opt.type]
             if isinstance(val, bool) or not isinstance(val, accepted):
@@ -251,6 +246,10 @@ def resolve_config(command: str, flags: dict, file_cfg: dict) -> SimpleNamespace
             if opt.check is not None and opt.check[0](val):
                 raise ValueError(f"{flag} {opt.check[1]}")
         setattr(cfg, key, val)
+    if cfg.output not in (None, "-"):  # placed once, for the result and its sidecar
+        cfg.output = os.path.join(os.environ.get("QACTION_OUTPUT_DIR") or "", cfg.output)
+        if os.path.basename(cfg.output) in ("", ".", "..") or os.path.isdir(cfg.output):
+            raise ValueError(f"--output {cfg.output!r} does not name a file")
     json_only = not spec.table or cfg.x0 is not None  # timemap --x0 emits one value
     if cfg.format is None:
         cfg.format = "json" if json_only else "csv"
@@ -266,12 +265,10 @@ def _header_dict(command: str, cfg: SimpleNamespace) -> dict:
 
 
 def _write_text(text: str, path: str | None) -> None:
-    """Write text to stdout for None or -, else to path, a relative path
-    under $QACTION_OUTPUT_DIR when that is set."""
+    """Write text to stdout for None or -, else to path."""
     if path is None or path == "-":
         sys.stdout.write(text)
         return
-    path = os.path.join(os.environ.get("QACTION_OUTPUT_DIR") or "", path)
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
@@ -355,7 +352,7 @@ def run_propagate(cfg: SimpleNamespace, u: UnitSystem) -> dict:
         "k_im": amp.K.imag,
         "action_phase": amp.I,
         "log_magnitude": amp.Q,
-        "probability": transition_probability(amp),
+        "probability": amp.probability,
         "s_total": path.S,
         "norm_drift": amp.norm_drift,
         "phase_valid": amp.phase_valid,
@@ -389,7 +386,7 @@ def run_optimize(cfg: SimpleNamespace, u: UnitSystem) -> dict:
         "action": sol.action,
         "residual": sol.residual,
         "iterations": sol.iterations,
-        "probability": transition_probability(sol.amplitude),
+        "probability": sol.amplitude.probability,
         "converged": sol.converged,
     }
 
@@ -449,7 +446,7 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 def _add_option(parser: argparse.ArgumentParser, name: str) -> None:
     opt = OPTIONS[name]
-    parser.add_argument(*opt.flags, dest=name, type=opt.type,
+    parser.add_argument(opt.flag, dest=name, type=opt.type,
                         choices=opt.choices, help=opt.help)
 
 

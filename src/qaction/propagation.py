@@ -49,7 +49,7 @@ from .units import UnitSystem
 __all__ = [
     "BoundaryReflectionError", "PhaseUndefinedError", "TransitionAmplitude",
     "propagation_grid", "grid_eigenstate", "evolve", "evolve_spectral",
-    "transition_amplitude", "transition_probability",
+    "transition_amplitude",
 ]
 
 REFLECTION_TOL = 1e-4   # boundary amplitude over max before we call it a reflection
@@ -80,7 +80,8 @@ class TransitionAmplitude:
     """K with its decomposition K = exp(I/(i hbar) + Q) and run diagnostics.
 
     I is NaN when |K| is within roundoff of zero (see transition_amplitude),
-    K still the honest overlap. Q and phase_valid are read from K and I.
+    K still the honest overlap. Q, phase_valid and probability are read from
+    K and I.
     """
 
     K: complex
@@ -94,6 +95,11 @@ class TransitionAmplitude:
     @property
     def Q(self) -> float:
         return math.log(abs(self.K)) if self.phase_valid else -math.inf
+
+    @property
+    def probability(self) -> float:
+        """|K|^2, clamped into [0, 1] against roundoff."""
+        return min(abs(self.K) ** 2, 1.0)
 
 
 def propagation_grid(r_max: float, num_points: int) -> RadialGrid:
@@ -631,8 +637,3 @@ def transition_amplitude(phi_in: RadialState, phi_out: RadialState,
     return _transition(phi_in, phi_out, path, u,
                        1 if steps_per_segment is None else steps_per_segment,
                        CN_ROOTS, MAX_PHASE_PER_STEP)
-
-
-def transition_probability(amp: TransitionAmplitude) -> float:
-    """|K|^2, clamped into [0, 1] against roundoff."""
-    return min(abs(amp.K) ** 2, 1.0)

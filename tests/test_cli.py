@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+import qaction.cli
 import qaction.propagation as propagation
 from qaction import make_units, stationary_closed_form
 from qaction.cli import (_COMMANDS, _COMMON_FIRST, OPTIONS, SPECTRUM_COLUMNS, emit_json, main,
@@ -104,15 +105,6 @@ def test_packet_csv(cli, two_segment_path):
     # phase at s = 0.5: -((d^2 - m^2 c^2) s - d L) with L = 1, in hbar = 1 units
     expected = -((0.7 ** 2 - 4.0) * 0.5 - 0.7 * 1.0)
     assert math.isclose(float(data[1][2]), expected, rel_tol=1e-12)
-
-
-def test_packet_lambda_file_alias(cli, two_segment_path):
-    code, out, _ = cli("packet", "--alpha", "0.5",
-                       "--lambda-file", two_segment_path,
-                       "--sigma", "1.0", "--steps", "4")
-    assert code == 0
-    assert json.loads(out.splitlines()[2][len("# config: "):])["path_file"] \
-        == two_segment_path
 
 
 def test_propagate_json(cli, const_path_20):
@@ -304,6 +296,9 @@ NAMED_FAILURES = [
     # optimize writes its time map beside a file --output and has no flag or key to move it
     row("optimize-timemap-output-flag", ACCEPTANCE_ARGS["optimize"] + " --timemap-output t.csv",
         2, "ValueError", exact="qaction: unrecognized arguments: --timemap-output t.csv"),
+    # each option has one flag: the path file is --path-file alone
+    row("packet-lambda-file-flag", "packet --alpha 0.5 --lambda-file p.csv --sigma 0.8 --steps 50",
+        2, "ValueError", exact="qaction: unrecognized arguments: --lambda-file p.csv"),
     row("optimize-timemap-output-key", ACCEPTANCE_ARGS["optimize"] + " --config {config}", 2,
         "ValueError", exact="unknown config keys: timemap_output",
         config='{"timemap_output": "t.csv"}'),
@@ -372,7 +367,7 @@ def _edge_runs():
     for command, spec in _COMMANDS.items():
         argv = ACCEPTANCE_ARGS[command]
         for key in (*_COMMON_FIRST, *spec.options):
-            flag = OPTIONS[key].flags[0]
+            flag = OPTIONS[key].flag
             if OPTIONS[key].type is int:
                 for name, v in INT_EDGES.items():
                     yield pytest.param((f"{argv} {flag}={v}", None, None, None),
@@ -497,6 +492,43 @@ def test_header_config_round_trips(cli, tmp_path, two_segment_path,
     code, again, err = cli(command, "--config", str(cfg_file))
     assert code == 0, err
     assert again == out
+
+
+@pytest.mark.parametrize("out_dir", ["", "out"], ids=["cwd", "output-dir"])
+@pytest.mark.parametrize("output", ["", "res", "sub/"], ids=["empty", "directory", "slash"])
+@pytest.mark.parametrize("command", ["optimize", "spectrum"])
+def test_output_that_names_no_file_is_refused_before_the_run(cli, tmp_path, monkeypatch,
+                                                             out_dir, output, command):
+    # refused as the configuration is resolved: no boundary state is solved
+    # and no sidecar is written beside a result that cannot be opened
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("QACTION_OUTPUT_DIR", out_dir)
+    (tmp_path / out_dir / "res").mkdir(parents=True)
+
+    def unsolved(*args):
+        raise RuntimeError("a boundary state was solved")
+    monkeypatch.setattr(qaction.cli, "_boundary_states", unsolved)
+    before = sorted(tmp_path.rglob("*"))
+    code, out, err = cli(*ACCEPTANCE_ARGS[command].split(), "--output", output)
+    assert code == 2 and out == ""
+    assert "--output" in json.loads(err)["error"]["message"]
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_output_dash_overrides_the_config_file(cli, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("QACTION_OUTPUT_DIR", raising=False)
+    (tmp_path / "run.json").write_text(json.dumps({"output": "o.json"}))
+    argv = (*ACCEPTANCE_ARGS["optimize"].split(), "--config", "run.json")
+    code, out, err = cli(*argv)
+    assert code == 0 and out == "", err
+    written = (tmp_path / "o.json").read_text()
+    assert (tmp_path / "o.json.timemap.csv").is_file()
+    for name in ("o.json", "o.json.timemap.csv"):
+        (tmp_path / name).unlink()
+    code, out, err = cli(*argv, "--output", "-")
+    assert code == 0 and out == written, err
+    assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
 
 def test_optimize_json_and_sidecar(cli, tmp_path, monkeypatch):

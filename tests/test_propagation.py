@@ -12,7 +12,7 @@ from scipy.linalg import eigh_tridiagonal
 from qaction import (
     BoundaryReflectionError, LambdaPath, RadialGrid, RadialState,
     TransitionAmplitude, evolve, evolve_spectral, grid_eigenstate,
-    propagation_grid, state_norm, transition_amplitude, transition_probability,
+    propagation_grid, state_norm, transition_amplitude,
 )
 from qaction import propagation
 from qaction.propagation import (BLAS_SERIAL, CN_ROOTS, MAX_PHASE_PER_STEP,
@@ -305,7 +305,7 @@ def test_transition_amplitude_eigenstate_phase(u10):
     assert amp.norm_drift < 1e-12
     recon = cmath.exp(amp.I / (1j * u10.hbar) + amp.Q)
     assert abs(recon - amp.K) < 1e-12
-    assert 0.0 <= transition_probability(amp) <= 1.0
+    assert 0.0 <= amp.probability <= 1.0
 
 
 def test_phase_unwraps_beyond_principal_branch(u10):
@@ -334,7 +334,7 @@ def test_flagged_when_overlap_vanishes(u10):
     assert math.isnan(amp.I)
     assert amp.Q == float("-inf")
     assert abs(amp.K) < 1e-14
-    assert transition_probability(amp) <= 1e-20
+    assert amp.probability <= 1e-20
 
 
 def test_transition_amplitude_input_checks(u10):
@@ -375,7 +375,7 @@ def test_orthogonal_channel_stays_dark(u10):
     s2, _ = _eigenpair(2, 0, 2.0, g, u10, check_boundaries=False)
     amp = transition_amplitude(s1, s2, LambdaPath.constant(2.0 * u10.mc, 0.3),
                                u10, steps_per_segment=300)
-    assert transition_probability(amp) <= 1e-10
+    assert amp.probability <= 1e-10
 
 
 def test_completeness_over_low_levels(u10):
@@ -429,8 +429,10 @@ def test_coarse_and_fine_stepping_agree(u10):
 
 
 def test_probability_clamps_roundoff():
+    # the amplitude owns its probability; no free function computes it beside
     amp = TransitionAmplitude(K=complex(1.0 + 1e-13), I=0.0, norm_drift=0.0)
-    assert transition_probability(amp) == 1.0
+    assert amp.probability == 1.0
+    assert not hasattr(propagation, "transition_probability")
 
 
 def test_amplitude_derives_q_and_phase_valid():
