@@ -121,17 +121,18 @@ def propagation_grid(r_max: float, num_points: int) -> RadialGrid:
 def _lapack():
     """scipy's LAPACK extension module scipy.linalg._flapack, without scipy.linalg.
 
-    The package calls four of its routines, zgttrf and zgttrs (_cayley and the
-    sweeps) and dstebz and dstein (grid_eigenstate), and importing the
-    scipy.linalg package around them costs about half of a fresh propagate
-    or optimize run. A module already imported under that name is returned,
-    so a process holds one copy whatever it imported first. Otherwise the
-    import system's path finder looks for it in scipy's linalg directory,
-    and the module it finds is loaded and registered under that name, so a
-    later import of scipy.linalg reuses it; only where it finds none is the
-    package imported. Its f2py signatures are scipy internals, checked
-    against scipy 1.17.1 only: CI's floors job is the one run against scipy
-    1.10.
+    The package calls four of its routines: zgttrf in _cayley, zgttrs in the
+    sweeps (_sweep, _two_blocks, _TwoBlockSolver, _adjoint_sweep), and dstebz
+    and dstein in _eigenpairs, for grid_eigenstate and evolve_spectral.
+    Importing the scipy.linalg package around them costs about half of a
+    fresh propagate or optimize run. A module already imported under that
+    name is returned, so a process holds one copy whatever it imported
+    first. Otherwise the import system's path finder looks for it in scipy's
+    linalg directory, and the module it finds is loaded and registered under
+    that name, so a later import of scipy.linalg reuses it; only where it
+    finds none is the package imported. Its f2py signatures are scipy
+    internals, checked against scipy 1.17.1 only: CI's floors job is the one
+    run against scipy 1.10.
     """
     name = "scipy.linalg._flapack"
     with _LAPACK_LOAD:  # threads that load it at once load it once
@@ -159,8 +160,13 @@ def _hamiltonian_tridiag(grid: RadialGrid, l: int, lam: float,
     # the largest entries sit at r = h: t and diag[0] are checked once built
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         t = np.divide(u.hbar * u.hbar, h * h)
-        diag = 2.0 * t + u.hbar * u.hbar * l * (l + 1) / (r * r) \
-            - lam * u.coulomb_momentum / r
+        # l (l + 1) compared as a Python integer: past the float range it has no float
+        big = int(l) * (int(l) + 1) > sys.float_info.max
+        centrifugal = (math.inf if big else u.hbar * u.hbar * l * (l + 1)) / (r * r)
+        diag = 2.0 * t + centrifugal - lam * u.coulomb_momentum / r
+    if 0.0 < t < math.inf and not math.isfinite(centrifugal[0]):
+        raise ValueError(f"l is too large for this grid: its centrifugal entry hbar^2 l (l+1) "
+                         f"/ step^2 is {float(centrifugal[0])!r}, past the float range")
     if not (0.0 < t < math.inf and math.isfinite(diag[0])):
         raise ValueError(
             f"propagation grid r_max = {grid.r_max!r} on {grid.num_points} points leaves "
@@ -168,6 +174,24 @@ def _hamiltonian_tridiag(grid: RadialGrid, l: int, lam: float,
             f"{float(diag[0])!r}")
     off = np.full(grid.num_points - 1, -t)
     return diag, off
+
+
+def _eigenpairs(diag: np.ndarray, off: np.ndarray, first: int, last: int) -> tuple:
+    """Eigenvalues first..last (from 0, ascending) of H = (diag, off), and their vectors.
+
+    eigh_tridiagonal(select="i")'s two LAPACK calls with its arguments, so its
+    bits: bisection (dstebz), then inverse iteration (dstein); a nonzero info
+    raises. That H is finite is _hamiltonian_tridiag's check, on diag[0].
+    """
+    lapack = _lapack()
+    found, w, block, split, info = lapack.dstebz(diag, off, 2, 0.0, 1.0, first + 1,
+                                                 last + 1, 0.0, "B")
+    if info != 0:
+        raise np.linalg.LinAlgError(f"eigenvalue bisection failed (dstebz info {info})")
+    v, info = lapack.dstein(diag, off, w[:found], block, split)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"inverse iteration failed (dstein info {info})")
+    return w[:found], v
 
 
 def grid_eigenstate(n: int, l: int, lam: float, grid: RadialGrid, u: UnitSystem,
@@ -186,18 +210,7 @@ def grid_eigenstate(n: int, l: int, lam: float, grid: RadialGrid, u: UnitSystem,
     index = n - l - 1
     if index >= grid.num_points:
         raise ValueError(f"state (n={n}, l={l}) needs more than {grid.num_points} grid points")
-    # the two LAPACK calls of eigh_tridiagonal(select="i"), with the same
-    # arguments, so the same bits: bisection for the one eigenvalue, inverse
-    # iteration for its vector; a nonzero info is a failure. Its check that
-    # the entries are finite is _hamiltonian_tridiag's, on the largest, diag[0]
-    lapack = _lapack()
-    found, w, block, split, info = lapack.dstebz(diag, off, 2, 0.0, 1.0, index + 1,
-                                                 index + 1, 0.0, "B")
-    if info != 0:
-        raise np.linalg.LinAlgError(f"eigenvalue bisection failed (dstebz info {info})")
-    v, info = lapack.dstein(diag, off, w[:found], block, split)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"inverse iteration failed (dstein info {info})")
+    w, v = _eigenpairs(diag, off, index, index)
     e_std = float(w[0])
     if e_std >= 0.0:
         raise RuntimeError(
@@ -557,20 +570,20 @@ def evolve(state: RadialState, path: LambdaPath, steps_per_segment: int,
 
 def evolve_spectral(state: RadialState, path: LambdaPath, u: UnitSystem,
                     num_states: int = 10) -> RadialState:
-    """Cross-check propagation in a truncated bound eigenbasis.
+    """Cross-check propagation in a truncated eigenbasis of the box.
 
     Projects onto the lowest num_states eigenvectors of each segment's
-    generator and rotates them by their exact eigenphases. Valid only while
-    the state stays inside the retained span; anything outside is dropped.
+    generator, bound or not (the full basis, mostly unbound box states, is
+    exact), and rotates them by their exact eigenphases; anything outside the
+    retained span is dropped.
     """
     n = state.grid.num_points
     if not (isinstance(num_states, numbers.Integral) and 1 <= num_states <= n):
         raise ValueError(f"num_states must be a whole number in [1, {n}], got {num_states!r}")
-    from scipy.linalg import eigh_tridiagonal
     phi = np.array(state.amplitudes, dtype=complex)
     for lam, dur in zip(path.values, path.durations):
-        w, v = eigh_tridiagonal(*_hamiltonian_tridiag(state.grid, state.l, lam, u),
-                                select="i", select_range=(0, num_states - 1))
+        w, v = _eigenpairs(*_hamiltonian_tridiag(state.grid, state.l, lam, u),
+                           0, num_states - 1)
         coeff = v.T @ phi
         phi = v @ (coeff * np.exp(1j * w * dur / u.hbar))
     return RadialState(state.grid, state.l, phi)

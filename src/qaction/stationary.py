@@ -111,6 +111,8 @@ def stationary_closed_form(n: QuantumNumbers | int, x10: float,
     shrink = 1.0 + 2.0 * e_n / u.rest_energy  # equals 1 - (alpha/n)^2 > 0
     lam = 2.0 * u.mc / math.sqrt(shrink)
     kappa_c = math.sqrt(u.rest_energy * u.rest_energy + 2.0 * u.rest_energy * e_n)
+    if x10 / lam < np.finfo(float).tiny:  # as propagation._sweep refuses a subnormal ds
+        raise ValueError(f"x10 = {x10!r} gives S = {x10 / lam!r}, below normal floats; raise x10")
     return StationaryPoint(
         d=0.5 * lam,
         lam=lam,
@@ -195,6 +197,8 @@ def solve_stationary(n: QuantumNumbers | int, x10: float, u: UnitSystem,
         raise ValueError("x10 must be positive and finite")
     e_n = bohr_energy(n, u)
     S0 = x10 / (2.0 * u.mc)
+    if S0 < np.finfo(float).tiny:  # as propagation._sweep refuses a subnormal ds
+        raise ValueError(f"x10 = {x10!r} gives S = {S0!r}, below normal floats; raise x10")
     scale = np.array([u.mc, u.mc, S0, u.mc])
     resid_scale = np.array([u.mc * S0, u.mc * S0,
                             u.mass * u.mass * u.c * u.c, x10])

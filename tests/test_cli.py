@@ -12,8 +12,8 @@ import pytest
 import qaction.cli
 import qaction.propagation as propagation
 from qaction import make_units, stationary_closed_form
-from qaction.cli import (_COMMANDS, _COMMON_FIRST, OPTIONS, SPECTRUM_COLUMNS, emit_json, main,
-                         render_csv, resolve_config)
+from qaction.cli import (_COMMANDS, _COMMON_FIRST, _STATE, OPTIONS, SPECTRUM_COLUMNS, emit_json,
+                         main, render_csv, resolve_config)
 from conftest import ACCEPTANCE_ARGS, record_calls
 
 FROZEN_ALPHA = "0.1"
@@ -268,6 +268,17 @@ NAMED_FAILURES = [
     # 50 steps x 1.7e308: the packet's step count would overflow
     row("packet-steps-overflow", "packet --alpha 0.5 --path-file {path} --sigma 0.8 --steps 50",
         2, "ValueError", "segment 0", "steps = 50", path="1.7e308,1.0\n"),
+    # an l whose centrifugal entry leaves the float range, refused by name:
+    # once the grid was blamed (10^200) or a bare OverflowError exited 3 (10^400)
+    *(row(f"{command}-l-1e{power}", f"{argv} --in {10 ** power + 1},{10 ** power} --out 1,0 "
+          "--grid-points 600 --rmax 25", 2, "ValueError", "l is too large")
+      for command, argv in [("propagate", "propagate --alpha 0.1 --path-file {const}"),
+                            ("optimize", "optimize --alpha 0.1 --x10 40")]
+      for power in (200, 400)),
+    # an x10 whose S is subnormal or zero: once a stall (exit 3) or "S must be
+    # positive", which names no flag
+    *(row(f"stationary-x10-{x10}", f"stationary --alpha 0.1 --n 1 --x10 {x10}", 2,
+          "ValueError", f"x10 = {x10}", "raise x10") for x10 in ("1e-320", "5e-324")),
     row("unresolved-state", "propagate --alpha 0.1 --path-file {const} --in 3,0 --rmax 20 "
         "--grid-points 800", 3, "RuntimeError", "enlarge r_max"),
     # 1s and 2s prepared at lambda = 2 mc are eigenvectors of the start
@@ -360,9 +371,10 @@ PATH_EDGES = (*(f"{s},20.0" for s in ("5e-324", "1e-310", "1e6", "1e300")),
 
 
 def _edge_runs():
-    """Each float option of each command at the float range's edges and each
-    integer option at 10^15 and 10^400, then every command that reads a path
-    file, and timemap --x0, on extreme paths."""
+    """Each float option of each command at the float range's edges, each
+    integer option at 10^15 and 10^400, and so each integer of a state option
+    'n,l' (l there with n = l + 1, n there with l = 0), then every command
+    that reads a path file, and timemap --x0, on extreme paths."""
     path_runs = []
     for command, spec in _COMMANDS.items():
         argv = ACCEPTANCE_ARGS[command]
@@ -372,6 +384,11 @@ def _edge_runs():
                 for name, v in INT_EDGES.items():
                     yield pytest.param((f"{argv} {flag}={v}", None, None, None),
                                        id=f"{command}{flag}={name}")
+            if OPTIONS[key].check is _STATE:
+                for name, v in INT_EDGES.items():
+                    for part, state in (("l", f"{v + 1},{v}"), ("n", f"{v},0")):
+                        yield pytest.param((f"{argv} {flag}={state}", None, None, None),
+                                           id=f"{command}{flag}={part}-{name}")
             if OPTIONS[key].type is float:
                 for v in ALPHA_EDGES if key == "alpha" else FLOAT_EDGES:
                     yield pytest.param((f"{argv} {flag}={v!r}", None, None, None),

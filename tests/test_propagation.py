@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import subprocess
 import sys
 import threading
 
@@ -67,6 +68,12 @@ def test_grid_eigenstate_validation(u10):
         grid_eigenstate(2, 2, 20.0, g, u10)
     with pytest.raises(ValueError):
         grid_eigenstate(1, 0, 0.0, g, u10)
+    # an l whose centrifugal entry leaves the float range is refused by name,
+    # as an integer: once an OverflowError converting l (l + 1) to a float
+    # (10^310), or the grid blamed for it (10^200)
+    for l in (10 ** 200, 10 ** 310):
+        with pytest.raises(ValueError, match=r"l is too large for this grid"):
+            grid_eigenstate(l + 1, l, 20.0, g, u10)
 
 
 def test_grid_eigenstate_boundary_guards(u10):
@@ -182,6 +189,33 @@ def test_direct_eigenpair_is_eigh_tridiagonals(u10, monkeypatch, n, l, r_max, po
     assert found == 1 and eps == -w[0]
     assert np.array_equal(w_direct[:found], w)
     assert np.array_equal(returned["dstein"][0], v)
+
+
+@pytest.mark.parametrize("num_states", [10, 400])
+def test_evolve_spectral_is_eigh_tridiagonal_per_segment(u10, num_states):
+    # its eigenpairs are eigh_tridiagonal(select="i")'s bits, segment by
+    # segment, with a few states and with the full basis
+    g = propagation_grid(25.0, 400)
+    state, _ = _eigenpair(1, 0, 2.0, g, u10)
+    path = LambdaPath.equal_segments([2.0 * u10.mc, 2.1 * u10.mc], 0.6)
+    phi = np.array(state.amplitudes, dtype=complex)
+    for lam, dur in zip(path.values, path.durations):
+        w, v = eigh_tridiagonal(*_hamiltonian_tridiag(g, 0, lam, u10), select="i",
+                                select_range=(0, num_states - 1))
+        phi = v @ ((v.T @ phi) * np.exp(1j * w * dur / u10.hbar))
+    assert np.array_equal(evolve_spectral(state, path, u10, num_states).amplitudes, phi)
+
+
+def test_eigensolves_leave_scipy_linalg_unimported():
+    # both eigensolves of the discrete generator call LAPACK through _lapack
+    probe = ("import sys; from qaction import *; u = make_units(0.1); "
+             "g = propagation_grid(25.0, 400); s, _ = grid_eigenstate(1, 0, 2 * u.mc, g, u); "
+             "evolve_spectral(s, LambdaPath.constant(2.1 * u.mc, 0.5), u); "
+             "print('scipy.linalg' in sys.modules, 'scipy.linalg._flapack' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False True"
 
 
 def test_lapack_loads_its_file_under_its_own_name(monkeypatch):

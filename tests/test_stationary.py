@@ -140,6 +140,12 @@ def test_domain_errors(u10):
     for x10 in (-2.0, math.inf):
         with pytest.raises(ValueError, match="x10 must be positive and finite"):
             solve_stationary(1, x10, u10)
+    # an x10 whose S is subnormal or zero: once S = 0.0 from the closed form,
+    # and a stall or a subnormal S from the solver
+    for x10 in (5e-324, 1e-320, 1e-310):
+        for solve in (stationary_closed_form, solve_stationary):
+            with pytest.raises(ValueError, match=r"x10 = .* below normal floats; raise x10"):
+                solve(1, x10, u10)
     # the Newton loop refuses its stopping inputs before the first residual,
     # not as a stall or as a converged start
     for tol in (0.0, math.inf):
