@@ -151,27 +151,33 @@ def _lapack():
 
 def _hamiltonian_tridiag(grid: RadialGrid, l: int, lam: float,
                          u: UnitSystem) -> tuple[np.ndarray, np.ndarray]:
-    """H_std's diagonal and off-diagonal; the one check that grid is a propagation_grid."""
+    """H_std's diagonal and off-diagonal; the one check that grid is a propagation_grid and
+    that H fits the float range: at r = h the grid's 2 hbar^2 / h^2 > 0, l's hbar^2 l(l+1) / h^2,
+    lambda's lambda kappa_C / h and their sum each need a finite square (dstebz squares off,
+    _energy_moments H phi); the first input at fault is refused, the grid first and for the sum."""
     if grid.spacing != UNIFORM or abs(grid.r_min - grid.step) > 1e-12 * grid.step:
         raise ValueError("propagation needs a uniform grid walled at r = 0, "
                          "r_min equal to the step (see propagation_grid)")
     h = grid.step
     r = grid.points()
-    # the largest entries sit at r = h: t and diag[0] are checked once built
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         t = np.divide(u.hbar * u.hbar, h * h)
         # l (l + 1) compared as a Python integer: past the float range it has no float
         big = int(l) * (int(l) + 1) > sys.float_info.max
         centrifugal = (math.inf if big else u.hbar * u.hbar * l * (l + 1)) / (r * r)
         diag = 2.0 * t + centrifugal - lam * u.coulomb_momentum / r
-    if 0.0 < t < math.inf and not math.isfinite(centrifugal[0]):
+        grid_fits, l_fits, lam_fits, sum_fits = (x * x < math.inf for x in (  # NaN fails too
+            2.0 * t, centrifugal[0], lam * u.coulomb_momentum / r[0], diag[0]))
+    if not (t > 0.0 and grid_fits) or l_fits and lam_fits and not sum_fits:
+        raise ValueError(f"propagation grid r_max = {grid.r_max!r} on {grid.num_points} points "
+                         f"leaves the float range: 2 hbar^2 / step^2 = {2.0 * float(t)!r} (> 0),"
+                         f" first diagonal entry {float(diag[0])!r}; each needs a finite square")
+    if not l_fits:
         raise ValueError(f"l is too large for this grid: its centrifugal entry hbar^2 l (l+1) "
-                         f"/ step^2 is {float(centrifugal[0])!r}, past the float range")
-    if not (0.0 < t < math.inf and math.isfinite(diag[0])):
-        raise ValueError(
-            f"propagation grid r_max = {grid.r_max!r} on {grid.num_points} points leaves "
-            f"the float range: hbar^2 / step^2 = {float(t)!r}, first diagonal entry "
-            f"{float(diag[0])!r}")
+                         f"/ step^2 = {float(centrifugal[0])!r} has no finite square")
+    if not lam_fits:
+        raise ValueError(f"lambda = {float(lam)!r} is too large for this grid: its Coulomb "
+                         f"entry {float(lam) * u.coulomb_momentum / h!r} has no finite square")
     off = np.full(grid.num_points - 1, -t)
     return diag, off
 
@@ -181,7 +187,7 @@ def _eigenpairs(diag: np.ndarray, off: np.ndarray, first: int, last: int) -> tup
 
     eigh_tridiagonal(select="i")'s two LAPACK calls with its arguments, so its
     bits: bisection (dstebz), then inverse iteration (dstein); a nonzero info
-    raises. That H is finite is _hamiltonian_tridiag's check, on diag[0].
+    raises, which no input reaches: _hamiltonian_tridiag keeps H's squares finite.
     """
     lapack = _lapack()
     found, w, block, split, info = lapack.dstebz(diag, off, 2, 0.0, 1.0, first + 1,
@@ -257,15 +263,15 @@ def _chunked(dot, a: np.ndarray, b: np.ndarray):
 def _energy_moments(phi: np.ndarray, diag: np.ndarray, off: np.ndarray
                     ) -> tuple[float, float]:
     """<H> in phi, and |<H>| plus twice the spread, the rate at which overlap
-    phases can turn: both from one product H phi."""
+    phases can turn: both from one product H phi; past the float range inf, never NaN."""
     hphi = diag * phi
     hphi[:-1] += off * phi[1:]
     hphi[1:] += off * phi[:-1]
     nrm = float(np.real(_chunked(np.vdot, phi, phi)))
     m1 = float(np.real(_chunked(np.vdot, phi, hphi))) / nrm
     m2 = float(np.real(_chunked(np.vdot, hphi, hphi))) / nrm
-    spread = math.sqrt(max(m2 - m1 * m1, 0.0))
-    return m1, abs(m1) + 2.0 * spread
+    rate = abs(m1) + 2.0 * math.sqrt(max(m2 - m1 * m1, 0.0))
+    return m1, rate if rate < math.inf else math.inf
 
 
 def _cayley(diag: np.ndarray, off: np.ndarray, ds: float, zeta: complex,
@@ -437,7 +443,7 @@ def _sweep(state: RadialState, path: LambdaPath, steps: int, u: UnitSystem,
         for j, (lam, dur) in enumerate(zip(path.values, path.durations)):
             ham = _hamiltonian_tridiag(grid, state.l, lam, u)
             if cap is not None or out_conj is not None:
-                # float arithmetic: a turn past the float range is inf, over the budget
+                # float arithmetic: a turn past the float range is inf, over both budgets
                 turn = float(dur) * _energy_moments(phi, *ham)[1] / u.hbar
             n_steps = steps if cap is None else max(steps, turn / cap)
             if (total + n_steps) * grid.num_points > MAX_SWEEP_WORK:
@@ -447,11 +453,11 @@ def _sweep(state: RadialState, path: LambdaPath, steps: int, u: UnitSystem,
                     "points x steps; shorten the path or coarsen the grid")
             n_steps = math.ceil(n_steps)
             if out_conj is not None:
-                need = math.ceil(turn / UNWRAP_PHASE)
+                need = turn / UNWRAP_PHASE  # above n_steps iff its ceil is; inf has none
                 if need > n_steps:
                     raise RuntimeError(
                         f"segment {j} turns the overlap phase more than {UNWRAP_PHASE} "
-                        f"rad per step at its {n_steps} steps (it needs {need})")
+                        f"rad per step at its {n_steps} steps (it needs {_count(need)})")
                 if j == 0:
                     h = grid.step  # read once _hamiltonian_tridiag has checked the grid
                     o_prev = complex(h * _chunked(np.dot, out_conj, phi))
@@ -489,6 +495,12 @@ def _sweep(state: RadialState, path: LambdaPath, steps: int, u: UnitSystem,
         if split:
             solve.close()
     return phi, o_prev, theta, total
+
+
+def _count(n) -> str:
+    """ceil(n), n >= 0 or inf, in a message: past 16 digits, 4 in e-notation (no float)."""
+    s = str(math.ceil(n) if n < math.inf else n)
+    return s if len(s) <= 16 else f"{s[0]}.{s[1:4]}e+{len(s) - 1}"
 
 
 def _record_price(points: int, segments: int, steps: int, roots: tuple

@@ -33,7 +33,7 @@ import numpy as np
 
 from .paths import LambdaPath
 from .propagation import (PADE22_ROOTS, PhaseUndefinedError, TransitionAmplitude,
-                          _adjoint_sweep, _energy_moments, _hamiltonian_tridiag,
+                          _adjoint_sweep, _count, _energy_moments, _hamiltonian_tridiag,
                           _record_price, _transition)
 from .spectrum import RadialState
 from .stationary import _damped_newton
@@ -103,17 +103,17 @@ class VariationalProblem:
         ham = _hamiltonian_tridiag(phi.grid, phi.l, lam, self.u)
         mean, scale = _energy_moments(np.asarray(phi.amplitudes), *ham)
         turn = self.x10 / (lam * self.segments) * scale / self.u.hbar
-        steps = max(1, math.ceil(turn / STEP_PHASE))
+        steps = max(1, math.ceil(x)) if (x := turn / STEP_PHASE) < math.inf else math.inf
         solves, stored = _record_price(phi.grid.num_points, self.segments, steps,
                                        PADE22_ROOTS)
         if solves > MAX_SOLVES_PER_RESIDUAL:
             raise ValueError(
-                f"x10 = {self.x10!r} needs {solves} tridiagonal solves per "
+                f"x10 = {self.x10!r} needs {_count(solves)} tridiagonal solves per "
                 f"residual, over the budget of {MAX_SOLVES_PER_RESIDUAL}; "
                 "lower x10")
         if stored > MAX_STORED_BYTES:
             raise ValueError(
-                f"x10 = {self.x10!r} needs {stored} bytes of stored states and "
+                f"x10 = {self.x10!r} needs {_count(stored)} bytes of stored states and "
                 f"LU factors per residual, over the budget of {MAX_STORED_BYTES}; "
                 "lower x10 or the grid points")
         object.__setattr__(self, "steps_per_segment", steps)

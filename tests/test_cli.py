@@ -238,6 +238,10 @@ NAMED_FAILURES = [
         "propagation grid"),
     row("subnormal-step-squared", "propagate --alpha 0.1 --path-file {const} --rmax 2e-157 "
         "--grid-points 900 --in 2,1 --out 2,1", 2, "ValueError", "propagation grid"),
+    # hbar^2 / step^2 = 8.1e205 is finite but its square is not: once LAPACK's
+    # dstebz failed on it (exit 3, LinAlgError "dstebz info 4")
+    row("rmax-1e-100-square", "propagate --alpha 0.1 --path-file {const} --grid-points 900 "
+        "--rmax 1e-100 --steps 3", 2, "ValueError", "propagation grid", "finite square"),
     # (m c^2)^2 overflows: the unit system refuses it
     row("optimize-alpha-1e-160", "optimize --alpha 1e-160 --in 1,0 --out 1,0 --x10 40.0 "
         "--grid-points 600 --rmax 24", 2, "ValueError", "its square overflows"),
@@ -275,6 +279,19 @@ NAMED_FAILURES = [
       for command, argv in [("propagate", "propagate --alpha 0.1 --path-file {const}"),
                             ("optimize", "optimize --alpha 0.1 --x10 40")]
       for power in (200, 400)),
+    # a lambda whose Coulomb entry lambda kappa_C / step has no finite square,
+    # refused by name: once the grid was blamed (a path's 1.7e308,
+    # --prep-lam-mc 1e307), or a middle segment's 1e160 gave a NaN phase
+    # turn and "cannot convert float NaN to integer"
+    row("propagate-path-lambda-1.7e308", "propagate --alpha 0.1 --path-file {path} "
+        "--grid-points 900 --rmax 25 --steps 300", 2, "ValueError",
+        "lambda = 1.7e+308 is too large for this grid", path="0.5,1.7e308\n"),
+    row("optimize-prep-lam-mc-1e307", "optimize --alpha 0.1 --in 1,0 --out 1,0 --x10 40 "
+        "--grid-points 600 --rmax 24 --prep-lam-mc 1e307", 2, "ValueError",
+        "lambda = 1e+308 is too large for this grid"),
+    row("propagate-path-lambda-1e160-middle", "propagate --alpha 0.1 --path-file {path} "
+        "--grid-points 900 --rmax 25", 2, "ValueError", "lambda = 1e+160 is too large",
+        path="0.5,20.0\n1.0,1e160\n1.5,20.0\n"),
     # an x10 whose S is subnormal or zero: once a stall (exit 3) or "S must be
     # positive", which names no flag
     *(row(f"stationary-x10-{x10}", f"stationary --alpha 0.1 --n 1 --x10 {x10}", 2,
@@ -288,6 +305,11 @@ NAMED_FAILURES = [
         "(lambda/mc = [2], S = 2)", "boundary states orthogonal under the path are refused"),
     row("optimize-runaway-schedule", "optimize --in 1,0 --out 1,0 --x10 1e6 --grid-points 600 "
         "--rmax 24", 2, "ValueError", "x10 = 1000000.0", "lower x10"),
+    # the count past the float range in four digits: once all 309 of them
+    row("optimize-x10-1e308", "optimize --alpha 0.1 --in 1,0 --out 1,0 --x10 1e308 "
+        "--grid-points 600 --rmax 24", 2, "ValueError",
+        exact="x10 = 1e+308 needs 1.806e+308 tridiagonal solves per residual, over the "
+        "budget of 20000; lower x10"),
     row("missing-n", "stationary --x10 1.0", 2, "ValueError", exact="stationary requires --n"),
     # the field is state_in, but the option a user types is --in
     row("missing-in", "optimize --x10 40", 2, "ValueError", exact="optimize requires --in"),

@@ -76,6 +76,45 @@ def test_grid_eigenstate_validation(u10):
             grid_eigenstate(l + 1, l, 20.0, g, u10)
 
 
+def test_generator_entries_need_finite_squares(u10):
+    # hbar^2 / step^2 = 8.1e205 is finite but its square is not, and LAPACK's
+    # dstebz squares the off-diagonal: once LinAlgError "dstebz info 4"
+    tiny = propagation_grid(1e-100, 900)
+    state = RadialState(tiny, 0, np.ones(900, complex))
+    path = LambdaPath.constant(2.0 * u10.mc, 0.5)
+    for call in (lambda: grid_eigenstate(1, 0, 2.0 * u10.mc, tiny, u10),
+                 lambda: evolve_spectral(state, path, u10)):
+        with pytest.raises(ValueError, match="propagation grid r_max = 1e-100 on 900 points"):
+            call()
+    # lambda kappa_C / step = 3.6e160 on a fine grid: lambda is at fault, once the grid
+    g = propagation_grid(25.0, 900)
+    with pytest.raises(ValueError, match=r"lambda = 1e\+160 is too large for this grid"):
+        grid_eigenstate(1, 0, 1e160, g, u10)
+    # the grid is judged first, then l, then lambda
+    with pytest.raises(ValueError, match="propagation grid"):
+        _hamiltonian_tridiag(tiny, 10 ** 200, 1e160, u10)
+    with pytest.raises(ValueError, match="l is too large"):
+        _hamiltonian_tridiag(g, 10 ** 200, 1e160, u10)
+
+
+def test_energy_moments_rate_is_never_nan():
+    # <H^2> and <H>^2 both overflow: inf - inf once made the rate NaN
+    for d in (2e154, 1e154):
+        mean, rate = _energy_moments(np.ones(100, complex), np.full(100, d), np.full(99, -1.0))
+        assert math.isfinite(mean) and rate == math.inf
+
+
+def test_tracked_sweep_refuses_an_infinite_turn_by_its_unwrap_count(u10):
+    # entries near 1e140 fit the float range, but H phi's squares do not, so
+    # the phase turn is inf: once an OverflowError from ceil(inf)
+    g = propagation_grid(9e-68, 900)
+    state = RadialState(g, 0, np.where(np.arange(900) % 2, 1.0, -1.0).astype(complex))
+    state = RadialState(g, 0, state.amplitudes / state_norm(state))
+    path = LambdaPath.constant(2.0 * u10.mc, 1.0)
+    with pytest.raises(RuntimeError, match=r"at its 3 steps \(it needs inf\)"):
+        _transition(state, state, path, u10, 3, PADE22_ROOTS)
+
+
 def test_grid_eigenstate_boundary_guards(u10):
     # 2s leaks onto a 12 bohr box: refuse unless the caller opts out
     tight = propagation_grid(12.0, 600)
