@@ -92,8 +92,10 @@ def chi_initial(sigma: float) -> GaussianPhaseState:
     """
     if not sigma > 0.0:
         raise ValueError("sigma must be positive")
-    if not sigma * sigma > 0.0:
-        raise ValueError(f"sigma = {sigma!r} is too small: sigma^2 underflows to 0")
+    if not (sigma * sigma > 0.0 and 2.0 * math.pi * sigma * sigma < math.inf
+            and 0.5 / (sigma * sigma) < math.inf):
+        raise ValueError(f"sigma = {sigma!r} is too {'small' if sigma < 1.0 else 'large'}: "
+                         "chi0 = -ln(2 pi sigma^2) / 4 and chi2 = -1 / (2 sigma^2) must be finite")
     return GaussianPhaseState(
         chi0=complex(-0.25 * math.log(2.0 * math.pi * sigma * sigma)),
         chi1=0.0 + 0.0j,

@@ -64,6 +64,7 @@ MAX_SWEEP_WORK = 10 ** 9
 # longest dot numpy 2.4.6's OpenBLAS keeps on one thread (10 001 elements give
 # other bits on one core than on two); another BLAS may need another value
 BLAS_SERIAL = 10000
+H_MAX = sys.float_info.max ** 0.25  # each term of H's diagonal at r = step, at most
 _LAPACK_LOAD = threading.Lock()  # makes _lapack's look-up and load one step
 
 
@@ -152,32 +153,29 @@ def _lapack():
 def _hamiltonian_tridiag(grid: RadialGrid, l: int, lam: float,
                          u: UnitSystem) -> tuple[np.ndarray, np.ndarray]:
     """H_std's diagonal and off-diagonal; the one check that grid is a propagation_grid and
-    that H fits the float range: at r = h the grid's 2 hbar^2 / h^2 > 0, l's hbar^2 l(l+1) / h^2,
-    lambda's lambda kappa_C / h and their sum each need a finite square (dstebz squares off,
-    _energy_moments H phi); the first input at fault is refused, the grid first and for the sum."""
+    that H fits the float range: at r = step, where each peaks, the grid's 2 hbar^2 / step^2,
+    l's hbar^2 l(l+1) / step^2 and lambda's |lambda| kappa_C / step are each at most H_MAX, so
+    no entry passes 3 H_MAX, where dstein's vectors and the squares of H phi stay finite; the
+    grid's term is also at least 1 / H_MAX, which keeps r^2 and hbar^2 l(l+1) finite. Judged
+    in that order, on scalars, before H is built."""
     if grid.spacing != UNIFORM or abs(grid.r_min - grid.step) > 1e-12 * grid.step:
         raise ValueError("propagation needs a uniform grid walled at r = 0, "
                          "r_min equal to the step (see propagation_grid)")
     h = grid.step
-    r = grid.points()
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        t = np.divide(u.hbar * u.hbar, h * h)
-        # l (l + 1) compared as a Python integer: past the float range it has no float
-        big = int(l) * (int(l) + 1) > sys.float_info.max
-        centrifugal = (math.inf if big else u.hbar * u.hbar * l * (l + 1)) / (r * r)
-        diag = 2.0 * t + centrifugal - lam * u.coulomb_momentum / r
-        grid_fits, l_fits, lam_fits, sum_fits = (x * x < math.inf for x in (  # NaN fails too
-            2.0 * t, centrifugal[0], lam * u.coulomb_momentum / r[0], diag[0]))
-    if not (t > 0.0 and grid_fits) or l_fits and lam_fits and not sum_fits:
+    t = u.hbar * u.hbar / (h * h) if h * h > 0.0 else math.inf
+    if not 1.0 / H_MAX <= 2.0 * t <= H_MAX:  # NaN fails too
         raise ValueError(f"propagation grid r_max = {grid.r_max!r} on {grid.num_points} points "
-                         f"leaves the float range: 2 hbar^2 / step^2 = {2.0 * float(t)!r} (> 0),"
-                         f" first diagonal entry {float(diag[0])!r}; each needs a finite square")
-    if not l_fits:
+                         f"leaves the float range: 2 hbar^2 / step^2 = {2.0 * float(t)!r} must "
+                         f"lie in [1 / H_MAX, H_MAX], H_MAX = {H_MAX:.4g}")
+    if int(l) * (int(l) + 1) > H_MAX / t:  # an integer against a float: exact, no conversion
         raise ValueError(f"l is too large for this grid: its centrifugal entry hbar^2 l (l+1) "
-                         f"/ step^2 = {float(centrifugal[0])!r} has no finite square")
-    if not lam_fits:
-        raise ValueError(f"lambda = {float(lam)!r} is too large for this grid: its Coulomb "
-                         f"entry {float(lam) * u.coulomb_momentum / h!r} has no finite square")
+                         f"/ step^2 must be at most H_MAX = {H_MAX:.4g}, l = {_count(l)}")
+    coulomb = abs(float(lam)) * u.coulomb_momentum / h
+    if not coulomb <= H_MAX:
+        raise ValueError(f"lambda = {float(lam)!r} is too large for this grid: its Coulomb entry "
+                         f"|lambda| kappa_C / step = {coulomb!r} is over H_MAX = {H_MAX:.4g}")
+    r = grid.points()
+    diag = 2.0 * t + u.hbar * u.hbar * l * (l + 1) / (r * r) - lam * u.coulomb_momentum / r
     off = np.full(grid.num_points - 1, -t)
     return diag, off
 
@@ -187,7 +185,7 @@ def _eigenpairs(diag: np.ndarray, off: np.ndarray, first: int, last: int) -> tup
 
     eigh_tridiagonal(select="i")'s two LAPACK calls with its arguments, so its
     bits: bisection (dstebz), then inverse iteration (dstein); a nonzero info
-    raises, which no input reaches: _hamiltonian_tridiag keeps H's squares finite.
+    raises, which no input reaches: _hamiltonian_tridiag keeps H's entries within 3 H_MAX.
     """
     lapack = _lapack()
     found, w, block, split, info = lapack.dstebz(diag, off, 2, 0.0, 1.0, first + 1,

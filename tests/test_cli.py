@@ -238,10 +238,21 @@ NAMED_FAILURES = [
         "propagation grid"),
     row("subnormal-step-squared", "propagate --alpha 0.1 --path-file {const} --rmax 2e-157 "
         "--grid-points 900 --in 2,1 --out 2,1", 2, "ValueError", "propagation grid"),
-    # hbar^2 / step^2 = 8.1e205 is finite but its square is not: once LAPACK's
+    # hbar^2 / step^2 = 8.1e205 is past the generator's bound: once LAPACK's
     # dstebz failed on it (exit 3, LinAlgError "dstebz info 4")
     row("rmax-1e-100-square", "propagate --alpha 0.1 --path-file {const} --grid-points 900 "
-        "--rmax 1e-100 --steps 3", 2, "ValueError", "propagation grid", "finite square"),
+        "--rmax 1e-100 --steps 3", 2, "ValueError", "propagation grid",
+        "must lie in [1 / H_MAX, H_MAX]"),
+    # 2 hbar^2 / step^2 = 1.6e-298 is under 1 / H_MAX, where l's hbar^2 l (l+1)
+    # and r^2 may overflow: once a bare OverflowError (exit 3) at l = 10^27
+    row("propagate-rmax-1e152-l-1e27", "propagate --alpha 0.1 --path-file {const} --rmax 1e152 "
+        f"--grid-points 900 --in {10 ** 27 + 1},{10 ** 27} --out 1,0 --steps 3", 2, "ValueError",
+        "propagation grid r_max = 1e+152"),
+    # entries near 1.6e150 have finite squares, but dstein's vectors were NaN:
+    # once "amplitudes contain non-finite entries", which names no input
+    row("optimize-rmax-1e-72", "optimize --alpha 0.1 --in 1,0 --out 1,0 --x10 40 "
+        "--grid-points 900 --rmax 1e-72 --prep-lam-mc 1e74", 2, "ValueError",
+        "propagation grid r_max = 1e-72"),
     # (m c^2)^2 overflows: the unit system refuses it
     row("optimize-alpha-1e-160", "optimize --alpha 1e-160 --in 1,0 --out 1,0 --x10 40.0 "
         "--grid-points 600 --rmax 24", 2, "ValueError", "its square overflows"),
@@ -263,6 +274,11 @@ NAMED_FAILURES = [
         "--out 1,0 --grid-points 20000 --rmax 60 --steps 20000", 2, "ValueError",
         "the step floor on 3 segment(s)", "the sweep's budget",
         path="0.8,17.0\n1.6,23.0\n2.4,17.5\n"),
+    # a width whose chi2 (1e-160) or chi0 (1e160) leaves the float range: once
+    # "chi2 is not finite" or "chi0 is not finite", which name no input
+    *(row(f"packet-sigma-{sigma}", f"packet --alpha 0.5 --path-file {{two}} --sigma {sigma} "
+          "--steps 50", 2, "ValueError", f"sigma = {float(sigma)!r} is too {size}")
+      for sigma, size in (("1e-160", "small"), ("1e160", "large"))),
     row("malformed-path", "packet --path-file {path} --sigma 1.0", 2, "ValueError",
         "{path}, line 3", path="s_end,lambda\n1.0,2.0\nnonsense\n"),
     # lambda * duration = 1e310: refused where the path is read

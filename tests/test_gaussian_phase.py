@@ -35,10 +35,14 @@ def test_chi_initial_domain():
         chi_initial(0.0)
     with pytest.raises(ValueError):
         chi_initial(-1.0)
-    # sigma^2 underflows to 0: once a bare math domain error or ZeroDivisionError
-    for sigma in (1e-200, 1e-162):
+    # sigma^2 underflows to 0: once a bare math domain error or ZeroDivisionError;
+    # chi2 (1e-155) or chi0 (1e155) overflows: once "chi2 is not finite" or
+    # "chi0 is not finite", which name no input
+    for sigma in (1e-200, 1e-162, 1e-155):
         with pytest.raises(ValueError, match="sigma = .* is too small"):
             chi_initial(sigma)
+    with pytest.raises(ValueError, match=r"sigma = 1e\+155 is too large"):
+        chi_initial(1e155)
     with pytest.raises(ValueError):
         GaussianPhaseState(chi0=complex(np.nan), chi1=0j, chi2=-0.5 + 0j, s=0.0)
 

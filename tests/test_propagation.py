@@ -11,14 +11,14 @@ import scipy.linalg
 from scipy.linalg import eigh_tridiagonal
 
 from qaction import (
-    BoundaryReflectionError, LambdaPath, RadialGrid, RadialState,
-    TransitionAmplitude, evolve, evolve_spectral, grid_eigenstate,
-    propagation_grid, state_norm, transition_amplitude,
+    HARTREE_ATOMIC, SI_LIKE, BoundaryReflectionError, LambdaPath, RadialGrid, RadialState,
+    TransitionAmplitude, VariationalProblem, evolve, evolve_spectral, grid_eigenstate,
+    make_units, propagation_grid, state_norm, transition_amplitude,
 )
 from qaction import propagation
-from qaction.propagation import (BLAS_SERIAL, CN_ROOTS, MAX_PHASE_PER_STEP,
+from qaction.propagation import (BLAS_SERIAL, CN_ROOTS, H_MAX, MAX_PHASE_PER_STEP,
                                  PADE22_ROOTS, SPLIT_POINTS, _adjoint_sweep,
-                                 _cayley, _chunked, _energy_moments,
+                                 _cayley, _chunked, _eigenpairs, _energy_moments,
                                  _hamiltonian_tridiag, _sweep, _transition,
                                  _two_blocks, _TwoBlockSolver)
 from qaction.spectrum import LOG, UNIFORM
@@ -76,9 +76,54 @@ def test_grid_eigenstate_validation(u10):
             grid_eigenstate(l + 1, l, 20.0, g, u10)
 
 
-def test_generator_entries_need_finite_squares(u10):
-    # hbar^2 / step^2 = 8.1e205 is finite but its square is not, and LAPACK's
-    # dstebz squares the off-diagonal: once LinAlgError "dstebz info 4"
+def _alternating(grid):
+    """The grid's most oscillating state, normalised: H phi is largest on it."""
+    signs = np.where(np.arange(grid.num_points) % 2, 1.0, -1.0)
+    state = RadialState(grid, 0, signs.astype(complex))
+    return RadialState(grid, 0, state.amplitudes / state_norm(state))
+
+
+@pytest.mark.parametrize("system", [HARTREE_ATOMIC, SI_LIKE])
+def test_generator_terms_are_bounded_by_h_max(system):
+    # each term of the diagonal at r = step just inside and just past its bound:
+    # inside, dstein's vectors and the phase-turn rate of the alternating state
+    # stay finite; past it, the term's input is named. Once entries near 1.6e150
+    # passed, and dstein returned NaN vectors with info 0
+    u, n, eps = make_units(0.1, system), 900, 1e-9
+    top = u.hbar * math.sqrt(2.0 / H_MAX)  # the step where 2 hbar^2 / step^2 = H_MAX
+    low = u.hbar * math.sqrt(2.0 * H_MAX)  # and where it is 1 / H_MAX
+    g = propagation_grid(25.0 * u.bohr_radius, n)
+    q = H_MAX / (u.hbar * u.hbar / (g.step * g.step))
+    l = math.isqrt(int(q))
+    while l * (l + 1) > q:
+        l -= 1
+    lam = H_MAX * g.step / u.coulomb_momentum
+    mc2 = 2.0 * u.mc
+    for inside, past, says in [
+            ((propagation_grid(n * top * (1 + eps), n), 0, mc2),
+             (propagation_grid(n * top * (1 - eps), n), 0, mc2), "propagation grid"),
+            ((propagation_grid(n * low * (1 - eps), n), 0, mc2),
+             (propagation_grid(n * low * (1 + eps), n), 0, mc2), "propagation grid"),
+            ((g, l, mc2), (g, l + 1, mc2), "l is too large for this grid"),
+            ((g, 0, lam * (1 - eps)), (g, 0, lam * (1 + eps)), "lambda = .* is too large"),
+            ((g, 0, -lam * (1 - eps)), (g, 0, -lam * (1 + eps)), "lambda = -.* is too large")]:
+        diag, off = _hamiltonian_tridiag(*inside, u)
+        w, v = _eigenpairs(diag, off, 0, 0)
+        assert np.all(np.isfinite(w)) and np.all(np.isfinite(v))
+        assert math.isfinite(_energy_moments(_alternating(inside[0]).amplitudes, diag, off)[1])
+        with pytest.raises(ValueError, match=says):
+            _hamiltonian_tridiag(*past, u)
+    # all three at their bounds at once: entries near 3 H_MAX, every vector finite
+    g = propagation_grid(n * top * (1 + eps), n)
+    diag, off = _hamiltonian_tridiag(g, 1, -H_MAX * g.step / u.coulomb_momentum * (1 - eps), u)
+    assert np.max(np.abs(diag)) > 2.9 * H_MAX
+    assert np.all(np.isfinite(_eigenpairs(diag, off, 0, n - 1)[1]))
+    assert math.isfinite(_energy_moments(_alternating(g).amplitudes, diag, off)[1])
+
+
+def test_generator_bound_names_the_input_at_fault(u10):
+    # hbar^2 / step^2 = 8.1e205 leaves the bound, and LAPACK's dstebz squares
+    # the off-diagonal: once LinAlgError "dstebz info 4"
     tiny = propagation_grid(1e-100, 900)
     state = RadialState(tiny, 0, np.ones(900, complex))
     path = LambdaPath.constant(2.0 * u10.mc, 0.5)
@@ -86,14 +131,18 @@ def test_generator_entries_need_finite_squares(u10):
                  lambda: evolve_spectral(state, path, u10)):
         with pytest.raises(ValueError, match="propagation grid r_max = 1e-100 on 900 points"):
             call()
+    # entries near 2e140: H phi's squares overflowed, and a variational problem blamed x10
+    found = _alternating(propagation_grid(9e-68, 900))
+    with pytest.raises(ValueError, match="propagation grid r_max = 9e-68 on 900 points"):
+        VariationalProblem(phi_in=found, phi_out=found, x10=40.0, segments=1, u=u10)
     # lambda kappa_C / step = 3.6e160 on a fine grid: lambda is at fault, once the grid
     g = propagation_grid(25.0, 900)
     with pytest.raises(ValueError, match=r"lambda = 1e\+160 is too large for this grid"):
         grid_eigenstate(1, 0, 1e160, g, u10)
-    # the grid is judged first, then l, then lambda
+    # the grid is judged first, then l, then lambda; l is printed as a count
     with pytest.raises(ValueError, match="propagation grid"):
         _hamiltonian_tridiag(tiny, 10 ** 200, 1e160, u10)
-    with pytest.raises(ValueError, match="l is too large"):
+    with pytest.raises(ValueError, match=r"l is too large.*l = 1\.000e\+200$"):
         _hamiltonian_tridiag(g, 10 ** 200, 1e160, u10)
 
 
@@ -105,12 +154,10 @@ def test_energy_moments_rate_is_never_nan():
 
 
 def test_tracked_sweep_refuses_an_infinite_turn_by_its_unwrap_count(u10):
-    # entries near 1e140 fit the float range, but H phi's squares do not, so
-    # the phase turn is inf: once an OverflowError from ceil(inf)
-    g = propagation_grid(9e-68, 900)
-    state = RadialState(g, 0, np.where(np.arange(900) % 2, 1.0, -1.0).astype(complex))
-    state = RadialState(g, 0, state.amplitudes / state_norm(state))
-    path = LambdaPath.constant(2.0 * u10.mc, 1.0)
+    # a duration of 1e306 at a finite rate turns the phase by inf: once an
+    # OverflowError from ceil(inf)
+    state = _alternating(propagation_grid(25.0, 900))
+    path = LambdaPath.constant(2.0 * u10.mc, 1e306)
     with pytest.raises(RuntimeError, match=r"at its 3 steps \(it needs inf\)"):
         _transition(state, state, path, u10, 3, PADE22_ROOTS)
 

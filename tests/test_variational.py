@@ -209,13 +209,13 @@ def test_stored_bytes_over_budget_rejected_before_any_sweep(u10, monkeypatch):
 
 
 def test_schedule_counts_past_the_float_range_are_refused_in_short(u10):
-    # H phi's squares overflow on this grid, so the schedule's turn is inf:
-    # once an OverflowError from ceil(inf)
-    g = propagation_grid(9e-68, 900)
+    # x10 = 1.7e308 at a finite rate turns the schedule's phase by inf: once an
+    # OverflowError from ceil(inf)
+    g = propagation_grid(25.0, 900)
     state = RadialState(g, 0, np.where(np.arange(900) % 2, 1.0, -1.0).astype(complex))
     state = RadialState(g, 0, state.amplitudes / state_norm(state))
-    with pytest.raises(ValueError, match="x10 = 40.0 needs inf tridiagonal solves"):
-        VariationalProblem(phi_in=state, phi_out=state, x10=40.0, segments=1, u=u10)
+    with pytest.raises(ValueError, match=r"x10 = 1\.7e\+308 needs inf tridiagonal solves"):
+        VariationalProblem(phi_in=state, phi_out=state, x10=1.7e308, segments=1, u=u10)
     # a count is printed whole up to 16 digits, past them in four, never through a float
     count = propagation._count
     assert [count(12), count(11.2), count(10 ** 16 - 1), count(math.inf)] == [
