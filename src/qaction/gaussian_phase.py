@@ -135,8 +135,9 @@ def integrate_chi(state: GaussianPhaseState, path: LambdaPath, d: float | None,
     over segments in proportion to duration (at least one per segment) and
     never straddle a breakpoint, so for this right-hand side, polynomial in s
     within each segment, RK4 reproduces the quadrature solution to roundoff.
-    More than MAX_RK4_STEPS steps, or a segment whose duration times steps
-    overflows, is refused (ValueError).
+    More than MAX_RK4_STEPS steps, a segment whose duration times steps
+    overflows, or then a chi1 or chi0 past the float range where the path's
+    running integral L peaks is refused (ValueError), before the first step.
     """
     if not (isinstance(steps, numbers.Integral) and steps >= 1):
         raise ValueError(f"steps must be a whole number >= 1, got {steps!r}")
@@ -144,18 +145,23 @@ def integrate_chi(state: GaussianPhaseState, path: LambdaPath, d: float | None,
         raise ValueError(f"steps must be at most {MAX_RK4_STEPS:.0e}, the RK4 work budget")
     if state.s != 0.0:
         raise ValueError("trajectory must start at s = 0")
+    for j, dur in enumerate(path.durations.tolist()):
+        if steps * dur / path.S == math.inf:
+            raise ValueError(f"segment {j} of duration {dur!r} times steps = {steps} "
+                             "overflows; shorten the path or lower steps")
+    reach = float(np.max(np.abs(path.cumulative_integral())))  # L peaks at a segment end
+    c1, c2 = (max(abs(z.real), abs(z.imag)) for z in (state.chi1, state.chi2))
+    if not (c1 + c2 * reach < math.inf and (c1 + 0.5 * c2 * reach) * reach < math.inf):
+        raise ValueError(f"packet width sigma = {state.width:.6g} is too small for a path whose "
+                         f"lambda integral reaches |L| = {reach:.6g}: chi1 or chi0 overflows")
     if d is None:
         d = _default_d(path)
     m2c2 = u.mass * u.mass * u.c * u.c
     out = [state]
     chi0, chi1, chi2 = complex(state.chi0), complex(state.chi1), complex(state.chi2)
     s_now = 0.0
-    for j, (lam, dur) in enumerate(zip(path.values.tolist(), path.durations.tolist())):
-        share = steps * dur / path.S
-        if share == math.inf:
-            raise ValueError(f"segment {j} of duration {dur!r} times steps = {steps} "
-                             "overflows; shorten the path or lower steps")
-        n_sub = max(1, math.ceil(share))
+    for lam, dur in zip(path.values.tolist(), path.durations.tolist()):
+        n_sub = max(1, math.ceil(steps * dur / path.S))
         h = dur / n_sub
         c0 = (d * d - lam * d - m2c2) / (1j * u.hbar)
 

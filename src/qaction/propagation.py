@@ -10,9 +10,9 @@ factors
     F_zeta = (1 - z/zeta) (1 + z/zeta)^-1 = 2 (1 + z/zeta)^-1 - 1
 
 over a set of roots zeta: the single root -2 is Crank-Nicolson, second
-order, which evolve and transition_amplitude use; the pair -3 +- i sqrt(3)
-is the (2,2) diagonal Pade approximant of exp(z), fourth order, which the
-path search uses (qaction.variational). Either step is exactly unitary for
+order, which evolve and transition_amplitude use; PADE33_ROOTS, the roots
+of 1 + z/2 + z^2/10 + z^3/120, give the sixth-order (3,3) diagonal Pade
+approximant, which the path search uses. Either step is exactly unitary for
 the symmetric tridiagonal H, so norms are conserved to roundoff over any
 number of steps. The sweep sets each segment's step count, from the state
 entering it. Each factor's matrix 1 + z/zeta is constant on a
@@ -55,7 +55,9 @@ __all__ = [
 REFLECTION_TOL = 1e-4   # boundary amplitude over max before we call it a reflection
 ROUNDOFF_SAFETY = 10.0  # |K| within this many roundoff bounds of zero has no usable phase
 CN_ROOTS = (-2.0,)      # Crank-Nicolson: (1 + z/2) / (1 - z/2)
-PADE22_ROOTS = (complex(-3.0, math.sqrt(3.0)), complex(-3.0, -math.sqrt(3.0)))
+PADE33_ROOTS = (complex(-3.6778146453739144, 3.5087619195674433),  # (3,3) Pade: the roots of
+                complex(-3.6778146453739144, -3.5087619195674433),  # 1 + z/2 + z^2/10 + z^3/120
+                -4.644370709252171)
 MAX_PHASE_PER_STEP = 0.02  # radians of overlap phase per Crank-Nicolson step, at most
 UNWRAP_PHASE = 0.5  # radians per step past which overlap phase unwrapping can alias
 SPLIT_POINTS = 6000  # grid points from which a CN solve is two blocks on two threads
@@ -383,16 +385,14 @@ def _sweep(state: RadialState, path: LambdaPath, steps: int, u: UnitSystem,
            ) -> tuple[np.ndarray, complex | None, float, int]:
     """The Cayley loop along path, at least steps (an integer >= 1) per segment.
 
-    A step is the product of the Cayley factors (1 - z/zeta)(1 + z/zeta)^-1
-    over roots, z = i ds H / hbar: one factor at zeta = -2 is Crank-Nicolson,
-    the pair -3 +- i sqrt(3) the (2,2) diagonal Pade approximant of exp(z).
-    Per segment H is built once; the state entering the segment turns overlap
-    phases by about turn = dur scale / hbar over it (scale from
+    A step is the product of the Cayley factors over roots (CN_ROOTS or
+    PADE33_ROOTS). Per segment H is built once; the state entering the segment
+    turns overlap phases by about turn = dur scale / hbar over it (scale from
     _energy_moments), and the segment takes steps, or with cap max(steps,
     ceil(turn / cap)): this sizes transition_amplitude's sweeps segment by
     segment. evolve passes its caller's count and a path search the count
-    VariationalProblem.steps_per_segment fixes once from the same scale,
-    both without a cap. A floor whose steps on all segments take more than
+    VariationalProblem.steps_per_segment fixes once from the same scale, both
+    without a cap. A floor whose steps on all segments take more than
     MAX_SWEEP_WORK grid points x steps is refused (ValueError) before the
     sweep starts, and a segment whose count the cap raises past the budget, or
     whose step ds is subnormal, before it is factored. Each factor's matrix is

@@ -13,10 +13,10 @@ solved in closed form: the constraint, linear in S, gives S = x10 /
 mean(lambda), and the S row, linear in kappa, gives the multiplier. The
 remaining lambda rows are solved by a damped chord iteration (Newton with the
 Jacobian held at the classical Hessian) over the scaled lambda_j alone. I is
-propagated with the fourth-order (2,2) diagonal Pade stepper in factored
-form (van Dijk and Toyama, Phys. Rev. E 75, 036707, 2007), two Cayley solves
-per step. Its step count is fixed per problem from an accuracy target, so
-that I is smooth in the unknowns, and the quantum gradients dI/dlambda_j and
+propagated with the sixth-order (3,3) diagonal Pade stepper in factored
+form (van Dijk and Toyama, Phys. Rev. E 75, 036707, 2007), three Cayley
+solves per step. Its step count is fixed per problem (STEP_PHASE), so that
+I is smooth in the unknowns, and the quantum gradients dI/dlambda_j and
 dI/dS are the exact derivatives of that discrete I, from one forward and one
 backward (adjoint) sweep. The classical part uses the reduced d = lambda/2
 branch throughout, which is where the endpoint phases are stationary for the
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .paths import LambdaPath
-from .propagation import (PADE22_ROOTS, PhaseUndefinedError, TransitionAmplitude,
+from .propagation import (PADE33_ROOTS, UNWRAP_PHASE, PhaseUndefinedError, TransitionAmplitude,
                           _adjoint_sweep, _count, _energy_moments, _hamiltonian_tridiag,
                           _record_price, _transition)
 from .spectrum import RadialState
@@ -42,8 +42,8 @@ from .units import UnitSystem
 # accuracy target, relative error of an eigenphase: a tenth of the x^2 / 12 of
 # Crank-Nicolson at x = 0.005 rad per step, the path search's former schedule
 PHASE_ERROR = 0.1 * 0.005 ** 2 / 12.0
-# (2,2) Pade turns an eigenphase x per step with relative error x^4 / 720
-STEP_PHASE = (720.0 * PHASE_ERROR) ** 0.25   # 0.11 rad
+# (3,3) Pade's x^6 / 100 800 per radian meets PHASE_ERROR to 0.525 rad: the unwrap limit binds
+STEP_PHASE = 0.8 * UNWRAP_PHASE   # 0.4 rad, a fifth of headroom for trial paths
 # work and memory budgets of one residual's sweep record and its adjoint
 # (qaction.propagation._record_price prices both)
 MAX_SOLVES_PER_RESIDUAL = 20_000
@@ -62,7 +62,7 @@ class VariationalProblem:
     coordinate distance), and segments the number of equal-fraction path
     pieces being optimized. The path duration S is held in the box (0.2, 5)
     times x10 / (2 m c). steps_per_segment is worked out, not passed: the
-    (2,2) step count that holds the overlap phase under STEP_PHASE rad per
+    (3,3) step count that holds the overlap phase under STEP_PHASE rad per
     step on the constant path lambda = 2 m c, and so its eigenphase error
     under PHASE_ERROR per radian (one energy scale of phi_in at lambda =
     2 m c, as that path's N segments are alike); every sweep of the problem
@@ -95,7 +95,7 @@ class VariationalProblem:
         phi, lam = self.phi_in, 2.0 * self.u.mc
         # checked as an integer, before it meets a float: a segment takes
         # `least` solves a residual at one step
-        least = _record_price(phi.grid.num_points, 1, 1, PADE22_ROOTS)[0]
+        least = _record_price(phi.grid.num_points, 1, 1, PADE33_ROOTS)[0]
         if self.segments * least > MAX_SOLVES_PER_RESIDUAL:
             raise ValueError(
                 f"segments must be at most {MAX_SOLVES_PER_RESIDUAL // least}, the budget of "
@@ -105,7 +105,7 @@ class VariationalProblem:
         turn = self.x10 / (lam * self.segments) * scale / self.u.hbar
         steps = max(1, math.ceil(x)) if (x := turn / STEP_PHASE) < math.inf else math.inf
         solves, stored = _record_price(phi.grid.num_points, self.segments, steps,
-                                       PADE22_ROOTS)
+                                       PADE33_ROOTS)
         if solves > MAX_SOLVES_PER_RESIDUAL:
             raise ValueError(
                 f"x10 = {self.x10!r} needs {_count(solves)} tridiagonal solves per "
@@ -167,12 +167,12 @@ def classical_action_part(path: LambdaPath, kappa: float, x10: float,
 
 def _forward(path: LambdaPath, problem: VariationalProblem,
              record: list | None = None) -> TransitionAmplitude:
-    """The problem's (2,2) amplitude along path, problem.steps_per_segment
+    """The problem's (3,3) amplitude along path, problem.steps_per_segment
     steps on every segment; with record, a list, the sweep appends its record
     for _adjoint_sweep to it. A path too fast for that count is refused by
     the sweep (UNWRAP_PHASE in qaction.propagation), never re-stepped."""
     amp = _transition(problem.phi_in, problem.phi_out, path, problem.u,
-                      problem.steps_per_segment, PADE22_ROOTS, record=record)
+                      problem.steps_per_segment, PADE33_ROOTS, record=record)
     if not amp.phase_valid:
         lams = ", ".join(f"{v / problem.u.mc:.6g}" for v in path.values)
         raise PhaseUndefinedError(
@@ -227,9 +227,9 @@ def optimize_path(problem: VariationalProblem, tol: float = 1e-8,
     classical Hessian -I/2 (the chord method, Kelley 1995, section 5.4):
     linear convergence by a factor of order alpha^2, one residual per step.
     A residual is one forward and one adjoint sweep of
-    problem.steps_per_segment (2,2) Pade steps per segment (the schedule
-    sized at lambda = 2 m c, whatever the start), two solves per step forward
-    and two backward, with one LU factorisation per Cayley root and segment,
+    problem.steps_per_segment (3,3) Pade steps per segment (the schedule
+    sized at lambda = 2 m c, whatever the start), three solves per step
+    forward and three backward, one LU factorisation per root and segment,
     made by the forward sweep and reused from its record by the adjoint; the
     returned amplitude is the forward sweep of the last residual.
     Non-convergence is reported through the converged flag rather than

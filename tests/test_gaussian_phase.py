@@ -159,6 +159,24 @@ def test_integrate_domain_errors(u_half):
         integrate_chi(moved, path, None, u_half, 100)
 
 
+def test_width_too_small_for_the_path_is_refused_by_name(u_half):
+    # L peaks at 3.5 on this path: sigma = 5.3e-155 gives chi2 = -1.78e308, so
+    # chi2 L^2 / 2 = -1.1e309 (and chi2 L); 1e-154 only chi2 L. Both once
+    # ended in "chi0 is not finite" or "chi1 is not finite", which name no input
+    path = LambdaPath(np.array([1.0, 2.5]), np.array([2.0, 1.0]))
+    for sigma in (5.3e-155, 1e-154):
+        with pytest.raises(ValueError, match=rf"packet width sigma = {sigma!r} is too small "
+                           r"for a path whose lambda integral reaches \|L\| = 3\.5"):
+            integrate_chi(chi_initial(sigma), path, None, u_half, 50)
+    # at L = 1.5 chi2 = -1.5e308 leaves chi2 L^2 / 2 finite but not chi2 L
+    short = LambdaPath.constant(1.5, 1.0)
+    wide = GaussianPhaseState(chi0=0j, chi1=0j, chi2=-1.5e308 + 0j, s=0.0)
+    with pytest.raises(ValueError, match=r"\|L\| = 1\.5: chi1 or chi0 overflows"):
+        integrate_chi(wide, short, None, u_half, 10)
+    last = integrate_chi(chi_initial(1e-150), path, None, u_half, 50)[-1]
+    assert math.isclose(last.chi1.real, 3.5 * 0.5e300, rel_tol=1e-12)
+
+
 def test_diagnostics_domain_errors():
     st = chi_initial(1.0)
     with pytest.raises(ValueError):

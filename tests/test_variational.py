@@ -177,18 +177,18 @@ def test_runaway_schedule_rejected_before_any_sweep(u_codata, monkeypatch):
     assert str(variational.MAX_SOLVES_PER_RESIDUAL) in message
     ok = VariationalProblem(phi_in=state, phi_out=state, x10=40.0, segments=1,
                             u=u_codata)
-    assert (2 * len(propagation.PADE22_ROOTS) * ok.steps_per_segment
+    assert (2 * len(propagation.PADE33_ROOTS) * ok.steps_per_segment
             <= variational.MAX_SOLVES_PER_RESIDUAL)
 
 
 def test_stored_bytes_over_budget_rejected_before_any_sweep(u10, monkeypatch):
     # the adjoint sweep reads the forward sweep's states from memory; at
-    # x10 = 2000 the schedule's solves fit their budget on either grid, but
+    # x10 = 3000 the schedule's solves fit their budget on either grid, but
     # on 20 000 points the states it would keep do not fit theirs
     def problem(points):
         g = propagation_grid(35.0, points)
         state, _ = grid_eigenstate(1, 0, 2.0 * u10.mc, g, u10)
-        return lambda: VariationalProblem(phi_in=state, phi_out=state, x10=2000.0,
+        return lambda: VariationalProblem(phi_in=state, phi_out=state, x10=3000.0,
                                           segments=1, u=u10)
 
     coarse, fine = problem(1500), problem(20_000)
@@ -199,7 +199,7 @@ def test_stored_bytes_over_budget_rejected_before_any_sweep(u10, monkeypatch):
     for name in ("zgttrf", "zgttrs"):
         monkeypatch.setattr(lapack, name, no_sweep)
     ok = coarse()
-    assert (2 * len(propagation.PADE22_ROOTS) * ok.steps_per_segment
+    assert (2 * len(propagation.PADE33_ROOTS) * ok.steps_per_segment
             <= variational.MAX_SOLVES_PER_RESIDUAL)
     with pytest.raises(ValueError) as err:
         fine()
@@ -293,16 +293,16 @@ def test_one_step_schedule_per_solve(u10, coarse_setup, monkeypatch):
                                for _, roots, _, states in record), record[0][1])
                         for record, *_ in backward}}
     assert seen == {"forward": {((problem.steps_per_segment,) * 2,
-                                 propagation.PADE22_ROOTS)},
+                                 propagation.PADE33_ROOTS)},
                     "adjoint": {((problem.steps_per_segment,) * 2,
-                                 propagation.PADE22_ROOTS)}}
+                                 propagation.PADE33_ROOTS)}}
 
 
 @pytest.mark.parametrize("segments", [1, 4])
 def test_one_hamiltonian_build_per_segment_per_sweep(u10, coarse_setup,
                                                      monkeypatch, segments):
     # one residual builds H once per segment: the forward sweep's, shared by
-    # its unwrap check and both (2,2) roots; the adjoint sweep reads the
+    # its unwrap check and all three (3,3) roots; the adjoint sweep reads the
     # forward sweep's LU factors and builds none. transition_amplitude's
     # sweep sizes each segment's Crank-Nicolson count from the same H
     _, state, _ = coarse_setup
@@ -318,22 +318,53 @@ def test_one_hamiltonian_build_per_segment_per_sweep(u10, coarse_setup,
 
 
 def test_path_too_fast_for_the_schedule_is_refused(u10):
-    # the schedule is 10 steps per segment, sized at lambda = 2 m c; this
+    # the schedule is 3 steps per segment, sized at lambda = 2 m c; this
     # path, inside the S box, would turn the overlap phase more than 0.5 rad
     # per step on its first segment at that count (it needs 15), so it is
     # refused rather than re-stepped, which would make I jump between trials
     state, _ = grid_eigenstate(1, 0, 2.0 * u10.mc, propagation_grid(30.0, 2000), u10)
     problem = VariationalProblem(phi_in=state, phi_out=state, x10=40.0,
                                  segments=2, u=u10)
-    assert problem.steps_per_segment == 10
+    assert problem.steps_per_segment == 3
     path = LambdaPath.equal_segments([5.0 * u10.mc, 0.6 * u10.mc],
                                      40.0 / (2.8 * u10.mc))
     lo, hi = problem.s_bounds()
     assert lo <= path.S <= hi
     for call in (lambda: variational._forward(path, problem),
                  lambda: full_action(path, 1.0, problem)):
-        with pytest.raises(RuntimeError, match=r"0\.5 rad .* 10 steps"):
+        with pytest.raises(RuntimeError, match=r"0\.5 rad .* 3 steps \(it needs 15\)"):
             call()
+
+
+def test_pade33_constants_and_the_schedule_they_size(u10):
+    # each literal root solves 1 + z/2 + z^2/10 + z^3/120 = 0 to a few ulp;
+    # they are one conjugate pair and one real root
+    pair, real = propagation.PADE33_ROOTS[:2], propagation.PADE33_ROOTS[2]
+    for z in propagation.PADE33_ROOTS:
+        assert abs(1.0 + z / 2.0 + z * z / 10.0 + z ** 3 / 120.0) <= 4.0 * np.finfo(float).eps, z
+    assert pair[0] == pair[1].conjugate() and pair[0].imag > 0.0
+    assert isinstance(real, float) and real < 0.0
+    # the step is within the accuracy target, x^6 / 100 800 per radian, and
+    # under the unwrap limit
+    assert variational.STEP_PHASE <= (100_800 * variational.PHASE_ERROR) ** (1.0 / 6.0)
+    assert variational.STEP_PHASE <= propagation.UNWRAP_PHASE
+    # on the converged acceptance-07 paths every segment's entering state
+    # turns the overlap phase less than UNWRAP_PHASE per step at the schedule
+    state, _ = grid_eigenstate(1, 0, 2.0 * u10.mc, propagation_grid(30.0, 2000), u10)
+    schedule = []
+    for nseg in (1, 4, 8):
+        problem = VariationalProblem(phi_in=state, phi_out=state, x10=40.0,
+                                     segments=nseg, u=u10)
+        res = optimize_path(problem)
+        assert res.converged
+        record = []
+        variational._forward(res.path, problem, record)
+        for (_, _, _, states), lam, dur in zip(record, res.path.values, res.path.durations):
+            ham = propagation._hamiltonian_tridiag(state.grid, 0, lam, u10)
+            turn = dur * propagation._energy_moments(states[0], *ham)[1] / u10.hbar
+            assert turn / propagation.UNWRAP_PHASE < problem.steps_per_segment, (nseg, turn)
+        schedule.append(problem.steps_per_segment)
+    assert schedule == [5, 2, 1]
 
 
 def test_start_is_the_levels_stationary_lambda(u10):
@@ -477,7 +508,7 @@ def test_optimize_kappa_matches_closed_form(u10, counted_solves):
 
 def test_optimize_solves_per_step(counted_solves):
     # one residual at the start and one line-search trial per step; each is a
-    # forward sweep of N * steps_per_segment (2,2) steps, one single-column
+    # forward sweep of N * steps_per_segment (3,3) steps, one single-column
     # solve per Cayley factor, and an adjoint sweep, one per factor (the
     # adjoint state; the states are read from the forward sweep's record),
     # with one factorisation per factor and segment, made forward and reused
@@ -485,7 +516,7 @@ def test_optimize_solves_per_step(counted_solves):
     # schedule. The Jacobian is held fixed, S and kappa are
     # closed forms and the returned amplitude is the last forward sweep's:
     # they add none.
-    roots = len(propagation.PADE22_ROOTS)
+    roots = len(propagation.PADE33_ROOTS)
     for nseg, problem, res, work in counted_solves:
         steps = nseg * problem.steps_per_segment
         residuals = 1 + res.iterations
@@ -497,7 +528,7 @@ def test_optimize_solves_per_step(counted_solves):
     # (from problem.start, one chord step fewer than from lambda = 2 m c)
     fine = [(nseg, work["zgttrs"], work["zgttrf"], res.iterations)
             for nseg, _, res, work in counted_solves[2:]]
-    assert fine == [(1, 228, 6, 2), (4, 240, 24, 2)] and fine[1][1] <= 400
+    assert fine == [(1, 90, 9, 2), (4, 144, 36, 2)] and fine[1][1] <= 400
 
 
 def test_record_price_is_what_a_residual_keeps_and_solves(counted_solves):
@@ -514,11 +545,11 @@ def test_record_price_is_what_a_residual_keeps_and_solves(counted_solves):
                 for a in (*(v for lu in lus for v in lu), *states)}
         solves, stored = propagation._record_price(
             problem.phi_in.grid.num_points, nseg, problem.steps_per_segment,
-            propagation.PADE22_ROOTS)
+            propagation.PADE33_ROOTS)
         assert stored == sum(held.values()), nseg
         assert solves * (1 + res.iterations) == work["zgttrs"], nseg
         priced.append((nseg, solves, stored))
-    assert priced == [(1, 76, 1_519_872), (4, 80, 2_399_488)]
+    assert priced == [(1, 30, 919_808), (4, 48, 2_431_232)]
 
 
 def test_full_action_keeps_no_record(u10, coarse_setup, monkeypatch):
