@@ -136,8 +136,8 @@ def integrate_chi(state: GaussianPhaseState, path: LambdaPath, d: float | None,
     never straddle a breakpoint, so for this right-hand side, polynomial in s
     within each segment, RK4 reproduces the quadrature solution to roundoff.
     More than MAX_RK4_STEPS steps, a segment whose duration times steps
-    overflows, or then a chi1 or chi0 past the float range where the path's
-    running integral L peaks is refused (ValueError), before the first step.
+    overflows and, after those, a chi1 or chi0 past the float range where the
+    path's running integral L peaks are refused (ValueError) before any step.
     """
     if not (isinstance(steps, numbers.Integral) and steps >= 1):
         raise ValueError(f"steps must be a whole number >= 1, got {steps!r}")

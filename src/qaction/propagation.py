@@ -386,13 +386,14 @@ def _sweep(state: RadialState, path: LambdaPath, steps: int, u: UnitSystem,
     """The Cayley loop along path, at least steps (an integer >= 1) per segment.
 
     A step is the product of the Cayley factors over roots (CN_ROOTS or
-    PADE33_ROOTS). Per segment H is built once; the state entering the segment
-    turns overlap phases by about turn = dur scale / hbar over it (scale from
+    PADE33_ROOTS).
+    Per segment H is built once; the state entering the segment turns overlap
+    phases by about turn = dur scale / hbar over it (scale from
     _energy_moments), and the segment takes steps, or with cap max(steps,
     ceil(turn / cap)): this sizes transition_amplitude's sweeps segment by
     segment. evolve passes its caller's count and a path search the count
-    VariationalProblem.steps_per_segment fixes once from the same scale, both
-    without a cap. A floor whose steps on all segments take more than
+    VariationalProblem.steps_per_segment fixes once from the same scale,
+    both without a cap. A floor whose steps on all segments take more than
     MAX_SWEEP_WORK grid points x steps is refused (ValueError) before the
     sweep starts, and a segment whose count the cap raises past the budget, or
     whose step ds is subnormal, before it is factored. Each factor's matrix is
