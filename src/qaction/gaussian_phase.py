@@ -164,17 +164,10 @@ def integrate_chi(state: GaussianPhaseState, path: LambdaPath, d: float | None,
         n_sub = max(1, math.ceil(steps * dur / path.S))
         h = dur / n_sub
         c0 = (d * d - lam * d - m2c2) / (1j * u.hbar)
-
-        def rate(c1):
-            return c0 - lam * c1, -lam * chi2
-
+        dL = lam * h
         for _ in range(n_sub):
-            k1_0, k1_1 = rate(chi1)
-            k2_0, k2_1 = rate(chi1 + 0.5 * h * k1_1)
-            k3_0, k3_1 = rate(chi1 + 0.5 * h * k2_1)
-            k4_0, k4_1 = rate(chi1 + h * k3_1)
-            chi0 += (h / 6.0) * (k1_0 + 2.0 * k2_0 + 2.0 * k3_0 + k4_0)
-            chi1 += (h / 6.0) * (k1_1 + 2.0 * k2_1 + 2.0 * k3_1 + k4_1)
+            chi0 += c0 * h - dL * (chi1 - 0.5 * dL * chi2)  # dL times chi1 at the midpoint
+            chi1 -= dL * chi2
             s_now += h
             out.append(GaussianPhaseState(chi0=chi0, chi1=chi1, chi2=chi2, s=s_now))
     return out
