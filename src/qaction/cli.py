@@ -321,9 +321,9 @@ def run_stationary(cfg: SimpleNamespace, u: UnitSystem) -> dict:
 
 def run_packet(cfg: SimpleNamespace, u: UnitSystem) -> tuple[list, list]:
     path = load_path_csv(cfg.path_file)
+    states = integrate_chi(chi_initial(cfg.sigma), path, cfg.d, u, cfg.steps)
     if cfg.d is None:
         cfg.d = _default_d(path)  # the header echoes the value actually used
-    states = integrate_chi(chi_initial(cfg.sigma), path, cfg.d, u, cfg.steps)
     rows = [[st.s, st.chi0.real, st.chi0.imag, st.chi1.real, st.chi1.imag,
              st.center, st.width] for st in states]
     return PACKET_COLUMNS, rows

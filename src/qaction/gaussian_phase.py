@@ -15,7 +15,9 @@ L(s) of lambda. For piecewise-constant paths the quadrature solution
     chi0(s) = chi0(0) - (i/hbar) [(d^2 - m^2 c^2) s - d L(s)]
               - chi1(0) L(s) + chi2 L(s)^2 / 2
 
-is exact, which the fixed-step integrator is tested against. A packet that
+is exact, which the fixed-step integrator is tested against. Within one step
+chi1 is linear in s and chi0 quadratic, so RK4's four stages sum to the exact
+increment; the integrator takes that increment written out. A packet that
 starts with chi2 = -1/(2 sigma^2) keeps width sigma and unit norm while its
 center rides along x0 = L(s).
 """
@@ -31,10 +33,10 @@ import numpy as np
 from .paths import LambdaPath
 from .units import UnitSystem
 
-# RK4 steps of one integrate_chi call, at most: on 2 cores (Python 3.11) a
-# step took 4-7 us and kept one ~200-byte state, so 10^6 steps are about 5 s
-# and 200 MB (the CLI renders them in about 20 s and 0.9 GB); the tests run
-# at most 1 500 (acceptance 04)
+# RK4 steps of one integrate_chi call, at most: on 2 cores (Python 3.11)
+# 10^6 steps took 2.8-3.7 s, each keeping one ~200-byte state, so about
+# 200 MB (the CLI renders them in about 20 s and 0.9 GB); the tests run at
+# most 2 000 (test_integrate_matches_closed_form)
 MAX_RK4_STEPS = 10 ** 6
 
 __all__ = [
@@ -122,22 +124,31 @@ def chi_closed_form(path: LambdaPath, sigma: float, d: float | None,
     L = path.integral(upto=s)
     m2c2 = u.mass * u.mass * u.c * u.c
     phase = ((d * d - m2c2) * s - d * L) / u.hbar
-    chi0 = init.chi0 - 1j * phase - init.chi1 * L + init.chi2 * L * L / 2.0
+    chi0 = init.chi0 - 1j * phase - init.chi1 * L + 0.5 * init.chi2 * L * L
     chi1 = init.chi1 - init.chi2 * L
     return GaussianPhaseState(chi0=chi0, chi1=chi1, chi2=init.chi2, s=float(s))
 
 
 def integrate_chi(state: GaussianPhaseState, path: LambdaPath, d: float | None,
                   u: UnitSystem, steps: int) -> list[GaussianPhaseState]:
-    """Integrate the phase system with fixed-step RK4, segment-aligned.
+    """Integrate the phase system in fixed steps, segment-aligned.
 
     Returns the trajectory including the initial state. Steps are distributed
     over segments in proportion to duration (at least one per segment) and
-    never straddle a breakpoint, so for this right-hand side, polynomial in s
-    within each segment, RK4 reproduces the quadrature solution to roundoff.
-    More than MAX_RK4_STEPS steps, a segment whose duration times steps
-    overflows and, after those, a chi1 or chi0 past the float range where the
-    path's running integral L peaks are refused (ValueError) before any step.
+    never straddle a breakpoint, so lambda and chi2 are constant within each:
+    chi1 is linear in s there and chi0 quadratic, and RK4's four stages sum to
+    the exact increment. Each step takes that increment written out, with
+    dL = lambda h and c0 = (d^2 - lambda d - m^2 c^2) / (i hbar),
+
+        chi0 += c0 h - dL (chi1 - dL chi2 / 2),    chi1 -= dL chi2,
+
+    the bracket being chi1 at the step's midpoint, so the trajectory is the
+    quadrature solution to roundoff. Refused (ValueError) before any step:
+    more than MAX_RK4_STEPS steps, a segment whose duration times steps
+    overflows, a width sigma whose chi1 or chi0 leaves the float range where
+    the path's running integral L peaks, or whose dL chi2 or dL chi1 at a
+    step's midpoint does, then a phase |d^2 - lambda d - m^2 c^2| S / hbar
+    past it (naming d, or the path's length S when d defaults).
     """
     if not (isinstance(steps, numbers.Integral) and steps >= 1):
         raise ValueError(f"steps must be a whole number >= 1, got {steps!r}")
@@ -145,24 +156,40 @@ def integrate_chi(state: GaussianPhaseState, path: LambdaPath, d: float | None,
         raise ValueError(f"steps must be at most {MAX_RK4_STEPS:.0e}, the RK4 work budget")
     if state.s != 0.0:
         raise ValueError("trajectory must start at s = 0")
-    for j, dur in enumerate(path.durations.tolist()):
+    segments = []  # lambda, step count and step length h of each segment
+    for j, (lam, dur) in enumerate(zip(path.values.tolist(), path.durations.tolist())):
         if steps * dur / path.S == math.inf:
             raise ValueError(f"segment {j} of duration {dur!r} times steps = {steps} "
                              "overflows; shorten the path or lower steps")
-    reach = float(np.max(np.abs(path.cumulative_integral())))  # L peaks at a segment end
+        n_sub = max(1, math.ceil(steps * dur / path.S))
+        segments.append((lam, n_sub, dur / n_sub))
+    ends = path.cumulative_integral().tolist()
+    reach = max(map(abs, ends))  # L peaks at a segment end
     c1, c2 = (max(abs(z.real), abs(z.imag)) for z in (state.chi1, state.chi2))
     if not (c1 + c2 * reach < math.inf and (c1 + 0.5 * c2 * reach) * reach < math.inf):
         raise ValueError(f"packet width sigma = {state.width:.6g} is too small for a path whose "
                          f"lambda integral reaches |L| = {reach:.6g}: chi1 or chi0 overflows")
+    # chi1 is linear in L, so over a segment's step midpoints it peaks at the first or last
+    for (lam, _, h), start, end in zip(segments, [0.0, *ends], ends):
+        dL = lam * h
+        mid = max(abs(start + 0.5 * dL), abs(end - 0.5 * dL))
+        if not abs(dL) * max(c2, c1 + c2 * mid) < math.inf:
+            raise ValueError(f"packet width sigma = {state.width:.6g} is too small for steps of "
+                             f"|lambda h| = {abs(dL):.6g}: lambda h chi2 or lambda h chi1 "
+                             "overflows; raise steps")
+    given = d is not None
     if d is None:
         d = _default_d(path)
     m2c2 = u.mass * u.mass * u.c * u.c
+    if not all(abs(d * d - lam * d - m2c2) / u.hbar * path.S < math.inf  # False on NaN
+               for lam, _, _ in segments):
+        at = f"d = {d!r}" if given else f"the default d = mean lambda / 2 = {d!r}"
+        raise ValueError(f"the phase |d^2 - lambda d - m^2 c^2| S / hbar overflows at {at} "
+                         f"on a path of length S = {path.S!r}")
     out = [state]
     chi0, chi1, chi2 = complex(state.chi0), complex(state.chi1), complex(state.chi2)
     s_now = 0.0
-    for lam, dur in zip(path.values.tolist(), path.durations.tolist()):
-        n_sub = max(1, math.ceil(steps * dur / path.S))
-        h = dur / n_sub
+    for lam, n_sub, h in segments:
         c0 = (d * d - lam * d - m2c2) / (1j * u.hbar)
         dL = lam * h
         for _ in range(n_sub):

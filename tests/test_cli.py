@@ -215,8 +215,9 @@ def test_stationary_at_huge_x10_warns_nothing(cli, u_codata):
 # every command, and extreme path files, into that command's acceptance-10 run
 
 def row(name, argv, code, error_type, *says, exact=None, config=None, path=None):
-    """A named failure: its exit code, error type, and the fragments its
-    message holds or its exact text. In argv and the fragments {two} and
+    """A named run: its exit code, error type, and the fragments its
+    message holds or its exact text, or exit code 0 alone for a run that must
+    print only finite numbers. In argv and the fragments {two} and
     {const} name the shared path files, {config} and {path} files holding the
     row's config and path text."""
     return pytest.param((argv, config, path, (code, error_type, says, exact)), id=name)
@@ -284,6 +285,15 @@ NAMED_FAILURES = [
     row("packet-sigma-5.3e-155-path", "packet --alpha 0.5 --path-file {two} --sigma 5.3e-155 "
         "--steps 50", 2, "ValueError", "packet width sigma = 5.3e-155 is too small",
         "|L| = 3.5"),
+    # d^2 past the float range, or m^2 c^2 S / hbar at S = 1e308, in the
+    # phase: once "chi0 is not finite", which names no input
+    *(row(f"packet-d={d}", f"packet --alpha 0.5 --path-file {{two}} --sigma 0.8 --steps 50 "
+          f"--d={d}", 2, "ValueError", exact="the phase |d^2 - lambda d - m^2 c^2| S / hbar "
+          f"overflows at d = {d} on a path of length S = 2.5") for d in ("1e+160", "-1e+300")),
+    *(row(f"packet-path-1e308{flag}", "packet --alpha 0.5 --path-file {path} --sigma 0.8 "
+          f"--steps 1 {flag}", 2, "ValueError", exact="the phase |d^2 - lambda d - m^2 c^2| "
+          f"S / hbar overflows at {at} on a path of length S = 1e+308", path="1e308,1e-300\n")
+      for flag, at in (("", "the default d = mean lambda / 2 = 5e-301"), ("--d=0", "d = 0.0"))),
     row("malformed-path", "packet --path-file {path} --sigma 1.0", 2, "ValueError",
         "{path}, line 3", path="s_end,lambda\n1.0,2.0\nnonsense\n"),
     # lambda * duration = 1e310: refused where the path is read
@@ -407,6 +417,13 @@ NON_FINITE_FAILURES = [
         ("tol-nan", "stationary --n 1 --x10 1 --tol nan", None, "--tol"),
         ("config-x10-nan", "stationary --n 1 --config {config}", '{"x10": NaN}', "--x10")]]
 
+# widths whose chi0 and chi1 stay in the float range along the path, once
+# refused naming no input: at 2e-154 "chi0 is not finite" (RK4's stage sum of
+# chi0, about 6 lambda chi1, overflowed), at 1.5e-154 "chi1 is not finite"
+# (6 lambda chi2 did); they exit 0 and print only finite numbers
+NAMED_FINITE = [row(f"packet-sigma-{sigma}-finite", f"packet --alpha 0.5 --path-file {{two}} "
+                    f"--sigma {sigma} --steps 50", 0, None) for sigma in ("2e-154", "1.5e-154")]
+
 FLOAT_EDGES = (5e-324, 1e-310, 1e-300, 1e-160, 1e-30, 1e30, 1e160, 1e300, 1.7e308, -1e300)
 ALPHA_EDGES = (5e-324, 1e-300, 1e-160, 1e-100, 1e-20, 1.0 - 2.0 ** -53)
 PATH_EDGES = (*(f"{s},20.0" for s in ("5e-324", "1e-310", "1e6", "1e300")),
@@ -459,7 +476,8 @@ def run_row(capsys, tmp_path, monkeypatch, two_segment_path, const_path_20):
 
     def check(argv, config, path, expect):
         """Exit 2 or 3 with one envelope line matching expect, or, where expect
-        is None, exit 0 printing only finite numbers; never a warning."""
+        is None or its code 0, exit 0 printing only finite numbers; never a
+        warning."""
         files = {"two": two_segment_path, "const": const_path_20}
         for name, text in (("config", config), ("path", path)):
             if text is not None:
@@ -470,7 +488,7 @@ def run_row(capsys, tmp_path, monkeypatch, two_segment_path, const_path_20):
             code = main(argv.format(**files).split())
         out, err = capsys.readouterr()
         assert [str(w.message) for w in caught] == []
-        if code == 0 and expect is None:
+        if code == 0 and (expect is None or expect[0] == 0):
             assert err == ""
             if out.startswith("#"):  # CSV: the data rows follow four header lines
                 cells = {c for line in out.splitlines()[4:] for c in line.split(",")}
@@ -492,7 +510,7 @@ def run_row(capsys, tmp_path, monkeypatch, two_segment_path, const_path_20):
     return check
 
 
-@pytest.mark.parametrize("case", [*NAMED_FAILURES, *_edge_runs()])
+@pytest.mark.parametrize("case", [*NAMED_FAILURES, *NAMED_FINITE, *_edge_runs()])
 def test_every_run_ends_in_the_envelope_or_prints_finite_numbers(run_row, case):
     run_row(*case)
 

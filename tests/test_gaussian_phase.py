@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -99,12 +100,12 @@ def test_integrate_matches_closed_form(u_half):
         sigma = float(rng.uniform(0.5, 2.0))
         d = float(rng.uniform(-3.0, 3.0))
         traj = integrate_chi(chi_initial(sigma), path, d, u_half, 2000)
-        ref = chi_closed_form(path, sigma, d, u_half, path.S)
-        last = traj[-1]
-        assert abs(last.chi0 - ref.chi0) < 1e-10
-        assert abs(last.chi1 - ref.chi1) < 1e-10
-        assert last.chi2 == ref.chi2  # never driven, must not drift at all
-        assert math.isclose(last.s, path.S, rel_tol=0, abs_tol=1e-12)
+        for st in traj:
+            ref = chi_closed_form(path, sigma, d, u_half, min(st.s, path.S))
+            assert abs(st.chi0 - ref.chi0) < 1e-10
+            assert abs(st.chi1 - ref.chi1) < 1e-10
+            assert st.chi2 == ref.chi2  # never driven, must not drift at all
+        assert math.isclose(traj[-1].s, path.S, rel_tol=0, abs_tol=1e-12)
 
 
 def test_trajectory_row_count(u_half):
@@ -175,6 +176,52 @@ def test_width_too_small_for_the_path_is_refused_by_name(u_half):
         integrate_chi(wide, short, None, u_half, 10)
     last = integrate_chi(chi_initial(1e-150), path, None, u_half, 50)[-1]
     assert math.isclose(last.chi1.real, 3.5 * 0.5e300, rel_tol=1e-12)
+    # L runs 0 -> 2 -> -2: chi2 = -6.2e307 keeps chi2 L and chi2 L^2 / 2 finite,
+    # but at 2 steps the second segment's one step has lambda h = -4, and -4 chi2
+    # overflows: once "chi1 is not finite" (RK4's stage sum 6 lambda chi2 did).
+    # At 4 steps its two steps have lambda h = -2, with midpoints at L = +-1
+    swing = LambdaPath(np.array([1.0, 2.0]), np.array([2.0, -4.0]))
+    with pytest.raises(ValueError, match=r"sigma = 9e-155 is too small for steps of "
+                       r"\|lambda h\| = 4: .* raise steps"):
+        integrate_chi(chi_initial(9e-155), swing, None, u_half, 2)
+    last = integrate_chi(chi_initial(9e-155), swing, None, u_half, 4)[-1]
+    ref = chi_closed_form(swing, 9e-155, None, u_half, swing.S)
+    assert math.isclose(last.chi1.real, ref.chi1.real, rel_tol=1e-15)
+    assert math.isclose(last.chi0.real, ref.chi0.real, rel_tol=1e-15)
+
+
+def test_widths_at_the_float_edge_integrate_or_name_the_input(u_half):
+    # widths whose chi2 L^2 / 2 is near the float range, on paths whose L
+    # changes sign, where one step's lambda h can exceed the largest |L|:
+    # each run is the quadrature solution at every sample or a ValueError
+    # naming sigma (chi_initial's in full, integrate_chi's in 6 digits, for the
+    # path's |L| or a step's |lambda h|); none ends in "is not finite"
+    rng = np.random.default_rng(40)
+    outcomes = {"matched": 0, "sigma": 0, "|L|": 0, "|lambda h|": 0}
+    while sum(outcomes.values()) < 300:
+        nseg = int(rng.integers(2, 4))
+        ends = np.cumsum(rng.uniform(0.1, 2.0, nseg))
+        lam = rng.uniform(-3.0, 3.0, nseg)
+        path = LambdaPath(ends, lam)
+        if not path.cumulative_integral().min() < 0.0 < path.cumulative_integral().max():
+            continue
+        sigma = float(10.0 ** rng.uniform(-155.5, -153.0))
+        steps = int(rng.choice([1, 2, 3, 50]))
+        try:
+            traj = integrate_chi(chi_initial(sigma), path, None, u_half, steps)
+        except ValueError as e:
+            said = re.match(rf"(packet width )?sigma = ({re.escape(repr(sigma))}|{sigma:.6g}) "
+                            r"is too small(: chi0| for .*(\|L\||\|lambda h\|) = )", str(e))
+            assert said, str(e)
+            outcomes[said.group(4) or "sigma"] += 1
+            continue
+        refs = [chi_closed_form(path, sigma, None, u_half, min(st.s, path.S)) for st in traj]
+        for name in ("chi0", "chi1"):
+            scale = max(abs(getattr(r, name)) for r in refs)
+            err = max(abs(getattr(st, name) - getattr(r, name)) for st, r in zip(traj, refs))
+            assert err <= 1e-13 * scale
+        outcomes["matched"] += 1
+    assert min(outcomes.values()) > 0, outcomes
 
 
 def test_diagnostics_domain_errors():
