@@ -143,9 +143,11 @@ def integrate_chi(state: GaussianPhaseState, path: LambdaPath, d: float | None,
         chi0 += c0 h - dL (chi1 - dL chi2 / 2),    chi1 -= dL chi2,
 
     the bracket being chi1 at the step's midpoint, so the trajectory is the
-    quadrature solution to roundoff. Refused (ValueError) before any step:
-    more than MAX_RK4_STEPS steps, a segment whose duration times steps
-    overflows, a width sigma whose chi1 or chi0 leaves the float range where
+    quadrature solution to roundoff. The k-th state of a segment is labelled
+    s = start + k h, and its last s = the segment's breakpoint exactly.
+    Refused (ValueError) before any step: more than MAX_RK4_STEPS steps, a
+    segment whose duration times steps overflows or whose step h is
+    subnormal, a width sigma whose chi1 or chi0 leaves the float range where
     the path's running integral L peaks, or whose dL chi2 or dL chi1 at a
     step's midpoint does, then a phase |d^2 - lambda d - m^2 c^2| S / hbar
     past it (naming d, or the path's length S when d defaults).
@@ -162,7 +164,11 @@ def integrate_chi(state: GaussianPhaseState, path: LambdaPath, d: float | None,
             raise ValueError(f"segment {j} of duration {dur!r} times steps = {steps} "
                              "overflows; shorten the path or lower steps")
         n_sub = max(1, math.ceil(steps * dur / path.S))
-        segments.append((lam, n_sub, dur / n_sub))
+        h = dur / n_sub
+        if h < np.finfo(float).tiny:  # as propagation._sweep refuses a subnormal ds
+            raise ValueError(f"segment {j} of duration {dur!r} in {n_sub} steps has the "
+                             f"subnormal step h = {h!r}; lengthen the path")
+        segments.append((lam, n_sub, h))
     ends = path.cumulative_integral().tolist()
     reach = max(map(abs, ends))  # L peaks at a segment end
     c1, c2 = (max(abs(z.real), abs(z.imag)) for z in (state.chi1, state.chi2))
@@ -188,15 +194,15 @@ def integrate_chi(state: GaussianPhaseState, path: LambdaPath, d: float | None,
                          f"on a path of length S = {path.S!r}")
     out = [state]
     chi0, chi1, chi2 = complex(state.chi0), complex(state.chi1), complex(state.chi2)
-    s_now = 0.0
-    for lam, n_sub, h in segments:
+    for (lam, n_sub, h), start, end in zip(segments, path.starts.tolist(),
+                                           path.breakpoints.tolist()):
         c0 = (d * d - lam * d - m2c2) / (1j * u.hbar)
         dL = lam * h
-        for _ in range(n_sub):
+        for k in range(1, n_sub + 1):
             chi0 += c0 * h - dL * (chi1 - 0.5 * dL * chi2)  # dL times chi1 at the midpoint
             chi1 -= dL * chi2
-            s_now += h
-            out.append(GaussianPhaseState(chi0=chi0, chi1=chi1, chi2=chi2, s=s_now))
+            s = start + k * h if k < n_sub else end
+            out.append(GaussianPhaseState(chi0=chi0, chi1=chi1, chi2=chi2, s=s))
     return out
 
 

@@ -24,10 +24,8 @@ from .units import UnitSystem
 
 __all__ = [
     "QuantumNumbers", "SommerfeldNumbers", "RadialGrid", "RadialState",
-    "bohr_energy", "epsilon_n", "scaled_eigenfunction", "numerov_eigenvalue",
-    "sommerfeld_nstar_sq", "sommerfeld_energy",
-    "state_norm", "inner_product", "expectation_r", "count_radial_nodes",
-    "UNIFORM", "LOG",
+    "bohr_energy", "epsilon_n", "numerov_eigenvalue",
+    "sommerfeld_nstar_sq", "sommerfeld_energy", "state_norm", "UNIFORM", "LOG",
 ]
 
 UNIFORM = "uniform"
@@ -179,26 +177,6 @@ def _check_pair(bra: RadialState, ket: RadialState) -> None:
         raise ValueError("cross-l overlap is zero by orthogonality; refusing mixed-l input")
 
 
-def inner_product(bra: RadialState, ket: RadialState) -> complex:
-    _check_pair(bra, ket)
-    w = bra.grid.quad_weights()
-    return complex(np.sum(w * np.conj(bra.amplitudes) * ket.amplitudes))
-
-
-def expectation_r(state: RadialState) -> float:
-    w = state.grid.quad_weights()
-    r = state.grid.points()
-    dens = np.abs(state.amplitudes) ** 2
-    return float(np.sum(w * r * dens) / np.sum(w * dens))
-
-
-def count_radial_nodes(state: RadialState) -> int:
-    """Sign changes of Re u(r) away from the numerical noise floor."""
-    vals = np.real(state.amplitudes)
-    vals = vals[np.abs(vals) > 1e-9 * np.max(np.abs(vals))]
-    return int(np.sum(vals[1:] * vals[:-1] < 0.0))
-
-
 def bohr_energy(n: QuantumNumbers | int, u: UnitSystem) -> float:
     """Non-relativistic level E_n = -Ry / n^2 (l-independent)."""
     n = n if isinstance(n, QuantumNumbers) else QuantumNumbers(n)
@@ -217,40 +195,6 @@ def epsilon_n(lam: float, n: QuantumNumbers | int, u: UnitSystem) -> float:
     if not math.isfinite(level):
         raise ValueError(f"lambda = {lam!r} makes the level epsilon_n = {level!r}")
     return level
-
-
-def _hydrogen_reduced_radial(n: int, l: int, r: np.ndarray, a: float) -> np.ndarray:
-    """u_nl(r) = r R_nl(r) for Bohr radius a, unit L2 norm in exact arithmetic."""
-    from scipy.special import eval_genlaguerre  # only this oracle needs it
-
-    rho = 2.0 * r / (n * a)
-    norm = math.sqrt((2.0 / (n * a)) ** 3
-                     * math.factorial(n - l - 1) / (2.0 * n * math.factorial(n + l)))
-    R = norm * np.exp(-rho / 2.0) * rho ** l * eval_genlaguerre(n - l - 1, 2 * l + 1, rho)
-    return r * R
-
-
-def scaled_eigenfunction(n: QuantumNumbers, lam: float, grid: RadialGrid,
-                         u: UnitSystem) -> RadialState:
-    """Hydrogen eigenfunction at dilated argument 2 m c r / lambda.
-
-    The state's length scale is lambda / (2 m c) times the Bohr radius, so at
-    lambda = 2 m c it is the textbook hydrogen state. Normalized to unit norm
-    on the grid; a norm deficit above 1e-6 (grid too short or too coarse to
-    hold the state) is an error rather than a silent renormalization.
-    """
-    if not lam > 0.0:
-        raise ValueError("lambda must be positive for a bound scaled state")
-    r = grid.points()
-    a_eff = u.bohr_radius * lam / (2.0 * u.mc)
-    vals = _hydrogen_reduced_radial(n.n, n.l, r, a_eff)
-    state = RadialState(grid, n.l, vals.astype(complex))
-    norm = state_norm(state)
-    if abs(norm - 1.0) > 1e-6:
-        raise ValueError(
-            f"grid holds only |norm|={norm:.9f} of the (n={n.n}, l={n.l}) state; "
-            "enlarge r_max or refine the mesh")
-    return RadialState(grid, n.l, state.amplitudes / norm)
 
 
 def _numerov_node_count(eps: float, r: np.ndarray, hx: float, l: int,

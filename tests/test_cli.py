@@ -303,6 +303,11 @@ NAMED_FAILURES = [
     # 50 steps x 1.7e308: the packet's step count would overflow
     row("packet-steps-overflow", "packet --alpha 0.5 --path-file {path} --sigma 0.8 --steps 50",
         2, "ValueError", "segment 0", "steps = 50", path="1.7e308,1.0\n"),
+    # a path so short that each packet step h is zero or subnormal: once 51
+    # rows, all at s = 0.0
+    *(row(f"packet-path-{s}-subnormal-step", "packet --alpha 0.5 --path-file {path} "
+          "--sigma 0.8 --steps 50", 2, "ValueError", "segment 0", "subnormal",
+          path=f"{s},20.0\n") for s in ("5e-324", "1e-310")),
     # an l whose centrifugal entry leaves the float range, refused by name:
     # once the grid was blamed (10^200) or a bare OverflowError exited 3 (10^400)
     *(row(f"{command}-l-1e{power}", f"{argv} --in {10 ** power + 1},{10 ** power} --out 1,0 "

@@ -101,11 +101,25 @@ def test_integrate_matches_closed_form(u_half):
         d = float(rng.uniform(-3.0, 3.0))
         traj = integrate_chi(chi_initial(sigma), path, d, u_half, 2000)
         for st in traj:
-            ref = chi_closed_form(path, sigma, d, u_half, min(st.s, path.S))
+            ref = chi_closed_form(path, sigma, d, u_half, st.s)
             assert abs(st.chi0 - ref.chi0) < 1e-10
             assert abs(st.chi1 - ref.chi1) < 1e-10
             assert st.chi2 == ref.chi2  # never driven, must not drift at all
-        assert math.isclose(traj[-1].s, path.S, rel_tol=0, abs_tol=1e-12)
+        assert traj[-1].s == path.S
+
+
+def test_sample_times_sit_on_the_breakpoints(u_half):
+    # a running sum of h once ended this path at s = 2.9000000000000443, past
+    # S, where chi_closed_form raised "outside path domain"
+    path = LambdaPath(np.array([0.3, 0.7, 2.9]), np.array([1.5, -2.0, 3.0]))
+    traj = integrate_chi(chi_initial(0.9), path, None, u_half, 997)
+    s = [st.s for st in traj]
+    assert all(b > a for a, b in zip(s, s[1:]))
+    assert [t for t in s if t in (0.3, 0.7, 2.9)] == [0.3, 0.7, 2.9]
+    assert s[-1] == path.S
+    for st in traj:
+        ref = chi_closed_form(path, 0.9, None, u_half, st.s)
+        assert abs(st.chi0 - ref.chi0) < 1e-10 and abs(st.chi1 - ref.chi1) < 1e-10
 
 
 def test_trajectory_row_count(u_half):
@@ -122,7 +136,7 @@ def test_packet_center_tracks_integral(u_half):
     path = LambdaPath.equal_segments([4.0, -1.0, 2.5], 1.2)
     traj = integrate_chi(chi_initial(0.8), path, None, u_half, 600)
     for st in traj[1:]:
-        L = path.integral(upto=min(st.s, path.S))
+        L = path.integral(upto=st.s)
         assert math.isclose(st.center, L, rel_tol=1e-9, abs_tol=1e-12)
         assert math.isclose(st.width, 0.8, rel_tol=1e-14)
 
@@ -158,6 +172,10 @@ def test_integrate_domain_errors(u_half):
     moved = GaussianPhaseState(chi0=0j, chi1=0j, chi2=-0.5 + 0j, s=0.5)
     with pytest.raises(ValueError):
         integrate_chi(moved, path, None, u_half, 100)
+    # a step that stands still, h = 0 or subnormal: once every state at s = 0.0
+    for end in (5e-324, 1e-310):
+        with pytest.raises(ValueError, match="segment 0 .* subnormal step h"):
+            integrate_chi(chi_initial(1.0), LambdaPath.constant(20.0, end), None, u_half, 50)
 
 
 def test_width_too_small_for_the_path_is_refused_by_name(u_half):

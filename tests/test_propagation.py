@@ -392,6 +392,17 @@ def test_grid_not_walled_at_origin_is_refused(u10, grid, call):
         call(state, path, u10)
 
 
+@pytest.mark.parametrize("out, message", [
+    ((1, 0, propagation_grid(30.0, 600)), "states live on different grids"),
+    ((2, 1, propagation_grid(60.0, 1200)), "cross-l overlap is zero"),
+], ids=["other_grid", "other_l"])
+def test_transition_amplitude_refuses_a_pair_with_no_grid_overlap(u10, out, message):
+    state, _ = _eigenpair(1, 0, 2.0, propagation_grid(60.0, 1200), u10)
+    other, _ = _eigenpair(*out[:2], 2.0, out[2], u10)
+    with pytest.raises(ValueError, match=message):
+        transition_amplitude(state, other, LambdaPath.constant(2.0 * u10.mc, 0.1), u10)
+
+
 @pytest.mark.parametrize("floor", [0, -5, 2.5, 300.5])
 def test_transition_amplitude_refuses_floor_below_one(u10, floor):
     g = propagation_grid(25.0, 900)

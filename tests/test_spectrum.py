@@ -2,15 +2,25 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import eval_genlaguerre
 
 from qaction import (
     LOG, UNIFORM, QuantumNumbers, RadialGrid, SommerfeldNumbers, bohr_energy,
-    count_radial_nodes, epsilon_n, expectation_r, grid_eigenstate, inner_product,
-    level_comparison, make_units, numerov_eigenvalue, propagation_grid,
-    scaled_eigenfunction, sommerfeld_energy, sommerfeld_nstar_sq, state_norm,
+    epsilon_n, grid_eigenstate, level_comparison, make_units, numerov_eigenvalue,
+    propagation_grid, sommerfeld_energy, sommerfeld_nstar_sq, state_norm,
     stationary_closed_form,
 )
 from qaction.spectrum import RadialState
+
+
+def _hydrogen_u(n, l, lam, grid, u):
+    """Closed-form u_nl(r) of H_std = -hbar^2 Delta - lambda kappa_C / r, whose Bohr
+    radius is 2 hbar^2 / (lambda kappa_C) = a0 2 m c / lambda, on a propagation grid:
+    unit norm in its h-sum, largest sample positive, as grid_eigenstate returns."""
+    rho = 2.0 * grid.points() * lam / (n * u.bohr_radius * 2.0 * u.mc)
+    v = np.exp(-0.5 * rho) * rho ** (l + 1) * eval_genlaguerre(n - l - 1, 2 * l + 1, rho)
+    v = v if v[np.argmax(np.abs(v))] > 0.0 else -v
+    return v / math.sqrt(grid.step * np.sum(v * v))
 
 
 def test_bohr_energy_values(u_codata):
@@ -176,41 +186,45 @@ def test_grid_points_monotone():
         assert np.all(np.diff(r) > 0)
 
 
-def test_log_grid_quadrature_accuracy(u_codata):
-    # Simpson-in-x weights must integrate a hydrogen density to ~1e-9,
-    # otherwise the norm-deficit check in scaled_eigenfunction is meaningless
+def test_log_grid_quadrature_accuracy():
+    # Simpson-in-x weights must integrate a hydrogen density to ~1e-9, so a
+    # log-grid state's norm is judged by its amplitudes, not by the rule
     g = RadialGrid(r_min=1e-6, r_max=200.0, num_points=4001, spacing=LOG)
-    state = scaled_eigenfunction(QuantumNumbers(1), 2.0 * u_codata.mc, g, u_codata)
     r = g.points()
     u_exact = 2.0 * r * np.exp(-r)
     assert abs(np.sum(g.quad_weights() * u_exact ** 2) - 1.0) < 1e-9
-    assert abs(state_norm(state) - 1.0) < 1e-12
 
 
-def test_scaled_eigenfunction_expectation(u10):
-    g = RadialGrid(r_min=1e-6, r_max=400.0, num_points=6001, spacing=LOG)
-    s2 = scaled_eigenfunction(QuantumNumbers(1), 2.0 * u10.mc, g, u10)
-    s4 = scaled_eigenfunction(QuantumNumbers(1), 4.0 * u10.mc, g, u10)
-    r2 = expectation_r(s2)
-    r4 = expectation_r(s4)
-    assert math.isclose(r2, 1.5 * u10.bohr_radius, rel_tol=1e-8)
-    assert math.isclose(r4 / r2, 2.0, rel_tol=1e-8)
+@pytest.mark.parametrize("n, l", [(1, 0), (2, 0), (2, 1), (3, 0)])
+def test_grid_eigenstate_has_n_minus_l_minus_1_nodes(u10, n, l):
+    g = propagation_grid(100.0, 4000)
+    state, _ = grid_eigenstate(n, l, 2.0 * u10.mc, g, u10)
+    vals = np.real(state.amplitudes)
+    vals = vals[np.abs(vals) > 1e-9 * np.max(np.abs(vals))]  # away from the noise floor
+    assert int(np.sum(vals[1:] * vals[:-1] < 0.0)) == n - l - 1
+    diff = state.amplitudes - _hydrogen_u(n, l, 2.0 * u10.mc, g, u10)
+    assert math.sqrt(g.step * float(np.sum(np.abs(diff) ** 2))) < 2e-4  # 9.0e-5 at most
 
 
-def test_scaled_eigenfunction_nodes(u10):
-    g = RadialGrid(r_min=1e-6, r_max=400.0, num_points=4001, spacing=LOG)
-    assert count_radial_nodes(
-        scaled_eigenfunction(QuantumNumbers(2, 1), 2.0 * u10.mc, g, u10)) == 0
-    assert count_radial_nodes(
-        scaled_eigenfunction(QuantumNumbers(2, 0), 2.0 * u10.mc, g, u10)) == 1
-    assert count_radial_nodes(
-        scaled_eigenfunction(QuantumNumbers(4, 1), 2.0 * u10.mc, g, u10)) == 2
+def test_grid_eigenstates_are_orthogonal(u10):
+    g = propagation_grid(60.0, 2000)
+    a, _ = grid_eigenstate(1, 0, 2.0 * u10.mc, g, u10)
+    b, _ = grid_eigenstate(2, 0, 2.0 * u10.mc, g, u10)
+    assert abs(g.step * np.vdot(a.amplitudes, b.amplitudes)) < 1e-12  # 1.4e-14 measured
 
 
-def test_scaled_eigenfunction_norm_deficit(u10):
-    g = RadialGrid(r_min=1e-4, r_max=2.0, num_points=64, spacing=LOG)
-    with pytest.raises(ValueError):
-        scaled_eigenfunction(QuantumNumbers(3), 2.0 * u10.mc, g, u10)
+@pytest.mark.parametrize("lam_mc", [1.0, 2.0, 4.0])
+def test_grid_eigenstate_converges_at_second_order_to_the_closed_form(u10, lam_mc):
+    # the L2 error to u_1s at radius a0 2 m c / lambda falls by 4 a halving of h
+    # (0.2500-0.2510); at a0 lambda / (2 m c) it stays near 0.99 away from 2 m c
+    errors = []
+    for num_points in (1000, 2000, 4000):
+        g = propagation_grid(60.0, num_points)
+        state, _ = grid_eigenstate(1, 0, lam_mc * u10.mc, g, u10)
+        diff = state.amplitudes - _hydrogen_u(1, 0, lam_mc * u10.mc, g, u10)
+        errors.append(math.sqrt(g.step * float(np.sum(np.abs(diff) ** 2))))
+    for coarse, fine in zip(errors, errors[1:]):
+        assert fine / coarse == pytest.approx(0.25, rel=0.02)
 
 
 def test_numerov_matches_formula(u10):
@@ -244,13 +258,6 @@ def test_numerov_rejects_free_particle(u10):
     g = RadialGrid(r_min=1e-6, r_max=200.0, num_points=4000, spacing=LOG)
     with pytest.raises(ValueError):
         numerov_eigenvalue(QuantumNumbers(1), 0.0, g, u10)
-
-
-@pytest.mark.parametrize("lam", [0.0, -1.0])
-def test_scaled_eigenfunction_needs_positive_lambda(u10, lam):
-    g = RadialGrid(r_min=1e-6, r_max=200.0, num_points=2001, spacing=LOG)
-    with pytest.raises(ValueError, match="lambda must be positive"):
-        scaled_eigenfunction(QuantumNumbers(1), lam, g, u10)
 
 
 def test_numerov_rejects_uniform_grid(u10):
@@ -291,19 +298,11 @@ def test_numerov_bisection_stops_at_its_step_limit(u10):
                         rel_tol=1e-6)
 
 
-def test_state_operations(u10):
+def test_state_operations():
     g = RadialGrid(r_min=1e-6, r_max=200.0, num_points=2001, spacing=LOG)
-    a = scaled_eigenfunction(QuantumNumbers(1), 2.0 * u10.mc, g, u10)
-    b = scaled_eigenfunction(QuantumNumbers(2), 2.0 * u10.mc, g, u10)
-    assert abs(state_norm(a) - 1.0) < 1e-12
-    assert abs(inner_product(a, b)) < 1e-7  # continuum-exact orthogonality, grid-limited
-    other_grid = RadialGrid(r_min=1e-6, r_max=100.0, num_points=2001, spacing=LOG)
-    c = scaled_eigenfunction(QuantumNumbers(1), 2.0 * u10.mc, other_grid, u10)
-    with pytest.raises(ValueError):
-        inner_product(a, c)
-    d = scaled_eigenfunction(QuantumNumbers(2, 1), 2.0 * u10.mc, g, u10)
-    with pytest.raises(ValueError):
-        inner_product(a, d)
+    r = g.points()
+    state = RadialState(g, 0, 6.0j * r * np.exp(-r))  # 3i times u_1s = 2 r exp(-r)
+    assert abs(state_norm(state) - 3.0) < 1e-12
 
 
 def test_radial_state_validation(u10):
