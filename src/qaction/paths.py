@@ -2,8 +2,8 @@
 
 A path is a finite list of constant segments covering (0, S]. Integrals of
 lambda are exact for this class, which makes the closed-form phase solutions
-and the time map machine-precision operations: x0(s) is LambdaPath.integral,
-s(x0) internal_time_map, and lambda_from_trajectory the path of samples.
+and the time map machine-precision operations: x0(s) is LambdaPath.integral and
+s(x0) internal_time_map.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["LambdaPath", "internal_time_map", "lambda_from_trajectory", "load_path_csv"]
+__all__ = ["LambdaPath", "internal_time_map", "load_path_csv"]
 
 
 @dataclass(frozen=True)
@@ -132,30 +132,6 @@ def internal_time_map(path: LambdaPath, x0: float | np.ndarray) -> float | np.nd
     s = np.where(x - before <= end - x, path.starts[j] + (x - before) / lam,
                  path.breakpoints[j] - (end - x) / lam)
     return float(s) if s.ndim == 0 else s
-
-
-def lambda_from_trajectory(s_samples: np.ndarray,
-                           x0_samples: np.ndarray) -> LambdaPath:
-    """Piecewise-constant control reconstructed from a sampled trajectory x0(s).
-
-    Consecutive samples define one segment each with value equal to the
-    chord slope dx0/ds, so the running integral of the result passes through
-    every sample; both sample arrays must start at the origin and be
-    strictly increasing.
-    """
-    s = np.asarray(s_samples, dtype=float)
-    x = np.asarray(x0_samples, dtype=float)
-    if s.ndim != 1 or x.ndim != 1 or s.size != x.size:
-        raise ValueError("sample arrays must be 1d and of equal length")
-    if s.size < 2:
-        raise ValueError("need at least two samples")
-    if s[0] != 0.0 or x[0] != 0.0:
-        raise ValueError("trajectory samples must start at s = 0, x0 = 0")
-    if np.any(np.diff(s) <= 0.0) or np.any(np.diff(x) <= 0.0):
-        raise ValueError("trajectory samples must be strictly increasing")
-    with np.errstate(over="ignore"):  # LambdaPath refuses an infinite slope
-        values = np.diff(x) / np.diff(s)
-    return LambdaPath(breakpoints=s[1:], values=values)
 
 
 def load_path_csv(filename) -> LambdaPath:

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .paths import LambdaPath
-from .spectrum import QuantumNumbers, RadialGrid, RadialState, UNIFORM, _check_pair, state_norm
+from .spectrum import QuantumNumbers, RadialGrid, RadialState, _check_pair, state_norm
 from .units import UnitSystem
 
 __all__ = [
@@ -117,8 +117,7 @@ def propagation_grid(r_max: float, num_points: int) -> RadialGrid:
     if num_points > MAX_SWEEP_WORK:  # an integer, before r_max / num_points
         raise ValueError(f"need at most {MAX_SWEEP_WORK:.0e} grid points: one step on more "
                          "is past the sweep's budget of grid points x steps")
-    return RadialGrid(r_min=r_max / num_points, r_max=r_max,
-                      num_points=num_points, spacing=UNIFORM)
+    return RadialGrid(r_min=r_max / num_points, r_max=r_max, num_points=num_points)
 
 
 def _lapack():
@@ -160,7 +159,7 @@ def _hamiltonian_tridiag(grid: RadialGrid, l: int, lam: float,
     no entry passes 3 H_MAX, where dstein's vectors and the squares of H phi stay finite; the
     grid's term is also at least 1 / H_MAX, which keeps r^2 and hbar^2 l(l+1) finite. Judged
     in that order, on scalars, before H is built."""
-    if grid.spacing != UNIFORM or abs(grid.r_min - grid.step) > 1e-12 * grid.step:
+    if abs(grid.r_min - grid.step) > 1e-12 * grid.step:
         raise ValueError("propagation needs a uniform grid walled at r = 0, "
                          "r_min equal to the step (see propagation_grid)")
     h = grid.step

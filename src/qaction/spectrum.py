@@ -25,11 +25,8 @@ from .units import UnitSystem
 __all__ = [
     "QuantumNumbers", "SommerfeldNumbers", "RadialGrid", "RadialState",
     "bohr_energy", "epsilon_n", "numerov_eigenvalue",
-    "sommerfeld_nstar_sq", "sommerfeld_energy", "state_norm", "UNIFORM", "LOG",
+    "sommerfeld_nstar_sq", "sommerfeld_energy", "state_norm",
 ]
-
-UNIFORM = "uniform"
-LOG = "log"
 
 
 @dataclass(frozen=True)
@@ -66,72 +63,35 @@ class SommerfeldNumbers:
             raise ValueError("k must be a nonzero integer")
 
 
+def _check_mesh(r_min: float, r_max: float, num_points: int) -> None:
+    """The checks every radial mesh, uniform or Numerov's log mesh, shares."""
+    if not 0.0 < r_min < r_max < math.inf:
+        raise ValueError("need 0 < r_min < r_max < inf")
+    if not (isinstance(num_points, numbers.Integral) and num_points >= 16):
+        raise ValueError(f"need at least 16 grid points, an integer, got {num_points!r}")
+
+
 @dataclass(frozen=True)
 class RadialGrid:
-    """Strictly increasing radial mesh on [r_min, r_max], uniform or log spaced,
-    whose points and quadrature weights are built once, read-only."""
+    """Uniform radial mesh on [r_min, r_max] whose points are built once, read-only."""
 
     r_min: float
     r_max: float
     num_points: int
-    spacing: str = LOG
 
     def __post_init__(self):
-        if not 0.0 < self.r_min < self.r_max < math.inf:
-            raise ValueError("need 0 < r_min < r_max < inf")
-        if not (isinstance(self.num_points, numbers.Integral) and self.num_points >= 16):
-            raise ValueError(f"need at least 16 grid points, an integer, got {self.num_points!r}")
-        if self.spacing not in (UNIFORM, LOG):
-            raise ValueError(f"unknown spacing {self.spacing!r}")
-        if self.spacing == UNIFORM:
-            r = np.linspace(self.r_min, self.r_max, self.num_points)
-            w = np.full(self.num_points, self.step)
-        else:
-            r = np.geomspace(self.r_min, self.r_max, self.num_points)
-            hx = math.log(self.r_max / self.r_min) / (self.num_points - 1)
-            with np.errstate(over="ignore"):
-                w = _simpson_weights(self.num_points, hx) * r  # dr = r dx
-            if not np.all(np.isfinite(w)):
-                raise ValueError(f"log grid weights on [{self.r_min}, {self.r_max}] overflow")
-        for name, arr in (("_points", r), ("_weights", w)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _check_mesh(self.r_min, self.r_max, self.num_points)
+        r = np.linspace(self.r_min, self.r_max, self.num_points)
+        r.setflags(write=False)
+        object.__setattr__(self, "_points", r)
 
     def points(self) -> np.ndarray:
         return self._points
 
     @property
     def step(self) -> float:
-        """Uniform mesh spacing (uniform grids only)."""
-        if self.spacing != UNIFORM:
-            raise ValueError("step is defined for uniform grids only")
+        """Mesh spacing h."""
         return (self.r_max - self.r_min) / (self.num_points - 1)
-
-    def quad_weights(self) -> np.ndarray:
-        """Quadrature weights for integrals of smooth radial functions.
-
-        Uniform grids use the plain h-weighted sum, consistent with Dirichlet
-        walls one step outside both ends (states vanish there, so this is the
-        rule the propagator conserves exactly). Log grids integrate in
-        x = ln r with composite Simpson (trapezoid patch on the last interval
-        when the point count is even), whose h^4 accuracy keeps norm checks
-        meaningful at the default resolution.
-        """
-        return self._weights
-
-
-def _simpson_weights(n: int, h: float) -> np.ndarray:
-    w = np.zeros(n)
-    m = n if n % 2 == 1 else n - 1
-    w[0:m:2] += 2.0
-    w[1:m:2] += 4.0
-    w[0] = 1.0
-    w[m - 1] = 1.0
-    w[:m] *= h / 3.0
-    if m < n:  # even point count: trapezoid on the final interval
-        w[-2] += h / 2.0
-        w[-1] += h / 2.0
-    return w
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,8 +125,9 @@ class RadialState:
 
 
 def state_norm(state: RadialState) -> float:
-    w = state.grid.quad_weights()
-    return math.sqrt(float(np.sum(w * np.abs(state.amplitudes) ** 2)))
+    """The h-weighted sum, consistent with Dirichlet walls one step outside both ends
+    (states vanish there, so this is the norm the propagator conserves exactly)."""
+    return math.sqrt(float(np.sum(state.grid.step * np.abs(state.amplitudes) ** 2)))
 
 
 def _check_pair(bra: RadialState, ket: RadialState) -> None:
@@ -224,24 +185,24 @@ def _numerov_node_count(eps: float, r: np.ndarray, hx: float, l: int,
     return nodes
 
 
-def numerov_eigenvalue(n: QuantumNumbers, coupling: float, grid: RadialGrid,
-                       u: UnitSystem, tol: float = 1e-10) -> float:
+def numerov_eigenvalue(n: QuantumNumbers, coupling: float, r_min: float, r_max: float,
+                       num_points: int, u: UnitSystem, tol: float = 1e-10) -> float:
     """Grid oracle: n-th bound eigenvalue of -hbar^2 Delta - coupling / r.
 
     Standard sign convention (negative for bound states); callers map to the
-    internal-time generator by negation. Shooting with node-count bisection:
-    the returned energy is the point where the outward solution's node count
-    steps from n - l - 1 to n - l, i.e. the Dirichlet eigenvalue of the
-    truncated mesh, with no closed-form input anywhere.
+    internal-time generator by negation. Shooting with node-count bisection on
+    its own log mesh of num_points on [r_min, r_max]: the returned energy is
+    the point where the outward solution's node count steps from n - l - 1 to
+    n - l, i.e. the Dirichlet eigenvalue of the truncated mesh, with no
+    closed-form input anywhere.
     """
+    _check_mesh(r_min, r_max, num_points)
     if not coupling > 0.0:
         raise ValueError("coupling must be positive; no bound states otherwise")
-    if grid.spacing != LOG:
-        raise ValueError("the shooting oracle wants a log-spaced grid")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    r = grid.points()
-    hx = math.log(grid.r_max / grid.r_min) / (grid.num_points - 1)
+    r = np.geomspace(r_min, r_max, num_points)
+    hx = math.log(r_max / r_min) / (num_points - 1)
     target = n.n - n.l - 1  # radial nodes of the requested state
 
     def count(eps: float) -> int:
@@ -253,7 +214,7 @@ def numerov_eigenvalue(n: QuantumNumbers, coupling: float, grid: RadialGrid,
         raise RuntimeError("grid cannot resolve the requested state (lower bracket fails)")
     if count(hi) <= target:
         raise RuntimeError(
-            f"grid holds fewer than {target + 1} bound nodes up to r_max={grid.r_max}; "
+            f"grid holds fewer than {target + 1} bound nodes up to r_max={r_max}; "
             "enlarge the grid")
     for _ in range(400):
         mid = 0.5 * (lo + hi)

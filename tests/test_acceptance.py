@@ -18,7 +18,7 @@ from qaction.propagation import (
     grid_eigenstate, propagation_grid, transition_amplitude,
 )
 from qaction.spectrum import (
-    LOG, QuantumNumbers, RadialGrid, SommerfeldNumbers, epsilon_n,
+    QuantumNumbers, SommerfeldNumbers, epsilon_n,
     numerov_eigenvalue, sommerfeld_energy, sommerfeld_nstar_sq,
 )
 from qaction.stationary import (
@@ -124,11 +124,10 @@ def test_acceptance_04_packet_phase_integration_vs_quadrature(u_half):
 
 
 def test_acceptance_05_grid_eigenvalues_match_level_formula(u10):
-    grid = RadialGrid(1e-6, 200.0, 4000, spacing=LOG)
     lam = 2.0 * u10.mc  # coupling lambda * alpha = 2 exactly
     errors = []
     for n in range(1, 6):
-        e_grid = numerov_eigenvalue(QuantumNumbers(n, 0), 2.0, grid, u10)
+        e_grid = numerov_eigenvalue(QuantumNumbers(n, 0), 2.0, 1e-6, 200.0, 4000, u10)
         ref = -epsilon_n(lam, n, u10)
         if _rel(e_grid, ref) > 1e-6:
             errors.append(f"n={n} rel={_rel(e_grid, ref):.2e}")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qaction import LambdaPath, internal_time_map, lambda_from_trajectory, load_path_csv
+from qaction import LambdaPath, internal_time_map, load_path_csv
 from conftest import record_calls
 
 
@@ -265,31 +265,3 @@ def test_internal_time_map_round_trip():
             assert s > s_prev  # strictly increasing map
             s_prev = s
         assert np.all(np.abs(path.integral(upto=mapped) - xs) <= 1e-12 * (1.0 + xs))
-
-
-def test_lambda_from_trajectory():
-    p = lambda_from_trajectory(np.array([0.0, 1.0, 2.0]),
-                               np.array([0.0, 3.0, 6.0]))
-    assert list(p.breakpoints) == [1.0, 2.0]
-    assert list(p.values) == [3.0, 3.0]
-    original = LambdaPath(np.array([1.0, 2.0]), np.array([1.0, 2.0]))
-    s = np.array([0.0, 1.0, 2.0])
-    x = original.integral(upto=s)
-    recovered = lambda_from_trajectory(s, x)
-    assert np.array_equal(recovered.breakpoints, original.breakpoints)
-    assert np.array_equal(recovered.values, original.values)
-
-
-def test_lambda_from_trajectory_validation():
-    with pytest.raises(ValueError):
-        lambda_from_trajectory(np.array([0.0, 1.0]), np.array([0.0]))
-    with pytest.raises(ValueError):
-        lambda_from_trajectory(np.array([0.0]), np.array([0.0]))
-    with pytest.raises(ValueError):
-        lambda_from_trajectory(np.array([0.1, 1.0]), np.array([0.0, 1.0]))
-    with pytest.raises(ValueError):
-        lambda_from_trajectory(np.array([0.0, 1.0, 2.0]),
-                               np.array([0.0, 2.0, 1.0]))
-    # the chord slope overflows: the path refuses it, and no numpy warning
-    with pytest.raises(ValueError, match="non-finite"):
-        lambda_from_trajectory(np.array([0.0, 1e-320]), np.array([0.0, 1.0]))

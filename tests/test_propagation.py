@@ -21,7 +21,6 @@ from qaction.propagation import (BLAS_SERIAL, CN_ROOTS, H_MAX, MAX_PHASE_PER_STE
                                  _cayley, _chunked, _eigenpairs, _energy_moments,
                                  _hamiltonian_tridiag, _sweep, _transition,
                                  _two_blocks, _TwoBlockSolver)
-from qaction.spectrum import LOG, UNIFORM
 from conftest import record_calls
 
 # the LAPACK module whose routines the package calls, the one to patch
@@ -34,7 +33,6 @@ def _eigenpair(n, l, lam_mc, grid, u, **kw):
 
 def test_propagation_grid_geometry():
     g = propagation_grid(40.0, 2000)
-    assert g.spacing == "uniform"
     assert math.isclose(g.step, g.r_min, rel_tol=1e-14)
     r = g.points()
     assert r[0] == g.r_min
@@ -364,21 +362,14 @@ def test_evolve_rejects_bad_input(u10):
         evolve(state, LambdaPath.constant(2.0 * u10.mc, 1.0), 0, u10)
     with pytest.raises(ValueError, match="whole number"):
         evolve(state, LambdaPath.constant(2.0 * u10.mc, 1.0), 2.5, u10)
-    log_grid = RadialGrid(r_min=1e-4, r_max=25.0, num_points=800, spacing=LOG)
-    amps = np.exp(-log_grid.points())
-    rough = RadialState(log_grid, 0, amps)
-    rough = RadialState(log_grid, 0, rough.amplitudes / state_norm(rough))
-    with pytest.raises(ValueError):
-        evolve(rough, LambdaPath.constant(2.0 * u10.mc, 1.0), 10, u10)
 
 
 @pytest.mark.parametrize("grid", [
-    # uniform, but r_min = 0.5 is ten steps from the wall the operator assumes:
-    # the spacing-only check let grid_eigenstate return epsilon_1 = 0.509 on
-    # it, where propagation_grid(30, 600) gives 0.9994
-    RadialGrid(r_min=0.5, r_max=30.0, num_points=600, spacing=UNIFORM),
-    RadialGrid(r_min=1e-4, r_max=30.0, num_points=600, spacing=LOG),
-], ids=["uniform_r_min_0.5", "log"])
+    # r_min = 0.5 is ten steps from the wall the operator assumes: unchecked,
+    # grid_eigenstate would return epsilon_1 = 0.509 on it, where
+    # propagation_grid(30, 600) gives 0.9994
+    RadialGrid(r_min=0.5, r_max=30.0, num_points=600),
+], ids=["uniform_r_min_0.5"])
 @pytest.mark.parametrize("call", [
     lambda s, path, u: grid_eigenstate(1, 0, 2.0 * u.mc, s.grid, u),
     lambda s, path, u: evolve(s, path, 10, u),
@@ -454,8 +445,7 @@ def test_flagged_when_overlap_vanishes(u10):
     s1, _ = _eigenpair(1, 0, 2.0, g, u10)
     s2, _ = _eigenpair(2, 0, 2.0, g, u10, check_boundaries=False)
     # orthogonalize exactly so |K| sits at the numerical floor
-    w = g.quad_weights()
-    overlap = np.sum(w * np.conj(s1.amplitudes) * s2.amplitudes)
+    overlap = np.sum(g.step * np.conj(s1.amplitudes) * s2.amplitudes)
     ortho = s2.amplitudes - overlap * s1.amplitudes
     out = RadialState(g, 0, ortho)
     out = RadialState(g, 0, out.amplitudes / state_norm(out))
@@ -722,11 +712,10 @@ def test_counts_follow_the_state_entering_each_segment(u10, monkeypatch):
 
 
 def test_grid_arrays_are_built_once(u10, monkeypatch):
-    # the points and weights are built with the grid; every sweep, adjoint
-    # sweep, norm and overlap after that reads those arrays
-    for g in (RadialGrid(0.01, 30.0, 401, LOG), RadialGrid(0.5, 10.0, 20, UNIFORM)):
-        for first, again in ((g.points(), g.points()), (g.quad_weights(), g.quad_weights())):
-            assert again is first and not first.flags.writeable
+    # the points are built with the grid; every sweep and adjoint sweep after
+    # that reads that array
+    g = RadialGrid(0.5, 10.0, 20)
+    assert g.points() is g.points() and not g.points().flags.writeable
     spaced = record_calls(monkeypatch, np, "linspace")
     g = propagation_grid(25.0, 600)
     state, _ = _eigenpair(1, 0, 2.0, g, u10)

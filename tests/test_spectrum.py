@@ -5,7 +5,7 @@ import pytest
 from scipy.special import eval_genlaguerre
 
 from qaction import (
-    LOG, UNIFORM, QuantumNumbers, RadialGrid, SommerfeldNumbers, bohr_energy,
+    QuantumNumbers, RadialGrid, SommerfeldNumbers, bohr_energy,
     epsilon_n, grid_eigenstate, level_comparison, make_units, numerov_eigenvalue,
     propagation_grid, sommerfeld_energy, sommerfeld_nstar_sq, state_norm,
     stationary_closed_form,
@@ -150,49 +150,29 @@ def test_sommerfeld_energy_small_alpha_limit():
         assert math.isclose(e, u.rest_energy, rel_tol=1e-13)
 
 
-def test_radial_grid_validation():
-    with pytest.raises(ValueError):
-        RadialGrid(r_min=0.0, r_max=10.0, num_points=100)
-    with pytest.raises(ValueError):
-        RadialGrid(r_min=2.0, r_max=1.0, num_points=100)
-    with pytest.raises(ValueError):
-        RadialGrid(r_min=0.1, r_max=1.0, num_points=8)
-    with pytest.raises(ValueError):
-        RadialGrid(r_min=0.1, r_max=1.0, num_points=100, spacing="cubic")
-    # a float count is refused by the grid, not left to numpy's TypeError
-    for make in (lambda: RadialGrid(r_min=0.1, r_max=1.0, num_points=100.0),
-                 lambda: propagation_grid(30.0, 2000.0)):
-        with pytest.raises(ValueError, match="need at least 16 grid points"):
-            make()
-    # r dx past the float range, or ln(r_max / r_min) = inf: refused, not an inf weight
-    for r_min, r_max in ((1.0, 1e308), (1e-300, 1e300)):
-        with pytest.raises(ValueError, match="log grid weights"):
-            RadialGrid(r_min=r_min, r_max=r_max, num_points=100)
-
-
-def test_step_is_for_uniform_grids_only():
-    assert RadialGrid(r_min=0.5, r_max=10.0, num_points=20, spacing=UNIFORM).step == 0.5
-    log_grid = RadialGrid(r_min=1e-3, r_max=10.0, num_points=20, spacing=LOG)
-    with pytest.raises(ValueError, match="uniform grids only"):
-        log_grid.step
+def test_radial_grid_validation(u10):
+    # the uniform grid and Numerov's own log mesh refuse a mesh with one message
+    ends, count = "need 0 < r_min < r_max < inf", "need at least 16 grid points"
+    for mesh, message in (((0.0, 10.0, 100), ends), ((-1.0, 10.0, 100), ends),
+                          ((2.0, 1.0, 100), ends), ((1.0, 1.0, 100), ends),
+                          ((0.1, math.inf, 100), ends),
+                          ((0.1, 1.0, 8), count), ((0.1, 1.0, 15), count),
+                          # a float count is refused, not left to numpy's TypeError
+                          ((0.1, 1.0, 100.0), count)):
+        with pytest.raises(ValueError, match=message):
+            RadialGrid(*mesh)
+        with pytest.raises(ValueError, match=message):
+            numerov_eigenvalue(QuantumNumbers(1), 2.0, *mesh, u10)
+    with pytest.raises(ValueError, match=count):
+        propagation_grid(30.0, 2000.0)
 
 
 def test_grid_points_monotone():
-    for spacing in (UNIFORM, LOG):
-        g = RadialGrid(r_min=1e-3, r_max=50.0, num_points=64, spacing=spacing)
-        r = g.points()
-        assert r[0] == pytest.approx(1e-3)
-        assert r[-1] == pytest.approx(50.0)
-        assert np.all(np.diff(r) > 0)
-
-
-def test_log_grid_quadrature_accuracy():
-    # Simpson-in-x weights must integrate a hydrogen density to ~1e-9, so a
-    # log-grid state's norm is judged by its amplitudes, not by the rule
-    g = RadialGrid(r_min=1e-6, r_max=200.0, num_points=4001, spacing=LOG)
+    g = RadialGrid(r_min=1e-3, r_max=50.0, num_points=64)
     r = g.points()
-    u_exact = 2.0 * r * np.exp(-r)
-    assert abs(np.sum(g.quad_weights() * u_exact ** 2) - 1.0) < 1e-9
+    assert r[0] == 1e-3
+    assert r[-1] == 50.0
+    assert np.allclose(np.diff(r), g.step, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("n, l", [(1, 0), (2, 0), (2, 1), (3, 0)])
@@ -227,86 +207,82 @@ def test_grid_eigenstate_converges_at_second_order_to_the_closed_form(u10, lam_m
         assert fine / coarse == pytest.approx(0.25, rel=0.02)
 
 
+MESH = (1e-6, 200.0, 4000)  # Numerov's log mesh: r_min, r_max, points
+
+
 def test_numerov_matches_formula(u10):
-    g = RadialGrid(r_min=1e-6, r_max=200.0, num_points=4000, spacing=LOG)
     lam = 2.0 * u10.mc
     coupling = lam * u10.coulomb_momentum
     for n in (1, 2, 3):
-        e = numerov_eigenvalue(QuantumNumbers(n), coupling, g, u10)
+        e = numerov_eigenvalue(QuantumNumbers(n), coupling, *MESH, u10)
         assert math.isclose(e, -epsilon_n(lam, n, u10), rel_tol=1e-6)
 
 
 def test_numerov_level_ratios(u10):
-    g = RadialGrid(r_min=1e-6, r_max=200.0, num_points=4000, spacing=LOG)
     coupling = 2.0
-    e1 = numerov_eigenvalue(QuantumNumbers(1), coupling, g, u10)
-    e2 = numerov_eigenvalue(QuantumNumbers(2), coupling, g, u10)
-    e3 = numerov_eigenvalue(QuantumNumbers(3), coupling, g, u10)
+    e1 = numerov_eigenvalue(QuantumNumbers(1), coupling, *MESH, u10)
+    e2 = numerov_eigenvalue(QuantumNumbers(2), coupling, *MESH, u10)
+    e3 = numerov_eigenvalue(QuantumNumbers(3), coupling, *MESH, u10)
     assert math.isclose(e2 / e1, 0.25, rel_tol=1e-5)
     assert math.isclose(e3 / e1, 1.0 / 9.0, rel_tol=1e-5)
 
 
 def test_numerov_centrifugal_channel(u10):
     # l = 1 reaches the same n = 2 level through a different effective potential
-    g = RadialGrid(r_min=1e-6, r_max=200.0, num_points=4000, spacing=LOG)
     lam = 2.0 * u10.mc
-    e = numerov_eigenvalue(QuantumNumbers(2, 1), lam * u10.coulomb_momentum, g, u10)
+    e = numerov_eigenvalue(QuantumNumbers(2, 1), lam * u10.coulomb_momentum, *MESH, u10)
     assert math.isclose(e, -epsilon_n(lam, 2, u10), rel_tol=1e-6)
 
 
 def test_numerov_rejects_free_particle(u10):
-    g = RadialGrid(r_min=1e-6, r_max=200.0, num_points=4000, spacing=LOG)
-    with pytest.raises(ValueError):
-        numerov_eigenvalue(QuantumNumbers(1), 0.0, g, u10)
-
-
-def test_numerov_rejects_uniform_grid(u10):
-    g = RadialGrid(r_min=1e-3, r_max=200.0, num_points=4000, spacing=UNIFORM)
-    with pytest.raises(ValueError, match="log-spaced grid"):
-        numerov_eigenvalue(QuantumNumbers(1), 2.0, g, u10)
+    with pytest.raises(ValueError, match="coupling must be positive"):
+        numerov_eigenvalue(QuantumNumbers(1), 0.0, *MESH, u10)
 
 
 def test_numerov_grid_too_small(u10):
-    g = RadialGrid(r_min=1e-4, r_max=1.5, num_points=512, spacing=LOG)
     with pytest.raises(RuntimeError):
-        numerov_eigenvalue(QuantumNumbers(5), 2.0, g, u10)
+        numerov_eigenvalue(QuantumNumbers(5), 2.0, 1e-4, 1.5, 512, u10)
 
 
 def test_numerov_rescales_the_growing_solution(u10):
     # past r ~ 290 the solution at the lower bracket grows beyond 1e250 and is
     # rescaled as it goes; the 1s level of coupling 2 is still -1
-    g = RadialGrid(r_min=1e-4, r_max=400.0, num_points=4000, spacing=LOG)
-    assert math.isclose(numerov_eigenvalue(QuantumNumbers(1), 2.0, g, u10), -1.0,
-                        rel_tol=1e-6)
+    assert math.isclose(numerov_eigenvalue(QuantumNumbers(1), 2.0, 1e-4, 400.0, 4000, u10),
+                        -1.0, rel_tol=1e-6)
 
 
 def test_numerov_lower_bracket_fails_on_a_coarse_mesh(u10):
     # 64 log points to r = 200: far out hx^2 g / 12 > 1, so the recursion
     # alternates in sign and counts nodes even below every bound level
-    g = RadialGrid(r_min=1e-4, r_max=200.0, num_points=64, spacing=LOG)
     with pytest.raises(RuntimeError, match="lower bracket fails"):
-        numerov_eigenvalue(QuantumNumbers(1), 2.0, g, u10)
+        numerov_eigenvalue(QuantumNumbers(1), 2.0, 1e-4, 200.0, 64, u10)
 
 
 def test_numerov_bisection_stops_at_its_step_limit(u10):
     # a tol below an ulp of the level is never met: the bracket stops
     # shrinking at adjacent floats and the 400 steps run out
-    g = RadialGrid(r_min=1e-4, r_max=20.0, num_points=200, spacing=LOG)
+    mesh = (1e-4, 20.0, 200)
     with pytest.raises(RuntimeError, match="bisection failed to converge"):
-        numerov_eigenvalue(QuantumNumbers(1), 2.0, g, u10, tol=1e-20)
-    assert math.isclose(numerov_eigenvalue(QuantumNumbers(1), 2.0, g, u10), -1.0,
+        numerov_eigenvalue(QuantumNumbers(1), 2.0, *mesh, u10, tol=1e-20)
+    assert math.isclose(numerov_eigenvalue(QuantumNumbers(1), 2.0, *mesh, u10), -1.0,
                         rel_tol=1e-6)
 
 
 def test_state_operations():
-    g = RadialGrid(r_min=1e-6, r_max=200.0, num_points=2001, spacing=LOG)
-    r = g.points()
-    state = RadialState(g, 0, 6.0j * r * np.exp(-r))  # 3i times u_1s = 2 r exp(-r)
-    assert abs(state_norm(state) - 3.0) < 1e-12
+    # the norm is the h-weighted sum: exact for a Dirichlet mode of the walled
+    # mesh, sum_j sin^2(pi k j / (n + 1)) = (n + 1) / 2, and on 3i u_1s,
+    # u_1s = 2 r exp(-r), off 3 by Euler-Maclaurin's -3 h^4 / 30 (u^2's
+    # third derivative is -48 at r = 0)
+    g = propagation_grid(200.0, 2000)
+    r, h = g.points(), g.step
+    mode = RadialState(g, 0, 3.0j * np.sin(3.0 * math.pi * r / (2001 * h)))
+    assert state_norm(mode) == pytest.approx(3.0 * math.sqrt(h * 2001 / 2), rel=1e-14)
+    state = RadialState(g, 0, 6.0j * r * np.exp(-r))
+    assert abs(state_norm(state) - 3.0 * (1.0 - h ** 4 / 30.0)) < 1e-7
 
 
 def test_radial_state_validation(u10):
-    g = RadialGrid(r_min=1e-6, r_max=200.0, num_points=64, spacing=LOG)
+    g = RadialGrid(r_min=1e-6, r_max=200.0, num_points=64)
     with pytest.raises(ValueError):
         RadialState(g, 0, np.ones(63, dtype=complex))
     with pytest.raises(ValueError):
@@ -320,13 +296,13 @@ def test_radial_state_validation(u10):
 
 
 def test_radial_states_compare_by_value():
-    g = RadialGrid(r_min=1e-6, r_max=200.0, num_points=64, spacing=LOG)
+    g = RadialGrid(r_min=1e-6, r_max=200.0, num_points=64)
     amp = np.linspace(0.0, 1.0, 64) + 0.5j
     state = RadialState(g, 1, amp)
     assert state == RadialState(g, np.int64(1), amp.copy())  # a twin built apart
     assert state != RadialState(g, 1, amp + 1e-12)
     assert state != RadialState(g, 2, amp)
-    other_grid = RadialGrid(r_min=1e-6, r_max=100.0, num_points=64, spacing=LOG)
+    other_grid = RadialGrid(r_min=1e-6, r_max=100.0, num_points=64)
     assert state != RadialState(other_grid, 1, amp)
     for other in (g, None, "state"):  # a non-state is never equal, and never raises
         assert (state == other) is False and state != other

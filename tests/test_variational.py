@@ -98,8 +98,7 @@ def test_full_action_rejects_out_of_bounds_duration(u10, coarse_setup):
 def test_full_action_flags_vanishing_amplitude(u10, coarse_setup):
     g, s1, _ = coarse_setup
     s2, _ = grid_eigenstate(2, 0, 2.0 * u10.mc, g, u10, check_boundaries=False)
-    w = g.quad_weights()
-    ortho = s2.amplitudes - np.sum(w * np.conj(s1.amplitudes) * s2.amplitudes) \
+    ortho = s2.amplitudes - np.sum(g.step * np.conj(s1.amplitudes) * s2.amplitudes) \
         * s1.amplitudes
     out = RadialState(g, 0, ortho)
     out = RadialState(g, 0, out.amplitudes / state_norm(out))
@@ -612,7 +611,7 @@ def test_optimize_argument_validation(u10, coarse_setup):
 
 
 NAN = float("nan")
-LOG_GRID = RadialGrid(1e-4, 40.0, 2000)
+LOG_MESH = (1e-4, 40.0, 2000)  # numerov_eigenvalue's r_min, r_max, points
 
 
 @pytest.mark.parametrize("call", [
@@ -634,13 +633,17 @@ LOG_GRID = RadialGrid(1e-4, 40.0, 2000)
     lambda u, p: packet_diagnostics(chi_initial(1.0),
                                     np.append(np.linspace(-6.0, 6.0, 40), NAN)),
     lambda u, p: sommerfeld_nstar_sq(0, 1, NAN),
-    lambda u, p: numerov_eigenvalue(QuantumNumbers(1), NAN, LOG_GRID, u),
+    lambda u, p: numerov_eigenvalue(QuantumNumbers(1), NAN, *LOG_MESH, u),
     lambda u, p: numerov_eigenvalue(QuantumNumbers(1), u.coulomb_momentum,
-                                    LOG_GRID, u, tol=NAN),
+                                    *LOG_MESH, u, tol=NAN),
+    lambda u, p: numerov_eigenvalue(QuantumNumbers(1), u.coulomb_momentum,
+                                    NAN, 40.0, 2000, u),
+    lambda u, p: numerov_eigenvalue(QuantumNumbers(1), u.coulomb_momentum,
+                                    1e-4, NAN, 2000, u),
 ], ids=["closed_form_x10", "action_S", "action_x10", "action_x10_inf", "solve_x10",
         "solve_tol", "classical_x10", "classical_x10_inf", "problem_x10", "optimize_tol",
         "grid_rmax", "radial_rmin", "radial_rmax", "packet_width", "packet_grid",
-        "nstar_alpha", "numerov_coupling", "numerov_tol"])
+        "nstar_alpha", "numerov_coupling", "numerov_tol", "numerov_rmin", "numerov_rmax"])
 def test_nan_rejected_by_positivity_checks(u10, coarse_setup, call):
     # a check written v <= 0 lets NaN through to the numerics, and one written
     # not v > 0 lets x10 = inf through (action -inf)
