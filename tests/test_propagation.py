@@ -41,6 +41,8 @@ def test_propagation_grid_geometry():
         propagation_grid(-1.0, 100)
     with pytest.raises(ValueError):
         propagation_grid(10.0, 8)
+    with pytest.raises(ValueError, match="need at least 16 grid points"):
+        propagation_grid(30.0, 2000.0)
 
 
 def test_grid_eigenstate_levels(u10):
@@ -369,7 +371,9 @@ def test_evolve_rejects_bad_input(u10):
     # grid_eigenstate would return epsilon_1 = 0.509 on it, where
     # propagation_grid(30, 600) gives 0.9994
     RadialGrid(r_min=0.5, r_max=30.0, num_points=600),
-], ids=["uniform_r_min_0.5"])
+    # r_min = 0.01 lies a fifth of a step from the wall: the check is two-sided
+    RadialGrid(r_min=0.01, r_max=30.0, num_points=600),
+], ids=["uniform_r_min_0.5", "uniform_r_min_0.01"])
 @pytest.mark.parametrize("call", [
     lambda s, path, u: grid_eigenstate(1, 0, 2.0 * u.mc, s.grid, u),
     lambda s, path, u: evolve(s, path, 10, u),

@@ -150,21 +150,23 @@ def test_sommerfeld_energy_small_alpha_limit():
         assert math.isclose(e, u.rest_energy, rel_tol=1e-13)
 
 
-def test_radial_grid_validation(u10):
+ENDS, COUNT = "need 0 < r_min < r_max < inf", "need at least 16 grid points"
+
+
+@pytest.mark.parametrize("mesh, message", [
+    ((0.0, 10.0, 100), ENDS), ((-1.0, 10.0, 100), ENDS), ((2.0, 1.0, 100), ENDS),
+    ((1.0, 1.0, 100), ENDS), ((0.1, math.inf, 100), ENDS),
+    ((0.1, 1.0, 8), COUNT), ((0.1, 1.0, 15), COUNT),
+    # a float count is refused, not left to numpy's TypeError
+    ((0.1, 1.0, 100.0), COUNT),
+], ids=["r_min_0", "r_min_negative", "r_min_above_r_max", "r_min_equal_r_max",
+        "r_max_inf", "points_8", "points_15", "points_float"])
+def test_radial_grid_validation(u10, mesh, message):
     # the uniform grid and Numerov's own log mesh refuse a mesh with one message
-    ends, count = "need 0 < r_min < r_max < inf", "need at least 16 grid points"
-    for mesh, message in (((0.0, 10.0, 100), ends), ((-1.0, 10.0, 100), ends),
-                          ((2.0, 1.0, 100), ends), ((1.0, 1.0, 100), ends),
-                          ((0.1, math.inf, 100), ends),
-                          ((0.1, 1.0, 8), count), ((0.1, 1.0, 15), count),
-                          # a float count is refused, not left to numpy's TypeError
-                          ((0.1, 1.0, 100.0), count)):
-        with pytest.raises(ValueError, match=message):
-            RadialGrid(*mesh)
-        with pytest.raises(ValueError, match=message):
-            numerov_eigenvalue(QuantumNumbers(1), 2.0, *mesh, u10)
-    with pytest.raises(ValueError, match=count):
-        propagation_grid(30.0, 2000.0)
+    with pytest.raises(ValueError, match=message):
+        RadialGrid(*mesh)
+    with pytest.raises(ValueError, match=message):
+        numerov_eigenvalue(QuantumNumbers(1), 2.0, *mesh, u10)
 
 
 def test_grid_points_monotone():
