@@ -106,18 +106,12 @@ class TransitionAmplitude:
 
 
 def propagation_grid(r_max: float, num_points: int) -> RadialGrid:
-    """Uniform mesh whose implicit Dirichlet wall sits exactly at r = 0.
-
-    Chooses r_min equal to the mesh step, so reduced radial functions, which
-    vanish linearly at the origin, see a consistent boundary. A grid no sweep
-    could take one step on (MAX_SWEEP_WORK) is refused.
-    """
-    if num_points < 16:
-        raise ValueError("need at least 16 grid points")
-    if num_points > MAX_SWEEP_WORK:  # an integer, before r_max / num_points
+    """RadialGrid(r_max, num_points), walled at r = 0, refused when no sweep could take
+    one step on it (MAX_SWEEP_WORK)."""
+    if num_points > MAX_SWEEP_WORK:
         raise ValueError(f"need at most {MAX_SWEEP_WORK:.0e} grid points: one step on more "
                          "is past the sweep's budget of grid points x steps")
-    return RadialGrid(r_min=r_max / num_points, r_max=r_max, num_points=num_points)
+    return RadialGrid(r_max, num_points)
 
 
 def _lapack():
@@ -153,15 +147,12 @@ def _lapack():
 
 def _hamiltonian_tridiag(grid: RadialGrid, l: int, lam: float,
                          u: UnitSystem) -> tuple[np.ndarray, np.ndarray]:
-    """H_std's diagonal and off-diagonal; the one check that grid is a propagation_grid and
-    that H fits the float range: at r = step, where each peaks, the grid's 2 hbar^2 / step^2,
+    """H_std's diagonal and off-diagonal; the one check that H fits the float range: at
+    r = step, where each peaks, the grid's 2 hbar^2 / step^2,
     l's hbar^2 l(l+1) / step^2 and lambda's |lambda| kappa_C / step are each at most H_MAX, so
     no entry passes 3 H_MAX, where dstein's vectors and the squares of H phi stay finite; the
     grid's term is also at least 1 / H_MAX, which keeps r^2 and hbar^2 l(l+1) finite. Judged
     in that order, on scalars, before H is built."""
-    if abs(grid.r_min - grid.step) > 1e-12 * grid.step:
-        raise ValueError("propagation needs a uniform grid walled at r = 0, "
-                         "r_min equal to the step (see propagation_grid)")
     h = grid.step
     t = u.hbar * u.hbar / (h * h) if h * h > 0.0 else math.inf
     if not 1.0 / H_MAX <= 2.0 * t <= H_MAX:  # NaN fails too
@@ -199,14 +190,15 @@ def _eigenpairs(diag: np.ndarray, off: np.ndarray, first: int, last: int) -> tup
     return w[:found], v
 
 
-def grid_eigenstate(n: int, l: int, lam: float, grid: RadialGrid, u: UnitSystem,
-                    check_boundaries: bool = True) -> tuple[RadialState, float]:
+def grid_eigenstate(n: int, l: int, lam: float, grid: RadialGrid,
+                    u: UnitSystem) -> tuple[RadialState, float]:
     """Bound eigenstate of the discrete generator and its level epsilon > 0.
 
     Diagonalizes the same tridiagonal operator the propagator steps, so the
     returned state is stationary under evolve() apart from time-stepping
     error. Normalized to one in the mesh quadrature; the overall sign makes
-    the largest-amplitude sample positive.
+    the largest-amplitude sample positive. A state the grid truncates at r_max
+    or under-resolves at the origin is refused.
     """
     QuantumNumbers(n, l)  # refuses anything that is not a bound level
     if not lam > 0.0:
@@ -224,24 +216,22 @@ def grid_eigenstate(n: int, l: int, lam: float, grid: RadialGrid, u: UnitSystem,
     vec = v[:, 0]
     if vec[int(np.argmax(np.abs(vec)))] < 0.0:
         vec = -vec
-    state = RadialState(grid, l, vec.astype(complex))
-    state = RadialState(grid, l, state.amplitudes / state_norm(state))
-    if check_boundaries:
-        peak = float(np.max(np.abs(vec)))
-        if abs(vec[-1]) > 1e-8 * peak:
+    peak = float(np.max(np.abs(vec)))
+    if abs(vec[-1]) > 1e-8 * peak:
+        raise RuntimeError(
+            f"eigenstate tail at r_max is {abs(vec[-1]) / peak:.2e} of peak; "
+            "enlarge r_max")
+    # near r = 0 the reduced function grows like r^(l+1), so the first two
+    # samples must show the 2^(l+1) doubling ratio; a flat or shallow start
+    # means the first cell is wider than the state's inner length scale
+    if abs(vec[0]) > 1e-12 * peak:
+        ratio = abs(vec[1] / vec[0]) / 2.0 ** (l + 1)
+        if abs(ratio - 1.0) > 0.25:
             raise RuntimeError(
-                f"eigenstate tail at r_max is {abs(vec[-1]) / peak:.2e} of peak; "
-                "enlarge r_max")
-        # near r = 0 the reduced function grows like r^(l+1), so the first two
-        # samples must show the 2^(l+1) doubling ratio; a flat or shallow start
-        # means the first cell is wider than the state's inner length scale
-        if abs(vec[0]) > 1e-12 * peak:
-            ratio = abs(vec[1] / vec[0]) / 2.0 ** (l + 1)
-            if abs(ratio - 1.0) > 0.25:
-                raise RuntimeError(
-                    "first mesh cell under-resolves the state near the origin; "
-                    "refine the mesh")
-    return state, -e_std
+                "first mesh cell under-resolves the state near the origin; "
+                "refine the mesh")
+    state = RadialState(grid, l, vec.astype(complex))
+    return RadialState(grid, l, state.amplitudes / state_norm(state)), -e_std
 
 
 def _chunked(dot, a: np.ndarray, b: np.ndarray):

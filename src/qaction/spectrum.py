@@ -63,25 +63,21 @@ class SommerfeldNumbers:
             raise ValueError("k must be a nonzero integer")
 
 
-def _check_mesh(r_min: float, r_max: float, num_points: int) -> None:
-    """The checks every radial mesh, uniform or Numerov's log mesh, shares."""
-    if not 0.0 < r_min < r_max < math.inf:
-        raise ValueError("need 0 < r_min < r_max < inf")
-    if not (isinstance(num_points, numbers.Integral) and num_points >= 16):
-        raise ValueError(f"need at least 16 grid points, an integer, got {num_points!r}")
-
-
 @dataclass(frozen=True)
 class RadialGrid:
-    """Uniform radial mesh on [r_min, r_max] whose points are built once, read-only."""
+    """Uniform radial mesh walled at r = 0: its points, built once and read-only, run
+    from r_max / num_points, one step from the Dirichlet wall, to r_max."""
 
-    r_min: float
     r_max: float
     num_points: int
 
     def __post_init__(self):
-        _check_mesh(self.r_min, self.r_max, self.num_points)
-        r = np.linspace(self.r_min, self.r_max, self.num_points)
+        if not (isinstance(self.num_points, numbers.Integral) and self.num_points >= 16):
+            raise ValueError(f"need at least 16 grid points, an integer, got {self.num_points!r}")
+        if not (0.0 < self.r_max / self.num_points and self.r_max < math.inf):  # NaN fails
+            raise ValueError("need a finite r_max whose r_max / num_points is positive, "
+                             f"got r_max = {self.r_max!r} on {self.num_points} points")
+        r = np.linspace(self.r_max / self.num_points, self.r_max, self.num_points)
         r.setflags(write=False)
         object.__setattr__(self, "_points", r)
 
@@ -91,7 +87,7 @@ class RadialGrid:
     @property
     def step(self) -> float:
         """Mesh spacing h."""
-        return (self.r_max - self.r_min) / (self.num_points - 1)
+        return (self.r_max - self.r_max / self.num_points) / (self.num_points - 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,6 +154,12 @@ def epsilon_n(lam: float, n: QuantumNumbers | int, u: UnitSystem) -> float:
     return level
 
 
+def _numerov_g(eps: float, r: np.ndarray, l: int, coupling: float, hbar: float) -> np.ndarray:
+    """g = r^2 q + 1/4 of the log-mesh equation v'' = g v at energy eps."""
+    q = (-coupling / r + hbar * hbar * l * (l + 1) / (r * r) - eps) / (hbar * hbar)
+    return r * r * q + 0.25
+
+
 def _numerov_node_count(eps: float, r: np.ndarray, hx: float, l: int,
                         coupling: float, hbar: float) -> int:
     """Outward Numerov sweep on the log mesh; counts nodes of the solution.
@@ -167,9 +169,7 @@ def _numerov_node_count(eps: float, r: np.ndarray, hx: float, l: int,
     count at energy eps is the number of bound levels strictly below eps,
     so bisection on it brackets any requested eigenvalue.
     """
-    q = (-coupling / r + hbar * hbar * l * (l + 1) / (r * r) - eps) / (hbar * hbar)
-    g = r * r * q + 0.25
-    c = (1.0 - (hx * hx / 12.0) * g).tolist()
+    c = (1.0 - (hx * hx / 12.0) * _numerov_g(eps, r, l, coupling, hbar)).tolist()
     v_prev = float(r[0]) ** (l + 0.5)
     v_cur = float(r[1]) ** (l + 0.5)
     nodes = 0
@@ -196,7 +196,10 @@ def numerov_eigenvalue(n: QuantumNumbers, coupling: float, r_min: float, r_max: 
     n - l, i.e. the Dirichlet eigenvalue of the truncated mesh, with no
     closed-form input anywhere.
     """
-    _check_mesh(r_min, r_max, num_points)
+    if not 0.0 < r_min < r_max < math.inf:
+        raise ValueError("need 0 < r_min < r_max < inf")
+    if not (isinstance(num_points, numbers.Integral) and num_points >= 16):
+        raise ValueError(f"need at least 16 grid points, an integer, got {num_points!r}")
     if not coupling > 0.0:
         raise ValueError("coupling must be positive; no bound states otherwise")
     if not tol > 0.0:
@@ -210,6 +213,15 @@ def numerov_eigenvalue(n: QuantumNumbers, coupling: float, r_min: float, r_max: 
 
     lo = -coupling * coupling / (u.hbar * u.hbar)  # below any bound level
     hi = -1e-12 * coupling * coupling / (u.hbar * u.hbar)
+    # each float operation of g is monotone in eps, so g finite at both brackets
+    # is finite at every energy the bisection tries
+    with np.errstate(all="ignore"):
+        finite = all(np.all(np.isfinite(_numerov_g(eps, r, n.l, coupling, u.hbar)))
+                     for eps in (lo, hi))
+    if not (finite and math.isfinite(hx)):
+        raise ValueError(f"log mesh [{r_min!r}, {r_max!r}] at coupling {coupling!r}, l = {n.l} "
+                         "leaves the float range: its log step or r^2 q + 1/4 at the "
+                         "brackets is not finite")
     if count(lo) > target:
         raise RuntimeError("grid cannot resolve the requested state (lower bracket fails)")
     if count(hi) <= target:

@@ -184,14 +184,14 @@ def _damped_newton(residual: Callable[[np.ndarray], tuple[np.ndarray, object]],
 
 
 def solve_stationary(n: QuantumNumbers | int, x10: float, u: UnitSystem,
-                     tol: float = 1e-12, max_iters: int = 60) -> StationaryPoint:
+                     tol: float = 1e-12) -> StationaryPoint:
     """Damped Newton solve of the four stationarity conditions.
 
     Starts from the non-relativistic guess (d, lambda, S, kappa) =
     (m c, 2 m c, x10 / 2 m c, m c), stays on the lambda > 0 branch, and
     declares convergence when every residual component is at most tol in its
     natural scale (momenta against m c S and m^2 c^2, the constraint against
-    x10). Quadratic convergence makes 1e-12 a cheap default.
+    x10) within 60 steps. Quadratic convergence makes 1e-12 a cheap default.
     """
     if not 0.0 < x10 < math.inf:
         raise ValueError("x10 must be positive and finite")
@@ -220,7 +220,7 @@ def solve_stationary(n: QuantumNumbers | int, x10: float, u: UnitSystem,
 
     z, r, _, _, converged = _damped_newton(residual, step,
                                            np.array([1.0, 2.0, 1.0, 1.0]),
-                                           feasible, tol, max_iters)
+                                           feasible, tol, 60)
     if not converged:
         raise RuntimeError("stationarity iteration stalled at scaled residual "
                            f"{float(np.max(np.abs(r))):.3e} (tol {tol:.3e})")

@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
-from qaction import make_units
+from qaction import RadialState, make_units, state_norm
+from qaction import propagation
 
 CODATA_ALPHA = 0.0072973525693
 
@@ -30,6 +32,17 @@ def record_calls(mp, owner, name):
         return fn(*args, **kwargs)
     mp.setattr(owner, name, recording)
     return calls
+
+
+def truncated_eigenstate(n, l, lam, grid, u):
+    """grid_eigenstate's state (n, l) on a grid that truncates it at r_max, which
+    grid_eigenstate refuses: the same eigenvector, sign and norm, so the same bits."""
+    diag, off = propagation._hamiltonian_tridiag(grid, l, lam, u)
+    vec = propagation._eigenpairs(diag, off, n - l - 1, n - l - 1)[1][:, 0]
+    if vec[int(np.argmax(np.abs(vec)))] < 0.0:
+        vec = -vec
+    state = RadialState(grid, l, vec.astype(complex))
+    return RadialState(grid, l, state.amplitudes / state_norm(state))
 
 
 @pytest.fixture(scope="session")

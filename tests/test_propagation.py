@@ -21,22 +21,22 @@ from qaction.propagation import (BLAS_SERIAL, CN_ROOTS, H_MAX, MAX_PHASE_PER_STE
                                  _cayley, _chunked, _eigenpairs, _energy_moments,
                                  _hamiltonian_tridiag, _sweep, _transition,
                                  _two_blocks, _TwoBlockSolver)
-from conftest import record_calls
+from conftest import record_calls, truncated_eigenstate
 
 # the LAPACK module whose routines the package calls, the one to patch
 lapack = propagation._lapack()
 
 
-def _eigenpair(n, l, lam_mc, grid, u, **kw):
-    return grid_eigenstate(n, l, lam_mc * u.mc, grid, u, **kw)
+def _eigenpair(n, l, lam_mc, grid, u):
+    return grid_eigenstate(n, l, lam_mc * u.mc, grid, u)
 
 
 def test_propagation_grid_geometry():
     g = propagation_grid(40.0, 2000)
-    assert math.isclose(g.step, g.r_min, rel_tol=1e-14)
+    assert g == RadialGrid(40.0, 2000)
     r = g.points()
-    assert r[0] == g.r_min
-    assert r[-1] == 40.0
+    assert np.array_equal(r, np.linspace(0.02, 40.0, 2000))  # bit for bit
+    assert math.isclose(g.step, r[0], rel_tol=1e-14)  # the wall is one step below r[0]
     with pytest.raises(ValueError):
         propagation_grid(-1.0, 100)
     with pytest.raises(ValueError):
@@ -163,19 +163,17 @@ def test_tracked_sweep_refuses_an_infinite_turn_by_its_unwrap_count(u10):
 
 
 def test_grid_eigenstate_boundary_guards(u10):
-    # 2s leaks onto a 12 bohr box: refuse unless the caller opts out
+    # 2s leaks onto a 12 bohr box
     tight = propagation_grid(12.0, 600)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match="eigenstate tail at r_max"):
         _eigenpair(2, 0, 2.0, tight, u10)
-    state, eps = _eigenpair(2, 0, 2.0, tight, u10, check_boundaries=False)
-    assert eps > 0.0
     # a 200 mc control squeezes the state below the first mesh cell
     g = propagation_grid(30.0, 1500)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match="first mesh cell under-resolves"):
         _eigenpair(1, 0, 200.0, g, u10)
     # a feeble control has no bound level inside a 10 bohr box
     small = propagation_grid(10.0, 500)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match="is not bound on this grid"):
         _eigenpair(1, 0, 0.001, small, u10)
 
 
@@ -202,7 +200,7 @@ def test_evolve_identity_at_tiny_duration(u10):
 def test_evolve_norm_conservation(u10):
     g = propagation_grid(40.0, 1300)
     s1, _ = _eigenpair(1, 0, 2.0, g, u10)
-    s2, _ = _eigenpair(2, 0, 2.0, g, u10, check_boundaries=False)
+    s2 = truncated_eigenstate(2, 0, 2.0 * u10.mc, g, u10)
     mix = s1.amplitudes + 0.3 * s2.amplitudes
     state = RadialState(g, 0, mix)
     state = RadialState(g, 0, state.amplitudes / state_norm(state))
@@ -366,27 +364,6 @@ def test_evolve_rejects_bad_input(u10):
         evolve(state, LambdaPath.constant(2.0 * u10.mc, 1.0), 2.5, u10)
 
 
-@pytest.mark.parametrize("grid", [
-    # r_min = 0.5 is ten steps from the wall the operator assumes: unchecked,
-    # grid_eigenstate would return epsilon_1 = 0.509 on it, where
-    # propagation_grid(30, 600) gives 0.9994
-    RadialGrid(r_min=0.5, r_max=30.0, num_points=600),
-    # r_min = 0.01 lies a fifth of a step from the wall: the check is two-sided
-    RadialGrid(r_min=0.01, r_max=30.0, num_points=600),
-], ids=["uniform_r_min_0.5", "uniform_r_min_0.01"])
-@pytest.mark.parametrize("call", [
-    lambda s, path, u: grid_eigenstate(1, 0, 2.0 * u.mc, s.grid, u),
-    lambda s, path, u: evolve(s, path, 10, u),
-    lambda s, path, u: transition_amplitude(s, s, path, u),
-], ids=["grid_eigenstate", "evolve", "transition_amplitude"])
-def test_grid_not_walled_at_origin_is_refused(u10, grid, call):
-    state = RadialState(grid, 0, grid.points() * np.exp(-grid.points()))
-    state = RadialState(grid, 0, state.amplitudes / state_norm(state))
-    path = LambdaPath.constant(2.0 * u10.mc, 0.1)
-    with pytest.raises(ValueError, match="walled at r = 0"):
-        call(state, path, u10)
-
-
 @pytest.mark.parametrize("out, message", [
     ((1, 0, propagation_grid(30.0, 600)), "states live on different grids"),
     ((2, 1, propagation_grid(60.0, 1200)), "cross-l overlap is zero"),
@@ -447,7 +424,7 @@ def test_phase_unwraps_beyond_principal_branch(u10):
 def test_flagged_when_overlap_vanishes(u10):
     g = propagation_grid(30.0, 1200)
     s1, _ = _eigenpair(1, 0, 2.0, g, u10)
-    s2, _ = _eigenpair(2, 0, 2.0, g, u10, check_boundaries=False)
+    s2 = truncated_eigenstate(2, 0, 2.0 * u10.mc, g, u10)
     # orthogonalize exactly so |K| sits at the numerical floor
     overlap = np.sum(g.step * np.conj(s1.amplitudes) * s2.amplitudes)
     ortho = s2.amplitudes - overlap * s1.amplitudes
@@ -467,7 +444,7 @@ def test_transition_amplitude_input_checks(u10):
     other = propagation_grid(30.0, 900)
     s1, _ = _eigenpair(1, 0, 2.0, g, u10)
     s1b, _ = _eigenpair(1, 0, 2.0, other, u10)
-    p1, _ = _eigenpair(2, 1, 2.0, g, u10, check_boundaries=False)
+    p1 = truncated_eigenstate(2, 1, 2.0 * u10.mc, g, u10)
     path = LambdaPath.constant(2.0 * u10.mc, 0.1)
     with pytest.raises(ValueError):
         transition_amplitude(s1, s1b, path, u10)
@@ -497,7 +474,7 @@ def test_time_reversal_symmetry(u10):
 def test_orthogonal_channel_stays_dark(u10):
     g = propagation_grid(30.0, 1200)
     s1, _ = _eigenpair(1, 0, 2.0, g, u10)
-    s2, _ = _eigenpair(2, 0, 2.0, g, u10, check_boundaries=False)
+    s2 = truncated_eigenstate(2, 0, 2.0 * u10.mc, g, u10)
     amp = transition_amplitude(s1, s2, LambdaPath.constant(2.0 * u10.mc, 0.3),
                                u10, steps_per_segment=300)
     assert amp.probability <= 1e-10
@@ -630,7 +607,7 @@ def test_pade33_is_sixth_order(u10):
     # two-segment path fell only 12.2 and 10.7-fold per halving)
     g = propagation_grid(30.0, 400)
     s1, _ = _eigenpair(1, 0, 2.0, g, u10)
-    s2, _ = _eigenpair(2, 0, 2.0, g, u10, check_boundaries=False)
+    s2 = truncated_eigenstate(2, 0, 2.0 * u10.mc, g, u10)
     mix = RadialState(g, 0, s1.amplitudes + 0.5 * s2.amplitudes)
     mix = RadialState(g, 0, mix.amplitudes / state_norm(mix))
     path = LambdaPath.constant(2.0 * u10.mc, 1.0)
@@ -718,7 +695,7 @@ def test_counts_follow_the_state_entering_each_segment(u10, monkeypatch):
 def test_grid_arrays_are_built_once(u10, monkeypatch):
     # the points are built with the grid; every sweep and adjoint sweep after
     # that reads that array
-    g = RadialGrid(0.5, 10.0, 20)
+    g = RadialGrid(10.0, 20)
     assert g.points() is g.points() and not g.points().flags.writeable
     spaced = record_calls(monkeypatch, np, "linspace")
     g = propagation_grid(25.0, 600)

@@ -151,6 +151,7 @@ def test_sommerfeld_energy_small_alpha_limit():
 
 
 ENDS, COUNT = "need 0 < r_min < r_max < inf", "need at least 16 grid points"
+R_MAX = "need a finite r_max whose r_max / num_points is positive"
 
 
 @pytest.mark.parametrize("mesh, message", [
@@ -161,18 +162,42 @@ ENDS, COUNT = "need 0 < r_min < r_max < inf", "need at least 16 grid points"
     ((0.1, 1.0, 100.0), COUNT),
 ], ids=["r_min_0", "r_min_negative", "r_min_above_r_max", "r_min_equal_r_max",
         "r_max_inf", "points_8", "points_15", "points_float"])
-def test_radial_grid_validation(u10, mesh, message):
-    # the uniform grid and Numerov's own log mesh refuse a mesh with one message
-    with pytest.raises(ValueError, match=message):
-        RadialGrid(*mesh)
+def test_numerov_mesh_validation(u10, mesh, message):
     with pytest.raises(ValueError, match=message):
         numerov_eigenvalue(QuantumNumbers(1), 2.0, *mesh, u10)
 
 
+@pytest.mark.parametrize("mesh", [(1e-6, 1e200), (1.0, 1e308), (1e-300, 1e300), (1e-170, 10.0),
+                                  (1e-160, 1e150)],
+                         ids=["r_max_1e200", "r_max_1e308", "span_1e600", "r_min_1e-170",
+                              "log_step_inf"])
+@pytest.mark.parametrize("l", [0, 1])
+def test_numerov_refuses_a_mesh_outside_the_float_range(u10, mesh, l):
+    # r^2 q overflows on the first three; r^2 underflows to 0 on the fourth,
+    # 0 / 0 at l = 0 and a division by zero at l = 1; on the last r_max / r_min,
+    # so the log step, is inf (and at l = 1 the centrifugal term is too).
+    # Refused before the first node count, with no numpy warning (the suite
+    # makes RuntimeWarning an error)
+    with pytest.raises(ValueError, match=rf"log mesh .*, l = {l} leaves the float range"):
+        numerov_eigenvalue(QuantumNumbers(2, l), 2.0, *mesh, 4000, u10)
+
+
+@pytest.mark.parametrize("r_max, num_points, message", [
+    (40.0, 8, COUNT), (40.0, 15, COUNT), (40.0, 100.0, COUNT), (40.0, "100", COUNT),
+    (0.0, 100, R_MAX), (-1.0, 100, R_MAX), (math.inf, 100, R_MAX), (math.nan, 100, R_MAX),
+    # positive, but its first point r_max / num_points rounds to 0
+    (1e-321, 2000, R_MAX),
+], ids=["points_8", "points_15", "points_float", "points_str", "r_max_0", "r_max_negative",
+        "r_max_inf", "r_max_nan", "r_max_first_point_0"])
+def test_radial_grid_validation(r_max, num_points, message):
+    with pytest.raises(ValueError, match=message):
+        RadialGrid(r_max, num_points)
+
+
 def test_grid_points_monotone():
-    g = RadialGrid(r_min=1e-3, r_max=50.0, num_points=64)
+    g = RadialGrid(50.0, 64)
     r = g.points()
-    assert r[0] == 1e-3
+    assert r[0] == 50.0 / 64
     assert r[-1] == 50.0
     assert np.allclose(np.diff(r), g.step, rtol=1e-12, atol=0.0)
 
@@ -284,7 +309,7 @@ def test_state_operations():
 
 
 def test_radial_state_validation(u10):
-    g = RadialGrid(r_min=1e-6, r_max=200.0, num_points=64)
+    g = RadialGrid(200.0, 64)
     with pytest.raises(ValueError):
         RadialState(g, 0, np.ones(63, dtype=complex))
     with pytest.raises(ValueError):
@@ -298,13 +323,13 @@ def test_radial_state_validation(u10):
 
 
 def test_radial_states_compare_by_value():
-    g = RadialGrid(r_min=1e-6, r_max=200.0, num_points=64)
+    g = RadialGrid(200.0, 64)
     amp = np.linspace(0.0, 1.0, 64) + 0.5j
     state = RadialState(g, 1, amp)
     assert state == RadialState(g, np.int64(1), amp.copy())  # a twin built apart
     assert state != RadialState(g, 1, amp + 1e-12)
     assert state != RadialState(g, 2, amp)
-    other_grid = RadialGrid(r_min=1e-6, r_max=100.0, num_points=64)
+    other_grid = RadialGrid(100.0, 64)
     assert state != RadialState(other_grid, 1, amp)
     for other in (g, None, "state"):  # a non-state is never equal, and never raises
         assert (state == other) is False and state != other

@@ -151,15 +151,12 @@ def test_domain_errors(u10):
     for tol in (0.0, math.inf):
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             solve_stationary(1, 1.0, u10, tol=tol)
-    for max_iters in (0, -3):
-        with pytest.raises(ValueError, match="max_iters must be a whole number"):
-            solve_stationary(1, 40.0, u10, max_iters=max_iters)
 
 
-def test_solver_reports_stall(u10):
-    # one Newton step from the non-relativistic guess does not reach 1e-12
-    with pytest.raises(RuntimeError, match="stalled"):
-        solve_stationary(1, 40.0, u10, max_iters=1)
+def test_solver_reports_stall(u_codata):
+    # no step gets the scaled residual from 2.1e-16 down to 1e-300
+    with pytest.raises(RuntimeError, match=r"stalled at scaled residual 2\.074e-16"):
+        solve_stationary(1, 40.0, u_codata, tol=1e-300)
 
 
 # The real solvers take full Newton steps; toy residuals reach the damping.

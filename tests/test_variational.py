@@ -13,7 +13,7 @@ from qaction import (
     optimize_path, packet_diagnostics, propagation_grid, solve_stationary,
     sommerfeld_nstar_sq, state_norm, stationary_closed_form, transition_amplitude,
 )
-from conftest import record_calls
+from conftest import record_calls, truncated_eigenstate
 
 # the LAPACK module whose routines the package calls, the one to patch
 lapack = propagation._lapack()
@@ -97,7 +97,7 @@ def test_full_action_rejects_out_of_bounds_duration(u10, coarse_setup):
 
 def test_full_action_flags_vanishing_amplitude(u10, coarse_setup):
     g, s1, _ = coarse_setup
-    s2, _ = grid_eigenstate(2, 0, 2.0 * u10.mc, g, u10, check_boundaries=False)
+    s2 = truncated_eigenstate(2, 0, 2.0 * u10.mc, g, u10)
     ortho = s2.amplitudes - np.sum(g.step * np.conj(s1.amplitudes) * s2.amplitudes) \
         * s1.amplitudes
     out = RadialState(g, 0, ortho)
@@ -118,8 +118,7 @@ def test_adjoint_gradients_match_central_differences(u10, coarse_setup, n_out):
     # of that I must reproduce them (the difference step's own error is about
     # 1e-7 relative on the 1s -> 2s pair, whose |K| is 2e-3)
     g, s1, _ = coarse_setup
-    out = s1 if n_out == 1 else grid_eigenstate(2, 0, 2.0 * u10.mc, g, u10,
-                                                check_boundaries=False)[0]
+    out = s1 if n_out == 1 else truncated_eigenstate(2, 0, 2.0 * u10.mc, g, u10)
     problem = VariationalProblem(phi_in=s1, phi_out=out, x10=10.0, segments=3,
                                  u=u10)
     lam = np.array([1.9, 2.05, 2.1]) * u10.mc
@@ -385,7 +384,7 @@ def test_start_is_the_levels_stationary_lambda(u10):
 def test_start_stays_classical_between_different_states(u10, coarse_setup):
     # no one level to start at: another level, or the same amplitudes at another l
     g, s1, _ = coarse_setup
-    s2, _ = grid_eigenstate(2, 0, 2.0 * u10.mc, g, u10, check_boundaries=False)
+    s2 = truncated_eigenstate(2, 0, 2.0 * u10.mc, g, u10)
     for phi_in, phi_out in ((s1, s2), (s2, s1), (s1, RadialState(g, 1, s1.amplitudes))):
         problem = VariationalProblem(phi_in=phi_in, phi_out=phi_out, x10=40.0,
                                      segments=1, u=u10)
@@ -627,8 +626,7 @@ LOG_MESH = (1e-4, 40.0, 2000)  # numerov_eigenvalue's r_min, r_max, points
                                     segments=1, u=u),
     lambda u, p: optimize_path(p, tol=NAN),
     lambda u, p: propagation_grid(NAN, 100),
-    lambda u, p: RadialGrid(NAN, 1.0, 100),
-    lambda u, p: RadialGrid(0.1, NAN, 100),
+    lambda u, p: RadialGrid(NAN, 100),
     lambda u, p: PacketDiagnostics(0.0, NAN, 1.0),
     lambda u, p: packet_diagnostics(chi_initial(1.0),
                                     np.append(np.linspace(-6.0, 6.0, 40), NAN)),
@@ -642,7 +640,7 @@ LOG_MESH = (1e-4, 40.0, 2000)  # numerov_eigenvalue's r_min, r_max, points
                                     1e-4, NAN, 2000, u),
 ], ids=["closed_form_x10", "action_S", "action_x10", "action_x10_inf", "solve_x10",
         "solve_tol", "classical_x10", "classical_x10_inf", "problem_x10", "optimize_tol",
-        "grid_rmax", "radial_rmin", "radial_rmax", "packet_width", "packet_grid",
+        "grid_rmax", "radial_rmax", "packet_width", "packet_grid",
         "nstar_alpha", "numerov_coupling", "numerov_tol", "numerov_rmin", "numerov_rmax"])
 def test_nan_rejected_by_positivity_checks(u10, coarse_setup, call):
     # a check written v <= 0 lets NaN through to the numerics, and one written
