@@ -9,7 +9,7 @@ internal-time generator is the negative of H_std, so its levels
 
 are positive. Everything here computes in the standard convention and flips
 the sign at the interface. The Numerov shooting oracle is deliberately
-independent of those closed forms.
+independent of those closed forms, on its own log mesh (propagation owns RadialGrid).
 """
 
 from __future__ import annotations
@@ -23,10 +23,11 @@ import numpy as np
 from .units import UnitSystem
 
 __all__ = [
-    "QuantumNumbers", "SommerfeldNumbers", "RadialGrid", "RadialState",
-    "bohr_energy", "epsilon_n", "numerov_eigenvalue",
-    "sommerfeld_nstar_sq", "sommerfeld_energy", "state_norm",
+    "QuantumNumbers", "SommerfeldNumbers", "bohr_energy", "epsilon_n",
+    "numerov_eigenvalue", "sommerfeld_nstar_sq", "sommerfeld_energy",
 ]
+
+NUMEROV_TOL = 1e-10  # relative width of the Numerov bisection's final bracket
 
 
 @dataclass(frozen=True)
@@ -61,77 +62,6 @@ class SommerfeldNumbers:
             raise ValueError(f"need p >= 0, got {self.p}")
         if self.k == 0:
             raise ValueError("k must be a nonzero integer")
-
-
-@dataclass(frozen=True)
-class RadialGrid:
-    """Uniform radial mesh walled at r = 0: its points, built once and read-only, run
-    from r_max / num_points, one step from the Dirichlet wall, to r_max."""
-
-    r_max: float
-    num_points: int
-
-    def __post_init__(self):
-        if not (isinstance(self.num_points, numbers.Integral) and self.num_points >= 16):
-            raise ValueError(f"need at least 16 grid points, an integer, got {self.num_points!r}")
-        if not (0.0 < self.r_max / self.num_points and self.r_max < math.inf):  # NaN fails
-            raise ValueError("need a finite r_max whose r_max / num_points is positive, "
-                             f"got r_max = {self.r_max!r} on {self.num_points} points")
-        r = np.linspace(self.r_max / self.num_points, self.r_max, self.num_points)
-        r.setflags(write=False)
-        object.__setattr__(self, "_points", r)
-
-    def points(self) -> np.ndarray:
-        return self._points
-
-    @property
-    def step(self) -> float:
-        """Mesh spacing h."""
-        return (self.r_max - self.r_max / self.num_points) / (self.num_points - 1)
-
-
-@dataclass(frozen=True, eq=False)
-class RadialState:
-    """Reduced radial wave function u(r) = r R(r) sampled on a grid.
-
-    States are equal when their grids, l and amplitudes are; like their
-    amplitude arrays, they are not hashable.
-    """
-
-    grid: RadialGrid
-    l: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amp = np.array(self.amplitudes, dtype=complex)
-        if amp.ndim != 1 or amp.size != self.grid.num_points:
-            raise ValueError("amplitudes must be a 1d array matching the grid")
-        if not np.all(np.isfinite(amp.view(float))):
-            raise ValueError("amplitudes contain non-finite entries")
-        if not (isinstance(self.l, numbers.Integral) and self.l >= 0):
-            raise ValueError(f"l must be non-negative and an integer, got {self.l!r}")
-        amp.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amp)
-
-    def __eq__(self, other):
-        if not isinstance(other, RadialState):
-            return NotImplemented
-        return bool(self.grid == other.grid and self.l == other.l
-                    and np.array_equal(self.amplitudes, other.amplitudes))
-
-
-def state_norm(state: RadialState) -> float:
-    """The h-weighted sum, consistent with Dirichlet walls one step outside both ends
-    (states vanish there, so this is the norm the propagator conserves exactly)."""
-    return math.sqrt(float(np.sum(state.grid.step * np.abs(state.amplitudes) ** 2)))
-
-
-def _check_pair(bra: RadialState, ket: RadialState) -> None:
-    """Refuse two states whose overlap is not a grid sum: other grid or other l."""
-    if bra.grid != ket.grid:
-        raise ValueError("states live on different grids")
-    if bra.l != ket.l:
-        raise ValueError("cross-l overlap is zero by orthogonality; refusing mixed-l input")
 
 
 def bohr_energy(n: QuantumNumbers | int, u: UnitSystem) -> float:
@@ -170,8 +100,9 @@ def _numerov_node_count(eps: float, r: np.ndarray, hx: float, l: int,
     so bisection on it brackets any requested eigenvalue.
     """
     c = (1.0 - (hx * hx / 12.0) * _numerov_g(eps, r, l, coupling, hbar)).tolist()
-    v_prev = float(r[0]) ** (l + 0.5)
-    v_cur = float(r[1]) ** (l + 0.5)
+    # v ~ r^(l + 1/2) scaled to 1 at r[1]: unscaled, it underflows at small r_min, large l
+    v_prev = math.exp(-(l + 0.5) * hx)
+    v_cur = 1.0
     nodes = 0
     for i in range(1, r.size - 1):
         v_next = ((12.0 - 10.0 * c[i]) * v_cur - c[i - 1] * v_prev) / c[i + 1]
@@ -186,7 +117,7 @@ def _numerov_node_count(eps: float, r: np.ndarray, hx: float, l: int,
 
 
 def numerov_eigenvalue(n: QuantumNumbers, coupling: float, r_min: float, r_max: float,
-                       num_points: int, u: UnitSystem, tol: float = 1e-10) -> float:
+                       num_points: int, u: UnitSystem) -> float:
     """Grid oracle: n-th bound eigenvalue of -hbar^2 Delta - coupling / r.
 
     Standard sign convention (negative for bound states); callers map to the
@@ -202,8 +133,6 @@ def numerov_eigenvalue(n: QuantumNumbers, coupling: float, r_min: float, r_max: 
         raise ValueError(f"need at least 16 grid points, an integer, got {num_points!r}")
     if not coupling > 0.0:
         raise ValueError("coupling must be positive; no bound states otherwise")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
     r = np.geomspace(r_min, r_max, num_points)
     hx = math.log(r_max / r_min) / (num_points - 1)
     target = n.n - n.l - 1  # radial nodes of the requested state
@@ -234,7 +163,7 @@ def numerov_eigenvalue(n: QuantumNumbers, coupling: float, r_min: float, r_max: 
             hi = mid
         else:
             lo = mid
-        if (hi - lo) <= tol * abs(hi):
+        if (hi - lo) <= NUMEROV_TOL * abs(hi):
             return 0.5 * (lo + hi)
     raise RuntimeError("bisection failed to converge; grid may be degenerate")
 

@@ -32,10 +32,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .paths import LambdaPath
-from .propagation import (PADE33_ROOTS, UNWRAP_PHASE, PhaseUndefinedError, TransitionAmplitude,
-                          _adjoint_sweep, _count, _energy_moments, _hamiltonian_tridiag,
-                          _record_price, _transition)
-from .spectrum import RadialState
+from .propagation import (PADE33_ROOTS, UNWRAP_PHASE, PhaseUndefinedError, RadialState,
+                          TransitionAmplitude, _adjoint_sweep, _count, _energy_moments,
+                          _hamiltonian_tridiag, _record_price, _transition)
 from .stationary import _damped_newton
 from .units import UnitSystem
 

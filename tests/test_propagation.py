@@ -32,6 +32,7 @@ def _eigenpair(n, l, lam_mc, grid, u):
 
 
 def test_propagation_grid_geometry():
+    assert propagation_grid is RadialGrid  # one grid type under two names
     g = propagation_grid(40.0, 2000)
     assert g == RadialGrid(40.0, 2000)
     r = g.points()
@@ -43,6 +44,11 @@ def test_propagation_grid_geometry():
         propagation_grid(10.0, 8)
     with pytest.raises(ValueError, match="need at least 16 grid points"):
         propagation_grid(30.0, 2000.0)
+    with pytest.raises(ValueError, match="need at least 16 grid points"):
+        propagation_grid(40.0, "2000")
+    # refused before linspace: 8e15 bytes would fail with MemoryError, not touch memory
+    with pytest.raises(ValueError, match=r"need at most 1e\+09 grid points"):
+        RadialGrid(40.0, 10 ** 15)
 
 
 def test_grid_eigenstate_levels(u10):

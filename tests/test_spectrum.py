@@ -5,12 +5,12 @@ import pytest
 from scipy.special import eval_genlaguerre
 
 from qaction import (
-    QuantumNumbers, RadialGrid, SommerfeldNumbers, bohr_energy,
+    QuantumNumbers, RadialGrid, RadialState, SommerfeldNumbers, bohr_energy,
     epsilon_n, grid_eigenstate, level_comparison, make_units, numerov_eigenvalue,
     propagation_grid, sommerfeld_energy, sommerfeld_nstar_sq, state_norm,
     stationary_closed_form,
 )
-from qaction.spectrum import RadialState
+from qaction import spectrum
 
 
 def _hydrogen_u(n, l, lam, grid, u):
@@ -285,12 +285,23 @@ def test_numerov_lower_bracket_fails_on_a_coarse_mesh(u10):
         numerov_eigenvalue(QuantumNumbers(1), 2.0, 1e-4, 200.0, 64, u10)
 
 
-def test_numerov_bisection_stops_at_its_step_limit(u10):
+def test_numerov_starts_below_the_float_range_of_r_to_the_l(u10):
+    # r_min ** (l + 1/2) underflows to 0 at r_min = 1e-140, l = 2; the sweep starts
+    # from the same power law scaled to 1 at the mesh's second point instead
+    with pytest.raises(RuntimeError, match="lower bracket fails"):
+        numerov_eigenvalue(QuantumNumbers(3, 2), 2.0, 1e-140, 200.0, 4000, u10)
+    e = numerov_eigenvalue(QuantumNumbers(3, 2), 2.0, 1e-140, 200.0, 40000, u10)
+    assert math.isclose(e, -1.0 / 9.0, rel_tol=1e-8)  # -0.11111111112429706 measured
+
+
+def test_numerov_bisection_stops_at_its_step_limit(u10, monkeypatch):
     # a tol below an ulp of the level is never met: the bracket stops
     # shrinking at adjacent floats and the 400 steps run out
     mesh = (1e-4, 20.0, 200)
-    with pytest.raises(RuntimeError, match="bisection failed to converge"):
-        numerov_eigenvalue(QuantumNumbers(1), 2.0, *mesh, u10, tol=1e-20)
+    with monkeypatch.context() as patch:
+        patch.setattr(spectrum, "NUMEROV_TOL", 1e-20)
+        with pytest.raises(RuntimeError, match="bisection failed to converge"):
+            numerov_eigenvalue(QuantumNumbers(1), 2.0, *mesh, u10)
     assert math.isclose(numerov_eigenvalue(QuantumNumbers(1), 2.0, *mesh, u10), -1.0,
                         rel_tol=1e-6)
 

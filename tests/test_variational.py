@@ -625,7 +625,6 @@ LOG_MESH = (1e-4, 40.0, 2000)  # numerov_eigenvalue's r_min, r_max, points
     lambda u, p: VariationalProblem(phi_in=p.phi_in, phi_out=p.phi_out, x10=NAN,
                                     segments=1, u=u),
     lambda u, p: optimize_path(p, tol=NAN),
-    lambda u, p: propagation_grid(NAN, 100),
     lambda u, p: RadialGrid(NAN, 100),
     lambda u, p: PacketDiagnostics(0.0, NAN, 1.0),
     lambda u, p: packet_diagnostics(chi_initial(1.0),
@@ -633,15 +632,13 @@ LOG_MESH = (1e-4, 40.0, 2000)  # numerov_eigenvalue's r_min, r_max, points
     lambda u, p: sommerfeld_nstar_sq(0, 1, NAN),
     lambda u, p: numerov_eigenvalue(QuantumNumbers(1), NAN, *LOG_MESH, u),
     lambda u, p: numerov_eigenvalue(QuantumNumbers(1), u.coulomb_momentum,
-                                    *LOG_MESH, u, tol=NAN),
-    lambda u, p: numerov_eigenvalue(QuantumNumbers(1), u.coulomb_momentum,
                                     NAN, 40.0, 2000, u),
     lambda u, p: numerov_eigenvalue(QuantumNumbers(1), u.coulomb_momentum,
                                     1e-4, NAN, 2000, u),
 ], ids=["closed_form_x10", "action_S", "action_x10", "action_x10_inf", "solve_x10",
         "solve_tol", "classical_x10", "classical_x10_inf", "problem_x10", "optimize_tol",
-        "grid_rmax", "radial_rmax", "packet_width", "packet_grid",
-        "nstar_alpha", "numerov_coupling", "numerov_tol", "numerov_rmin", "numerov_rmax"])
+        "radial_rmax", "packet_width", "packet_grid",
+        "nstar_alpha", "numerov_coupling", "numerov_rmin", "numerov_rmax"])
 def test_nan_rejected_by_positivity_checks(u10, coarse_setup, call):
     # a check written v <= 0 lets NaN through to the numerics, and one written
     # not v > 0 lets x10 = inf through (action -inf)
