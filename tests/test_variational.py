@@ -625,6 +625,7 @@ LOG_MESH = (1e-4, 40.0, 2000)  # numerov_eigenvalue's r_min, r_max, points
     lambda u, p: VariationalProblem(phi_in=p.phi_in, phi_out=p.phi_out, x10=NAN,
                                     segments=1, u=u),
     lambda u, p: optimize_path(p, tol=NAN),
+    lambda u, p: propagation_grid(NAN, 100),
     lambda u, p: RadialGrid(NAN, 100),
     lambda u, p: PacketDiagnostics(0.0, NAN, 1.0),
     lambda u, p: packet_diagnostics(chi_initial(1.0),
@@ -637,7 +638,7 @@ LOG_MESH = (1e-4, 40.0, 2000)  # numerov_eigenvalue's r_min, r_max, points
                                     1e-4, NAN, 2000, u),
 ], ids=["closed_form_x10", "action_S", "action_x10", "action_x10_inf", "solve_x10",
         "solve_tol", "classical_x10", "classical_x10_inf", "problem_x10", "optimize_tol",
-        "radial_rmax", "packet_width", "packet_grid",
+        "grid_rmax", "radial_rmax", "packet_width", "packet_grid",
         "nstar_alpha", "numerov_coupling", "numerov_rmin", "numerov_rmax"])
 def test_nan_rejected_by_positivity_checks(u10, coarse_setup, call):
     # a check written v <= 0 lets NaN through to the numerics, and one written
