@@ -41,7 +41,7 @@ MAX_RK4_STEPS = 10 ** 6
 
 __all__ = [
     "GaussianPhaseState", "PacketDiagnostics",
-    "chi_initial", "chi_closed_form", "integrate_chi", "packet_diagnostics",
+    "chi_initial", "integrate_chi", "packet_diagnostics",
 ]
 
 
@@ -109,24 +109,6 @@ def chi_initial(sigma: float) -> GaussianPhaseState:
 def _default_d(path: LambdaPath) -> float:
     # d only shifts the global phase; the stationary solution has d = lambda/2
     return 0.5 * path.integral() / path.S
-
-
-def chi_closed_form(path: LambdaPath, sigma: float, d: float | None,
-                    u: UnitSystem, s: float) -> GaussianPhaseState:
-    """Exact quadrature solution at internal time s for the canonical packet.
-
-    Uses the running integral L(s) of the piecewise-constant path, for which
-    the double integral of lambda * L collapses to L^2 / 2 exactly.
-    """
-    init = chi_initial(sigma)
-    if d is None:
-        d = _default_d(path)
-    L = path.integral(upto=s)
-    m2c2 = u.mass * u.mass * u.c * u.c
-    phase = ((d * d - m2c2) * s - d * L) / u.hbar
-    chi0 = init.chi0 - 1j * phase - init.chi1 * L + 0.5 * init.chi2 * L * L
-    chi1 = init.chi1 - init.chi2 * L
-    return GaussianPhaseState(chi0=chi0, chi1=chi1, chi2=init.chi2, s=float(s))
 
 
 def integrate_chi(state: GaussianPhaseState, path: LambdaPath, d: float | None,

@@ -49,7 +49,7 @@ from .units import UnitSystem
 __all__ = [
     "BoundaryReflectionError", "PhaseUndefinedError", "TransitionAmplitude", "RadialGrid",
     "RadialState", "state_norm", "propagation_grid", "grid_eigenstate", "evolve",
-    "evolve_spectral", "transition_amplitude",
+    "transition_amplitude",
 ]
 
 REFLECTION_TOL = 1e-4   # boundary amplitude over max before we call it a reflection
@@ -179,7 +179,7 @@ def _lapack():
 
     The package calls four of its routines: zgttrf in _cayley, zgttrs in the
     sweeps (_sweep, _two_blocks, _TwoBlockSolver, _adjoint_sweep), and dstebz
-    and dstein in _eigenpairs, for grid_eigenstate and evolve_spectral.
+    and dstein in _eigenpairs, for grid_eigenstate.
     Importing the scipy.linalg package around them costs about half of a
     fresh propagate or optimize run. A module already imported under that
     name is returned, so a process holds one copy whatever it imported
@@ -235,8 +235,8 @@ def _hamiltonian_tridiag(grid: RadialGrid, l: int, lam: float,
 def _eigenpairs(diag: np.ndarray, off: np.ndarray, first: int, last: int) -> tuple:
     """Eigenvalues first..last (from 0, ascending) of H = (diag, off), and their vectors.
 
-    eigh_tridiagonal(select="i")'s two LAPACK calls with its arguments, so its
-    bits: bisection (dstebz), then inverse iteration (dstein); a nonzero info
+    grid_eigenstate's eigensolve: eigh_tridiagonal(select="i")'s two LAPACK calls with its
+    arguments, so its bits: bisection (dstebz), then inverse iteration (dstein); a nonzero info
     raises, which no input reaches: _hamiltonian_tridiag keeps H's entries within 3 H_MAX.
     """
     lapack = _lapack()
@@ -625,27 +625,6 @@ def evolve(state: RadialState, path: LambdaPath, steps_per_segment: int,
     BoundaryReflectionError when amplitude reaches the outer wall at any step.
     """
     phi, _, _, _ = _sweep(state, path, steps_per_segment, u, CN_ROOTS)
-    return RadialState(state.grid, state.l, phi)
-
-
-def evolve_spectral(state: RadialState, path: LambdaPath, u: UnitSystem,
-                    num_states: int = 10) -> RadialState:
-    """Cross-check propagation in a truncated eigenbasis of the box.
-
-    Projects onto the lowest num_states eigenvectors of each segment's
-    generator, bound or not (the full basis, mostly unbound box states, is
-    exact), and rotates them by their exact eigenphases; anything outside the
-    retained span is dropped.
-    """
-    n = state.grid.num_points
-    if not (isinstance(num_states, numbers.Integral) and 1 <= num_states <= n):
-        raise ValueError(f"num_states must be a whole number in [1, {n}], got {num_states!r}")
-    phi = np.array(state.amplitudes, dtype=complex)
-    for lam, dur in zip(path.values, path.durations):
-        w, v = _eigenpairs(*_hamiltonian_tridiag(state.grid, state.l, lam, u),
-                           0, num_states - 1)
-        coeff = v.T @ phi
-        phi = v @ (coeff * np.exp(1j * w * dur / u.hbar))
     return RadialState(state.grid, state.l, phi)
 
 

@@ -12,20 +12,20 @@ import time
 import numpy as np
 
 from qaction import make_units
-from qaction.gaussian_phase import chi_closed_form, chi_initial, integrate_chi
+from qaction.gaussian_phase import chi_initial, integrate_chi
 from qaction.paths import LambdaPath, internal_time_map
 from qaction.propagation import (
     grid_eigenstate, propagation_grid, transition_amplitude,
 )
 from qaction.spectrum import (
-    QuantumNumbers, SommerfeldNumbers, epsilon_n,
-    numerov_eigenvalue, sommerfeld_energy, sommerfeld_nstar_sq,
+    QuantumNumbers, SommerfeldNumbers, epsilon_n, sommerfeld_energy, sommerfeld_nstar_sq,
 )
 from qaction.stationary import (
     action_value, level_comparison, solve_stationary, stationary_closed_form,
 )
 from qaction.variational import VariationalProblem, optimize_path
 from conftest import ACCEPTANCE_ARGS
+from oracles import chi_closed_form, numerov_eigenvalue
 
 ALPHAS = (0.01, 0.0072973525693, 0.1)
 

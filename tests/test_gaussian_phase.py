@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from qaction import (
-    GaussianPhaseState, LambdaPath, PacketDiagnostics, chi_closed_form,
-    chi_initial, integrate_chi, packet_diagnostics,
+    GaussianPhaseState, LambdaPath, PacketDiagnostics, chi_initial, integrate_chi,
+    packet_diagnostics,
 )
 from qaction.gaussian_phase import MAX_RK4_STEPS
+from oracles import chi_closed_form
 
 
 def test_chi_initial_values():

@@ -12,7 +12,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from qaction import (
     HARTREE_ATOMIC, SI_LIKE, BoundaryReflectionError, LambdaPath, RadialGrid, RadialState,
-    TransitionAmplitude, VariationalProblem, evolve, evolve_spectral, grid_eigenstate,
+    TransitionAmplitude, VariationalProblem, evolve, grid_eigenstate,
     make_units, propagation_grid, state_norm, transition_amplitude,
 )
 from qaction import propagation
@@ -22,6 +22,7 @@ from qaction.propagation import (BLAS_SERIAL, CN_ROOTS, H_MAX, MAX_PHASE_PER_STE
                                  _hamiltonian_tridiag, _sweep, _transition,
                                  _two_blocks, _TwoBlockSolver)
 from conftest import record_calls, truncated_eigenstate
+from oracles import evolve_spectral
 
 # the LAPACK module whose routines the package calls, the one to patch
 lapack = propagation._lapack()
@@ -281,26 +282,11 @@ def test_direct_eigenpair_is_eigh_tridiagonals(u10, monkeypatch, n, l, r_max, po
     assert np.array_equal(returned["dstein"][0], v)
 
 
-@pytest.mark.parametrize("num_states", [10, 400])
-def test_evolve_spectral_is_eigh_tridiagonal_per_segment(u10, num_states):
-    # its eigenpairs are eigh_tridiagonal(select="i")'s bits, segment by
-    # segment, with a few states and with the full basis
-    g = propagation_grid(25.0, 400)
-    state, _ = _eigenpair(1, 0, 2.0, g, u10)
-    path = LambdaPath.equal_segments([2.0 * u10.mc, 2.1 * u10.mc], 0.6)
-    phi = np.array(state.amplitudes, dtype=complex)
-    for lam, dur in zip(path.values, path.durations):
-        w, v = eigh_tridiagonal(*_hamiltonian_tridiag(g, 0, lam, u10), select="i",
-                                select_range=(0, num_states - 1))
-        phi = v @ ((v.T @ phi) * np.exp(1j * w * dur / u10.hbar))
-    assert np.array_equal(evolve_spectral(state, path, u10, num_states).amplitudes, phi)
-
-
 def test_eigensolves_leave_scipy_linalg_unimported():
-    # both eigensolves of the discrete generator call LAPACK through _lapack
+    # the eigensolve of the discrete generator and the sweep call LAPACK through _lapack
     probe = ("import sys; from qaction import *; u = make_units(0.1); "
              "g = propagation_grid(25.0, 400); s, _ = grid_eigenstate(1, 0, 2 * u.mc, g, u); "
-             "evolve_spectral(s, LambdaPath.constant(2.1 * u.mc, 0.5), u); "
+             "evolve(s, LambdaPath.constant(2.1 * u.mc, 0.5), 50, u); "
              "print('scipy.linalg' in sys.modules, 'scipy.linalg._flapack' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           timeout=120)

@@ -6,11 +6,11 @@ from scipy.special import eval_genlaguerre
 
 from qaction import (
     QuantumNumbers, RadialGrid, RadialState, SommerfeldNumbers, bohr_energy,
-    epsilon_n, grid_eigenstate, level_comparison, make_units, numerov_eigenvalue,
-    propagation_grid, sommerfeld_energy, sommerfeld_nstar_sq, state_norm,
-    stationary_closed_form,
+    epsilon_n, grid_eigenstate, level_comparison, make_units, propagation_grid,
+    sommerfeld_energy, sommerfeld_nstar_sq, state_norm, stationary_closed_form,
 )
-from qaction import spectrum
+import oracles
+from oracles import numerov_eigenvalue
 
 
 def _hydrogen_u(n, l, lam, grid, u):
@@ -299,7 +299,7 @@ def test_numerov_bisection_stops_at_its_step_limit(u10, monkeypatch):
     # shrinking at adjacent floats and the 400 steps run out
     mesh = (1e-4, 20.0, 200)
     with monkeypatch.context() as patch:
-        patch.setattr(spectrum, "NUMEROV_TOL", 1e-20)
+        patch.setattr(oracles, "NUMEROV_TOL", 1e-20)
         with pytest.raises(RuntimeError, match="bisection failed to converge"):
             numerov_eigenvalue(QuantumNumbers(1), 2.0, *mesh, u10)
     assert math.isclose(numerov_eigenvalue(QuantumNumbers(1), 2.0, *mesh, u10), -1.0,

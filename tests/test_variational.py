@@ -9,11 +9,11 @@ from qaction import (
     LambdaPath, PacketDiagnostics, PhaseUndefinedError, QuantumNumbers,
     RadialGrid, RadialState, VariationalProblem, action_value, chi_initial,
     classical_action_part, full_action, grid_eigenstate, level_comparison,
-    make_units, numerov_eigenvalue,
-    optimize_path, packet_diagnostics, propagation_grid, solve_stationary,
+    make_units, optimize_path, packet_diagnostics, propagation_grid, solve_stationary,
     sommerfeld_nstar_sq, state_norm, stationary_closed_form, transition_amplitude,
 )
 from conftest import record_calls, truncated_eigenstate
+from oracles import numerov_eigenvalue
 
 # the LAPACK module whose routines the package calls, the one to patch
 lapack = propagation._lapack()
@@ -467,6 +467,33 @@ def test_path_search_lambda_deviation_is_mesh_order(u10):
         lam_star, res = _search_at_level(1, 0, points, u10)
         devs.append(float(np.max(np.abs(res.path.values - lam_star))) / lam_star)
     assert devs[0] >= 3.0 * devs[1] and devs[1] >= 3.0 * devs[2], devs
+
+
+def test_prepared_state_shift_of_the_extrapolated_kappa(u10):
+    # 1s, N = 1, x10 = 40, r_max 24 on 1200 and 2400 points. Boundary states
+    # prepared at 2 m c (optimize's default --prep-lam-mc) are not eigenstates
+    # of the stationary lambda's generator: Richardson's (4 k(h/2) - k(h)) / 3
+    # leaves kappa -2.7855e-8 relative from the closed form (measured), a shift
+    # that r_max, tol and the time step do not move. Prepared at lambda* it
+    # leaves 5.19e-10, and the raw error falls 3.988-fold per halving of h
+    ref = stationary_closed_form(1, 40.0, u10)
+
+    def searches(prep):
+        """kappa's relative errors at h and h/2, their Richardson value, chord steps."""
+        runs = [optimize_path(VariationalProblem(
+            phi_in=phi, phi_out=phi, x10=40.0, segments=1, u=u10))
+            for phi, _ in (grid_eigenstate(1, 0, prep, propagation_grid(24.0, points), u10)
+                           for points in (1200, 2400))]
+        assert all(res.converged for res in runs)
+        coarse, fine = (res.kappa for res in runs)
+        return (coarse / ref.kappa - 1.0, fine / ref.kappa - 1.0,
+                (4.0 * fine - coarse) / 3.0 / ref.kappa - 1.0, [res.iterations for res in runs])
+
+    _, _, shift, iterations = searches(2.0 * u10.mc)
+    assert -3.0e-8 <= shift <= -2.6e-8 and iterations == [2, 2]
+    coarse, fine, rest, iterations = searches(ref.lam)
+    assert abs(rest) <= 1e-9 and iterations == [1, 1]
+    assert coarse / fine == pytest.approx(4.0, abs=0.3)
 
 
 @pytest.fixture(scope="module")
