@@ -282,6 +282,22 @@ def test_direct_eigenpair_is_eigh_tridiagonals(u10, monkeypatch, n, l, r_max, po
     assert np.array_equal(returned["dstein"][0], v)
 
 
+@pytest.mark.parametrize("num_states", [10, 400])
+def test_evolve_spectral_is_eigh_tridiagonal_per_segment(u10, num_states):
+    # the oracle's eigh_tridiagonal(select="i") and the package's direct
+    # LAPACK eigensolve give the same bits over a range of states, segment by
+    # segment, with a few states and with the full basis
+    g = propagation_grid(25.0, 400)
+    state, _ = _eigenpair(1, 0, 2.0, g, u10)
+    path = LambdaPath.equal_segments([2.0 * u10.mc, 2.1 * u10.mc], 0.6)
+    phi = np.array(state.amplitudes, dtype=complex)
+    for lam, dur in zip(path.values, path.durations):
+        w, v = _eigenpairs(*_hamiltonian_tridiag(g, 0, lam, u10), 0, num_states - 1)
+        assert w.shape == (num_states,)
+        phi = v @ ((v.T @ phi) * np.exp(1j * w * dur / u10.hbar))
+    assert np.array_equal(evolve_spectral(state, path, u10, num_states).amplitudes, phi)
+
+
 def test_eigensolves_leave_scipy_linalg_unimported():
     # the eigensolve of the discrete generator and the sweep call LAPACK through _lapack
     probe = ("import sys; from qaction import *; u = make_units(0.1); "
