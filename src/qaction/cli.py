@@ -15,7 +15,9 @@ default) and its own options in header order, each with a default or marked
 required. The parser, the config-file types, the defaults, the checks, the
 header and the dispatch are all read from them. A runner takes the
 configuration and the units and returns data, a JSON result dict or table
-(columns, rows); main renders it in one place.
+(columns, rows); main renders it in one place. Each runner imports the
+modules it calls, so a command loads only what it runs: spectrum loads no
+numpy.
 
 Exit codes: 0 success, 2 configuration or value errors, 3 numerical failures
 (non-convergence, boundary reflection, undefined phase).
@@ -33,16 +35,8 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from types import SimpleNamespace
 
-import numpy as np
-
 from . import __version__
-from .gaussian_phase import _default_d, chi_initial, integrate_chi
-from .paths import LambdaPath, internal_time_map, load_path_csv
-from .propagation import grid_eigenstate, propagation_grid, transition_amplitude
-from .spectrum import bohr_energy, epsilon_n
-from .stationary import level_comparison, solve_stationary
 from .units import HARTREE_ATOMIC, SI_LIKE, UnitSystem, make_units
-from .variational import VariationalProblem, optimize_path
 
 FINE_STRUCTURE_DEFAULT = 0.0072973525693
 
@@ -288,6 +282,8 @@ PACKET_COLUMNS = ["s", "chi0_re", "chi0_im", "chi1_re", "chi1_im",
 
 
 def run_spectrum(cfg: SimpleNamespace, u: UnitSystem) -> tuple[list, list]:
+    from .spectrum import bohr_energy, epsilon_n, level_comparison
+
     lam = cfg.lam_mc * u.mc
     rows: list[list] = []
     for n in range(1, cfg.n_max + 1):
@@ -301,6 +297,9 @@ def run_spectrum(cfg: SimpleNamespace, u: UnitSystem) -> tuple[list, list]:
 
 
 def run_stationary(cfg: SimpleNamespace, u: UnitSystem) -> dict:
+    from .spectrum import level_comparison
+    from .stationary import solve_stationary
+
     point = solve_stationary(cfg.n, cfg.x10, u, tol=cfg.tol)
     level = level_comparison(cfg.n, u)
     return {
@@ -320,6 +319,9 @@ def run_stationary(cfg: SimpleNamespace, u: UnitSystem) -> dict:
 
 
 def run_packet(cfg: SimpleNamespace, u: UnitSystem) -> tuple[list, list]:
+    from .gaussian_phase import _default_d, chi_initial, integrate_chi
+    from .paths import load_path_csv
+
     path = load_path_csv(cfg.path_file)
     states = integrate_chi(chi_initial(cfg.sigma), path, cfg.d, u, cfg.steps)
     if cfg.d is None:
@@ -333,6 +335,8 @@ def _boundary_states(cfg: SimpleNamespace, u: UnitSystem, lam_in: float,
                      lam_out: float) -> tuple:
     """Grid eigenstates of --in at lam_in and --out at lam_out; one state,
     solved once, when both name the same level at the same lambda."""
+    from .propagation import grid_eigenstate, propagation_grid
+
     grid = propagation_grid(cfg.rmax, cfg.grid_points)
     n_in, n_out = (tuple(map(int, s.split(","))) for s in (cfg.state_in, cfg.state_out))
     phi_in = grid_eigenstate(*n_in, lam_in, grid, u)[0]
@@ -342,6 +346,9 @@ def _boundary_states(cfg: SimpleNamespace, u: UnitSystem, lam_in: float,
 
 
 def run_propagate(cfg: SimpleNamespace, u: UnitSystem) -> dict:
+    from .paths import load_path_csv
+    from .propagation import transition_amplitude
+
     path = load_path_csv(cfg.path_file)
     phi_in, phi_out = _boundary_states(cfg, u, float(path.values[0]),
                                        float(path.values[-1]))
@@ -359,12 +366,19 @@ def run_propagate(cfg: SimpleNamespace, u: UnitSystem) -> dict:
     }
 
 
-def _timemap_rows(path: LambdaPath, samples: int) -> list[list]:
+def _timemap_rows(path, samples: int) -> list[list]:
+    """(s, x0) rows of a LambdaPath's time map at evenly spaced x0."""
+    import numpy as np
+
+    from .paths import internal_time_map
+
     x0 = np.linspace(0.0, path.integral(), samples)
     return np.column_stack((internal_time_map(path, x0), x0)).tolist()
 
 
 def run_optimize(cfg: SimpleNamespace, u: UnitSystem) -> dict:
+    from .variational import VariationalProblem, optimize_path
+
     lam_prep = cfg.prep_lam_mc * u.mc
     phi_in, phi_out = _boundary_states(cfg, u, lam_prep, lam_prep)
     problem = VariationalProblem(phi_in=phi_in, phi_out=phi_out, x10=cfg.x10,
@@ -392,6 +406,8 @@ def run_optimize(cfg: SimpleNamespace, u: UnitSystem) -> dict:
 
 
 def run_timemap(cfg: SimpleNamespace, u: UnitSystem) -> dict | tuple[list, list]:
+    from .paths import internal_time_map, load_path_csv
+
     path = load_path_csv(cfg.path_file)
     if cfg.x0 is not None:
         return {"x0": cfg.x0, "s": internal_time_map(path, cfg.x0)}
@@ -475,6 +491,15 @@ def _error_json(code: int, exc: BaseException) -> str:
     return emit_json(doc, indent=None) + "\n"
 
 
+def _numerical_errors() -> tuple[type[Exception], ...]:
+    """The exceptions main reports as numerical failures (exit 3): numpy's
+    LinAlgError among them once numpy.linalg is loaded, as none is raised
+    before. main matches them before its exit-2 clause, since LinAlgError
+    is a ValueError."""
+    linalg = sys.modules.get("numpy.linalg")
+    return (RuntimeError, ArithmeticError) + ((linalg.LinAlgError,) if linalg else ())
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -497,7 +522,7 @@ def main(argv: list[str] | None = None) -> int:
             text = render_csv(args.command, header, *data)
         _write_text(text, cfg.output)
         return 0
-    except (np.linalg.LinAlgError, RuntimeError, ArithmeticError) as exc:
+    except _numerical_errors() as exc:  # evaluated once an exception reaches it
         sys.stderr.write(_error_json(3, exc))
         return 3
     except (ValueError, OSError) as exc:

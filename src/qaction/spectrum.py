@@ -9,6 +9,11 @@ internal-time generator is the negative of H_std, so its levels
 
 are positive. Everything here computes in the standard convention and flips
 the sign at the interface.
+
+level_comparison sets the stationary-action level energy kappa c =
+m c^2 sqrt(1 - alpha^2 / n^2) (the closed form of qaction.stationary) next to
+every Sommerfeld level with p + |k| = n. Every function here is a closed form
+on the standard library, so the spectrum command needs no numpy.
 """
 
 from __future__ import annotations
@@ -21,7 +26,8 @@ from .units import UnitSystem
 
 __all__ = [
     "QuantumNumbers", "SommerfeldNumbers", "bohr_energy", "epsilon_n",
-    "sommerfeld_nstar_sq", "sommerfeld_energy",
+    "sommerfeld_nstar_sq", "sommerfeld_energy", "LevelComparison",
+    "SommerfeldComparison", "level_comparison",
 ]
 
 
@@ -104,3 +110,44 @@ def sommerfeld_energy(pk: SommerfeldNumbers, u: UnitSystem) -> float:
         raise ArithmeticError(
             f"fine-structure forms disagree: {e_a!r} vs {e_b!r} at (p={pk.p}, k={pk.k})")
     return e_a
+
+
+@dataclass(frozen=True)
+class SommerfeldComparison:
+    p: int
+    k: int
+    nstar_sq: float
+    energy: float
+    difference: float  # stationary-action level minus Sommerfeld level
+
+
+@dataclass(frozen=True)
+class LevelComparison:
+    """Stationary-action level energy against every Sommerfeld (p, k) partner."""
+
+    energy: float
+    comparisons: tuple[SommerfeldComparison, ...]
+
+
+def level_comparison(n: QuantumNumbers | int, u: UnitSystem) -> LevelComparison:
+    """kappa c for level n next to every Sommerfeld level with p + |k| = n.
+
+    The difference column is stationary minus Sommerfeld; it vanishes
+    identically at p = 0 and grows like alpha^4 m c^2 / 32 at (p, |k|) = (1, 1).
+    """
+    n = n if isinstance(n, QuantumNumbers) else QuantumNumbers(n)
+    e_n = bohr_energy(n, u)
+    energy = math.sqrt(u.rest_energy * u.rest_energy + 2.0 * u.rest_energy * e_n)
+    rows = []
+    for abs_k in range(n.n, 0, -1):
+        for k in (-abs_k, abs_k):
+            p = n.n - abs_k
+            pk = SommerfeldNumbers(p=p, k=k)
+            e_somm = sommerfeld_energy(pk, u)
+            rows.append(SommerfeldComparison(
+                p=p, k=k,
+                nstar_sq=sommerfeld_nstar_sq(p, k, u.alpha),
+                energy=e_somm,
+                difference=energy - e_somm,
+            ))
+    return LevelComparison(energy=energy, comparisons=tuple(rows))

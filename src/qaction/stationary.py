@@ -14,8 +14,10 @@ Its stationary point is known in closed form,
 
 and kappa c plays the role of the electron energy: it agrees with the
 Sommerfeld fine-structure level exactly at (p = 0, k = +-n) and to order
-alpha^4 otherwise. The solver is a damped Newton iteration on the exact
-gradient, run in scaled variables so one tolerance covers all components.
+alpha^4 otherwise. That comparison, a closed form alone, is
+spectrum.level_comparison. The solver is a damped Newton iteration on the
+exact gradient, run in scaled variables so one tolerance covers all
+components.
 """
 
 from __future__ import annotations
@@ -27,14 +29,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import (QuantumNumbers, SommerfeldNumbers, bohr_energy,
-                       sommerfeld_energy, sommerfeld_nstar_sq)
+from .spectrum import QuantumNumbers, bohr_energy
 from .units import UnitSystem
 
 __all__ = [
-    "ActionValue", "StationaryPoint", "LevelComparison", "SommerfeldComparison",
-    "action_value", "solve_stationary", "stationary_closed_form",
-    "level_comparison",
+    "ActionValue", "StationaryPoint", "action_value", "solve_stationary",
+    "stationary_closed_form",
 ]
 
 
@@ -58,23 +58,6 @@ class StationaryPoint:
     S: float
     kappa: float
     kappa_c: float
-
-
-@dataclass(frozen=True)
-class SommerfeldComparison:
-    p: int
-    k: int
-    nstar_sq: float
-    energy: float
-    difference: float  # stationary-action level minus Sommerfeld level
-
-
-@dataclass(frozen=True)
-class LevelComparison:
-    """Stationary-action level energy against every Sommerfeld (p, k) partner."""
-
-    energy: float
-    comparisons: tuple[SommerfeldComparison, ...]
 
 
 def action_value(d: float, lam: float, S: float, kappa: float,
@@ -226,28 +209,3 @@ def solve_stationary(n: QuantumNumbers | int, x10: float, u: UnitSystem,
                            f"{float(np.max(np.abs(r))):.3e} (tol {tol:.3e})")
     d, lam, S, kappa = (float(v) for v in z * scale)
     return StationaryPoint(d=d, lam=lam, S=S, kappa=kappa, kappa_c=kappa * u.c)
-
-
-def level_comparison(n: QuantumNumbers | int, u: UnitSystem) -> LevelComparison:
-    """kappa c for level n next to every Sommerfeld level with p + |k| = n.
-
-    The difference column is stationary minus Sommerfeld; it vanishes
-    identically at p = 0 and grows like alpha^4 m c^2 / 32 at (p, |k|) = (1, 1).
-    """
-    n = n if isinstance(n, QuantumNumbers) else QuantumNumbers(n)
-    e_n = bohr_energy(n, u)
-    energy = math.sqrt(u.rest_energy * u.rest_energy + 2.0 * u.rest_energy * e_n)
-    rows = []
-    for abs_k in range(n.n, 0, -1):
-        for k in (-abs_k, abs_k):
-            p = n.n - abs_k
-            pk = SommerfeldNumbers(p=p, k=k)
-            e_somm = sommerfeld_energy(pk, u)
-            rows.append(SommerfeldComparison(
-                p=p, k=k,
-                nstar_sq=sommerfeld_nstar_sq(p, k, u.alpha),
-                energy=e_somm,
-                difference=energy - e_somm,
-            ))
-    return LevelComparison(energy=energy, comparisons=tuple(rows))
-

@@ -18,11 +18,10 @@ from qaction.propagation import (
     grid_eigenstate, propagation_grid, transition_amplitude,
 )
 from qaction.spectrum import (
-    QuantumNumbers, SommerfeldNumbers, epsilon_n, sommerfeld_energy, sommerfeld_nstar_sq,
+    QuantumNumbers, SommerfeldNumbers, epsilon_n, level_comparison, sommerfeld_energy,
+    sommerfeld_nstar_sq,
 )
-from qaction.stationary import (
-    action_value, level_comparison, solve_stationary, stationary_closed_form,
-)
+from qaction.stationary import action_value, solve_stationary, stationary_closed_form
 from qaction.variational import VariationalProblem, optimize_path
 from conftest import ACCEPTANCE_ARGS
 from oracles import chi_closed_form, numerov_eigenvalue

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import json
 import math
 import os
@@ -157,6 +158,18 @@ def test_optimize_unconverged_exits_3(cli, tmp_path, monkeypatch):
     error = json.loads(err)["error"]
     assert error["type"] == "RuntimeError" and "stalled" in error["message"]
     assert list(tmp_path.iterdir()) == []
+
+
+def test_linalg_error_exits_3(cli, monkeypatch):
+    # numpy's LinAlgError is a ValueError, yet a numerical failure
+    def singular(cfg, u):
+        raise np.linalg.LinAlgError("singular matrix")
+    monkeypatch.setitem(_COMMANDS, "spectrum", dataclasses.replace(_COMMANDS["spectrum"],
+                                                                   run=singular))
+    code, out, err = cli("spectrum", "--alpha", FROZEN_ALPHA)
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == {"code": 3, "type": "LinAlgError",
+                                        "message": "singular matrix"}
 
 
 def test_help_still_prints_usage(cli):
@@ -707,6 +720,37 @@ def test_cli_import_skips_unused_scipy_modules(const_path_20):
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[0, 0] False True"
+
+
+def test_lazy_package_lists_and_refuses_names():
+    # dir() lists every re-exported name; a name no submodule exports is refused
+    assert set(qaction.__all__) <= set(dir(qaction))
+    with pytest.raises(AttributeError, match="module 'qaction' has no attribute 'nope'"):
+        qaction.nope
+
+
+@pytest.mark.parametrize("command, loaded", [
+    # the package binds its names on first use, not at import
+    (None, []),
+    # the spectrum is closed forms on the standard library
+    ("spectrum", ["qaction.cli", "qaction.spectrum", "qaction.units"]),
+    ("stationary", ["numpy", "qaction.cli", "qaction.spectrum", "qaction.stationary",
+                    "qaction.units"]),
+    ("packet", ["numpy", "qaction.cli", "qaction.gaussian_phase", "qaction.paths",
+                "qaction.units"]),
+    ("timemap", ["numpy", "qaction.cli", "qaction.paths", "qaction.units"]),
+], ids=["import", "spectrum", "stationary", "packet", "timemap"])
+def test_each_command_loads_only_the_modules_it_runs(two_segment_path, command, loaded):
+    probe = "import sys, qaction; "
+    if command is not None:
+        argv = ACCEPTANCE_ARGS[command].format(two=two_segment_path).split()
+        probe += f"import qaction.cli; assert qaction.cli.main({argv!r}) == 0; "
+    # what the process has loaded of numpy and the package
+    probe += "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('qaction.')))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == repr(loaded)
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),

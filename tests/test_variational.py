@@ -496,6 +496,29 @@ def test_prepared_state_shift_of_the_extrapolated_kappa(u10):
     assert coarse / fine == pytest.approx(4.0, abs=0.3)
 
 
+@pytest.mark.parametrize("n, l, r_max, points", [
+    (1, 0, 24.0, 1200), (2, 0, 60.0, 1500), (2, 1, 48.0, 1200),
+    (3, 0, 100.0, 1500), (3, 1, 100.0, 1500), (3, 2, 100.0, 1500),
+], ids=["1s", "2s", "2p", "3s", "3p", "3d"])
+def test_path_search_spectrum_table(u10, n, l, r_max, points):
+    # the paper's spectrum from the path search (alpha = 0.1, x10 = 40, N = 1,
+    # states prepared at lambda*): kappa's error against the closed form is
+    # the mesh's h^2 (measured ratios 3.988 to 4.012 per halving of h), so
+    # Richardson leaves the closed form alone, measured 4.6e-12 (3d) to
+    # 5.2e-10 (1s) relative
+    ref = stationary_closed_form(n, 40.0, u10)
+    errors = []
+    for m in (points, 2 * points):
+        phi, _ = grid_eigenstate(n, l, ref.lam, propagation_grid(r_max, m), u10)
+        res = optimize_path(VariationalProblem(phi_in=phi, phi_out=phi, x10=40.0,
+                                               segments=1, u=u10))
+        assert res.converged
+        errors.append(res.kappa / ref.kappa - 1.0)
+    coarse, fine = errors
+    assert coarse / fine == pytest.approx(4.0, abs=0.3)
+    assert abs((4.0 * fine - coarse) / 3.0) <= 1e-9
+
+
 @pytest.fixture(scope="module")
 def counted_solves(u10, coarse_setup):
     """One- and two-segment solves on the coarse grid, then N = 1 and 4 on the
