@@ -335,9 +335,9 @@ def _boundary_states(cfg: SimpleNamespace, u: UnitSystem, lam_in: float,
                      lam_out: float) -> tuple:
     """Grid eigenstates of --in at lam_in and --out at lam_out; one state,
     solved once, when both name the same level at the same lambda."""
-    from .propagation import grid_eigenstate, propagation_grid
+    from .propagation import RadialGrid, grid_eigenstate
 
-    grid = propagation_grid(cfg.rmax, cfg.grid_points)
+    grid = RadialGrid(cfg.rmax, cfg.grid_points)
     n_in, n_out = (tuple(map(int, s.split(","))) for s in (cfg.state_in, cfg.state_out))
     phi_in = grid_eigenstate(*n_in, lam_in, grid, u)[0]
     if (n_in, lam_in) == (n_out, lam_out):

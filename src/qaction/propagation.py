@@ -48,8 +48,7 @@ from .units import UnitSystem
 
 __all__ = [
     "BoundaryReflectionError", "PhaseUndefinedError", "TransitionAmplitude", "RadialGrid",
-    "RadialState", "state_norm", "propagation_grid", "grid_eigenstate", "evolve",
-    "transition_amplitude",
+    "RadialState", "state_norm", "grid_eigenstate", "evolve", "transition_amplitude",
 ]
 
 REFLECTION_TOL = 1e-4   # boundary amplitude over max before we call it a reflection
@@ -171,7 +170,9 @@ def state_norm(state: RadialState) -> float:
     return math.sqrt(float(np.sum(state.grid.step * np.abs(state.amplitudes) ** 2)))
 
 
-propagation_grid = RadialGrid  # the name the CLI and the suite build grids by
+# RadialGrid's old name, not public: the benchmark (bench/workloads.py) is its only
+# caller, and this line goes once the benchmark stops calling it
+propagation_grid = RadialGrid
 
 
 def _lapack():
@@ -388,7 +389,10 @@ class _TwoBlockSolver:
     then the worker solves A2 while the calling thread solves A1, each one
     zgttrs in place on its contiguous half of b (overwrite_b), which
     releases the GIL. Two queues hand each solve over and back. The thread
-    starts with the solver and stops at close().
+    starts with the solver and stops at close(). The worker is hand-written
+    because a concurrent.futures.ThreadPoolExecutor(1) hand-off in its place
+    lost 9 of 10 pairs of the benchmark's propagate workload, by 5-6 % in
+    the median (BENCH_48.json).
     """
 
     def __init__(self):

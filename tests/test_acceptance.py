@@ -15,7 +15,7 @@ from qaction import make_units
 from qaction.gaussian_phase import chi_initial, integrate_chi
 from qaction.paths import LambdaPath, internal_time_map
 from qaction.propagation import (
-    grid_eigenstate, propagation_grid, transition_amplitude,
+    RadialGrid, grid_eigenstate, transition_amplitude,
 )
 from qaction.spectrum import (
     QuantumNumbers, SommerfeldNumbers, epsilon_n, level_comparison, sommerfeld_energy,
@@ -137,7 +137,7 @@ def test_acceptance_05_grid_eigenvalues_match_level_formula(u10):
 
 def test_acceptance_06_propagator_phase_norm_reconstruction(u_codata):
     lam = 2.0 * u_codata.mc
-    grid = propagation_grid(25.0, 20000)
+    grid = RadialGrid(25.0, 20000)
     phi, eps = grid_eigenstate(1, 0, lam, grid, u_codata)
     path = LambdaPath(np.array([1.0]), np.array([lam]))
     amp = transition_amplitude(phi, phi, path, u_codata,
@@ -157,7 +157,7 @@ def test_acceptance_06_propagator_phase_norm_reconstruction(u_codata):
 
 
 def test_acceptance_07_variational_recovery_of_constant_path(u10):
-    grid = propagation_grid(30.0, 2000)
+    grid = RadialGrid(30.0, 2000)
     phi, _ = grid_eigenstate(1, 0, 2.0 * u10.mc, grid, u10)
     ref = stationary_closed_form(1, 40.0, u10)
     errors = []

@@ -10,10 +10,11 @@ import pytest
 import scipy.linalg
 from scipy.linalg import eigh_tridiagonal
 
+import qaction
 from qaction import (
     HARTREE_ATOMIC, SI_LIKE, BoundaryReflectionError, LambdaPath, RadialGrid, RadialState,
     TransitionAmplitude, VariationalProblem, evolve, grid_eigenstate,
-    make_units, propagation_grid, state_norm, transition_amplitude,
+    make_units, state_norm, transition_amplitude,
 )
 from qaction import propagation
 from qaction.propagation import (BLAS_SERIAL, CN_ROOTS, H_MAX, MAX_PHASE_PER_STEP,
@@ -33,44 +34,47 @@ def _eigenpair(n, l, lam_mc, grid, u):
 
 
 def test_propagation_grid_geometry():
-    assert propagation_grid is RadialGrid  # one grid type under two names
-    g = propagation_grid(40.0, 2000)
+    # the old name is the benchmark's alone: one grid type, one public name
+    assert propagation.propagation_grid is RadialGrid
+    assert "propagation_grid" not in propagation.__all__
+    assert "propagation_grid" not in qaction.__all__
+    g = RadialGrid(40.0, 2000)
     assert g == RadialGrid(40.0, 2000)
     r = g.points()
     assert np.array_equal(r, np.linspace(0.02, 40.0, 2000))  # bit for bit
     assert math.isclose(g.step, r[0], rel_tol=1e-14)  # the wall is one step below r[0]
     with pytest.raises(ValueError):
-        propagation_grid(-1.0, 100)
+        RadialGrid(-1.0, 100)
     with pytest.raises(ValueError):
-        propagation_grid(10.0, 8)
+        RadialGrid(10.0, 8)
     with pytest.raises(ValueError, match="need at least 16 grid points"):
-        propagation_grid(30.0, 2000.0)
+        RadialGrid(30.0, 2000.0)
     with pytest.raises(ValueError, match="need at least 16 grid points"):
-        propagation_grid(40.0, "2000")
+        RadialGrid(40.0, "2000")
     # refused before linspace: 8e15 bytes would fail with MemoryError, not touch memory
     with pytest.raises(ValueError, match=r"need at most 1e\+09 grid points"):
         RadialGrid(40.0, 10 ** 15)
 
 
 def test_grid_eigenstate_levels(u10):
-    g = propagation_grid(40.0, 2000)
+    g = RadialGrid(40.0, 2000)
     state1, eps1 = _eigenpair(1, 0, 2.0, g, u10)
     assert math.isclose(eps1, 1.0, rel_tol=3e-4)
     assert abs(state_norm(state1) - 1.0) < 1e-12
     assert np.max(np.real(state1.amplitudes)) > 0.0
     assert np.all(state1.amplitudes.imag == 0.0)
-    g2 = propagation_grid(60.0, 2400)
+    g2 = RadialGrid(60.0, 2400)
     state2, eps2 = _eigenpair(2, 1, 2.0, g2, u10)
     assert math.isclose(eps2, 0.25, rel_tol=3e-4)
     assert state2.l == 1
 
 
 def test_grid_eigenstate_validation(u10):
-    g = propagation_grid(30.0, 600)
+    g = RadialGrid(30.0, 600)
     with pytest.raises(ValueError):
         grid_eigenstate(0, 0, 20.0, g, u10)
     with pytest.raises(ValueError, match="needs more than 16 grid points"):
-        grid_eigenstate(17, 0, 20.0, propagation_grid(30.0, 16), u10)
+        grid_eigenstate(17, 0, 20.0, RadialGrid(30.0, 16), u10)
     with pytest.raises(ValueError):
         grid_eigenstate(2, 2, 20.0, g, u10)
     with pytest.raises(ValueError):
@@ -99,7 +103,7 @@ def test_generator_terms_are_bounded_by_h_max(system):
     u, n, eps = make_units(0.1, system), 900, 1e-9
     top = u.hbar * math.sqrt(2.0 / H_MAX)  # the step where 2 hbar^2 / step^2 = H_MAX
     low = u.hbar * math.sqrt(2.0 * H_MAX)  # and where it is 1 / H_MAX
-    g = propagation_grid(25.0 * u.bohr_radius, n)
+    g = RadialGrid(25.0 * u.bohr_radius, n)
     q = H_MAX / (u.hbar * u.hbar / (g.step * g.step))
     l = math.isqrt(int(q))
     while l * (l + 1) > q:
@@ -107,10 +111,10 @@ def test_generator_terms_are_bounded_by_h_max(system):
     lam = H_MAX * g.step / u.coulomb_momentum
     mc2 = 2.0 * u.mc
     for inside, past, says in [
-            ((propagation_grid(n * top * (1 + eps), n), 0, mc2),
-             (propagation_grid(n * top * (1 - eps), n), 0, mc2), "propagation grid"),
-            ((propagation_grid(n * low * (1 - eps), n), 0, mc2),
-             (propagation_grid(n * low * (1 + eps), n), 0, mc2), "propagation grid"),
+            ((RadialGrid(n * top * (1 + eps), n), 0, mc2),
+             (RadialGrid(n * top * (1 - eps), n), 0, mc2), "propagation grid"),
+            ((RadialGrid(n * low * (1 - eps), n), 0, mc2),
+             (RadialGrid(n * low * (1 + eps), n), 0, mc2), "propagation grid"),
             ((g, l, mc2), (g, l + 1, mc2), "l is too large for this grid"),
             ((g, 0, lam * (1 - eps)), (g, 0, lam * (1 + eps)), "lambda = .* is too large"),
             ((g, 0, -lam * (1 - eps)), (g, 0, -lam * (1 + eps)), "lambda = -.* is too large")]:
@@ -121,7 +125,7 @@ def test_generator_terms_are_bounded_by_h_max(system):
         with pytest.raises(ValueError, match=says):
             _hamiltonian_tridiag(*past, u)
     # all three at their bounds at once: entries near 3 H_MAX, every vector finite
-    g = propagation_grid(n * top * (1 + eps), n)
+    g = RadialGrid(n * top * (1 + eps), n)
     diag, off = _hamiltonian_tridiag(g, 1, -H_MAX * g.step / u.coulomb_momentum * (1 - eps), u)
     assert np.max(np.abs(diag)) > 2.9 * H_MAX
     assert np.all(np.isfinite(_eigenpairs(diag, off, 0, n - 1)[1]))
@@ -131,7 +135,7 @@ def test_generator_terms_are_bounded_by_h_max(system):
 def test_generator_bound_names_the_input_at_fault(u10):
     # hbar^2 / step^2 = 8.1e205 leaves the bound, and LAPACK's dstebz squares
     # the off-diagonal: once LinAlgError "dstebz info 4"
-    tiny = propagation_grid(1e-100, 900)
+    tiny = RadialGrid(1e-100, 900)
     state = RadialState(tiny, 0, np.ones(900, complex))
     path = LambdaPath.constant(2.0 * u10.mc, 0.5)
     for call in (lambda: grid_eigenstate(1, 0, 2.0 * u10.mc, tiny, u10),
@@ -139,11 +143,11 @@ def test_generator_bound_names_the_input_at_fault(u10):
         with pytest.raises(ValueError, match="propagation grid r_max = 1e-100 on 900 points"):
             call()
     # entries near 2e140: H phi's squares overflowed, and a variational problem blamed x10
-    found = _alternating(propagation_grid(9e-68, 900))
+    found = _alternating(RadialGrid(9e-68, 900))
     with pytest.raises(ValueError, match="propagation grid r_max = 9e-68 on 900 points"):
         VariationalProblem(phi_in=found, phi_out=found, x10=40.0, segments=1, u=u10)
     # lambda kappa_C / step = 3.6e160 on a fine grid: lambda is at fault, once the grid
-    g = propagation_grid(25.0, 900)
+    g = RadialGrid(25.0, 900)
     with pytest.raises(ValueError, match=r"lambda = 1e\+160 is too large for this grid"):
         grid_eigenstate(1, 0, 1e160, g, u10)
     # the grid is judged first, then l, then lambda; l is printed as a count
@@ -163,7 +167,7 @@ def test_energy_moments_rate_is_never_nan():
 def test_tracked_sweep_refuses_an_infinite_turn_by_its_unwrap_count(u10):
     # a duration of 1e306 at a finite rate turns the phase by inf: once an
     # OverflowError from ceil(inf)
-    state = _alternating(propagation_grid(25.0, 900))
+    state = _alternating(RadialGrid(25.0, 900))
     path = LambdaPath.constant(2.0 * u10.mc, 1e306)
     with pytest.raises(RuntimeError, match=r"at its 3 steps \(it needs inf\)"):
         _transition(state, state, path, u10, 3, PADE33_ROOTS)
@@ -171,21 +175,21 @@ def test_tracked_sweep_refuses_an_infinite_turn_by_its_unwrap_count(u10):
 
 def test_grid_eigenstate_boundary_guards(u10):
     # 2s leaks onto a 12 bohr box
-    tight = propagation_grid(12.0, 600)
+    tight = RadialGrid(12.0, 600)
     with pytest.raises(RuntimeError, match="eigenstate tail at r_max"):
         _eigenpair(2, 0, 2.0, tight, u10)
     # a 200 mc control squeezes the state below the first mesh cell
-    g = propagation_grid(30.0, 1500)
+    g = RadialGrid(30.0, 1500)
     with pytest.raises(RuntimeError, match="first mesh cell under-resolves"):
         _eigenpair(1, 0, 200.0, g, u10)
     # a feeble control has no bound level inside a 10 bohr box
-    small = propagation_grid(10.0, 500)
+    small = RadialGrid(10.0, 500)
     with pytest.raises(RuntimeError, match="is not bound on this grid"):
         _eigenpair(1, 0, 0.001, small, u10)
 
 
 def test_evolve_eigenstate_pure_phase(u10):
-    g = propagation_grid(25.0, 1200)
+    g = RadialGrid(25.0, 1200)
     state, eps = _eigenpair(1, 0, 2.0, g, u10)
     S, steps = 0.4, 400
     ds = S / steps
@@ -198,14 +202,14 @@ def test_evolve_eigenstate_pure_phase(u10):
 
 
 def test_evolve_identity_at_tiny_duration(u10):
-    g = propagation_grid(25.0, 800)
+    g = RadialGrid(25.0, 800)
     state, _ = _eigenpair(1, 0, 2.0, g, u10)
     final = evolve(state, LambdaPath.constant(2.0 * u10.mc, 1e-30), 5, u10)
     assert np.max(np.abs(final.amplitudes - state.amplitudes)) < 1e-12
 
 
 def test_evolve_norm_conservation(u10):
-    g = propagation_grid(40.0, 1300)
+    g = RadialGrid(40.0, 1300)
     s1, _ = _eigenpair(1, 0, 2.0, g, u10)
     s2 = truncated_eigenstate(2, 0, 2.0 * u10.mc, g, u10)
     mix = s1.amplitudes + 0.3 * s2.amplitudes
@@ -217,7 +221,7 @@ def test_evolve_norm_conservation(u10):
 
 
 def test_evolve_detects_wall_reflection(u10):
-    g = propagation_grid(25.0, 900)
+    g = RadialGrid(25.0, 900)
     state, _ = _eigenpair(1, 0, 2.0, g, u10)
     # flipping the control sign makes the potential repulsive: the packet
     # blows outward and must be caught at the wall rather than echoed
@@ -232,7 +236,7 @@ def test_evolve_detects_wall_reflection(u10):
 def test_reflection_detected_inside_segment(u10, path):
     # a free packet moving outward hits the wall and is back near r = 20 by
     # s = 2.5, so a check at segment ends alone would miss the echo
-    g = propagation_grid(40.0, 1600)
+    g = RadialGrid(40.0, 1600)
     r = g.points()
     packet = RadialState(g, 0, np.exp(-(r - 20.0) ** 2 / 18.0 - 8j * r))
     packet = RadialState(g, 0, packet.amplitudes / state_norm(packet))
@@ -245,7 +249,7 @@ def test_reflection_detected_inside_segment(u10, path):
 def test_grid_eigenstate_sign_is_fixed(u10, monkeypatch):
     # inverse iteration (dstein) may return either sign of an eigenvector;
     # the state is the same for both, with its largest sample positive
-    g = propagation_grid(25.0, 800)
+    g = RadialGrid(25.0, 800)
     state, eps = _eigenpair(1, 0, 2.0, g, u10)
     solve = lapack.dstein
 
@@ -266,7 +270,7 @@ def test_grid_eigenstate_sign_is_fixed(u10, monkeypatch):
 def test_direct_eigenpair_is_eigh_tridiagonals(u10, monkeypatch, n, l, r_max, points):
     # grid_eigenstate makes eigh_tridiagonal(select="i")'s two LAPACK calls
     # itself, so its eigenvalue and vector keep eigh_tridiagonal's bits
-    g = propagation_grid(r_max, points)
+    g = RadialGrid(r_max, points)
     ham = _hamiltonian_tridiag(g, l, 2.0 * u10.mc, u10)
     w, v = eigh_tridiagonal(*ham, select="i", select_range=(n - l - 1, n - l - 1))
     returned = {}
@@ -287,7 +291,7 @@ def test_evolve_spectral_is_eigh_tridiagonal_per_segment(u10, num_states):
     # the oracle's eigh_tridiagonal(select="i") and the package's direct
     # LAPACK eigensolve give the same bits over a range of states, segment by
     # segment, with a few states and with the full basis
-    g = propagation_grid(25.0, 400)
+    g = RadialGrid(25.0, 400)
     state, _ = _eigenpair(1, 0, 2.0, g, u10)
     path = LambdaPath.equal_segments([2.0 * u10.mc, 2.1 * u10.mc], 0.6)
     phi = np.array(state.amplitudes, dtype=complex)
@@ -301,7 +305,7 @@ def test_evolve_spectral_is_eigh_tridiagonal_per_segment(u10, num_states):
 def test_eigensolves_leave_scipy_linalg_unimported():
     # the eigensolve of the discrete generator and the sweep call LAPACK through _lapack
     probe = ("import sys; from qaction import *; u = make_units(0.1); "
-             "g = propagation_grid(25.0, 400); s, _ = grid_eigenstate(1, 0, 2 * u.mc, g, u); "
+             "g = RadialGrid(25.0, 400); s, _ = grid_eigenstate(1, 0, 2 * u.mc, g, u); "
              "evolve(s, LambdaPath.constant(2.1 * u.mc, 0.5), 50, u); "
              "print('scipy.linalg' in sys.modules, 'scipy.linalg._flapack' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
@@ -364,7 +368,7 @@ def test_lapack_is_scipys_own_when_scipy_linalg_came_first(u10, split_case, monk
 
 
 def test_evolve_rejects_bad_input(u10):
-    g = propagation_grid(25.0, 800)
+    g = RadialGrid(25.0, 800)
     state, _ = _eigenpair(1, 0, 2.0, g, u10)
     with pytest.raises(ValueError):
         evolve(state, LambdaPath.constant(2.0 * u10.mc, 1.0), 0, u10)
@@ -373,11 +377,11 @@ def test_evolve_rejects_bad_input(u10):
 
 
 @pytest.mark.parametrize("out, message", [
-    ((1, 0, propagation_grid(30.0, 600)), "states live on different grids"),
-    ((2, 1, propagation_grid(60.0, 1200)), "cross-l overlap is zero"),
+    ((1, 0, RadialGrid(30.0, 600)), "states live on different grids"),
+    ((2, 1, RadialGrid(60.0, 1200)), "cross-l overlap is zero"),
 ], ids=["other_grid", "other_l"])
 def test_transition_amplitude_refuses_a_pair_with_no_grid_overlap(u10, out, message):
-    state, _ = _eigenpair(1, 0, 2.0, propagation_grid(60.0, 1200), u10)
+    state, _ = _eigenpair(1, 0, 2.0, RadialGrid(60.0, 1200), u10)
     other, _ = _eigenpair(*out[:2], 2.0, out[2], u10)
     with pytest.raises(ValueError, match=message):
         transition_amplitude(state, other, LambdaPath.constant(2.0 * u10.mc, 0.1), u10)
@@ -385,7 +389,7 @@ def test_transition_amplitude_refuses_a_pair_with_no_grid_overlap(u10, out, mess
 
 @pytest.mark.parametrize("floor", [0, -5, 2.5, 300.5])
 def test_transition_amplitude_refuses_floor_below_one(u10, floor):
-    g = propagation_grid(25.0, 900)
+    g = RadialGrid(25.0, 900)
     state, _ = _eigenpair(1, 0, 2.0, g, u10)
     with pytest.raises(ValueError, match="need at least one step per segment"):
         transition_amplitude(state, state, LambdaPath.constant(2.0 * u10.mc, 0.1),
@@ -393,7 +397,7 @@ def test_transition_amplitude_refuses_floor_below_one(u10, floor):
 
 
 def test_transition_amplitude_same_state_short(u10):
-    g = propagation_grid(25.0, 900)
+    g = RadialGrid(25.0, 900)
     state, _ = _eigenpair(1, 0, 2.0, g, u10)
     path = LambdaPath.constant(2.0 * u10.mc, 1e-30)
     amp = transition_amplitude(state, state, path, u10, steps_per_segment=3)
@@ -405,7 +409,7 @@ def test_transition_amplitude_same_state_short(u10):
 
 
 def test_transition_amplitude_eigenstate_phase(u10):
-    g = propagation_grid(25.0, 2000)
+    g = RadialGrid(25.0, 2000)
     state, eps = _eigenpair(1, 0, 2.0, g, u10)
     S = 0.5
     amp = transition_amplitude(state, state, LambdaPath.constant(2.0 * u10.mc, S),
@@ -420,7 +424,7 @@ def test_transition_amplitude_eigenstate_phase(u10):
 
 
 def test_phase_unwraps_beyond_principal_branch(u10):
-    g = propagation_grid(25.0, 1000)
+    g = RadialGrid(25.0, 1000)
     state, eps = _eigenpair(1, 0, 2.0, g, u10)
     S = 10.0  # phase winds past 3 full turns; a principal-branch result would be ~ -2.5
     amp = transition_amplitude(state, state, LambdaPath.constant(2.0 * u10.mc, S),
@@ -430,7 +434,7 @@ def test_phase_unwraps_beyond_principal_branch(u10):
 
 
 def test_flagged_when_overlap_vanishes(u10):
-    g = propagation_grid(30.0, 1200)
+    g = RadialGrid(30.0, 1200)
     s1, _ = _eigenpair(1, 0, 2.0, g, u10)
     s2 = truncated_eigenstate(2, 0, 2.0 * u10.mc, g, u10)
     # orthogonalize exactly so |K| sits at the numerical floor
@@ -448,8 +452,8 @@ def test_flagged_when_overlap_vanishes(u10):
 
 
 def test_transition_amplitude_input_checks(u10):
-    g = propagation_grid(25.0, 900)
-    other = propagation_grid(30.0, 900)
+    g = RadialGrid(25.0, 900)
+    other = RadialGrid(30.0, 900)
     s1, _ = _eigenpair(1, 0, 2.0, g, u10)
     s1b, _ = _eigenpair(1, 0, 2.0, other, u10)
     p1 = truncated_eigenstate(2, 1, 2.0 * u10.mc, g, u10)
@@ -466,7 +470,7 @@ def test_transition_amplitude_input_checks(u10):
 
 
 def test_time_reversal_symmetry(u10):
-    g = propagation_grid(50.0, 1400)
+    g = RadialGrid(50.0, 1400)
     s1, _ = _eigenpair(1, 0, 2.0, g, u10)
     s2, _ = _eigenpair(2, 0, 2.0, g, u10)
     path = LambdaPath(np.array([0.25, 0.6]), np.array([2.0, 1.7]) * u10.mc)
@@ -480,7 +484,7 @@ def test_time_reversal_symmetry(u10):
 
 
 def test_orthogonal_channel_stays_dark(u10):
-    g = propagation_grid(30.0, 1200)
+    g = RadialGrid(30.0, 1200)
     s1, _ = _eigenpair(1, 0, 2.0, g, u10)
     s2 = truncated_eigenstate(2, 0, 2.0 * u10.mc, g, u10)
     amp = transition_amplitude(s1, s2, LambdaPath.constant(2.0 * u10.mc, 0.3),
@@ -489,7 +493,7 @@ def test_orthogonal_channel_stays_dark(u10):
 
 
 def test_completeness_over_low_levels(u10):
-    g = propagation_grid(30.0, 1200)
+    g = RadialGrid(30.0, 1200)
     state, _ = _eigenpair(1, 0, 2.0, g, u10)
     lam2 = 2.1 * u10.mc
     path = LambdaPath.equal_segments([2.0 * u10.mc, lam2], 0.8)
@@ -501,7 +505,7 @@ def test_completeness_over_low_levels(u10):
 
 
 def test_spectral_cross_check(u10):
-    g = propagation_grid(30.0, 1200)
+    g = RadialGrid(30.0, 1200)
     state, _ = _eigenpair(1, 0, 2.0, g, u10)
     const = LambdaPath.constant(2.0 * u10.mc, 0.7)
     a = evolve(state, const, 700, u10)
@@ -529,7 +533,7 @@ def test_spectral_cross_check(u10):
 
 
 def test_coarse_and_fine_stepping_agree(u10):
-    g = propagation_grid(25.0, 900)
+    g = RadialGrid(25.0, 900)
     state, _ = _eigenpair(1, 0, 2.0, g, u10)
     path = LambdaPath.equal_segments([2.0 * u10.mc, 1.9 * u10.mc], 0.2)
     coarse = transition_amplitude(state, state, path, u10, steps_per_segment=1000)
@@ -567,7 +571,7 @@ def test_eigenstate_amplitude_never_exceeds_one(u10, roots):
     steps = {CN_ROOTS: 35, PADE33_ROOTS: 2}[roots]
     path = LambdaPath.constant(2.0 * u10.mc, 0.7)
     for points, r_max in ((900, 25.0), (1200, 30.0), (2000, 25.0), (1500, 40.0)):
-        state, eps = _eigenpair(1, 0, 2.0, propagation_grid(r_max, points), u10)
+        state, eps = _eigenpair(1, 0, 2.0, RadialGrid(r_max, points), u10)
         amp = _transition(state, state, path, u10, steps, roots)
         assert abs(amp.K) <= 1.0 and amp.Q <= 0.0, points
         assert abs(amp.K) > 1.0 - 1e-13, points
@@ -579,7 +583,7 @@ def test_tracked_sweep_refuses_counts_too_coarse_to_unwrap(u10, roots):
     # the 1s level turns the overlap phase 6 rad over S = 6, which needs 12
     # steps at 0.5 rad a step; one step used to return I = 2.50 (CN) or -1.97
     # (the former (2,2) Pade step) with no error, aliased by whole turns
-    state, eps = _eigenpair(1, 0, 2.0, propagation_grid(25.0, 500), u10)
+    state, eps = _eigenpair(1, 0, 2.0, RadialGrid(25.0, 500), u10)
     path = LambdaPath.constant(2.0 * u10.mc, 6.0)
     for steps in (1, 11):
         with pytest.raises(RuntimeError, match=rf"0\.5 rad .* {steps} steps \(it needs 12\)"):
@@ -593,7 +597,7 @@ def test_amplitude_rounded_outside_after_rescale_steps_inside(u10):
     # ulp outside the unit circle; then it is scaled inside once more. Every
     # rotation of phi_out keeps |K| in (1, 1 + 1e-12), and the division lands
     # outside on about one in twenty (9 of these 200 on numpy 2.4 / scipy 1.17)
-    g = propagation_grid(25.0, 400)
+    g = RadialGrid(25.0, 400)
     state, _ = _eigenpair(1, 0, 2.0, g, u10)
     path = LambdaPath.constant(2.0 * u10.mc, 0.1)
     outside = 0
@@ -613,7 +617,7 @@ def test_pade33_is_sixth_order(u10):
     # a mix of the 1s and 2s states of the path's own H, so the error is the
     # stepper's eigenphase error alone (a mix outside the eigenbasis of a
     # two-segment path fell only 12.2 and 10.7-fold per halving)
-    g = propagation_grid(30.0, 400)
+    g = RadialGrid(30.0, 400)
     s1, _ = _eigenpair(1, 0, 2.0, g, u10)
     s2 = truncated_eigenstate(2, 0, 2.0 * u10.mc, g, u10)
     mix = RadialState(g, 0, s1.amplitudes + 0.5 * s2.amplitudes)
@@ -637,7 +641,7 @@ def test_pade33_is_sixth_order(u10):
 
 def test_explicit_steps_take_one_solve_per_step(u10, monkeypatch):
     # calls that fix the step count stay Crank-Nicolson: one zgttrs per step
-    g = propagation_grid(25.0, 600)
+    g = RadialGrid(25.0, 600)
     state, _ = _eigenpair(1, 0, 2.0, g, u10)
     path = LambdaPath.equal_segments([2.0 * u10.mc, 1.9 * u10.mc], 0.2)
     calls = record_calls(monkeypatch, lapack, "zgttrs")
@@ -656,7 +660,7 @@ def test_step_floor_checked_over_the_whole_path_before_any_sweep(u10, monkeypatc
     # the floor fits the budget on one segment but not on three: refused
     # before the first factorisation, where once segment 2 was refused after
     # the first two were swept
-    state, _ = _eigenpair(1, 0, 2.0, propagation_grid(25.0, 1000), u10)
+    state, _ = _eigenpair(1, 0, 2.0, RadialGrid(25.0, 1000), u10)
     path = LambdaPath.equal_segments([2.0 * u10.mc] * 3, 0.6)
     steps = propagation.MAX_SWEEP_WORK // (3 * 1000) + 1
 
@@ -675,7 +679,7 @@ def test_counts_follow_the_state_entering_each_segment(u10, monkeypatch):
     # overlap phase of the state entering it under 0.02 rad a step; here the
     # last segment's entering state needs 27, where phi_in at that lambda
     # needs only 10
-    g = propagation_grid(60.0, 600)
+    g = RadialGrid(60.0, 600)
     s2, _ = _eigenpair(2, 0, 1.7, g, u10)
     s1, _ = _eigenpair(1, 0, 1.75, g, u10)
     path = LambdaPath.equal_segments([1.7 * u10.mc, 2.3 * u10.mc, 1.75 * u10.mc], 2.4)
@@ -706,7 +710,7 @@ def test_grid_arrays_are_built_once(u10, monkeypatch):
     g = RadialGrid(10.0, 20)
     assert g.points() is g.points() and not g.points().flags.writeable
     spaced = record_calls(monkeypatch, np, "linspace")
-    g = propagation_grid(25.0, 600)
+    g = RadialGrid(25.0, 600)
     state, _ = _eigenpair(1, 0, 2.0, g, u10)
     path = LambdaPath.equal_segments([2.0 * u10.mc, 1.9 * u10.mc], 0.2)
     for _ in range(3):
@@ -721,7 +725,7 @@ def test_grid_arrays_are_built_once(u10, monkeypatch):
 def split_case(u10):
     """1s in, 2s out, a three-segment path, on a grid one point above
     SPLIT_POINTS, so that its two blocks differ in length."""
-    g = propagation_grid(60.0, SPLIT_POINTS + 1)
+    g = RadialGrid(60.0, SPLIT_POINTS + 1)
     s1, _ = _eigenpair(1, 0, 1.8, g, u10)
     s2, _ = _eigenpair(2, 0, 1.9, g, u10)
     path = LambdaPath.equal_segments([1.8 * u10.mc, 2.2 * u10.mc, 1.9 * u10.mc], 1.8)
@@ -762,7 +766,7 @@ def test_two_block_solve_is_the_one_block_solve(u10, points, r_max, ds, dot_leng
     # 24 000 points is longer than one dot BLAS keeps serial. Every case has
     # the same mesh step: the two solves part by roundoff times the
     # stiffness ds / h^2 (1.2e-13 relative on 24 000 points to r = 60)
-    g = propagation_grid(r_max, points)
+    g = RadialGrid(r_max, points)
     ham = _hamiltonian_tridiag(g, 0, 2.0 * u10.mc, u10)
     rng = np.random.default_rng(3)
     b = rng.standard_normal(g.num_points) + 1j * rng.standard_normal(g.num_points)
@@ -782,7 +786,7 @@ def test_two_block_solve_is_the_one_block_solve(u10, points, r_max, ds, dot_leng
 def test_adjoint_sweep_dots_stay_serial(u10, dot_lengths):
     # the path search's forward and adjoint sweeps on a grid longer than
     # BLAS_SERIAL sum every overlap in parts BLAS keeps on one thread
-    g = propagation_grid(40.0, 12000)
+    g = RadialGrid(40.0, 12000)
     r = g.points()
     state = RadialState(g, 0, r * np.exp(-r))
     state = RadialState(g, 0, state.amplitudes / state_norm(state))
@@ -820,7 +824,7 @@ def test_two_blocks_from_split_points_on(u10, monkeypatch, points, blocks):
     # solves each step as two half-length zgttrs, plus one per block for the
     # interface vectors; below, one block and one solve a step. The (3,3)
     # path keeps one block per root on any grid.
-    g = propagation_grid(40.0, points)
+    g = RadialGrid(40.0, points)
     r = g.points()
     state = RadialState(g, 0, r * np.exp(-r))
     state = RadialState(g, 0, state.amplitudes / state_norm(state))
@@ -841,7 +845,7 @@ def test_two_block_sweep_refuses_as_one_block(u10, split_case):
     # the wall check and the unwrap refusal run on the split path too, and a
     # sweep that raises stops its worker thread
     threads = threading.active_count()
-    g = propagation_grid(40.0, SPLIT_POINTS + 1)
+    g = RadialGrid(40.0, SPLIT_POINTS + 1)
     r = g.points()
     packet = RadialState(g, 0, np.exp(-(r - 32.0) ** 2 / 8.0 - 8j * r))
     packet = RadialState(g, 0, packet.amplitudes / state_norm(packet))
@@ -871,6 +875,27 @@ def test_two_block_worker_failure_reaches_the_caller(u10, split_case, monkeypatc
     monkeypatch.setattr(lapack, "zgttrs", failing)
     threads = threading.active_count()
     with pytest.raises(_WorkerSolveFailed):
+        evolve(s1, path, 3, u10)
+    assert threading.active_count() == threads
+
+
+def test_two_block_caller_failure_stops_the_worker(u10, split_case, monkeypatch):
+    # a solve that fails on the sweep's own thread, while the worker holds its
+    # half, is raised to the caller, and the worker still stops
+    s1, _, path = split_case
+    solve = lapack.zgttrs
+    worker_solves = []
+
+    def failing(*args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            worker_solves.append(1)
+        elif worker_solves:  # a later step's top half: the worker has been handed one
+            raise _WorkerSolveFailed("caller solve")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(lapack, "zgttrs", failing)
+    threads = threading.active_count()
+    with pytest.raises(_WorkerSolveFailed, match="caller solve"):
         evolve(s1, path, 3, u10)
     assert threading.active_count() == threads
 

@@ -6,7 +6,7 @@ from scipy.special import eval_genlaguerre
 
 from qaction import (
     QuantumNumbers, RadialGrid, RadialState, SommerfeldNumbers, bohr_energy,
-    epsilon_n, grid_eigenstate, level_comparison, make_units, propagation_grid,
+    epsilon_n, grid_eigenstate, level_comparison, make_units,
     sommerfeld_energy, sommerfeld_nstar_sq, state_norm, stationary_closed_form,
 )
 import oracles
@@ -44,8 +44,8 @@ def test_quantum_numbers_validation():
     lambda u: epsilon_n(20.0, 2.7, u),
     lambda u: level_comparison(2.9, u),
     lambda u: stationary_closed_form(1.9, 40.0, u),
-    lambda u: grid_eigenstate(1.0, 0, 2.0 * u.mc, propagation_grid(30.0, 600), u),
-    lambda u: grid_eigenstate(1, 0.0, 2.0 * u.mc, propagation_grid(30.0, 600), u),
+    lambda u: grid_eigenstate(1.0, 0, 2.0 * u.mc, RadialGrid(30.0, 600), u),
+    lambda u: grid_eigenstate(1, 0.0, 2.0 * u.mc, RadialGrid(30.0, 600), u),
     lambda u: sommerfeld_nstar_sq(1.0, 2, 0.1),
 ], ids=["bohr_energy", "epsilon_n", "level_comparison", "stationary_closed_form",
         "grid_eigenstate_n", "grid_eigenstate_l", "sommerfeld_nstar_sq"])
@@ -65,7 +65,7 @@ def test_numpy_integer_levels_accepted(u10):
     assert epsilon_n(20.0, n, u10) == epsilon_n(20.0, 2, u10)
     assert level_comparison(n, u10) == level_comparison(2, u10)
     assert stationary_closed_form(n, 40.0, u10) == stationary_closed_form(2, 40.0, u10)
-    g = propagation_grid(60.0, 2400)
+    g = RadialGrid(60.0, 2400)
     state, eps = grid_eigenstate(n, l, 2.0 * u10.mc, g, u10)
     ref, ref_eps = grid_eigenstate(2, 1, 2.0 * u10.mc, g, u10)
     assert eps == ref_eps
@@ -204,7 +204,7 @@ def test_grid_points_monotone():
 
 @pytest.mark.parametrize("n, l", [(1, 0), (2, 0), (2, 1), (3, 0)])
 def test_grid_eigenstate_has_n_minus_l_minus_1_nodes(u10, n, l):
-    g = propagation_grid(100.0, 4000)
+    g = RadialGrid(100.0, 4000)
     state, _ = grid_eigenstate(n, l, 2.0 * u10.mc, g, u10)
     vals = np.real(state.amplitudes)
     vals = vals[np.abs(vals) > 1e-9 * np.max(np.abs(vals))]  # away from the noise floor
@@ -214,7 +214,7 @@ def test_grid_eigenstate_has_n_minus_l_minus_1_nodes(u10, n, l):
 
 
 def test_grid_eigenstates_are_orthogonal(u10):
-    g = propagation_grid(60.0, 2000)
+    g = RadialGrid(60.0, 2000)
     a, _ = grid_eigenstate(1, 0, 2.0 * u10.mc, g, u10)
     b, _ = grid_eigenstate(2, 0, 2.0 * u10.mc, g, u10)
     assert abs(g.step * np.vdot(a.amplitudes, b.amplitudes)) < 1e-12  # 1.4e-14 measured
@@ -226,7 +226,7 @@ def test_grid_eigenstate_converges_at_second_order_to_the_closed_form(u10, lam_m
     # (0.2500-0.2510); at a0 lambda / (2 m c) it stays near 0.99 away from 2 m c
     errors = []
     for num_points in (1000, 2000, 4000):
-        g = propagation_grid(60.0, num_points)
+        g = RadialGrid(60.0, num_points)
         state, _ = grid_eigenstate(1, 0, lam_mc * u10.mc, g, u10)
         diff = state.amplitudes - _hydrogen_u(1, 0, lam_mc * u10.mc, g, u10)
         errors.append(math.sqrt(g.step * float(np.sum(np.abs(diff) ** 2))))
@@ -311,7 +311,7 @@ def test_state_operations():
     # mesh, sum_j sin^2(pi k j / (n + 1)) = (n + 1) / 2, and on 3i u_1s,
     # u_1s = 2 r exp(-r), off 3 by Euler-Maclaurin's -3 h^4 / 30 (u^2's
     # third derivative is -48 at r = 0)
-    g = propagation_grid(200.0, 2000)
+    g = RadialGrid(200.0, 2000)
     r, h = g.points(), g.step
     mode = RadialState(g, 0, 3.0j * np.sin(3.0 * math.pi * r / (2001 * h)))
     assert state_norm(mode) == pytest.approx(3.0 * math.sqrt(h * 2001 / 2), rel=1e-14)

@@ -9,7 +9,7 @@ from qaction import (
     LambdaPath, PacketDiagnostics, PhaseUndefinedError, QuantumNumbers,
     RadialGrid, RadialState, VariationalProblem, action_value, chi_initial,
     classical_action_part, full_action, grid_eigenstate, level_comparison,
-    make_units, optimize_path, packet_diagnostics, propagation_grid, solve_stationary,
+    make_units, optimize_path, packet_diagnostics, solve_stationary,
     sommerfeld_nstar_sq, state_norm, stationary_closed_form, transition_amplitude,
 )
 from conftest import record_calls, truncated_eigenstate
@@ -21,7 +21,7 @@ lapack = propagation._lapack()
 
 @pytest.fixture(scope="module")
 def coarse_setup(u10):
-    g = propagation_grid(25.0, 500)
+    g = RadialGrid(25.0, 500)
     state, eps = grid_eigenstate(1, 0, 2.0 * u10.mc, g, u10)
     return g, state, eps
 
@@ -65,7 +65,7 @@ def test_full_action_matches_parameter_form(u10):
     # propagating an eigenstate along a constant path must reproduce the
     # closed-form reduced action at d = lambda / 2, kappa arbitrary
     lam = 2.2 * u10.mc
-    g = propagation_grid(25.0, 3000)
+    g = RadialGrid(25.0, 3000)
     state, _ = grid_eigenstate(1, 0, lam, g, u10)
     S = 0.4
     x10 = 0.9 * lam * S
@@ -147,7 +147,7 @@ def test_roundoff_amplitude_at_start_is_flagged(u10):
     # 1s and 2s prepared at lambda = 2 mc are eigenvectors of the start
     # path's generator: K there is roundoff (2.7e-14 on this grid), and the
     # search must refuse it rather than divide an exact gradient by it
-    g = propagation_grid(50.0, 1200)
+    g = RadialGrid(50.0, 1200)
     s1, _ = grid_eigenstate(1, 0, 2.0 * u10.mc, g, u10)
     s2, _ = grid_eigenstate(2, 0, 2.0 * u10.mc, g, u10)
     problem = VariationalProblem(phi_in=s1, phi_out=s2, x10=40.0, segments=1,
@@ -159,7 +159,7 @@ def test_roundoff_amplitude_at_start_is_flagged(u10):
 def test_runaway_schedule_rejected_before_any_sweep(u_codata, monkeypatch):
     # steps per residual grow linearly with x10; at x10 = 1e6 the schedule
     # would take hours, so the problem is refused where it is built
-    g = propagation_grid(24.0, 600)
+    g = RadialGrid(24.0, 600)
     state, _ = grid_eigenstate(1, 0, 2.0 * u_codata.mc, g, u_codata)
 
     def no_sweep(*args, **kwargs):
@@ -184,7 +184,7 @@ def test_stored_bytes_over_budget_rejected_before_any_sweep(u10, monkeypatch):
     # x10 = 3000 the schedule's solves fit their budget on either grid, but
     # on 20 000 points the states it would keep do not fit theirs
     def problem(points):
-        g = propagation_grid(35.0, points)
+        g = RadialGrid(35.0, points)
         state, _ = grid_eigenstate(1, 0, 2.0 * u10.mc, g, u10)
         return lambda: VariationalProblem(phi_in=state, phi_out=state, x10=3000.0,
                                           segments=1, u=u10)
@@ -209,7 +209,7 @@ def test_stored_bytes_over_budget_rejected_before_any_sweep(u10, monkeypatch):
 def test_schedule_counts_past_the_float_range_are_refused_in_short(u10):
     # x10 = 1.7e308 at a finite rate turns the schedule's phase by inf: once an
     # OverflowError from ceil(inf)
-    g = propagation_grid(25.0, 900)
+    g = RadialGrid(25.0, 900)
     state = RadialState(g, 0, np.where(np.arange(900) % 2, 1.0, -1.0).astype(complex))
     state = RadialState(g, 0, state.amplitudes / state_norm(state))
     with pytest.raises(ValueError, match=r"x10 = 1\.7e\+308 needs inf tridiagonal solves"):
@@ -223,7 +223,7 @@ def test_schedule_counts_past_the_float_range_are_refused_in_short(u10):
 
 @pytest.fixture(scope="module")
 def pair_problem(u10):
-    g = propagation_grid(30.0, 1200)
+    g = RadialGrid(30.0, 1200)
     state, _ = grid_eigenstate(1, 0, 2.0 * u10.mc, g, u10)
 
     def problem(x10):
@@ -320,7 +320,7 @@ def test_path_too_fast_for_the_schedule_is_refused(u10):
     # path, inside the S box, would turn the overlap phase more than 0.5 rad
     # per step on its first segment at that count (it needs 15), so it is
     # refused rather than re-stepped, which would make I jump between trials
-    state, _ = grid_eigenstate(1, 0, 2.0 * u10.mc, propagation_grid(30.0, 2000), u10)
+    state, _ = grid_eigenstate(1, 0, 2.0 * u10.mc, RadialGrid(30.0, 2000), u10)
     problem = VariationalProblem(phi_in=state, phi_out=state, x10=40.0,
                                  segments=2, u=u10)
     assert problem.steps_per_segment == 3
@@ -348,7 +348,7 @@ def test_pade33_constants_and_the_schedule_they_size(u10):
     assert variational.STEP_PHASE <= propagation.UNWRAP_PHASE
     # on the converged acceptance-07 paths every segment's entering state
     # turns the overlap phase less than UNWRAP_PHASE per step at the schedule
-    state, _ = grid_eigenstate(1, 0, 2.0 * u10.mc, propagation_grid(30.0, 2000), u10)
+    state, _ = grid_eigenstate(1, 0, 2.0 * u10.mc, RadialGrid(30.0, 2000), u10)
     schedule = []
     for nseg in (1, 4, 8):
         problem = VariationalProblem(phi_in=state, phi_out=state, x10=40.0,
@@ -369,7 +369,7 @@ def test_start_is_the_levels_stationary_lambda(u10):
     # the acceptance-07 state's energy at lambda = 2 m c is its discrete
     # level's, so the search starts at that level's lambda* (2.8e-7 below the
     # closed form's here), whatever the segment count
-    state, _ = grid_eigenstate(1, 0, 2.0 * u10.mc, propagation_grid(30.0, 2000), u10)
+    state, _ = grid_eigenstate(1, 0, 2.0 * u10.mc, RadialGrid(30.0, 2000), u10)
     ref = stationary_closed_form(1, 40.0, u10).lam / u10.mc
     for nseg in (1, 4):
         problem = VariationalProblem(phi_in=state, phi_out=state, x10=40.0,
@@ -394,7 +394,7 @@ def test_start_stays_classical_between_different_states(u10, coarse_setup):
 def test_start_stays_classical_when_the_level_leaves_the_s_box(u10):
     # a fast packet, <H>/(mc)^2 = 33.6 > 24: its level's lambda* = 2 mc / sqrt(34.6)
     # would stretch S past 5 x10 / (2 m c), so the search starts at 2
-    g = propagation_grid(30.0, 2000)
+    g = RadialGrid(30.0, 2000)
     r = g.points()
     packet = RadialState(g, 0, np.exp(-0.5 * (r - 10.0) ** 2) * np.sin(60.0 * r))
     problem = VariationalProblem(phi_in=packet, phi_out=packet, x10=0.1,
@@ -409,7 +409,7 @@ def _search_at_level(n, l, points, u):
     """N = 4 path search at x10 = 40 between (n, l) states prepared at lambda*_n,
     on r_max = 40 n; returns lambda*_n and the solution."""
     lam_star = 2.0 * u.mc / math.sqrt(1.0 - (u.alpha / n) ** 2)
-    phi, _ = grid_eigenstate(n, l, lam_star, propagation_grid(40.0 * n, points), u)
+    phi, _ = grid_eigenstate(n, l, lam_star, RadialGrid(40.0 * n, points), u)
     res = optimize_path(VariationalProblem(phi_in=phi, phi_out=phi, x10=40.0,
                                            segments=4, u=u))
     assert res.converged
@@ -482,7 +482,7 @@ def test_prepared_state_shift_of_the_extrapolated_kappa(u10):
         """kappa's relative errors at h and h/2, their Richardson value, chord steps."""
         runs = [optimize_path(VariationalProblem(
             phi_in=phi, phi_out=phi, x10=40.0, segments=1, u=u10))
-            for phi, _ in (grid_eigenstate(1, 0, prep, propagation_grid(24.0, points), u10)
+            for phi, _ in (grid_eigenstate(1, 0, prep, RadialGrid(24.0, points), u10)
                            for points in (1200, 2400))]
         assert all(res.converged for res in runs)
         coarse, fine = (res.kappa for res in runs)
@@ -509,7 +509,7 @@ def test_path_search_spectrum_table(u10, n, l, r_max, points):
     ref = stationary_closed_form(n, 40.0, u10)
     errors = []
     for m in (points, 2 * points):
-        phi, _ = grid_eigenstate(n, l, ref.lam, propagation_grid(r_max, m), u10)
+        phi, _ = grid_eigenstate(n, l, ref.lam, RadialGrid(r_max, m), u10)
         res = optimize_path(VariationalProblem(phi_in=phi, phi_out=phi, x10=40.0,
                                                segments=1, u=u10))
         assert res.converged
@@ -524,7 +524,7 @@ def counted_solves(u10, coarse_setup):
     """One- and two-segment solves on the coarse grid, then N = 1 and 4 on the
     acceptance-07 problem, with the LAPACK tridiagonal work they did."""
     _, coarse, _ = coarse_setup
-    fine, _ = grid_eigenstate(1, 0, 2.0 * u10.mc, propagation_grid(30.0, 2000), u10)
+    fine, _ = grid_eigenstate(1, 0, 2.0 * u10.mc, RadialGrid(30.0, 2000), u10)
     runs = []
     for state, nseg in ((coarse, 1), (coarse, 2), (fine, 1), (fine, 4)):
         problem = VariationalProblem(phi_in=state, phi_out=state, x10=40.0,
@@ -675,7 +675,7 @@ LOG_MESH = (1e-4, 40.0, 2000)  # numerov_eigenvalue's r_min, r_max, points
     lambda u, p: VariationalProblem(phi_in=p.phi_in, phi_out=p.phi_out, x10=NAN,
                                     segments=1, u=u),
     lambda u, p: optimize_path(p, tol=NAN),
-    lambda u, p: propagation_grid(NAN, 100),
+    lambda u, p: propagation.propagation_grid(NAN, 100),
     lambda u, p: RadialGrid(NAN, 100),
     lambda u, p: PacketDiagnostics(0.0, NAN, 1.0),
     lambda u, p: packet_diagnostics(chi_initial(1.0),
